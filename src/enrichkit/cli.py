@@ -6,9 +6,8 @@ Exit codes are a stable contract: 0 when every selected check passes,
 
 Reports are deterministic for a given input and flag set.  The human format
 prints one line per diagram family; ``--machine`` emits the same stream as
-line-delimited JSON records, documented in the README.  The worker count for
-instance scans comes from --workers or the ENRICHKIT_WORKERS environment
-variable.
+line-delimited JSON records, documented in the README.  Every diagram
+family is one sequential scan.
 """
 from __future__ import annotations
 
@@ -150,30 +149,19 @@ class _Reporter:
 
 
 def _checks_for(tower: Tower):
-    yield "base", "base", lambda **kw: check_kfold(tower.base, **kw)
-    for name, vc in sorted(tower.vcategories.items()):
-        yield "vcategory", f"vcategory:{name}", \
-            lambda vc=vc, **kw: check_vcategory(vc, **kw)
-    for name, vf in sorted(tower.vfunctors.items()):
-        yield "vfunctor", f"vfunctor:{name}", \
-            lambda vf=vf, **kw: check_vfunctor(vf, **kw)
-    for name, nat in sorted(tower.vnats.items()):
-        yield "vnat", f"vnat:{name}", lambda nat=nat, **kw: check_vnat(nat, **kw)
-    for name, u in sorted(tower.v2categories.items()):
-        yield "v2category", f"v2category:{name}", \
-            lambda u=u, **kw: check_v2category(u, **kw)
-    for name, vf in sorted(tower.v2functors.items()):
-        yield "v2functor", f"v2functor:{name}", \
-            lambda vf=vf, **kw: check_v2functor(vf, **kw)
-    for name, nat in sorted(tower.v2nats.items()):
-        yield "v2nat", f"v2nat:{name}", \
-            lambda nat=nat, **kw: check_v2nat(nat, **kw)
-    for name, m in sorted(tower.modifications.items()):
-        yield "modification", f"modification:{name}", \
-            lambda m=m, **kw: check_modification(m, **kw)
-    for name, p in sorted(tower.pastings.items()):
-        yield "pasting", f"pasting:{name}", \
-            lambda p=p, **kw: exchange_suite(p, **kw)
+    """(level, label, checker, structure) for everything in the tower."""
+    yield "base", "base", check_kfold, tower.base
+    for level, section, checker in (
+            ("vcategory", tower.vcategories, check_vcategory),
+            ("vfunctor", tower.vfunctors, check_vfunctor),
+            ("vnat", tower.vnats, check_vnat),
+            ("v2category", tower.v2categories, check_v2category),
+            ("v2functor", tower.v2functors, check_v2functor),
+            ("v2nat", tower.v2nats, check_v2nat),
+            ("modification", tower.modifications, check_modification),
+            ("pasting", tower.pastings, exchange_suite)):
+        for name, structure in sorted(section.items()):
+            yield level, f"{level}:{name}", checker, structure
 
 
 def _run_check(args) -> int:
@@ -189,13 +177,13 @@ def _run_check(args) -> int:
         return 2
 
     rep = _Reporter(args.machine)
-    kwargs = {"all_witnesses": args.all_witnesses, "workers": args.workers}
     try:
-        for level, label, runner in _checks_for(tower):
+        for level, label, checker, structure in _checks_for(tower):
             if args.level != "all" and level != args.level:
                 continue
             try:
-                rep.emit(label, runner(**kwargs))
+                rep.emit(label, checker(structure,
+                                        all_witnesses=args.all_witnesses))
             except (BaseInvalid, LowerLevelInvalid, SourceTargetInvalid) as err:
                 rep.note(label, f"skipped, constituent invalid: {err}")
             except (AgreementFailure, NotComposable, NotParallel) as err:
@@ -695,8 +683,9 @@ def main(argv=None) -> int:
     p_check.add_argument("--level", default="all", choices=("all",) + LEVELS)
     p_check.add_argument("--all-witnesses", action="store_true")
     p_check.add_argument("--machine", action="store_true")
-    p_check.add_argument("--workers", type=int,
-                         default=int(os.environ.get("ENRICHKIT_WORKERS", "1")))
+    p_check.add_argument("--workers", type=int, default=1,
+                         help="ignored: scans are sequential (accepted for "
+                              "one more release)")
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--fuzz", type=int, default=0,
                          help="append N generated instance checks")

@@ -134,11 +134,11 @@ def _require_tables(cat: FinCategory) -> None:
                 raise MalformedTable(f"comp entry ({g}, {f}) -> {h} mentions unknown morphism {m!r}")
 
 
-def check_category(cat: FinCategory, *, all_witnesses: bool = False,
-                   workers: int = 1) -> CheckReport:
+def check_category(cat: FinCategory, *,
+                   all_witnesses: bool = False) -> CheckReport:
     """Exhaustively verify the category axioms over the tables."""
     _require_tables(cat)
-    b = ReportBuilder(all_witnesses, workers)
+    b = ReportBuilder(all_witnesses)
     objs = sorted(cat.objects)
     mors = sorted(cat.morphisms)
 
@@ -160,8 +160,8 @@ def check_category(cat: FinCategory, *, all_witnesses: bool = False,
         if present and not composable:
             return cat.comp[(g, f)], None
         return None
-    b.family("composition-defined",
-             [(g, f) for g in mors for f in mors], composition_defined)
+    b.family("composition-defined", product(mors, repeat=2),
+             composition_defined)
 
     def composition_boundary(pair):
         g, f = pair
@@ -179,19 +179,20 @@ def check_category(cat: FinCategory, *, all_witnesses: bool = False,
         e, f = inst
         got = _c(cat, e, f)
         return None if got == f else (got, f)
-    b.family("unit-left", [(cat.identity[cat.cod[f]], f) for f in mors],
+    b.family("unit-left", ((cat.identity[cat.cod[f]], f) for f in mors),
              unit_left)
 
     def unit_right(inst):
         f, e = inst
         got = _c(cat, f, e)
         return None if got == f else (got, f)
-    b.family("unit-right", [(f, cat.identity[cat.dom[f]]) for f in mors],
+    b.family("unit-right", ((f, cat.identity[cat.dom[f]]) for f in mors),
              unit_right)
 
-    triples = sorted((h, g, f)
-                     for h in mors for g in mors for f in mors
-                     if cat.cod[f] == cat.dom[g] and cat.cod[g] == cat.dom[h])
+    # mors is sorted, so the nested loops already run in lexicographic order.
+    triples = ((h, g, f)
+               for h in mors for g in mors for f in mors
+               if cat.cod[f] == cat.dom[g] and cat.cod[g] == cat.dom[h])
 
     def associativity(tri):
         h, g, f = tri
@@ -203,8 +204,8 @@ def check_category(cat: FinCategory, *, all_witnesses: bool = False,
     return b.report()
 
 
-def check_functor(fun: FinFunctor, *, all_witnesses: bool = False,
-                  workers: int = 1) -> CheckReport:
+def check_functor(fun: FinFunctor, *,
+                  all_witnesses: bool = False) -> CheckReport:
     """Verify a functor preserves boundaries, identities, and composites.
 
     Precondition: source and target already pass check_category.
@@ -221,7 +222,7 @@ def check_functor(fun: FinFunctor, *, all_witnesses: bool = False,
         if fun.mor_map[m] not in tgt.morphisms:
             raise MalformedTable(f"morphism map sends {m!r} to an unknown morphism")
 
-    b = ReportBuilder(all_witnesses, workers)
+    b = ReportBuilder(all_witnesses)
 
     def boundary(f):
         img = fun.mor_map[f]
@@ -248,8 +249,8 @@ def check_functor(fun: FinFunctor, *, all_witnesses: bool = False,
     return b.report()
 
 
-def check_natural(nat: FinNatTransform, *, all_witnesses: bool = False,
-                  workers: int = 1) -> CheckReport:
+def check_natural(nat: FinNatTransform, *,
+                  all_witnesses: bool = False) -> CheckReport:
     """Verify naturality squares for a transformation between parallel functors."""
     F, G = nat.source, nat.target
     if F.source is not G.source and F.source != G.source:
@@ -263,7 +264,7 @@ def check_natural(nat: FinNatTransform, *, all_witnesses: bool = False,
         if nat.components[a] not in tgt.morphisms:
             raise MalformedTable(f"component at {a!r} is an unknown morphism")
 
-    b = ReportBuilder(all_witnesses, workers)
+    b = ReportBuilder(all_witnesses)
 
     def boundary(a):
         t = nat.components[a]

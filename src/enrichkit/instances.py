@@ -105,16 +105,14 @@ def _symmetric_problems(sym: SymmetricMonoidal) -> CheckReport:
         if cat.cod[m] != sym.tensor_obj[(c_, a)]:
             return cat.cod[m], sym.tensor_obj[(c_, a)]
         return None
-    b.family("symmetry-boundary", [(a, c_) for a in objs for c_ in objs],
-             c_boundary)
+    b.family("symmetry-boundary", product(objs, repeat=2), c_boundary)
 
     def c_involution(pair_ab):
         a, c_ = pair_ab
         got = cat.comp.get((sym.symmetry[(c_, a)], sym.symmetry[(a, c_)]))
         want = cat.identity[sym.tensor_obj[(a, c_)]]
         return None if got == want else (got, want)
-    b.family("symmetry-involution", [(a, c_) for a in objs for c_ in objs],
-             c_involution)
+    b.family("symmetry-involution", product(objs, repeat=2), c_involution)
 
     def c_natural(pair_fg):
         f, g = pair_fg
@@ -123,8 +121,7 @@ def _symmetric_problems(sym: SymmetricMonoidal) -> CheckReport:
         lhs = cat.comp.get((sym.symmetry[tgt], sym.tensor_mor[(f, g)]))
         rhs = cat.comp.get((sym.tensor_mor[(g, f)], sym.symmetry[src]))
         return None if lhs == rhs and lhs is not None else (lhs, rhs)
-    b.family("symmetry-naturality", [(f, g) for f in mors for g in mors],
-             c_natural)
+    b.family("symmetry-naturality", product(mors, repeat=2), c_natural)
 
     inv = _invert_components(cat, sym.assoc)
 
@@ -143,8 +140,7 @@ def _symmetric_problems(sym: SymmetricMonoidal) -> CheckReport:
                                            cat.identity[z])]))))
         return None if lhs_chain == rhs_chain and lhs_chain is not None \
             else (lhs_chain, rhs_chain)
-    b.family("symmetry-hexagon", [t for t in product(objs, repeat=3)],
-             c_hexagon)
+    b.family("symmetry-hexagon", product(objs, repeat=3), c_hexagon)
 
     out = b.report()
     out.merge(rep, prefix="monoidal:")

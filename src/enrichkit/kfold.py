@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import IndexOutOfRange, MalformedTable, UnknownMorphism, UnknownObject
-from .fincat import FinCategory, check_category
+from .fincat import FinCategory, _c, check_category
 from .report import CheckReport, ReportBuilder
 
 
@@ -100,12 +100,6 @@ def _eta(v, i, j, a, b, c, d):
     return v.interchange_table[(i, j)].get((a, b, c, d))
 
 
-def _c(cat, g, f):
-    if g is None or f is None:
-        return None
-    return cat.comp.get((g, f))
-
-
 def _idm(cat, a):
     if a is None:
         return None
@@ -153,9 +147,9 @@ def _require_tables(v: KFoldMonoidal) -> None:
                     f"interchange_{pair_ij}{key} is an unknown morphism")
 
 
-def check_kfold(v: KFoldMonoidal, *, all_witnesses: bool = False,
-                workers: int = 1) -> CheckReport:
-    base_rep = check_category(v.base, all_witnesses=all_witnesses, workers=workers)
+def check_kfold(v: KFoldMonoidal, *,
+                all_witnesses: bool = False) -> CheckReport:
+    base_rep = check_category(v.base, all_witnesses=all_witnesses)
     if not base_rep.ok:
         out = CheckReport()
         out.merge(base_rep, prefix="base:")
@@ -163,10 +157,9 @@ def check_kfold(v: KFoldMonoidal, *, all_witnesses: bool = False,
     _require_tables(v)
 
     cat = v.base
-    b = ReportBuilder(all_witnesses, workers)
+    b = ReportBuilder(all_witnesses)
     objs = sorted(cat.objects)
     mors = sorted(cat.morphisms)
-    pairs2 = [(x, y) for x in objs for y in objs]
     unit = v.unit
 
     for i in range(1, v.n + 1):
@@ -175,7 +168,7 @@ def check_kfold(v: KFoldMonoidal, *, all_witnesses: bool = False,
             lhs = _tm(v, i, cat.identity[a], cat.identity[y])
             rhs = _idm(cat, _to(v, i, a, y))
             return None if lhs == rhs and lhs is not None else (lhs, rhs)
-        b.family(f"tensor-identity[{i}]", pairs2, t_id)
+        b.family(f"tensor-identity[{i}]", product(objs, repeat=2), t_id)
 
         def t_boundary(pair, i=i):
             f, g = pair
@@ -187,8 +180,7 @@ def check_kfold(v: KFoldMonoidal, *, all_witnesses: bool = False,
             if cat.cod[fg] != want_cod:
                 return cat.cod[fg], want_cod
             return None
-        b.family(f"tensor-boundary[{i}]",
-                 [(f, g) for f in mors for g in mors], t_boundary)
+        b.family(f"tensor-boundary[{i}]", product(mors, repeat=2), t_boundary)
 
         comp_pairs = cat.composable_pairs()
 
@@ -197,8 +189,8 @@ def check_kfold(v: KFoldMonoidal, *, all_witnesses: bool = False,
             lhs = _tm(v, i, _c(cat, f2, f1), _c(cat, g2, g1))
             rhs = _c(cat, _tm(v, i, f2, g2), _tm(v, i, f1, g1))
             return None if lhs == rhs and lhs is not None else (lhs, rhs)
-        b.family(f"tensor-composition[{i}]",
-                 [(p, q) for p in comp_pairs for q in comp_pairs], t_comp)
+        b.family(f"tensor-composition[{i}]", product(comp_pairs, repeat=2),
+                 t_comp)
 
         def unit_obj(a, i=i):
             if _to(v, i, a, unit) != a:
@@ -217,7 +209,7 @@ def check_kfold(v: KFoldMonoidal, *, all_witnesses: bool = False,
             return None
         b.family(f"unit-strict-morphism[{i}]", mors, unit_mor)
 
-        triples = [(x, y, z) for x in objs for y in objs for z in objs]
+        triples = list(product(objs, repeat=3))  # reused by the probe below
 
         def a_boundary(tri, i=i):
             a, y, z = tri
@@ -238,8 +230,8 @@ def check_kfold(v: KFoldMonoidal, *, all_witnesses: bool = False,
             lhs = _c(cat, _al(v, i, *tgt), _tm(v, i, _tm(v, i, f, g), h))
             rhs = _c(cat, _tm(v, i, f, _tm(v, i, g, h)), _al(v, i, *src))
             return None if lhs == rhs and lhs is not None else (lhs, rhs)
-        b.family(f"associator-naturality[{i}]",
-                 [(f, g, h) for f in mors for g in mors for h in mors], a_natural)
+        b.family(f"associator-naturality[{i}]", product(mors, repeat=3),
+                 a_natural)
 
         def pentagon(quad, i=i):
             a, y, z, w = quad
@@ -249,9 +241,7 @@ def check_kfold(v: KFoldMonoidal, *, all_witnesses: bool = False,
             bot = _c(cat, _al(v, i, a, y, _to(v, i, z, w)),
                      _al(v, i, _to(v, i, a, y), z, w))
             return None if top == bot and top is not None else (top, bot)
-        b.family(f"pentagon[{i}]",
-                 [(a, y, z, w) for a in objs for y in objs
-                  for z in objs for w in objs], pentagon)
+        b.family(f"pentagon[{i}]", product(objs, repeat=4), pentagon)
 
         # Invertibility probe: warning-only.
         for tri in triples:
@@ -264,9 +254,6 @@ def check_kfold(v: KFoldMonoidal, *, all_witnesses: bool = False,
                 b.warn(f"associator-invertible[{i}]", tri, m, "<no inverse>")
 
     for (i, j) in sorted(v.interchange_table):
-        quads = [(a, y, c, d) for a in objs for y in objs
-                 for c in objs for d in objs]
-
         def e_boundary(q, i=i, j=j):
             a, y, c, d = q
             m = _eta(v, i, j, a, y, c, d)
@@ -277,7 +264,7 @@ def check_kfold(v: KFoldMonoidal, *, all_witnesses: bool = False,
             if cat.cod[m] != want_cod:
                 return cat.cod[m], want_cod
             return None
-        b.family(f"eta-boundary[{i},{j}]", quads, e_boundary)
+        b.family(f"eta-boundary[{i},{j}]", product(objs, repeat=4), e_boundary)
 
         def e_internal_unit(pair, i=i, j=j):
             a, y = pair
@@ -287,7 +274,8 @@ def check_kfold(v: KFoldMonoidal, *, all_witnesses: bool = False,
             if _eta(v, i, j, unit, unit, a, y) != want:
                 return _eta(v, i, j, unit, unit, a, y), want
             return None
-        b.family(f"eta-internal-unit[{i},{j}]", pairs2, e_internal_unit)
+        b.family(f"eta-internal-unit[{i},{j}]", product(objs, repeat=2),
+                 e_internal_unit)
 
         def e_external_unit(pair, i=i, j=j):
             a, y = pair
@@ -297,7 +285,8 @@ def check_kfold(v: KFoldMonoidal, *, all_witnesses: bool = False,
             if _eta(v, i, j, unit, a, unit, y) != want:
                 return _eta(v, i, j, unit, a, unit, y), want
             return None
-        b.family(f"eta-external-unit[{i},{j}]", pairs2, e_external_unit)
+        b.family(f"eta-external-unit[{i},{j}]", product(objs, repeat=2),
+                 e_external_unit)
 
         def e_natural(q, i=i, j=j):
             f, g, h, k = q
@@ -308,11 +297,8 @@ def check_kfold(v: KFoldMonoidal, *, all_witnesses: bool = False,
             rhs = _c(cat, _tm(v, j, _tm(v, i, f, h), _tm(v, i, g, k)),
                      _eta(v, i, j, *src))
             return None if lhs == rhs and lhs is not None else (lhs, rhs)
-        b.family(f"eta-naturality[{i},{j}]",
-                 [(f, g, h, k) for f in mors for g in mors
-                  for h in mors for k in mors], e_natural)
-
-        six = [t for t in product(objs, repeat=6)]
+        b.family(f"eta-naturality[{i},{j}]", product(mors, repeat=4),
+                 e_natural)
 
         def e_internal_assoc(t, i=i, j=j):
             u, w2, w, x, y, z = t
@@ -326,7 +312,8 @@ def check_kfold(v: KFoldMonoidal, *, all_witnesses: bool = False,
                         _al(v, i, _to(v, j, u, w2), _to(v, j, w, x),
                             _to(v, j, y, z))))
             return None if lhs == rhs and lhs is not None else (lhs, rhs)
-        b.family(f"eta-internal-assoc[{i},{j}]", six, e_internal_assoc)
+        b.family(f"eta-internal-assoc[{i},{j}]", product(objs, repeat=6),
+                 e_internal_assoc)
 
         def e_external_assoc(t, i=i, j=j):
             u, w2, w, x, y, z = t
@@ -341,7 +328,8 @@ def check_kfold(v: KFoldMonoidal, *, all_witnesses: bool = False,
                                   _to(v, j, y, z)),
                         _tm(v, i, _al(v, j, u, w2, w), _al(v, j, x, y, z))))
             return None if lhs == rhs and lhs is not None else (lhs, rhs)
-        b.family(f"eta-external-assoc[{i},{j}]", six, e_external_assoc)
+        b.family(f"eta-external-assoc[{i},{j}]", product(objs, repeat=6),
+                 e_external_assoc)
 
     if v.n < 3:
         b.vacuous("hexagon")
@@ -350,8 +338,6 @@ def check_kfold(v: KFoldMonoidal, *, all_witnesses: bool = False,
                           for i in range(1, v.n + 1)
                           for j in range(i + 1, v.n + 1)
                           for k in range(j + 1, v.n + 1)]:
-            eight = [t for t in product(objs, repeat=8)]
-
             def hexagon(t, i=i, j=j, k=k):
                 a, a2, y, y2, c, c2, d, d2 = t
                 left = _c(cat, _tm(v, k, _eta(v, i, j, a, y, c, d),
@@ -367,6 +353,6 @@ def check_kfold(v: KFoldMonoidal, *, all_witnesses: bool = False,
                               _eta(v, i, j, _to(v, k, a, a2), _to(v, k, y, y2),
                                    _to(v, k, c, c2), _to(v, k, d, d2))))
                 return None if left == right and left is not None else (left, right)
-            b.family(f"hexagon[{i},{j},{k}]", eight, hexagon)
+            b.family(f"hexagon[{i},{j},{k}]", product(objs, repeat=8), hexagon)
 
     return b.report()

@@ -7,7 +7,6 @@ are rendered as "<undefined>".
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 
@@ -64,63 +63,31 @@ class CheckReport:
 class ReportBuilder:
     """Accumulates one report, one diagram family at a time.
 
-    Enumeration is deterministic: callers hand over instance lists already in
-    lexicographic order.  With ``all_witnesses=False`` a family stops at its
-    first failure.  With ``workers > 1`` the instance list is split into
-    chunks evaluated on a thread pool; chunk results are merged in list order,
-    so the reported first witness is the same as in the sequential scan.
+    Enumeration is deterministic: callers hand over instances, as any
+    iterable, in lexicographic order.  Each family is one sequential pass
+    that pulls instances as it evaluates them.  With ``all_witnesses=False``
+    it stops at the first failure and pulls nothing further.
     """
 
-    def __init__(self, all_witnesses: bool = False, workers: int = 1):
+    def __init__(self, all_witnesses: bool = False):
         self.all_witnesses = all_witnesses
-        self.workers = max(1, int(workers))
         self._report = CheckReport()
 
     def family(self, name: str, instances, check) -> None:
-        """Evaluate ``check(instance) -> None | (lhs, rhs)`` over a family."""
-        instances = list(instances)
-        hits = (self._scan_parallel(instances, check)
-                if self.workers > 1 and len(instances) > 64
-                else self._scan_serial(instances, check))
-        count = len(instances)
-        if hits and not self.all_witnesses:
-            first = hits[0]
-            count = first[0] + 1
-            hits = [first]
-        for _, inst, lhs, rhs in hits:
-            self._report.witnesses.append(
-                Witness(name, tuple(inst), _fmt(lhs), _fmt(rhs)))
-        self._report.families[name] = count
+        """Evaluate ``check(instance) -> None | (lhs, rhs)`` over a family.
 
-    def _scan_serial(self, instances, check):
-        hits = []
-        for idx, inst in enumerate(instances):
+        Records the number of instances evaluated: all of them, or up to and
+        including the first failing one when the scan stops early.
+        """
+        count = 0
+        for count, inst in enumerate(instances, 1):
             res = check(inst)
             if res is not None:
-                hits.append((idx, inst, res[0], res[1]))
+                self._report.witnesses.append(
+                    Witness(name, tuple(inst), _fmt(res[0]), _fmt(res[1])))
                 if not self.all_witnesses:
                     break
-        return hits
-
-    def _scan_parallel(self, instances, check):
-        chunk = max(32, len(instances) // (self.workers * 4))
-        spans = [(lo, instances[lo:lo + chunk])
-                 for lo in range(0, len(instances), chunk)]
-
-        def run(span):
-            lo, items = span
-            out = []
-            for off, inst in enumerate(items):
-                res = check(inst)
-                if res is not None:
-                    out.append((lo + off, inst, res[0], res[1]))
-            return out
-
-        hits = []
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            for part in pool.map(run, spans):
-                hits.extend(part)
-        return hits
+        self._report.families[name] = count
 
     def vacuous(self, name: str) -> None:
         self._report.families[name] = 0

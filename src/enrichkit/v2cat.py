@@ -152,8 +152,8 @@ def _require_v2nat(a: V2NatTransform) -> None:
 
 # -- checkers --------------------------------------------------------------------
 
-def check_v2category(u: V2Category, *, all_witnesses: bool = False,
-                     workers: int = 1) -> CheckReport:
+def check_v2category(u: V2Category, *,
+                     all_witnesses: bool = False) -> CheckReport:
     base = u.base
     if base.n < 2:
         raise MalformedTable("level-2 structure needs at least two tensors")
@@ -173,7 +173,7 @@ def check_v2category(u: V2Category, *, all_witnesses: bool = False,
         if a not in u.identity:
             raise MalformedTable(f"identity functor for {a!r} missing")
 
-    b = ReportBuilder(all_witnesses, workers)
+    b = ReportBuilder(all_witnesses)
 
     ok = True
     for key in iproduct(objs, repeat=2):
@@ -195,8 +195,7 @@ def check_v2category(u: V2Category, *, all_witnesses: bool = False,
         if m2.target != u.hom[(x, z)]:
             return "target", f"expected hom({x},{z})"
         return None
-    b.family("composition-functor-shape", [t for t in iproduct(objs, repeat=3)],
-             comp_shape)
+    b.family("composition-functor-shape", iproduct(objs, repeat=3), comp_shape)
 
     def ident_shape(a):
         j2 = u.identity[a]
@@ -238,7 +237,7 @@ def check_v2category(u: V2Category, *, all_witnesses: bool = False,
         d = _diff_vfunctor(lhs, rhs)
         return None if d is None else (f"{d[0]}={d[1]}", f"{d[0]}={d[2]}")
 
-    b.family("pentagon", [t for t in iproduct(objs, repeat=4)], pentagon)
+    b.family("pentagon", iproduct(objs, repeat=4), pentagon)
 
     def unit_left(xy):
         x, y = xy
@@ -249,7 +248,7 @@ def check_v2category(u: V2Category, *, all_witnesses: bool = False,
         rhs = unit_relabel_left(1, u.hom[(x, y)])
         d = _diff_vfunctor(lhs, rhs)
         return None if d is None else (f"{d[0]}={d[1]}", f"{d[0]}={d[2]}")
-    b.family("unit-left", [t for t in iproduct(objs, repeat=2)], unit_left)
+    b.family("unit-left", iproduct(objs, repeat=2), unit_left)
 
     def unit_right(xy):
         x, y = xy
@@ -260,7 +259,7 @@ def check_v2category(u: V2Category, *, all_witnesses: bool = False,
         rhs = unit_relabel_right(1, u.hom[(x, y)])
         d = _diff_vfunctor(lhs, rhs)
         return None if d is None else (f"{d[0]}={d[1]}", f"{d[0]}={d[2]}")
-    b.family("unit-right", [t for t in iproduct(objs, repeat=2)], unit_right)
+    b.family("unit-right", iproduct(objs, repeat=2), unit_right)
 
     # Consequence diagrams: implied by functoriality, replayed directly as an
     # engine self-test.
@@ -286,14 +285,11 @@ def check_v2category(u: V2Category, *, all_witnesses: bool = False,
                             cat.comp.get((mid, eta))))
         return None if lhs == rhs and lhs is not None else (lhs, rhs)
 
-    square_insts = []
-    for tri in iproduct(objs, repeat=3):
-        x, y, z = tri
-        cells_bc = u.one_cells(y, z)
-        cells_ab = u.one_cells(x, y)
-        for hkm in iproduct(cells_bc, repeat=3):
-            for fgl in iproduct(cells_ab, repeat=3):
-                square_insts.append((tri, hkm, fgl))
+    square_insts = ((tri, hkm, fgl)
+                    for tri in iproduct(objs, repeat=3)
+                    for hkm, fgl in iproduct(
+                        iproduct(u.one_cells(tri[1], tri[2]), repeat=3),
+                        iproduct(u.one_cells(tri[0], tri[1]), repeat=3)))
     b.family("consequence-interchange", square_insts, interchange_square)
 
     def unit_product(inst):
@@ -306,10 +302,10 @@ def check_v2category(u: V2Category, *, all_witnesses: bool = False,
                                 (u.hom[(y, z)].identity[g],
                                  u.hom[(x, y)].identity[f]))))
         return None if lhs == rhs and lhs is not None else (lhs, rhs)
-    unit_insts = [(tri, g, f)
+    unit_insts = ((tri, g, f)
                   for tri in iproduct(objs, repeat=3)
                   for g in u.one_cells(tri[1], tri[2])
-                  for f in u.one_cells(tri[0], tri[1])]
+                  for f in u.one_cells(tri[0], tri[1]))
     b.family("consequence-units", unit_insts, unit_product)
 
     def j_component(a):
@@ -321,8 +317,8 @@ def check_v2category(u: V2Category, *, all_witnesses: bool = False,
     return b.report()
 
 
-def check_v2functor(t: V2Functor, *, all_witnesses: bool = False,
-                    workers: int = 1) -> CheckReport:
+def check_v2functor(t: V2Functor, *,
+                    all_witnesses: bool = False) -> CheckReport:
     _require_v2category(t.source)
     _require_v2category(t.target)
     src, tgt = t.source, t.target
@@ -334,7 +330,7 @@ def check_v2functor(t: V2Functor, *, all_witnesses: bool = False,
         if key not in t.hom_map:
             raise MalformedTable(f"hom functor {key} missing")
 
-    b = ReportBuilder(all_witnesses, workers)
+    b = ReportBuilder(all_witnesses)
 
     def shape(key):
         x, y = key
@@ -344,7 +340,7 @@ def check_v2functor(t: V2Functor, *, all_witnesses: bool = False,
         if vf.target != tgt.hom[(t.obj_map[x], t.obj_map[y])]:
             return "target", "expected image hom"
         return None
-    b.family("hom-functor-shape", [k for k in iproduct(objs, repeat=2)], shape)
+    b.family("hom-functor-shape", iproduct(objs, repeat=2), shape)
     if not b.report().ok:
         return b.report()
 
@@ -365,8 +361,7 @@ def check_v2functor(t: V2Functor, *, all_witnesses: bool = False,
             product_vfunctor(1, t.hom_map[(y, z)], t.hom_map[(x, y)]))
         d = _diff_vfunctor(lhs, rhs)
         return None if d is None else (f"{d[0]}={d[1]}", f"{d[0]}={d[2]}")
-    b.family("composition-square", [t3 for t3 in iproduct(objs, repeat=3)],
-             square)
+    b.family("composition-square", iproduct(objs, repeat=3), square)
 
     def unit(a):
         lhs = compose_vfunctor(t.hom_map[(a, a)], src.identity[a])
@@ -378,8 +373,8 @@ def check_v2functor(t: V2Functor, *, all_witnesses: bool = False,
     return b.report()
 
 
-def check_v2nat(a: V2NatTransform, *, all_witnesses: bool = False,
-                workers: int = 1) -> CheckReport:
+def check_v2nat(a: V2NatTransform, *,
+                all_witnesses: bool = False) -> CheckReport:
     t, s = a.source, a.target
     if t.source != s.source or t.target != s.target:
         raise NotParallel("level-2 functors are not parallel")
@@ -392,7 +387,7 @@ def check_v2nat(a: V2NatTransform, *, all_witnesses: bool = False,
             raise MalformedTable(f"component at {x!r} missing")
     unitv = unit_vcategory(u.base)
 
-    b = ReportBuilder(all_witnesses, workers)
+    b = ReportBuilder(all_witnesses)
 
     def shape(x):
         comp = a.components[x]
@@ -430,13 +425,13 @@ def check_v2nat(a: V2NatTransform, *, all_witnesses: bool = False,
                 unit_intro_right(1, u.hom[key])))
         d = _diff_vfunctor(lhs, rhs)
         return None if d is None else (f"{d[0]}={d[1]}", f"{d[0]}={d[2]}")
-    b.family("naturality", [k for k in iproduct(objs, repeat=2)], naturality)
+    b.family("naturality", iproduct(objs, repeat=2), naturality)
 
     return b.report()
 
 
-def check_modification(m: VModification, *, all_witnesses: bool = False,
-                       workers: int = 1) -> CheckReport:
+def check_modification(m: VModification, *,
+                       all_witnesses: bool = False) -> CheckReport:
     th, ph = m.source, m.target
     if th.source != ph.source or th.target != ph.target:
         raise NotParallel("level-2 transformations are not parallel")
@@ -451,7 +446,7 @@ def check_modification(m: VModification, *, all_witnesses: bool = False,
         if x not in m.components or m.components[x] not in cat.morphisms:
             raise MalformedTable(f"component at {x!r} missing or unknown")
 
-    b = ReportBuilder(all_witnesses, workers)
+    b = ReportBuilder(all_witnesses)
 
     def boundary(x):
         mor = m.components[x]
@@ -484,9 +479,9 @@ def check_modification(m: VModification, *, all_witnesses: bool = False,
             base.tensor_mor_table[2].get(
                 (s.hom_map[(x, y)].hom_map[(f, g)], m.components[x]))))
         return None if lhs == rhs and lhs is not None else (lhs, rhs)
-    insts = [((x, y), f, g)
+    insts = (((x, y), f, g)
              for x in objs for y in objs
-             for f in u.one_cells(x, y) for g in u.one_cells(x, y)]
+             for f in u.one_cells(x, y) for g in u.one_cells(x, y))
     b.family("modification-square", insts, square)
 
     return b.report()
@@ -866,8 +861,8 @@ def _check_frames(p: PastingInstance) -> None:
             raise InvalidPasting("a modification has the wrong frame")
 
 
-def exchange_suite(p: PastingInstance, *, all_witnesses: bool = False,
-                   workers: int = 1) -> CheckReport:
+def exchange_suite(p: PastingInstance, *,
+                   all_witnesses: bool = False) -> CheckReport:
     """Evaluate all four closing exchange identities on one pasting.
 
     Route disagreements inside the intermediate operations surface as
@@ -875,7 +870,7 @@ def exchange_suite(p: PastingInstance, *, all_witnesses: bool = False,
     diagnosable report.
     """
     _check_frames(p)
-    b = ReportBuilder(all_witnesses, workers)
+    b = ReportBuilder(all_witnesses)
 
     def guard(name, fn, diff):
         def run(_):

@@ -20,8 +20,8 @@ from .errors import (
     NotParallel,
     SourceTargetInvalid,
 )
-from .fincat import compose
-from .kfold import KFoldMonoidal, check_kfold
+from .fincat import _c, compose
+from .kfold import KFoldMonoidal, _tm, check_kfold
 from .report import CheckReport, ReportBuilder, cached_report
 
 
@@ -76,20 +76,8 @@ def _require_vfunctor(vf: VFunctor, exc=SourceTargetInvalid) -> None:
 
 # -- checkers -----------------------------------------------------------------
 
-def _c(cat, g, f):
-    if g is None or f is None:
-        return None
-    return cat.comp.get((g, f))
-
-
-def _tm(base, i, f, g):
-    if f is None or g is None:
-        return None
-    return base.tensor_mor_table[i].get((f, g))
-
-
-def check_vcategory(vc: VCategory, *, all_witnesses: bool = False,
-                    workers: int = 1) -> CheckReport:
+def check_vcategory(vc: VCategory, *,
+                    all_witnesses: bool = False) -> CheckReport:
     """Pentagon and unit triangles over every object tuple."""
     _require_base(vc.base)
     base, cat = vc.base, vc.base.base
@@ -106,7 +94,7 @@ def check_vcategory(vc: VCategory, *, all_witnesses: bool = False,
         if a not in vc.identity or vc.identity[a] not in cat.morphisms:
             raise MalformedTable(f"identity element for {a!r} missing or unknown")
 
-    b = ReportBuilder(all_witnesses, workers)
+    b = ReportBuilder(all_witnesses)
 
     def comp_boundary(tri):
         x, y, z = tri
@@ -117,8 +105,7 @@ def check_vcategory(vc: VCategory, *, all_witnesses: bool = False,
         if cat.cod[m] != vc.hom[(x, z)]:
             return cat.cod[m], vc.hom[(x, z)]
         return None
-    b.family("composition-boundary", [t for t in iproduct(objs, repeat=3)],
-             comp_boundary)
+    b.family("composition-boundary", iproduct(objs, repeat=3), comp_boundary)
 
     def ident_boundary(a):
         m = vc.identity[a]
@@ -140,7 +127,7 @@ def check_vcategory(vc: VCategory, *, all_witnesses: bool = False,
                  _c(cat, _tm(base, 1, cat.identity[vc.hom[(z, w)]],
                              vc.comp[(x, y, z)]), alpha))
         return None if lhs == rhs and lhs is not None else (lhs, rhs)
-    b.family("pentagon", [t for t in iproduct(objs, repeat=4)], pentagon)
+    b.family("pentagon", iproduct(objs, repeat=4), pentagon)
 
     def unit_left(ab):
         x, y = ab
@@ -149,7 +136,7 @@ def check_vcategory(vc: VCategory, *, all_witnesses: bool = False,
                  _tm(base, 1, vc.identity[y], cat.identity[hom_xy]))
         want = cat.identity[hom_xy]
         return None if got == want else (got, want)
-    b.family("unit-left", [t for t in iproduct(objs, repeat=2)], unit_left)
+    b.family("unit-left", iproduct(objs, repeat=2), unit_left)
 
     def unit_right(ab):
         x, y = ab
@@ -158,13 +145,13 @@ def check_vcategory(vc: VCategory, *, all_witnesses: bool = False,
                  _tm(base, 1, cat.identity[hom_xy], vc.identity[x]))
         want = cat.identity[hom_xy]
         return None if got == want else (got, want)
-    b.family("unit-right", [t for t in iproduct(objs, repeat=2)], unit_right)
+    b.family("unit-right", iproduct(objs, repeat=2), unit_right)
 
     return b.report()
 
 
-def check_vfunctor(vf: VFunctor, *, all_witnesses: bool = False,
-                   workers: int = 1) -> CheckReport:
+def check_vfunctor(vf: VFunctor, *,
+                   all_witnesses: bool = False) -> CheckReport:
     """Composition square and unit triangle, per object pair/object."""
     if vf.source.base is not vf.target.base and vf.source.base != vf.target.base:
         raise MalformedTable("source and target live over different bases")
@@ -180,7 +167,7 @@ def check_vfunctor(vf: VFunctor, *, all_witnesses: bool = False,
         if key not in vf.hom_map or vf.hom_map[key] not in cat.morphisms:
             raise MalformedTable(f"hom map entry {key} missing or unknown")
 
-    b = ReportBuilder(all_witnesses, workers)
+    b = ReportBuilder(all_witnesses)
 
     def boundary(ab):
         x, y = ab
@@ -191,7 +178,7 @@ def check_vfunctor(vf: VFunctor, *, all_witnesses: bool = False,
         if cat.cod[m] != want:
             return cat.cod[m], want
         return None
-    b.family("functor-boundary", [t for t in iproduct(objs, repeat=2)], boundary)
+    b.family("functor-boundary", iproduct(objs, repeat=2), boundary)
 
     def square(tri):
         x, y, z = tri
@@ -199,7 +186,7 @@ def check_vfunctor(vf: VFunctor, *, all_witnesses: bool = False,
         rhs = _c(cat, tgt.comp[(vf.obj_map[x], vf.obj_map[y], vf.obj_map[z])],
                  _tm(base, 1, vf.hom_map[(y, z)], vf.hom_map[(x, y)]))
         return None if lhs == rhs and lhs is not None else (lhs, rhs)
-    b.family("functor-composition", [t for t in iproduct(objs, repeat=3)], square)
+    b.family("functor-composition", iproduct(objs, repeat=3), square)
 
     def unit(a):
         lhs = _c(cat, vf.hom_map[(a, a)], src.identity[a])
@@ -210,8 +197,8 @@ def check_vfunctor(vf: VFunctor, *, all_witnesses: bool = False,
     return b.report()
 
 
-def check_vnat(nat: VNatTransform, *, all_witnesses: bool = False,
-               workers: int = 1) -> CheckReport:
+def check_vnat(nat: VNatTransform, *,
+               all_witnesses: bool = False) -> CheckReport:
     """The enriched naturality hexagon for every object pair."""
     t, s = nat.source, nat.target
     if t.source != s.source or t.target != s.target:
@@ -224,7 +211,7 @@ def check_vnat(nat: VNatTransform, *, all_witnesses: bool = False,
         if a not in nat.components or nat.components[a] not in cat.morphisms:
             raise MalformedTable(f"component at {a!r} missing or unknown")
 
-    b = ReportBuilder(all_witnesses, workers)
+    b = ReportBuilder(all_witnesses)
     w = t.target
 
     def boundary(a):
@@ -246,7 +233,7 @@ def check_vnat(nat: VNatTransform, *, all_witnesses: bool = False,
         rhs = _c(cat, w.comp[(tx, sx, sy)],
                  _tm(base, 1, s.hom_map[(x, y)], nat.components[x]))
         return None if lhs == rhs and lhs is not None else (lhs, rhs)
-    b.family("naturality", [p for p in iproduct(objs, repeat=2)], hexagon)
+    b.family("naturality", iproduct(objs, repeat=2), hexagon)
 
     return b.report()
 

@@ -116,6 +116,15 @@ def test_reports_deterministic(corpus_dir, capsys):
     assert parallel == first
 
 
+def test_workers_environment_variable_is_not_read(corpus_dir, monkeypatch,
+                                                  capsys):
+    # A non-integer value once crashed every subcommand while the argument
+    # parser was being built.
+    monkeypatch.setenv("ENRICHKIT_WORKERS", "abc")
+    assert main(["check", str(corpus_dir / "bool2.json")]) == 0
+    assert main(["fuzz", "--level", "vcategory"]) == 0
+
+
 def test_construct_product(corpus_dir, tmp_path, capsys):
     out = tmp_path / "constructed.json"
     assert main(["construct", str(corpus_dir / "bool2.json"), "product-vcat",
