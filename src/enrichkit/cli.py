@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 
 from . import instances
@@ -683,9 +684,6 @@ def main(argv=None) -> int:
     p_check.add_argument("--level", default="all", choices=("all",) + LEVELS)
     p_check.add_argument("--all-witnesses", action="store_true")
     p_check.add_argument("--machine", action="store_true")
-    p_check.add_argument("--workers", type=int, default=1,
-                         help="ignored: scans are sequential (accepted for "
-                              "one more release)")
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--fuzz", type=int, default=0,
                          help="append N generated instance checks")
@@ -726,7 +724,16 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at /dev/null so that the
+        # interpreter's final flush cannot raise again, and exit the way a
+        # process killed by SIGPIPE reports to a shell.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 128 + signal.SIGPIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,11 @@ so a missing entry for a non-composable pair is the representation of
 "mathematically undefined", not an error sentinel.  Every diagram check in
 the higher layers eventually folds both legs down to morphism ids here and
 compares them for equality.
+
+Checkers state each diagram family as equations between legs of lifted
+table lookups (``report.lift``), evaluated a column of instances at a time
+by ``report.equations``; an undefined composite propagates as ``None`` and
+fails its equation.
 """
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ from .errors import (
     UnknownMorphism,
     UnknownObject,
 )
-from .report import CheckReport, ReportBuilder
+from .report import CheckReport, ReportBuilder, equations, lift
 
 ObjId = str
 MorId = str
@@ -102,13 +107,6 @@ def identity_functor(cat: FinCategory) -> FinFunctor:
 
 # -- checkers ---------------------------------------------------------------
 
-def _c(cat, g, f):
-    """None-propagating table composition used inside diagram scans."""
-    if g is None or f is None:
-        return None
-    return cat.comp.get((g, f))
-
-
 def _require_tables(cat: FinCategory) -> None:
     if not cat.objects:
         raise MalformedTable("category has no objects")
@@ -138,19 +136,15 @@ def check_category(cat: FinCategory, *,
                    all_witnesses: bool = False) -> CheckReport:
     """Exhaustively verify the category axioms over the tables."""
     _require_tables(cat)
-    b = ReportBuilder(all_witnesses)
     objs = sorted(cat.objects)
     mors = sorted(cat.morphisms)
+    comp, dom, cod, idm = map(lift, (cat.comp, cat.dom, cat.cod, cat.identity))
 
     def identity_boundary(a):
-        i = cat.identity[a]
-        if cat.dom[i] != a:
-            return cat.dom[i], a
-        if cat.cod[i] != a:
-            return cat.cod[i], a
-        return None
-    b.family("identity-boundary", objs, identity_boundary)
+        i = idm(a)
+        return [(dom(i), a), (cod(i), a)]
 
+    # Its witness is a message, so this family is checked row by row.
     def composition_defined(pair):
         g, f = pair
         composable = cat.cod[f] == cat.dom[g]
@@ -160,47 +154,37 @@ def check_category(cat: FinCategory, *,
         if present and not composable:
             return cat.comp[(g, f)], None
         return None
+
+    def composition_boundary(g, f):
+        h = comp(g, f)
+        return [(dom(h), dom(f)), (cod(h), cod(g))]
+
+    def unit_left(e, f):
+        return [(comp(e, f), f)]
+
+    def unit_right(f, e):
+        return [(comp(f, e), f)]
+
+    def associativity(h, g, f):
+        return [(comp(h, comp(g, f)), comp(comp(h, g), f))]
+
+    b = ReportBuilder(all_witnesses)
+    b.family("identity-boundary",
+             *equations(product(objs), identity_boundary))
     b.family("composition-defined", product(mors, repeat=2),
              composition_defined)
-
-    def composition_boundary(pair):
-        g, f = pair
-        h = cat.comp.get((g, f))
-        if h is None:
-            return None
-        if cat.dom[h] != cat.dom[f]:
-            return cat.dom[h], cat.dom[f]
-        if cat.cod[h] != cat.cod[g]:
-            return cat.cod[h], cat.cod[g]
-        return None
-    b.family("composition-boundary", sorted(cat.comp), composition_boundary)
-
-    def unit_left(inst):
-        e, f = inst
-        got = _c(cat, e, f)
-        return None if got == f else (got, f)
-    b.family("unit-left", ((cat.identity[cat.cod[f]], f) for f in mors),
-             unit_left)
-
-    def unit_right(inst):
-        f, e = inst
-        got = _c(cat, f, e)
-        return None if got == f else (got, f)
-    b.family("unit-right", ((f, cat.identity[cat.dom[f]]) for f in mors),
-             unit_right)
-
     # mors is sorted, so the nested loops already run in lexicographic order.
     triples = ((h, g, f)
                for h in mors for g in mors for f in mors
                if cat.cod[f] == cat.dom[g] and cat.cod[g] == cat.dom[h])
-
-    def associativity(tri):
-        h, g, f = tri
-        lhs = _c(cat, h, _c(cat, g, f))
-        rhs = _c(cat, _c(cat, h, g), f)
-        return None if lhs == rhs and lhs is not None else (lhs, rhs)
-    b.family("associativity", triples, associativity)
-
+    for name, rows, legs in (
+            ("composition-boundary", sorted(cat.comp), composition_boundary),
+            ("unit-left", ((cat.identity[cat.cod[f]], f) for f in mors),
+             unit_left),
+            ("unit-right", ((f, cat.identity[cat.dom[f]]) for f in mors),
+             unit_right),
+            ("associativity", triples, associativity)):
+        b.family(name, *equations(rows, legs))
     return b.report()
 
 
@@ -222,30 +206,29 @@ def check_functor(fun: FinFunctor, *,
         if fun.mor_map[m] not in tgt.morphisms:
             raise MalformedTable(f"morphism map sends {m!r} to an unknown morphism")
 
-    b = ReportBuilder(all_witnesses)
+    src_dom, src_cod, src_comp, src_idm = map(
+        lift, (src.dom, src.cod, src.comp, src.identity))
+    tgt_dom, tgt_cod, tgt_comp, tgt_idm = map(
+        lift, (tgt.dom, tgt.cod, tgt.comp, tgt.identity))
+    obj, mor = lift(fun.obj_map), lift(fun.mor_map)
 
     def boundary(f):
-        img = fun.mor_map[f]
-        if tgt.dom[img] != fun.obj_map[src.dom[f]]:
-            return tgt.dom[img], fun.obj_map[src.dom[f]]
-        if tgt.cod[img] != fun.obj_map[src.cod[f]]:
-            return tgt.cod[img], fun.obj_map[src.cod[f]]
-        return None
-    b.family("functor-boundary", sorted(src.morphisms), boundary)
+        img = mor(f)
+        return [(tgt_dom(img), obj(src_dom(f))),
+                (tgt_cod(img), obj(src_cod(f)))]
 
     def identities(a):
-        lhs = fun.mor_map[src.identity[a]]
-        rhs = tgt.identity.get(fun.obj_map[a])
-        return None if lhs == rhs else (lhs, rhs)
-    b.family("functor-identity", sorted(src.objects), identities)
+        return [(mor(src_idm(a)), tgt_idm(obj(a)))]
 
-    def composites(pair):
-        g, f = pair
-        lhs = fun.mor_map.get(src.comp.get((g, f)))
-        rhs = _c(tgt, fun.mor_map[g], fun.mor_map[f])
-        return None if lhs == rhs and lhs is not None else (lhs, rhs)
-    b.family("functor-composition", src.composable_pairs(), composites)
+    def composites(g, f):
+        return [(mor(src_comp(g, f)), tgt_comp(mor(g), mor(f)))]
 
+    b = ReportBuilder(all_witnesses)
+    for name, rows, legs in (
+            ("functor-boundary", product(sorted(src.morphisms)), boundary),
+            ("functor-identity", product(sorted(src.objects)), identities),
+            ("functor-composition", src.composable_pairs(), composites)):
+        b.family(name, *equations(rows, legs))
     return b.report()
 
 
@@ -264,24 +247,25 @@ def check_natural(nat: FinNatTransform, *,
         if nat.components[a] not in tgt.morphisms:
             raise MalformedTable(f"component at {a!r} is an unknown morphism")
 
-    b = ReportBuilder(all_witnesses)
+    comp, dom, cod = lift(tgt.comp), lift(tgt.dom), lift(tgt.cod)
+    src_dom, src_cod = lift(src.dom), lift(src.cod)
+    component = lift(nat.components)
+    F_obj, F_mor, G_obj, G_mor = map(
+        lift, (F.obj_map, F.mor_map, G.obj_map, G.mor_map))
 
     def boundary(a):
-        t = nat.components[a]
-        if tgt.dom[t] != F.obj_map[a]:
-            return tgt.dom[t], F.obj_map[a]
-        if tgt.cod[t] != G.obj_map[a]:
-            return tgt.cod[t], G.obj_map[a]
-        return None
-    b.family("component-boundary", sorted(src.objects), boundary)
+        t = component(a)
+        return [(dom(t), F_obj(a)), (cod(t), G_obj(a))]
 
     def square(f):
-        a, z = src.dom[f], src.cod[f]
-        lhs = _c(tgt, G.mor_map[f], nat.components[a])
-        rhs = _c(tgt, nat.components[z], F.mor_map[f])
-        return None if lhs == rhs and lhs is not None else (lhs, rhs)
-    b.family("naturality", sorted(src.morphisms), square)
+        return [(comp(G_mor(f), component(src_dom(f))),
+                 comp(component(src_cod(f)), F_mor(f)))]
 
+    b = ReportBuilder(all_witnesses)
+    for name, rows, legs in (
+            ("component-boundary", product(sorted(src.objects)), boundary),
+            ("naturality", product(sorted(src.morphisms)), square)):
+        b.family(name, *equations(rows, legs))
     return b.report()
 
 

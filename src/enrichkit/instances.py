@@ -27,8 +27,8 @@ from .errors import (
     NotSymmetric,
 )
 from .fincat import FinCategory
-from .kfold import KFoldMonoidal, check_kfold
-from .report import CheckReport, ReportBuilder
+from .kfold import KFoldMonoidal, LiftedTables, check_kfold
+from .report import CheckReport, ReportBuilder, equations, lift
 from .vcat import (
     VCategory,
     VFunctor,
@@ -89,7 +89,6 @@ def _symmetric_problems(sym: SymmetricMonoidal) -> CheckReport:
                            {1: sym.assoc}, {})
     rep = check_kfold(single, all_witnesses=True)
     cat = sym.base
-    b = ReportBuilder(all_witnesses=True)
     objs = sorted(cat.objects)
     mors = sorted(cat.morphisms)
 
@@ -97,50 +96,37 @@ def _symmetric_problems(sym: SymmetricMonoidal) -> CheckReport:
         if key not in sym.symmetry or sym.symmetry[key] not in cat.morphisms:
             raise MalformedTable(f"symmetry component missing or unknown at {key}")
 
-    def c_boundary(pair_ab):
-        a, c_ = pair_ab
-        m = sym.symmetry[(a, c_)]
-        if cat.dom[m] != sym.tensor_obj[(a, c_)]:
-            return cat.dom[m], sym.tensor_obj[(a, c_)]
-        if cat.cod[m] != sym.tensor_obj[(c_, a)]:
-            return cat.cod[m], sym.tensor_obj[(c_, a)]
-        return None
-    b.family("symmetry-boundary", product(objs, repeat=2), c_boundary)
+    cols = LiftedTables(single)
+    comp, dom, cod, idm = cols.comp, cols.dom, cols.cod, cols.idm
+    to, tm, al = cols.to[1], cols.tm[1], cols.al[1]
+    c = lift(sym.symmetry)
+    inverse_missing = _invert_components(cat, sym.assoc) is None
 
-    def c_involution(pair_ab):
-        a, c_ = pair_ab
-        got = cat.comp.get((sym.symmetry[(c_, a)], sym.symmetry[(a, c_)]))
-        want = cat.identity[sym.tensor_obj[(a, c_)]]
-        return None if got == want else (got, want)
-    b.family("symmetry-involution", product(objs, repeat=2), c_involution)
+    def c_boundary(a, y):
+        m = c(a, y)
+        return [(dom(m), to(a, y)), (cod(m), to(y, a))]
 
-    def c_natural(pair_fg):
-        f, g = pair_fg
-        src = (cat.dom[f], cat.dom[g])
-        tgt = (cat.cod[f], cat.cod[g])
-        lhs = cat.comp.get((sym.symmetry[tgt], sym.tensor_mor[(f, g)]))
-        rhs = cat.comp.get((sym.tensor_mor[(g, f)], sym.symmetry[src]))
-        return None if lhs == rhs and lhs is not None else (lhs, rhs)
-    b.family("symmetry-naturality", product(mors, repeat=2), c_natural)
+    def c_involution(a, y):
+        return [(comp(c(y, a), c(a, y)), idm(to(a, y)))]
 
-    inv = _invert_components(cat, sym.assoc)
+    def c_natural(f, g):
+        return [(comp(c(cod(f), cod(g)), tm(f, g)),
+                 comp(tm(g, f), c(dom(f), dom(g))))]
 
-    def c_hexagon(tri):
-        a, y, z = tri
-        if inv is None:
-            return "<no associator inverse>", None
-        lhs_chain = cat.comp.get(
-            (sym.assoc[(y, z, a)],
-             cat.comp.get((sym.symmetry[(a, sym.tensor_obj[(y, z)])],
-                           sym.assoc[(a, y, z)]))))
-        rhs_chain = cat.comp.get(
-            (sym.tensor_mor[(cat.identity[y], sym.symmetry[(a, z)])],
-             cat.comp.get((sym.assoc[(y, a, z)],
-                           sym.tensor_mor[(sym.symmetry[(a, y)],
-                                           cat.identity[z])]))))
-        return None if lhs_chain == rhs_chain and lhs_chain is not None \
-            else (lhs_chain, rhs_chain)
-    b.family("symmetry-hexagon", product(objs, repeat=3), c_hexagon)
+    def c_hexagon(a, y, z):
+        if inverse_missing:
+            return [(["<no associator inverse>"] * len(a), [None] * len(a))]
+        return [(comp(al(y, z, a), comp(c(a, to(y, z)), al(a, y, z))),
+                 comp(tm(idm(y), c(a, z)),
+                      comp(al(y, a, z), tm(c(a, y), idm(z)))))]
+
+    b = ReportBuilder(all_witnesses=True)
+    for name, rows, legs in (
+            ("symmetry-boundary", product(objs, repeat=2), c_boundary),
+            ("symmetry-involution", product(objs, repeat=2), c_involution),
+            ("symmetry-naturality", product(mors, repeat=2), c_natural),
+            ("symmetry-hexagon", product(objs, repeat=3), c_hexagon)):
+        b.family(name, *equations(rows, legs))
 
     out = b.report()
     out.merge(rep, prefix="monoidal:")
@@ -224,8 +210,7 @@ def bool_symmetric() -> SymmetricMonoidal:
     for g in morphisms:
         for f in morphisms:
             if cod[f] == dom[g]:
-                comp[(g, f)] = unique_morphism_raw(dom, cod, morphisms,
-                                                   dom[f], cod[g])
+                comp[(g, f)] = unique_morphism(cat, dom[f], cod[g])
     cat.comp.update(comp)
 
     def meet(a, b):
@@ -235,19 +220,12 @@ def bool_symmetric() -> SymmetricMonoidal:
     tensor_mor = {}
     for f in morphisms:
         for g in morphisms:
-            tensor_mor[(f, g)] = unique_morphism_raw(
-                dom, cod, morphisms, meet(dom[f], dom[g]), meet(cod[f], cod[g]))
+            tensor_mor[(f, g)] = unique_morphism(
+                cat, meet(dom[f], dom[g]), meet(cod[f], cod[g]))
     assoc = {(a, b, c): identity[meet(meet(a, b), c)]
              for a in objects for b in objects for c in objects}
     symmetry = {(a, b): identity[meet(a, b)] for a in objects for b in objects}
     return SymmetricMonoidal(cat, TOP, tensor_obj, tensor_mor, assoc, symmetry)
-
-
-def unique_morphism_raw(dom, cod, morphisms, a, b):
-    for m in sorted(morphisms):
-        if dom[m] == a and cod[m] == b:
-            return m
-    return None
 
 
 def zmod2_symmetric() -> SymmetricMonoidal:
@@ -505,15 +483,16 @@ def corpus(seed: int = 0) -> Corpus:
     return out
 
 
-def _mor_candidates(cat: FinCategory, a, b):
-    return cat.hom(a, b)
-
-
 def _random_vcategory(base: KFoldMonoidal, rng: random.Random,
                       bounds: Bounds) -> VCategory:
-    cat = base.base
     nobj = rng.randint(1, max(1, bounds.max_objects))
-    objects = [f"o{i}" for i in range(nobj)]
+    return _random_vcategory_on(base, [f"o{i}" for i in range(nobj)], rng,
+                                bounds)
+
+
+def _random_vcategory_on(base: KFoldMonoidal, objects: list,
+                         rng: random.Random, bounds: Bounds) -> VCategory:
+    cat = base.base
     base_objs = sorted(cat.objects)
     for attempt in range(1, bounds.attempts + 1):
         hom = {(a, b): rng.choice(base_objs)
@@ -521,8 +500,8 @@ def _random_vcategory(base: KFoldMonoidal, rng: random.Random,
         ok = True
         comp = {}
         for a, b, c in product(objects, repeat=3):
-            cands = _mor_candidates(
-                cat, base.tensor_obj(1, hom[(b, c)], hom[(a, b)]), hom[(a, c)])
+            cands = cat.hom(base.tensor_obj(1, hom[(b, c)], hom[(a, b)]),
+                            hom[(a, c)])
             if not cands:
                 ok = False
                 break
@@ -531,7 +510,7 @@ def _random_vcategory(base: KFoldMonoidal, rng: random.Random,
             continue
         identity = {}
         for a in objects:
-            cands = _mor_candidates(cat, base.unit, hom[(a, a)])
+            cands = cat.hom(base.unit, hom[(a, a)])
             if not cands:
                 ok = False
                 break
@@ -556,8 +535,7 @@ def _random_vfunctor(a: VCategory, b: VCategory, rng: random.Random,
         hom_map = {}
         ok = True
         for x, y in product(src_objs, repeat=2):
-            cands = _mor_candidates(cat, a.hom[(x, y)],
-                                    b.hom[(obj_map[x], obj_map[y])])
+            cands = cat.hom(a.hom[(x, y)], b.hom[(obj_map[x], obj_map[y])])
             if not cands:
                 ok = False
                 break
@@ -579,9 +557,8 @@ def _random_vnat(t: VFunctor, s: VFunctor, rng: random.Random,
         components = {}
         ok = True
         for x in sorted(t.source.objects):
-            cands = _mor_candidates(
-                cat, t.source.base.unit,
-                t.target.hom[(t.obj_map[x], s.obj_map[x])])
+            cands = cat.hom(t.source.base.unit,
+                            t.target.hom[(t.obj_map[x], s.obj_map[x])])
             if not cands:
                 ok = False
                 break
@@ -643,8 +620,8 @@ def _random_v2category(base: KFoldMonoidal, rng: random.Random,
         ok = True
         for key in sorted(src.hom):
             (gf1, gf2) = key
-            cands = _mor_candidates(cat, src.hom[key],
-                                    hom.hom[(obj_map[gf1], obj_map[gf2])])
+            cands = cat.hom(src.hom[key],
+                            hom.hom[(obj_map[gf1], obj_map[gf2])])
             if not cands:
                 ok = False
                 break
@@ -653,7 +630,7 @@ def _random_v2category(base: KFoldMonoidal, rng: random.Random,
             continue
         m2 = VFunctor(src, hom, obj_map, hom_map)
         unitv = unit_vcategory(base)
-        jc = _mor_candidates(cat, base.unit, hom.hom[(unit_cell, unit_cell)])
+        jc = cat.hom(base.unit, hom.hom[(unit_cell, unit_cell)])
         if not jc:
             continue
         j2 = VFunctor(unitv, hom, {"0": unit_cell}, {("0", "0"): rng.choice(jc)})
@@ -664,37 +641,6 @@ def _random_v2category(base: KFoldMonoidal, rng: random.Random,
             return cand
     raise BudgetExhausted(
         f"no valid level-2 category after {bounds.attempts} attempts")
-
-
-def _random_vcategory_on(base, objects, rng, bounds):
-    cat = base.base
-    base_objs = sorted(cat.objects)
-    for _ in range(bounds.attempts):
-        hom = {(a, b): rng.choice(base_objs)
-               for a in objects for b in objects}
-        comp = {}
-        identity = {}
-        ok = True
-        for a, b, c in product(objects, repeat=3):
-            cands = _mor_candidates(
-                cat, base.tensor_obj(1, hom[(b, c)], hom[(a, b)]), hom[(a, c)])
-            if not cands:
-                ok = False
-                break
-            comp[(a, b, c)] = rng.choice(cands)
-        if ok:
-            for a in objects:
-                cands = _mor_candidates(cat, base.unit, hom[(a, a)])
-                if not cands:
-                    ok = False
-                    break
-                identity[a] = rng.choice(cands)
-        if not ok:
-            continue
-        cand = VCategory(base, set(objects), hom, comp, identity)
-        if check_vcategory(cand).ok:
-            return cand
-    raise BudgetExhausted("no valid hom category")
 
 
 def _endo_v2functors(u: V2Category):
@@ -709,8 +655,8 @@ def _endo_v2functors(u: V2Category):
         hom_map = {}
         ok = True
         for x, y in product(cells, repeat=2):
-            cands = _mor_candidates(cat, hom.hom[(x, y)],
-                                    hom.hom[(obj_map[x], obj_map[y])])
+            cands = cat.hom(hom.hom[(x, y)],
+                            hom.hom[(obj_map[x], obj_map[y])])
             if not cands:
                 ok = False
                 break
@@ -748,7 +694,7 @@ def _mods_between(a: V2NatTransform, b: V2NatTransform):
     q = a.components[star].obj_map["0"]
     q2 = b.components[star].obj_map["0"]
     out = []
-    for m in _mor_candidates(cat, u.base.unit, w_hom.hom[(q, q2)]):
+    for m in cat.hom(u.base.unit, w_hom.hom[(q, q2)]):
         cand = VModification(a, b, {star: m})
         if check_modification(cand).ok:
             out.append(cand)

@@ -13,6 +13,10 @@ diagram over every instantiating tuple of objects and morphisms:
   * the hexagonal condition for every index triple i < j < k (reported as a
     vacuous family when fewer than three tensors exist).
 
+Each family is declared once, as a name, a row domain and a legs function
+over the structure's tables in column form (``LiftedTables``), and
+``report.equations`` evaluates it a chunk of rows at a time.
+
 Associator components are additionally probed for invertibility; a
 non-invertible component is reported as a warning, not a failure, because
 the defining axioms do not demand it (the symmetric construction does).
@@ -20,11 +24,11 @@ the defining axioms do not demand it (the symmetric construction does).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from .errors import IndexOutOfRange, MalformedTable, UnknownMorphism, UnknownObject
-from .fincat import FinCategory, _c, check_category
-from .report import CheckReport, ReportBuilder
+from .fincat import FinCategory, check_category
+from .report import CheckReport, ReportBuilder, equations, lift
 
 
 @dataclass
@@ -74,36 +78,17 @@ class KFoldMonoidal:
                 f"no interchange_({i},{j}) component at ({a}, {b}, {c}, {d})")
 
 
-# -- table-level helpers (None-propagating, used only inside scans) ---------
+class LiftedTables:
+    """A structure's lookup tables in column form (see ``report.lift``)."""
 
-def _to(v, i, a, b):
-    if a is None or b is None:
-        return None
-    return v.tensor_obj_table[i].get((a, b))
-
-
-def _tm(v, i, f, g):
-    if f is None or g is None:
-        return None
-    return v.tensor_mor_table[i].get((f, g))
-
-
-def _al(v, i, a, b, c):
-    if a is None or b is None or c is None:
-        return None
-    return v.assoc_table[i].get((a, b, c))
-
-
-def _eta(v, i, j, a, b, c, d):
-    if a is None or b is None or c is None or d is None:
-        return None
-    return v.interchange_table[(i, j)].get((a, b, c, d))
-
-
-def _idm(cat, a):
-    if a is None:
-        return None
-    return cat.identity.get(a)
+    def __init__(self, v: KFoldMonoidal):
+        cat = v.base
+        self.comp, self.dom, self.cod, self.idm = (
+            lift(table) for table in (cat.comp, cat.dom, cat.cod, cat.identity))
+        self.to = {i: lift(t) for i, t in v.tensor_obj_table.items()}
+        self.tm = {i: lift(t) for i, t in v.tensor_mor_table.items()}
+        self.al = {i: lift(t) for i, t in v.assoc_table.items()}
+        self.eta = {ij: lift(t) for ij, t in v.interchange_table.items()}
 
 
 def _require_tables(v: KFoldMonoidal) -> None:
@@ -147,6 +132,143 @@ def _require_tables(v: KFoldMonoidal) -> None:
                     f"interchange_{pair_ij}{key} is an unknown morphism")
 
 
+def _tensor_diagrams(t: LiftedTables, i: int, cat: FinCategory, unit: str,
+                     objs: list, mors: list) -> list:
+    """(name, rows, legs) of every diagram of tensor i and its associator."""
+    comp, dom, cod, idm = t.comp, t.dom, t.cod, t.idm
+    to, tm, al = t.to[i], t.tm[i], t.al[i]
+    e = cat.identity[unit]
+
+    def identity(a, y):
+        return [(tm(idm(a), idm(y)), idm(to(a, y)))]
+
+    def boundary(f, g):
+        fg = tm(f, g)
+        return [(dom(fg), to(dom(f), dom(g))), (cod(fg), to(cod(f), cod(g)))]
+
+    def composition(fs, gs):
+        (f2, f1), (g2, g1) = zip(*fs), zip(*gs)
+        return [(tm(comp(f2, f1), comp(g2, g1)),
+                 comp(tm(f2, g2), tm(f1, g1)))]
+
+    def unit_object(a):
+        units = [unit] * len(a)
+        return [(to(a, units), a), (to(units, a), a)]
+
+    def unit_morphism(f):
+        ids = [e] * len(f)
+        return [(tm(f, ids), f), (tm(ids, f), f)]
+
+    def assoc_boundary(a, y, z):
+        m = al(a, y, z)
+        return [(dom(m), to(to(a, y), z)), (cod(m), to(a, to(y, z)))]
+
+    def assoc_naturality(f, g, h):
+        return [(comp(al(cod(f), cod(g), cod(h)), tm(tm(f, g), h)),
+                 comp(tm(f, tm(g, h)), al(dom(f), dom(g), dom(h))))]
+
+    def pentagon(a, y, z, w):
+        top = comp(tm(idm(a), al(y, z, w)),
+                   comp(al(a, to(y, z), w), tm(al(a, y, z), idm(w))))
+        bot = comp(al(a, y, to(z, w)), al(to(a, y), z, w))
+        return [(top, bot)]
+
+    pairs = cat.composable_pairs()
+    return [
+        (f"tensor-identity[{i}]", product(objs, repeat=2), identity),
+        (f"tensor-boundary[{i}]", product(mors, repeat=2), boundary),
+        (f"tensor-composition[{i}]", product(pairs, repeat=2), composition),
+        (f"unit-strict-object[{i}]", product(objs), unit_object),
+        (f"unit-strict-morphism[{i}]", product(mors), unit_morphism),
+        (f"associator-boundary[{i}]", product(objs, repeat=3), assoc_boundary),
+        (f"associator-naturality[{i}]", product(mors, repeat=3),
+         assoc_naturality),
+        (f"pentagon[{i}]", product(objs, repeat=4), pentagon),
+    ]
+
+
+def _interchange_diagrams(t: LiftedTables, i: int, j: int, unit: str,
+                          objs: list, mors: list) -> list:
+    """(name, rows, legs) of every diagram of the interchange eta_ij."""
+    comp, dom, cod, idm = t.comp, t.dom, t.cod, t.idm
+    to_i, tm_i, al_i = t.to[i], t.tm[i], t.al[i]
+    to_j, tm_j, al_j = t.to[j], t.tm[j], t.al[j]
+    eta = t.eta[(i, j)]
+
+    def boundary(a, y, c, d):
+        m = eta(a, y, c, d)
+        return [(dom(m), to_i(to_j(a, y), to_j(c, d))),
+                (cod(m), to_j(to_i(a, c), to_i(y, d)))]
+
+    def internal_unit(a, y):
+        units = [unit] * len(a)
+        want = idm(to_j(a, y))
+        return [(eta(a, y, units, units), want),
+                (eta(units, units, a, y), want)]
+
+    def external_unit(a, y):
+        units = [unit] * len(a)
+        want = idm(to_i(a, y))
+        return [(eta(a, units, y, units), want),
+                (eta(units, a, units, y), want)]
+
+    def naturality(f, g, h, k):
+        return [(comp(eta(cod(f), cod(g), cod(h), cod(k)),
+                      tm_i(tm_j(f, g), tm_j(h, k))),
+                 comp(tm_j(tm_i(f, h), tm_i(g, k)),
+                      eta(dom(f), dom(g), dom(h), dom(k))))]
+
+    def internal_assoc(u, w2, w, x, y, z):
+        lhs = comp(tm_j(al_i(u, w, y), al_i(w2, x, z)),
+                   comp(eta(to_i(u, w), to_i(w2, x), y, z),
+                        tm_i(eta(u, w2, w, x), idm(to_j(y, z)))))
+        rhs = comp(eta(u, w2, to_i(w, y), to_i(x, z)),
+                   comp(tm_i(idm(to_j(u, w2)), eta(w, x, y, z)),
+                        al_i(to_j(u, w2), to_j(w, x), to_j(y, z))))
+        return [(lhs, rhs)]
+
+    def external_assoc(u, w2, w, x, y, z):
+        lhs = comp(al_j(to_i(u, x), to_i(w2, y), to_i(w, z)),
+                   comp(tm_j(eta(u, w2, x, y), idm(to_i(w, z))),
+                        eta(to_j(u, w2), w, to_j(x, y), z)))
+        rhs = comp(tm_j(idm(to_i(u, x)), eta(w2, w, y, z)),
+                   comp(eta(u, to_j(w2, w), x, to_j(y, z)),
+                        tm_i(al_j(u, w2, w), al_j(x, y, z))))
+        return [(lhs, rhs)]
+
+    ij = f"[{i},{j}]"
+    return [
+        (f"eta-boundary{ij}", product(objs, repeat=4), boundary),
+        (f"eta-internal-unit{ij}", product(objs, repeat=2), internal_unit),
+        (f"eta-external-unit{ij}", product(objs, repeat=2), external_unit),
+        (f"eta-naturality{ij}", product(mors, repeat=4), naturality),
+        (f"eta-internal-assoc{ij}", product(objs, repeat=6), internal_assoc),
+        (f"eta-external-assoc{ij}", product(objs, repeat=6), external_assoc),
+    ]
+
+
+def _hexagon(t: LiftedTables, i: int, j: int, k: int, objs: list) -> tuple:
+    """(name, rows, legs) of the hexagon of the index triple i < j < k."""
+    comp = t.comp
+    to_i, to_j, to_k = t.to[i], t.to[j], t.to[k]
+    tm_i, tm_j, tm_k = t.tm[i], t.tm[j], t.tm[k]
+    eta_ij, eta_ik, eta_jk = t.eta[(i, j)], t.eta[(i, k)], t.eta[(j, k)]
+
+    def legs(a, a2, y, y2, c, c2, d, d2):
+        left = comp(tm_k(eta_ij(a, y, c, d), eta_ij(a2, y2, c2, d2)),
+                    comp(eta_ik(to_j(a, y), to_j(a2, y2),
+                                to_j(c, d), to_j(c2, d2)),
+                         tm_i(eta_jk(a, a2, y, y2), eta_jk(c, c2, d, d2))))
+        right = comp(eta_jk(to_i(a, c), to_i(a2, c2),
+                            to_i(y, d), to_i(y2, d2)),
+                     comp(tm_j(eta_ik(a, a2, c, c2), eta_ik(y, y2, d, d2)),
+                          eta_ij(to_k(a, a2), to_k(y, y2),
+                                 to_k(c, c2), to_k(d, d2))))
+        return [(left, right)]
+
+    return f"hexagon[{i},{j},{k}]", product(objs, repeat=8), legs
+
+
 def check_kfold(v: KFoldMonoidal, *,
                 all_witnesses: bool = False) -> CheckReport:
     base_rep = check_category(v.base, all_witnesses=all_witnesses)
@@ -160,91 +282,24 @@ def check_kfold(v: KFoldMonoidal, *,
     b = ReportBuilder(all_witnesses)
     objs = sorted(cat.objects)
     mors = sorted(cat.morphisms)
-    unit = v.unit
+    t = LiftedTables(v)
+    indices = range(1, v.n + 1)
 
-    for i in range(1, v.n + 1):
-        def t_id(pair, i=i):
-            a, y = pair
-            lhs = _tm(v, i, cat.identity[a], cat.identity[y])
-            rhs = _idm(cat, _to(v, i, a, y))
-            return None if lhs == rhs and lhs is not None else (lhs, rhs)
-        b.family(f"tensor-identity[{i}]", product(objs, repeat=2), t_id)
+    diagrams = []
+    for i in indices:
+        diagrams += _tensor_diagrams(t, i, cat, v.unit, objs, mors)
+    for i, j in sorted(v.interchange_table):
+        diagrams += _interchange_diagrams(t, i, j, v.unit, objs, mors)
+    diagrams += [_hexagon(t, i, j, k, objs)
+                 for i, j, k in combinations(indices, 3)]
+    for name, rows, legs in diagrams:
+        b.family(name, *equations(rows, legs))
+    if v.n < 3:
+        b.vacuous("hexagon")
 
-        def t_boundary(pair, i=i):
-            f, g = pair
-            fg = _tm(v, i, f, g)
-            want_dom = _to(v, i, cat.dom[f], cat.dom[g])
-            want_cod = _to(v, i, cat.cod[f], cat.cod[g])
-            if cat.dom[fg] != want_dom:
-                return cat.dom[fg], want_dom
-            if cat.cod[fg] != want_cod:
-                return cat.cod[fg], want_cod
-            return None
-        b.family(f"tensor-boundary[{i}]", product(mors, repeat=2), t_boundary)
-
-        comp_pairs = cat.composable_pairs()
-
-        def t_comp(inst, i=i):
-            (f2, f1), (g2, g1) = inst
-            lhs = _tm(v, i, _c(cat, f2, f1), _c(cat, g2, g1))
-            rhs = _c(cat, _tm(v, i, f2, g2), _tm(v, i, f1, g1))
-            return None if lhs == rhs and lhs is not None else (lhs, rhs)
-        b.family(f"tensor-composition[{i}]", product(comp_pairs, repeat=2),
-                 t_comp)
-
-        def unit_obj(a, i=i):
-            if _to(v, i, a, unit) != a:
-                return _to(v, i, a, unit), a
-            if _to(v, i, unit, a) != a:
-                return _to(v, i, unit, a), a
-            return None
-        b.family(f"unit-strict-object[{i}]", objs, unit_obj)
-
-        def unit_mor(f, i=i):
-            e = cat.identity[unit]
-            if _tm(v, i, f, e) != f:
-                return _tm(v, i, f, e), f
-            if _tm(v, i, e, f) != f:
-                return _tm(v, i, e, f), f
-            return None
-        b.family(f"unit-strict-morphism[{i}]", mors, unit_mor)
-
-        triples = list(product(objs, repeat=3))  # reused by the probe below
-
-        def a_boundary(tri, i=i):
-            a, y, z = tri
-            m = _al(v, i, a, y, z)
-            want_dom = _to(v, i, _to(v, i, a, y), z)
-            want_cod = _to(v, i, a, _to(v, i, y, z))
-            if cat.dom[m] != want_dom:
-                return cat.dom[m], want_dom
-            if cat.cod[m] != want_cod:
-                return cat.cod[m], want_cod
-            return None
-        b.family(f"associator-boundary[{i}]", triples, a_boundary)
-
-        def a_natural(tri, i=i):
-            f, g, h = tri
-            src = (cat.dom[f], cat.dom[g], cat.dom[h])
-            tgt = (cat.cod[f], cat.cod[g], cat.cod[h])
-            lhs = _c(cat, _al(v, i, *tgt), _tm(v, i, _tm(v, i, f, g), h))
-            rhs = _c(cat, _tm(v, i, f, _tm(v, i, g, h)), _al(v, i, *src))
-            return None if lhs == rhs and lhs is not None else (lhs, rhs)
-        b.family(f"associator-naturality[{i}]", product(mors, repeat=3),
-                 a_natural)
-
-        def pentagon(quad, i=i):
-            a, y, z, w = quad
-            top = _c(cat, _tm(v, i, cat.identity[a], _al(v, i, y, z, w)),
-                     _c(cat, _al(v, i, a, _to(v, i, y, z), w),
-                        _tm(v, i, _al(v, i, a, y, z), cat.identity[w])))
-            bot = _c(cat, _al(v, i, a, y, _to(v, i, z, w)),
-                     _al(v, i, _to(v, i, a, y), z, w))
-            return None if top == bot and top is not None else (top, bot)
-        b.family(f"pentagon[{i}]", product(objs, repeat=4), pentagon)
-
-        # Invertibility probe: warning-only.
-        for tri in triples:
+    # Invertibility probe: warning-only.
+    for i in indices:
+        for tri in product(objs, repeat=3):
             m = v.assoc_table[i][tri]
             has_inverse = any(
                 cat.comp.get((g, m)) == cat.identity[cat.dom[m]]
@@ -252,107 +307,5 @@ def check_kfold(v: KFoldMonoidal, *,
                 for g in cat.hom(cat.cod[m], cat.dom[m]))
             if not has_inverse:
                 b.warn(f"associator-invertible[{i}]", tri, m, "<no inverse>")
-
-    for (i, j) in sorted(v.interchange_table):
-        def e_boundary(q, i=i, j=j):
-            a, y, c, d = q
-            m = _eta(v, i, j, a, y, c, d)
-            want_dom = _to(v, i, _to(v, j, a, y), _to(v, j, c, d))
-            want_cod = _to(v, j, _to(v, i, a, c), _to(v, i, y, d))
-            if cat.dom[m] != want_dom:
-                return cat.dom[m], want_dom
-            if cat.cod[m] != want_cod:
-                return cat.cod[m], want_cod
-            return None
-        b.family(f"eta-boundary[{i},{j}]", product(objs, repeat=4), e_boundary)
-
-        def e_internal_unit(pair, i=i, j=j):
-            a, y = pair
-            want = _idm(cat, _to(v, j, a, y))
-            if _eta(v, i, j, a, y, unit, unit) != want:
-                return _eta(v, i, j, a, y, unit, unit), want
-            if _eta(v, i, j, unit, unit, a, y) != want:
-                return _eta(v, i, j, unit, unit, a, y), want
-            return None
-        b.family(f"eta-internal-unit[{i},{j}]", product(objs, repeat=2),
-                 e_internal_unit)
-
-        def e_external_unit(pair, i=i, j=j):
-            a, y = pair
-            want = _idm(cat, _to(v, i, a, y))
-            if _eta(v, i, j, a, unit, y, unit) != want:
-                return _eta(v, i, j, a, unit, y, unit), want
-            if _eta(v, i, j, unit, a, unit, y) != want:
-                return _eta(v, i, j, unit, a, unit, y), want
-            return None
-        b.family(f"eta-external-unit[{i},{j}]", product(objs, repeat=2),
-                 e_external_unit)
-
-        def e_natural(q, i=i, j=j):
-            f, g, h, k = q
-            src = (cat.dom[f], cat.dom[g], cat.dom[h], cat.dom[k])
-            tgt = (cat.cod[f], cat.cod[g], cat.cod[h], cat.cod[k])
-            lhs = _c(cat, _eta(v, i, j, *tgt),
-                     _tm(v, i, _tm(v, j, f, g), _tm(v, j, h, k)))
-            rhs = _c(cat, _tm(v, j, _tm(v, i, f, h), _tm(v, i, g, k)),
-                     _eta(v, i, j, *src))
-            return None if lhs == rhs and lhs is not None else (lhs, rhs)
-        b.family(f"eta-naturality[{i},{j}]", product(mors, repeat=4),
-                 e_natural)
-
-        def e_internal_assoc(t, i=i, j=j):
-            u, w2, w, x, y, z = t
-            lhs = _c(cat, _tm(v, j, _al(v, i, u, w, y), _al(v, i, w2, x, z)),
-                     _c(cat, _eta(v, i, j, _to(v, i, u, w), _to(v, i, w2, x), y, z),
-                        _tm(v, i, _eta(v, i, j, u, w2, w, x),
-                            _idm(cat, _to(v, j, y, z)))))
-            rhs = _c(cat, _eta(v, i, j, u, w2, _to(v, i, w, y), _to(v, i, x, z)),
-                     _c(cat, _tm(v, i, _idm(cat, _to(v, j, u, w2)),
-                                 _eta(v, i, j, w, x, y, z)),
-                        _al(v, i, _to(v, j, u, w2), _to(v, j, w, x),
-                            _to(v, j, y, z))))
-            return None if lhs == rhs and lhs is not None else (lhs, rhs)
-        b.family(f"eta-internal-assoc[{i},{j}]", product(objs, repeat=6),
-                 e_internal_assoc)
-
-        def e_external_assoc(t, i=i, j=j):
-            u, w2, w, x, y, z = t
-            lhs = _c(cat, _al(v, j, _to(v, i, u, x), _to(v, i, w2, y),
-                              _to(v, i, w, z)),
-                     _c(cat, _tm(v, j, _eta(v, i, j, u, w2, x, y),
-                                 _idm(cat, _to(v, i, w, z))),
-                        _eta(v, i, j, _to(v, j, u, w2), w, _to(v, j, x, y), z)))
-            rhs = _c(cat, _tm(v, j, _idm(cat, _to(v, i, u, x)),
-                              _eta(v, i, j, w2, w, y, z)),
-                     _c(cat, _eta(v, i, j, u, _to(v, j, w2, w), x,
-                                  _to(v, j, y, z)),
-                        _tm(v, i, _al(v, j, u, w2, w), _al(v, j, x, y, z))))
-            return None if lhs == rhs and lhs is not None else (lhs, rhs)
-        b.family(f"eta-external-assoc[{i},{j}]", product(objs, repeat=6),
-                 e_external_assoc)
-
-    if v.n < 3:
-        b.vacuous("hexagon")
-    else:
-        for (i, j, k) in [(i, j, k)
-                          for i in range(1, v.n + 1)
-                          for j in range(i + 1, v.n + 1)
-                          for k in range(j + 1, v.n + 1)]:
-            def hexagon(t, i=i, j=j, k=k):
-                a, a2, y, y2, c, c2, d, d2 = t
-                left = _c(cat, _tm(v, k, _eta(v, i, j, a, y, c, d),
-                                   _eta(v, i, j, a2, y2, c2, d2)),
-                          _c(cat, _eta(v, i, k, _to(v, j, a, y), _to(v, j, a2, y2),
-                                       _to(v, j, c, d), _to(v, j, c2, d2)),
-                             _tm(v, i, _eta(v, j, k, a, a2, y, y2),
-                                 _eta(v, j, k, c, c2, d, d2))))
-                right = _c(cat, _eta(v, j, k, _to(v, i, a, c), _to(v, i, a2, c2),
-                                     _to(v, i, y, d), _to(v, i, y2, d2)),
-                           _c(cat, _tm(v, j, _eta(v, i, k, a, a2, c, c2),
-                                       _eta(v, i, k, y, y2, d, d2)),
-                              _eta(v, i, j, _to(v, k, a, a2), _to(v, k, y, y2),
-                                   _to(v, k, c, c2), _to(v, k, d, d2))))
-                return None if left == right and left is not None else (left, right)
-            b.family(f"hexagon[{i},{j},{k}]", product(objs, repeat=8), hexagon)
 
     return b.report()

@@ -1,13 +1,25 @@
-"""Check reports: pass/fail plus concrete witnesses.
+"""Check reports: pass/fail plus concrete witnesses, and the column engine
+that evaluates diagram families.
 
 A witness pins down a failed diagram: the diagram family name, the tuple of
 ids that instantiates it, and the two evaluated legs that should have been
 the same identifier.  `None` legs (a composite that could not be evaluated)
 are rendered as "<undefined>".
+
+Most diagrams are equations between two legs of table lookups.  A checker
+states such a family as a row domain (tuples of ids in lexicographic order)
+and a legs function over columns: ``lift`` turns each lookup table into a
+function from key columns to a value column, and ``equations`` evaluates the
+legs a chunk of rows at a time and hands the rows and their verdicts to
+``ReportBuilder.family``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
+
+# Rows evaluated per call of a family's legs function.
+CHUNK = 4096
 
 
 def _fmt(value) -> str:
@@ -101,6 +113,62 @@ class ReportBuilder:
 
     def report(self) -> CheckReport:
         return self._report
+
+
+def lift(table):
+    """The column form of a lookup table.
+
+    ``lift(table)(*key_columns)`` is the list of ``table.get(key)`` for the
+    keys read across the columns row by row; a table keyed by single ids
+    takes one column.  A key that is missing or holds a ``None`` yields
+    ``None``, so an undefined composite stays undefined through every lookup
+    that uses it.  Columns are lists or tuples of one length.
+    """
+    get = table.get
+
+    def column(*key_columns):
+        keys = zip(*key_columns) if len(key_columns) > 1 else key_columns[0]
+        return list(map(get, keys))
+    return column
+
+
+def equations(rows, legs):
+    """The ``(instances, check)`` arguments of ``ReportBuilder.family`` for a
+    family of equations.
+
+    ``legs(*columns)`` gets a chunk of rows as one column per row position
+    and returns the family's equations in order, each a pair of columns
+    (lhs, rhs).  A row fails at its first equation whose lhs is ``None`` or
+    differs from its rhs, and that equation's pair is its witness.  Rows are
+    pulled ``CHUNK`` at a time, so a family is never held whole.
+    """
+    verdict = [None]
+
+    def instances():
+        it = iter(rows)
+        while chunk := list(islice(it, CHUNK)):
+            failures = _first_failures(len(chunk), legs(*zip(*chunk)))
+            if not failures:
+                verdict[0] = None
+                yield from chunk
+                continue
+            for k, row in enumerate(chunk):
+                verdict[0] = failures.get(k)
+                yield row
+
+    # family calls check on each row right after pulling it.
+    return instances(), lambda row: verdict[0]
+
+
+def _first_failures(n: int, eqs) -> dict:
+    """Row index -> (lhs, rhs) of the row's first failing equation."""
+    failed = {}
+    for lhs, rhs in eqs:
+        bad = [(k, l, r) for k, l, r in zip(range(n), lhs, rhs, strict=True)
+               if l is None or l != r]
+        for k, l, r in bad:
+            failed.setdefault(k, (l, r))
+    return failed
 
 
 def cached_report(obj, check) -> CheckReport:

@@ -197,14 +197,15 @@ def check_v2category(u: V2Category, *,
         return None
     b.family("composition-functor-shape", iproduct(objs, repeat=3), comp_shape)
 
-    def ident_shape(a):
+    def ident_shape(row):
+        a, = row
         j2 = u.identity[a]
         if j2.source != unitv:
             return "source", "expected the unit enriched category"
         if j2.target != u.hom[(a, a)]:
             return "target", f"expected hom({a},{a})"
         return None
-    b.family("identity-functor-shape", objs, ident_shape)
+    b.family("identity-functor-shape", iproduct(objs), ident_shape)
 
     if not b.report().ok:
         return b.report()
@@ -308,11 +309,12 @@ def check_v2category(u: V2Category, *,
                   for f in u.one_cells(tri[0], tri[1]))
     b.family("consequence-units", unit_insts, unit_product)
 
-    def j_component(a):
+    def j_component(row):
+        a, = row
         lhs = u.identity[a].hom_map[("0", "0")]
         rhs = u.hom[(a, a)].identity[u.unit1(a)]
         return None if lhs == rhs else (lhs, rhs)
-    b.family("consequence-identity", objs, j_component)
+    b.family("consequence-identity", iproduct(objs), j_component)
 
     return b.report()
 
@@ -363,12 +365,13 @@ def check_v2functor(t: V2Functor, *,
         return None if d is None else (f"{d[0]}={d[1]}", f"{d[0]}={d[2]}")
     b.family("composition-square", iproduct(objs, repeat=3), square)
 
-    def unit(a):
+    def unit(row):
+        a, = row
         lhs = compose_vfunctor(t.hom_map[(a, a)], src.identity[a])
         rhs = tgt.identity[t.obj_map[a]]
         d = _diff_vfunctor(lhs, rhs)
         return None if d is None else (f"{d[0]}={d[1]}", f"{d[0]}={d[2]}")
-    b.family("unit-triangle", objs, unit)
+    b.family("unit-triangle", iproduct(objs), unit)
 
     return b.report()
 
@@ -389,14 +392,15 @@ def check_v2nat(a: V2NatTransform, *,
 
     b = ReportBuilder(all_witnesses)
 
-    def shape(x):
+    def shape(row):
+        x, = row
         comp = a.components[x]
         if comp.source != unitv:
             return "source", "expected the unit enriched category"
         if comp.target != w.hom[(t.obj_map[x], s.obj_map[x])]:
             return "target", "expected hom(Tx, Sx)"
         return None
-    b.family("component-shape", objs, shape)
+    b.family("component-shape", iproduct(objs), shape)
     if not b.report().ok:
         return b.report()
 
@@ -448,7 +452,8 @@ def check_modification(m: VModification, *,
 
     b = ReportBuilder(all_witnesses)
 
-    def boundary(x):
+    def boundary(row):
+        x, = row
         mor = m.components[x]
         if cat.dom[mor] != base.unit:
             return cat.dom[mor], base.unit
@@ -456,7 +461,7 @@ def check_modification(m: VModification, *,
         if cat.cod[mor] != want:
             return cat.cod[mor], want
         return None
-    b.family("component-boundary", objs, boundary)
+    b.family("component-boundary", iproduct(objs), boundary)
     if not b.report().ok:
         return b.report()
 

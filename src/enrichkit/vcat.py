@@ -2,7 +2,9 @@
 hom-data are objects and morphisms of an iterated monoidal base.
 
 Hom-objects are base object ids, never structured values, so every diagram
-at this level folds down to morphism-id equality in the base category.
+at this level folds down to morphism-id equality in the base category, and
+the checkers state it as column equations over the base's lifted tables
+(``kfold.LiftedTables``) and the structure's own tables.
 Product object sets are literal encoded pairs with no quotienting: the
 strict unit law holds only after the canonical relabeling (a, 0) -> a,
 which relabel_vcategory makes available bit-exactly.
@@ -20,9 +22,9 @@ from .errors import (
     NotParallel,
     SourceTargetInvalid,
 )
-from .fincat import _c, compose
-from .kfold import KFoldMonoidal, _tm, check_kfold
-from .report import CheckReport, ReportBuilder, cached_report
+from .fincat import compose
+from .kfold import KFoldMonoidal, LiftedTables, check_kfold
+from .report import CheckReport, ReportBuilder, cached_report, equations, lift
 
 
 def pair(a: str, b: str) -> str:
@@ -94,59 +96,43 @@ def check_vcategory(vc: VCategory, *,
         if a not in vc.identity or vc.identity[a] not in cat.morphisms:
             raise MalformedTable(f"identity element for {a!r} missing or unknown")
 
-    b = ReportBuilder(all_witnesses)
+    cols = LiftedTables(base)
+    comp, dom, cod, idm = cols.comp, cols.dom, cols.cod, cols.idm
+    to, tm, al = cols.to[1], cols.tm[1], cols.al[1]
+    hom, vcomp, ident = lift(vc.hom), lift(vc.comp), lift(vc.identity)
 
-    def comp_boundary(tri):
-        x, y, z = tri
-        m = vc.comp[tri]
-        want_dom = base.tensor_obj(1, vc.hom[(y, z)], vc.hom[(x, y)])
-        if cat.dom[m] != want_dom:
-            return cat.dom[m], want_dom
-        if cat.cod[m] != vc.hom[(x, z)]:
-            return cat.cod[m], vc.hom[(x, z)]
-        return None
-    b.family("composition-boundary", iproduct(objs, repeat=3), comp_boundary)
+    def comp_boundary(x, y, z):
+        m = vcomp(x, y, z)
+        return [(dom(m), to(hom(y, z), hom(x, y))), (cod(m), hom(x, z))]
 
     def ident_boundary(a):
-        m = vc.identity[a]
-        if cat.dom[m] != base.unit:
-            return cat.dom[m], base.unit
-        if cat.cod[m] != vc.hom[(a, a)]:
-            return cat.cod[m], vc.hom[(a, a)]
-        return None
-    b.family("identity-boundary", objs, ident_boundary)
+        m = ident(a)
+        return [(dom(m), [base.unit] * len(a)), (cod(m), hom(a, a))]
 
-    def pentagon(quad):
-        x, y, z, w = quad
-        hom_xy = vc.hom[(x, y)]
-        lhs = _c(cat, vc.comp[(x, y, w)],
-                 _tm(base, 1, vc.comp[(y, z, w)], cat.identity[hom_xy]))
-        alpha = vc.base.assoc_table[1].get(
-            (vc.hom[(z, w)], vc.hom[(y, z)], hom_xy))
-        rhs = _c(cat, vc.comp[(x, z, w)],
-                 _c(cat, _tm(base, 1, cat.identity[vc.hom[(z, w)]],
-                             vc.comp[(x, y, z)]), alpha))
-        return None if lhs == rhs and lhs is not None else (lhs, rhs)
-    b.family("pentagon", iproduct(objs, repeat=4), pentagon)
+    def pentagon(x, y, z, w):
+        hom_zw = hom(z, w)
+        lhs = comp(vcomp(x, y, w), tm(vcomp(y, z, w), idm(hom(x, y))))
+        rhs = comp(vcomp(x, z, w),
+                   comp(tm(idm(hom_zw), vcomp(x, y, z)),
+                        al(hom_zw, hom(y, z), hom(x, y))))
+        return [(lhs, rhs)]
 
-    def unit_left(ab):
-        x, y = ab
-        hom_xy = vc.hom[(x, y)]
-        got = _c(cat, vc.comp[(x, y, y)],
-                 _tm(base, 1, vc.identity[y], cat.identity[hom_xy]))
-        want = cat.identity[hom_xy]
-        return None if got == want else (got, want)
-    b.family("unit-left", iproduct(objs, repeat=2), unit_left)
+    def unit_left(x, y):
+        id_xy = idm(hom(x, y))
+        return [(comp(vcomp(x, y, y), tm(ident(y), id_xy)), id_xy)]
 
-    def unit_right(ab):
-        x, y = ab
-        hom_xy = vc.hom[(x, y)]
-        got = _c(cat, vc.comp[(x, x, y)],
-                 _tm(base, 1, cat.identity[hom_xy], vc.identity[x]))
-        want = cat.identity[hom_xy]
-        return None if got == want else (got, want)
-    b.family("unit-right", iproduct(objs, repeat=2), unit_right)
+    def unit_right(x, y):
+        id_xy = idm(hom(x, y))
+        return [(comp(vcomp(x, x, y), tm(id_xy, ident(x))), id_xy)]
 
+    b = ReportBuilder(all_witnesses)
+    for name, rows, legs in (
+            ("composition-boundary", iproduct(objs, repeat=3), comp_boundary),
+            ("identity-boundary", iproduct(objs), ident_boundary),
+            ("pentagon", iproduct(objs, repeat=4), pentagon),
+            ("unit-left", iproduct(objs, repeat=2), unit_left),
+            ("unit-right", iproduct(objs, repeat=2), unit_right)):
+        b.family(name, *equations(rows, legs))
     return b.report()
 
 
@@ -167,33 +153,30 @@ def check_vfunctor(vf: VFunctor, *,
         if key not in vf.hom_map or vf.hom_map[key] not in cat.morphisms:
             raise MalformedTable(f"hom map entry {key} missing or unknown")
 
-    b = ReportBuilder(all_witnesses)
+    cols = LiftedTables(base)
+    comp, dom, cod, tm = cols.comp, cols.dom, cols.cod, cols.tm[1]
+    hom_map, obj = lift(vf.hom_map), lift(vf.obj_map)
+    src_hom, src_comp, src_ident = map(lift, (src.hom, src.comp, src.identity))
+    tgt_hom, tgt_comp, tgt_ident = map(lift, (tgt.hom, tgt.comp, tgt.identity))
 
-    def boundary(ab):
-        x, y = ab
-        m = vf.hom_map[(x, y)]
-        if cat.dom[m] != src.hom[(x, y)]:
-            return cat.dom[m], src.hom[(x, y)]
-        want = tgt.hom[(vf.obj_map[x], vf.obj_map[y])]
-        if cat.cod[m] != want:
-            return cat.cod[m], want
-        return None
-    b.family("functor-boundary", iproduct(objs, repeat=2), boundary)
+    def boundary(x, y):
+        m = hom_map(x, y)
+        return [(dom(m), src_hom(x, y)), (cod(m), tgt_hom(obj(x), obj(y)))]
 
-    def square(tri):
-        x, y, z = tri
-        lhs = _c(cat, vf.hom_map[(x, z)], src.comp[tri])
-        rhs = _c(cat, tgt.comp[(vf.obj_map[x], vf.obj_map[y], vf.obj_map[z])],
-                 _tm(base, 1, vf.hom_map[(y, z)], vf.hom_map[(x, y)]))
-        return None if lhs == rhs and lhs is not None else (lhs, rhs)
-    b.family("functor-composition", iproduct(objs, repeat=3), square)
+    def square(x, y, z):
+        return [(comp(hom_map(x, z), src_comp(x, y, z)),
+                 comp(tgt_comp(obj(x), obj(y), obj(z)),
+                      tm(hom_map(y, z), hom_map(x, y))))]
 
     def unit(a):
-        lhs = _c(cat, vf.hom_map[(a, a)], src.identity[a])
-        rhs = tgt.identity[vf.obj_map[a]]
-        return None if lhs == rhs and lhs is not None else (lhs, rhs)
-    b.family("functor-identity", objs, unit)
+        return [(comp(hom_map(a, a), src_ident(a)), tgt_ident(obj(a)))]
 
+    b = ReportBuilder(all_witnesses)
+    for name, rows, legs in (
+            ("functor-boundary", iproduct(objs, repeat=2), boundary),
+            ("functor-composition", iproduct(objs, repeat=3), square),
+            ("functor-identity", iproduct(objs), unit)):
+        b.family(name, *equations(rows, legs))
     return b.report()
 
 
@@ -211,30 +194,29 @@ def check_vnat(nat: VNatTransform, *,
         if a not in nat.components or nat.components[a] not in cat.morphisms:
             raise MalformedTable(f"component at {a!r} missing or unknown")
 
-    b = ReportBuilder(all_witnesses)
+    cols = LiftedTables(base)
+    comp, dom, cod, tm = cols.comp, cols.dom, cols.cod, cols.tm[1]
     w = t.target
+    w_hom, w_comp = lift(w.hom), lift(w.comp)
+    t_obj, t_hom = lift(t.obj_map), lift(t.hom_map)
+    s_obj, s_hom = lift(s.obj_map), lift(s.hom_map)
+    component = lift(nat.components)
 
     def boundary(a):
-        m = nat.components[a]
-        if cat.dom[m] != base.unit:
-            return cat.dom[m], base.unit
-        want = w.hom[(t.obj_map[a], s.obj_map[a])]
-        if cat.cod[m] != want:
-            return cat.cod[m], want
-        return None
-    b.family("component-boundary", objs, boundary)
+        m = component(a)
+        return [(dom(m), [base.unit] * len(a)),
+                (cod(m), w_hom(t_obj(a), s_obj(a)))]
 
-    def hexagon(ab):
-        x, y = ab
-        tx, ty = t.obj_map[x], t.obj_map[y]
-        sx, sy = s.obj_map[x], s.obj_map[y]
-        lhs = _c(cat, w.comp[(tx, ty, sy)],
-                 _tm(base, 1, nat.components[y], t.hom_map[(x, y)]))
-        rhs = _c(cat, w.comp[(tx, sx, sy)],
-                 _tm(base, 1, s.hom_map[(x, y)], nat.components[x]))
-        return None if lhs == rhs and lhs is not None else (lhs, rhs)
-    b.family("naturality", iproduct(objs, repeat=2), hexagon)
+    def hexagon(x, y):
+        tx, ty, sx, sy = t_obj(x), t_obj(y), s_obj(x), s_obj(y)
+        return [(comp(w_comp(tx, ty, sy), tm(component(y), t_hom(x, y))),
+                 comp(w_comp(tx, sx, sy), tm(s_hom(x, y), component(x))))]
 
+    b = ReportBuilder(all_witnesses)
+    for name, rows, legs in (
+            ("component-boundary", iproduct(objs), boundary),
+            ("naturality", iproduct(objs, repeat=2), hexagon)):
+        b.family(name, *equations(rows, legs))
     return b.report()
 
 

@@ -1,10 +1,17 @@
 import json
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
 from enrichkit.cli import main
 from enrichkit.errors import DanglingReference, ParseError
 from enrichkit.serialize import dumps, load, loads
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 @pytest.fixture(scope="module")
@@ -111,9 +118,10 @@ def test_reports_deterministic(corpus_dir, capsys):
     main(["check", str(corpus_dir / "bool2.json")])
     second = capsys.readouterr().out
     assert first == second
-    main(["check", str(corpus_dir / "bool2.json"), "--workers", "4"])
-    parallel = capsys.readouterr().out
-    assert parallel == first
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(corpus_dir / "bool2.json"), "--workers", "4"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_workers_environment_variable_is_not_read(corpus_dir, monkeypatch,
@@ -123,6 +131,39 @@ def test_workers_environment_variable_is_not_read(corpus_dir, monkeypatch,
     monkeypatch.setenv("ENRICHKIT_WORKERS", "abc")
     assert main(["check", str(corpus_dir / "bool2.json")]) == 0
     assert main(["fuzz", "--level", "vcategory"]) == 0
+
+
+def test_single_id_witness_is_a_one_tuple(corpus_dir, tmp_path, capsys):
+    doc = json.loads((corpus_dir / "bool2.json").read_text())
+    doc["base"]["identity"]["bot"] = "u"
+    mutated = tmp_path / "identity.json"
+    mutated.write_text(json.dumps(doc))
+    assert main(["check", str(mutated), "--level", "base"]) == 1
+    out = capsys.readouterr().out
+    assert "base:identity-boundary: FAIL at ('bot',) lhs=top rhs=bot" in out
+    assert main(["check", str(mutated), "--level", "base", "--machine"]) == 1
+    records = [json.loads(line)
+               for line in capsys.readouterr().out.splitlines()]
+    witness, = [r["witness"] for r in records
+                if r["family"] == "base:identity-boundary"]
+    assert witness["instance"] == ["bot"]
+
+
+def test_closed_pipe_ends_without_traceback(corpus_dir):
+    # The reader is gone before check writes its first line.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "enrichkit.cli", "check",
+             str(corpus_dir / "bool2.json")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 128 + signal.SIGPIPE
+    assert proc.stderr == b""
 
 
 def test_construct_product(corpus_dir, tmp_path, capsys):
