@@ -12,6 +12,11 @@ and a legs function over columns: ``lift`` turns each lookup table into a
 function from key columns to a value column, and ``equations`` evaluates the
 legs a chunk of rows at a time and hands the rows and their verdicts to
 ``ReportBuilder.family``.
+
+``_memo(obj, key, build)`` is the one memo: it keeps ``build()`` in a dict on
+``obj`` and returns it on every later call with that key.  Checker reports,
+products and the unit enriched category go through it, which is sound because
+structures are immutable once constructed.
 """
 from __future__ import annotations
 
@@ -171,14 +176,18 @@ def _first_failures(n: int, eqs) -> dict:
     return failed
 
 
+def _memo(obj, key, build):
+    """``build()``, computed once per ``(obj, key)`` and stored on ``obj``."""
+    memo = vars(obj).setdefault("_memo", {})
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
 def cached_report(obj, check) -> CheckReport:
     """Memoize a checker run on an immutable structure.
 
     Structures are frozen after construction, so the first full check is
     authoritative for the object's lifetime.
     """
-    rep = getattr(obj, "_cached_report", None)
-    if rep is None:
-        rep = check(obj)
-        object.__setattr__(obj, "_cached_report", rep)
-    return rep
+    return _memo(obj, "report", lambda: check(obj))

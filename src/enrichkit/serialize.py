@@ -62,7 +62,8 @@ def _rows(table: dict, arity: int = 0) -> list:
 def _table(rows, arity: int, what: str) -> dict:
     out = {}
     for row in rows:
-        if not isinstance(row, list) or len(row) != arity + 1:
+        if not isinstance(row, list) or len(row) != arity + 1 \
+                or not all(isinstance(cell, str) for cell in row):
             raise ParseError(f"{what}: expected rows of {arity + 1} strings")
         key = tuple(row[:-1]) if arity > 1 else row[0]
         out[key] = row[-1]
@@ -276,13 +277,6 @@ def document_to_tower(doc) -> Tower:
             hom_map[(a, b)] = _vfunctor_from(tables, source, target, what)
         tower.v2functors[name] = V2Functor(src, tgt, obj_map, hom_map)
 
-    unitv_cache = {}
-
-    def unitv():
-        if "u" not in unitv_cache:
-            unitv_cache["u"] = unit_vcategory(base)
-        return unitv_cache["u"]
-
     for name, ndoc in doc.get("v2nats", {}).items():
         what = f"v2nats.{name}"
         src = _resolve(tower.v2functors, ndoc, "source", what)
@@ -298,7 +292,8 @@ def document_to_tower(doc) -> Tower:
                 target = src.target.hom[(src.obj_map[u], tgt.obj_map[u])]
             except KeyError as err:
                 raise DanglingReference(f"{what}: unknown object {err}")
-            components[u] = _vfunctor_from(tables, unitv(), target, what)
+            components[u] = _vfunctor_from(
+                tables, unit_vcategory(base), target, what)
         tower.v2nats[name] = V2NatTransform(src, tgt, components)
 
     for name, mdoc in doc.get("modifications", {}).items():
@@ -357,7 +352,6 @@ def _v2category_from(udoc, base, what) -> V2Category:
             raise DanglingReference(f"{what}: unknown object {err}")
         comp[(a, b, c)] = _vfunctor_from(tables, source, target, what)
     identity = {}
-    unitv = unit_vcategory(base)
     for row in udoc["identity"]:
         if not isinstance(row, list) or len(row) != 2:
             raise ParseError(f"{what}: identity rows must be [a, tables]")
@@ -366,20 +360,18 @@ def _v2category_from(udoc, base, what) -> V2Category:
             target = hom[(a, a)]
         except KeyError as err:
             raise DanglingReference(f"{what}: unknown object {err}")
-        identity[a] = _vfunctor_from(tables, unitv, target, what)
+        identity[a] = _vfunctor_from(
+            tables, unit_vcategory(base), target, what)
     return V2Category(base, objects, hom, comp, identity)
 
 
 def _resolve(registry, doc, slot, what):
-    name = doc.get(slot)
-    if not isinstance(name, str):
-        raise ParseError(f"{what}: {slot} must be a name")
-    return _lookup(registry, name, what)
+    return _lookup(registry, doc.get(slot), f"{what}.{slot}")
 
 
 def _lookup(registry, name, what):
-    if name is None:
-        raise ParseError(f"{what}: missing a required name")
+    if not isinstance(name, str):
+        raise ParseError(f"{what}: expected a structure name")
     if name not in registry:
         raise DanglingReference(f"{what}: no structure named {name!r}")
     return registry[name]

@@ -130,6 +130,11 @@ def _diff_mod(x: VModification, y: VModification):
     return None
 
 
+def _witness(d):
+    """The (lhs, rhs) witness pair of a diff, or None when there is none."""
+    return None if d is None else (f"{d[0]}={d[1]}", f"{d[0]}={d[2]}")
+
+
 # -- gates ----------------------------------------------------------------------
 
 def _require_v2category(u: V2Category) -> None:
@@ -184,8 +189,6 @@ def check_v2category(u: V2Category, *,
     if not ok:
         return b.report()
 
-    unitv = unit_vcategory(base)
-
     def comp_shape(tri):
         x, y, z = tri
         m2 = u.comp[tri]
@@ -200,7 +203,7 @@ def check_v2category(u: V2Category, *,
     def ident_shape(row):
         a, = row
         j2 = u.identity[a]
-        if j2.source != unitv:
+        if j2.source != unit_vcategory(base):
             return "source", "expected the unit enriched category"
         if j2.target != u.hom[(a, a)]:
             return "target", f"expected hom({a},{a})"
@@ -235,8 +238,7 @@ def check_v2category(u: V2Category, *,
                 product_vfunctor(1, identity_vfunctor(u.hom[(z, w)]),
                                  u.comp[(x, y, z)]),
                 assoc_vcat(1, u.hom[(z, w)], u.hom[(y, z)], u.hom[(x, y)])))
-        d = _diff_vfunctor(lhs, rhs)
-        return None if d is None else (f"{d[0]}={d[1]}", f"{d[0]}={d[2]}")
+        return _witness(_diff_vfunctor(lhs, rhs))
 
     b.family("pentagon", iproduct(objs, repeat=4), pentagon)
 
@@ -247,8 +249,7 @@ def check_v2category(u: V2Category, *,
             product_vfunctor(1, u.identity[y],
                              identity_vfunctor(u.hom[(x, y)])))
         rhs = unit_relabel_left(1, u.hom[(x, y)])
-        d = _diff_vfunctor(lhs, rhs)
-        return None if d is None else (f"{d[0]}={d[1]}", f"{d[0]}={d[2]}")
+        return _witness(_diff_vfunctor(lhs, rhs))
     b.family("unit-left", iproduct(objs, repeat=2), unit_left)
 
     def unit_right(xy):
@@ -258,8 +259,7 @@ def check_v2category(u: V2Category, *,
             product_vfunctor(1, identity_vfunctor(u.hom[(x, y)]),
                              u.identity[x]))
         rhs = unit_relabel_right(1, u.hom[(x, y)])
-        d = _diff_vfunctor(lhs, rhs)
-        return None if d is None else (f"{d[0]}={d[1]}", f"{d[0]}={d[2]}")
+        return _witness(_diff_vfunctor(lhs, rhs))
     b.family("unit-right", iproduct(objs, repeat=2), unit_right)
 
     # Consequence diagrams: implied by functoriality, replayed directly as an
@@ -361,16 +361,14 @@ def check_v2functor(t: V2Functor, *,
         rhs = compose_vfunctor(
             tgt.comp[(t.obj_map[x], t.obj_map[y], t.obj_map[z])],
             product_vfunctor(1, t.hom_map[(y, z)], t.hom_map[(x, y)]))
-        d = _diff_vfunctor(lhs, rhs)
-        return None if d is None else (f"{d[0]}={d[1]}", f"{d[0]}={d[2]}")
+        return _witness(_diff_vfunctor(lhs, rhs))
     b.family("composition-square", iproduct(objs, repeat=3), square)
 
     def unit(row):
         a, = row
         lhs = compose_vfunctor(t.hom_map[(a, a)], src.identity[a])
         rhs = tgt.identity[t.obj_map[a]]
-        d = _diff_vfunctor(lhs, rhs)
-        return None if d is None else (f"{d[0]}={d[1]}", f"{d[0]}={d[2]}")
+        return _witness(_diff_vfunctor(lhs, rhs))
     b.family("unit-triangle", iproduct(objs), unit)
 
     return b.report()
@@ -388,14 +386,12 @@ def check_v2nat(a: V2NatTransform, *,
     for x in objs:
         if x not in a.components:
             raise MalformedTable(f"component at {x!r} missing")
-    unitv = unit_vcategory(u.base)
-
     b = ReportBuilder(all_witnesses)
 
     def shape(row):
         x, = row
         comp = a.components[x]
-        if comp.source != unitv:
+        if comp.source != unit_vcategory(u.base):
             return "source", "expected the unit enriched category"
         if comp.target != w.hom[(t.obj_map[x], s.obj_map[x])]:
             return "target", "expected hom(Tx, Sx)"
@@ -427,8 +423,7 @@ def check_v2nat(a: V2NatTransform, *,
             compose_vfunctor(
                 product_vfunctor(1, s.hom_map[key], a.components[x]),
                 unit_intro_right(1, u.hom[key])))
-        d = _diff_vfunctor(lhs, rhs)
-        return None if d is None else (f"{d[0]}={d[1]}", f"{d[0]}={d[2]}")
+        return _witness(_diff_vfunctor(lhs, rhs))
     b.family("naturality", iproduct(objs, repeat=2), naturality)
 
     return b.report()
@@ -883,8 +878,7 @@ def exchange_suite(p: PastingInstance, *,
                 lhs, rhs = fn()
             except KernelError as err:
                 return f"<error: {err}>", None
-            d = diff(lhs, rhs)
-            return None if d is None else (f"{d[0]}={d[1]}", f"{d[0]}={d[2]}")
+            return _witness(diff(lhs, rhs))
         b.family(name, [("pasting",)], run)
 
     guard("exchange-1",

@@ -24,7 +24,8 @@ from .errors import (
 )
 from .fincat import compose
 from .kfold import KFoldMonoidal, LiftedTables, check_kfold
-from .report import CheckReport, ReportBuilder, cached_report, equations, lift
+from .report import (CheckReport, ReportBuilder, _memo, cached_report,
+                     equations, lift)
 
 
 def pair(a: str, b: str) -> str:
@@ -230,10 +231,10 @@ def vfunctor_equal(t: VFunctor, s: VFunctor) -> bool:
 # -- constructions ------------------------------------------------------------
 
 def unit_vcategory(base: KFoldMonoidal) -> VCategory:
-    """One object 0 with hom-object the base unit."""
+    """One object 0 with hom-object the base unit; built once per base."""
     e = base.base.identity[base.unit]
-    return VCategory(base, {"0"}, {("0", "0"): base.unit},
-                     {("0", "0", "0"): e}, {"0": e})
+    return _memo(base, "unit_vcategory", lambda: VCategory(
+        base, {"0"}, {("0", "0"): base.unit}, {("0", "0", "0"): e}, {"0": e}))
 
 
 def _same_base(a, b):
@@ -243,7 +244,13 @@ def _same_base(a, b):
 
 def product_vcat(i: int, a: VCategory, b: VCategory) -> VCategory:
     """The i-th product: pairs of objects, hom-objects tensored one level up,
-    composition routed through the (1, i+1) interchange."""
+    composition routed through the (1, i+1) interchange.  Built once per
+    (i, a, b), kept on ``a`` with ``b`` itself, so id(b) is never reused."""
+    return _memo(a, ("product_vcat", i, id(b)),
+                 lambda: (b, _product_vcat(i, a, b)))[1]
+
+
+def _product_vcat(i: int, a: VCategory, b: VCategory) -> VCategory:
     _same_base(a, b)
     base = a.base
     if not 1 <= i <= base.n - 1:
@@ -427,46 +434,42 @@ def whisker_vnat(side: str, f: VFunctor, a: VNatTransform) -> VNatTransform:
 
 # -- strict-unit plumbing -----------------------------------------------------
 
+def _unit_functor(i: int, a: VCategory, left: bool, intro: bool) -> VFunctor:
+    """The identity-component functor between a and its product with I:
+    product(i, I, a) when ``left``, else product(i, a, I); a -> product when
+    ``intro``, else product -> a.  Components are read from a's own homs."""
+    cat = a.base.base
+    unitv = unit_vcategory(a.base)
+    if left:
+        prod, tag = product_vcat(i, unitv, a), lambda x: pair("0", x)
+    else:
+        prod, tag = product_vcat(i, a, unitv), lambda x: pair(x, "0")
+    hom = {(x, y): cat.identity[a.hom[(x, y)]]
+           for x in a.objects for y in a.objects}
+    if intro:
+        return VFunctor(a, prod, {x: tag(x) for x in a.objects}, hom)
+    return VFunctor(prod, a, {tag(x): x for x in a.objects},
+                    {(tag(x), tag(y)): m for (x, y), m in hom.items()})
+
+
 def unit_relabel_left(i: int, a: VCategory) -> VFunctor:
     """product(i, I, a) -> a, the canonical (0, x) -> x relabeling."""
-    base = a.base
-    cat = base.base
-    source = product_vcat(i, unit_vcategory(base), a)
-    obj_map = {pair("0", x): x for x in a.objects}
-    hom_map = {(pair("0", x), pair("0", y)): cat.identity[a.hom[(x, y)]]
-               for x in a.objects for y in a.objects}
-    return VFunctor(source, a, obj_map, hom_map)
+    return _unit_functor(i, a, left=True, intro=False)
 
 
 def unit_relabel_right(i: int, a: VCategory) -> VFunctor:
-    base = a.base
-    cat = base.base
-    source = product_vcat(i, a, unit_vcategory(base))
-    obj_map = {pair(x, "0"): x for x in a.objects}
-    hom_map = {(pair(x, "0"), pair(y, "0")): cat.identity[a.hom[(x, y)]]
-               for x in a.objects for y in a.objects}
-    return VFunctor(source, a, obj_map, hom_map)
+    """product(i, a, I) -> a, the canonical (x, 0) -> x relabeling."""
+    return _unit_functor(i, a, left=False, intro=False)
 
 
 def unit_intro_left(i: int, a: VCategory) -> VFunctor:
     """a -> product(i, I, a), inverse of the left relabeling."""
-    base = a.base
-    cat = base.base
-    target = product_vcat(i, unit_vcategory(base), a)
-    obj_map = {x: pair("0", x) for x in a.objects}
-    hom_map = {(x, y): cat.identity[a.hom[(x, y)]]
-               for x in a.objects for y in a.objects}
-    return VFunctor(a, target, obj_map, hom_map)
+    return _unit_functor(i, a, left=True, intro=True)
 
 
 def unit_intro_right(i: int, a: VCategory) -> VFunctor:
-    base = a.base
-    cat = base.base
-    target = product_vcat(i, a, unit_vcategory(base))
-    obj_map = {x: pair(x, "0") for x in a.objects}
-    hom_map = {(x, y): cat.identity[a.hom[(x, y)]]
-               for x in a.objects for y in a.objects}
-    return VFunctor(a, target, obj_map, hom_map)
+    """a -> product(i, a, I), inverse of the right relabeling."""
+    return _unit_functor(i, a, left=False, intro=True)
 
 
 def unit_pair_intro(i: int, base: KFoldMonoidal) -> VFunctor:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import signal
@@ -5,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from enrichkit.cli import main
 from enrichkit.errors import DanglingReference, ParseError
@@ -164,6 +168,71 @@ def test_closed_pipe_ends_without_traceback(corpus_dir):
         os.close(write_end)
     assert proc.returncode == 128 + signal.SIGPIPE
     assert proc.stderr == b""
+
+
+def _table_cells(doc):
+    """Paths to every cell of the base, vcategory and vfunctor row tables."""
+    base = doc["base"]
+    tables = [("base", "comp"), ("base", "symmetry")]
+    tables += [("base", kind, i) for kind in
+               ("tensor_obj", "tensor_mor", "assoc", "interchange")
+               for i in base[kind]]
+    tables += [(section, name, kind)
+               for section, kinds in (("vcategories", ("hom", "comp")),
+                                      ("vfunctors", ("hom_map",)))
+               for name in doc[section] for kind in kinds]
+    paths = []
+    for path in tables:
+        rows = _at(doc, path)
+        paths += [(*path, r, c) for r, row in enumerate(rows)
+                  for c in range(len(row))]
+    return paths
+
+
+def _name_refs(doc):
+    """Paths to every structure name that another structure refers to."""
+    paths = [(section, name, slot)
+             for section in ("vfunctors", "vnats", "v2functors", "v2nats",
+                             "modifications")
+             for name in doc[section] for slot in ("source", "target")]
+    for name, pasting in doc["pastings"].items():
+        paths += [("pastings", name, "categories", i) for i in range(3)]
+        paths += [("pastings", name, group, k)
+                  for group in ("functors", "nats", "modifications")
+                  for k in pasting[group]]
+    return paths
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+NON_STRINGS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.lists(st.text(max_size=2), max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.text(max_size=2), max_size=2))
+
+
+@given(data=st.data())
+def test_non_string_cell_or_name_exits_two(corpus_dir, data):
+    # One table cell or structure name becomes null, a number, a list or an
+    # object: check reports a parse error, never a traceback.
+    doc = json.loads((corpus_dir / "bool2.json").read_text())
+    path = data.draw(st.one_of(st.sampled_from(_table_cells(doc)),
+                               st.sampled_from(_name_refs(doc))))
+    _at(doc, path[:-1])[path[-1]] = data.draw(NON_STRINGS)
+    mutated = corpus_dir / "non-string.json"
+    mutated.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(["check", str(mutated)])
+    assert code == 2, path
+    assert err.getvalue().startswith("error:"), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_construct_product(corpus_dir, tmp_path, capsys):

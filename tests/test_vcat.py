@@ -157,6 +157,25 @@ def test_product_index_range(preorder_p):
         product_vcat(2, preorder_p, preorder_p)  # needs tensor 3
 
 
+def test_products_and_unit_are_built_once(preorder_p):
+    assert product_vcat(1, preorder_p, preorder_p) \
+        is product_vcat(1, preorder_p, preorder_p)
+    assert unit_vcategory(preorder_p.base) is unit_vcategory(preorder_p.base)
+
+
+def test_product_memo_never_serves_a_dead_factor(bool2):
+    # Each b is freed once its product is taken, so the next b may reuse its
+    # id; the product kept on a must still be the one of the live b.
+    a = preorder_vcat(bool2, ["a", "b"], {("a", "a"), ("a", "b"), ("b", "b")})
+    e = bool2.base.identity[bool2.unit]
+    for k in range(200):
+        o = f"o{k}"
+        b = VCategory(bool2, {o}, {(o, o): bool2.unit}, {(o, o, o): e}, {o: e})
+        prod = product_vcat(1, a, b)
+        assert prod.objects == {pair(x, o) for x in a.objects}
+        del b, prod
+
+
 def test_product_vfunctor_identity(preorder_p):
     ident = identity_vfunctor(preorder_p)
     prod = product_vfunctor(1, ident, ident)
