@@ -8,6 +8,15 @@ Reports are deterministic for a given input and flag set.  The human format
 prints one line per diagram family; ``--machine`` emits the same stream as
 line-delimited JSON records, documented in the README.  Every diagram
 family is one sequential scan.
+
+The levels of the tower are one table, ``TOWER``: each row names a level,
+its ``Tower`` section, its structure type, its checker, and its frame, the
+(attribute, level) slots that name the lower structures it is built on.
+The ``--level`` choices, the order of ``check``, the ``fuzz`` checkers and
+the filing of results all read it.  ``CONSTRUCTIONS`` is the second table,
+one row per construction: the function, its leading arguments and the
+levels of its inputs.  Functions and checkers are named rather than held,
+so a wrapper bound in their place on this module is what runs.
 """
 from __future__ import annotations
 
@@ -16,6 +25,7 @@ import json
 import os
 import signal
 import sys
+from typing import NamedTuple
 
 from . import instances
 from .errors import (
@@ -32,10 +42,21 @@ from .errors import (
     ParseError,
     SourceTargetInvalid,
 )
-from .kfold import check_kfold
+from .kfold import KFoldMonoidal, check_kfold
 from .report import CheckReport
-from .serialize import Tower, load, save
+from .serialize import (
+    _PASTING_FUNCTORS,
+    _PASTING_MODS,
+    _PASTING_NATS,
+    Tower,
+    _find_name,
+    load,
+    save,
+)
 from .vcat import (
+    VCategory,
+    VFunctor,
+    VNatTransform,
     assoc_vcat,
     check_vcategory,
     check_vfunctor,
@@ -52,6 +73,11 @@ from .vcat import (
     whisker_vnat,
 )
 from .v2cat import (
+    PastingInstance,
+    V2Category,
+    V2Functor,
+    V2NatTransform,
+    VModification,
     check_modification,
     check_v2category,
     check_v2functor,
@@ -78,8 +104,43 @@ from .v2cat import (
     whisker_nat_mod_right,
 )
 
-LEVELS = ("base", "vcategory", "vfunctor", "vnat", "v2category",
-          "v2functor", "v2nat", "modification", "pasting")
+
+class Level(NamedTuple):
+    """One level of the tower: where its structures are filed, how they are
+    checked, and the (attribute, level) slots that name lower structures."""
+    name: str
+    section: str        # the Tower attribute
+    kind: type
+    checker: str        # a function of this module
+    frame: tuple = ()
+
+    def check(self, structure, **options) -> CheckReport:
+        return globals()[self.checker](structure, **options)
+
+
+def _ends(level: str) -> tuple:
+    return ("source", level), ("target", level)
+
+
+TOWER = {row.name: row for row in (
+    Level("base", "base", KFoldMonoidal, "check_kfold"),
+    Level("vcategory", "vcategories", VCategory, "check_vcategory"),
+    Level("vfunctor", "vfunctors", VFunctor, "check_vfunctor",
+          _ends("vcategory")),
+    Level("vnat", "vnats", VNatTransform, "check_vnat", _ends("vfunctor")),
+    Level("v2category", "v2categories", V2Category, "check_v2category"),
+    Level("v2functor", "v2functors", V2Functor, "check_v2functor",
+          _ends("v2category")),
+    Level("v2nat", "v2nats", V2NatTransform, "check_v2nat",
+          _ends("v2functor")),
+    Level("modification", "modifications", VModification,
+          "check_modification", _ends("v2nat")),
+    Level("pasting", "pastings", PastingInstance, "exchange_suite",
+          tuple((slot, "v2functor") for slot in _PASTING_FUNCTORS)
+          + tuple((slot, "v2nat") for slot in _PASTING_NATS)
+          + tuple((slot, "modification") for slot in _PASTING_MODS)),
+)}
+LEVELS = tuple(TOWER)
 
 
 class _Reporter:
@@ -151,18 +212,12 @@ class _Reporter:
 
 def _checks_for(tower: Tower):
     """(level, label, checker, structure) for everything in the tower."""
-    yield "base", "base", check_kfold, tower.base
-    for level, section, checker in (
-            ("vcategory", tower.vcategories, check_vcategory),
-            ("vfunctor", tower.vfunctors, check_vfunctor),
-            ("vnat", tower.vnats, check_vnat),
-            ("v2category", tower.v2categories, check_v2category),
-            ("v2functor", tower.v2functors, check_v2functor),
-            ("v2nat", tower.v2nats, check_v2nat),
-            ("modification", tower.modifications, check_modification),
-            ("pasting", tower.pastings, exchange_suite)):
-        for name, structure in sorted(section.items()):
-            yield level, f"{level}:{name}", checker, structure
+    for row in TOWER.values():
+        if row.name == "base":
+            yield "base", "base", row.check, tower.base
+            continue
+        for name, structure in sorted(getattr(tower, row.section).items()):
+            yield row.name, f"{row.name}:{name}", row.check, structure
 
 
 def _run_check(args) -> int:
@@ -234,311 +289,108 @@ def _run_fuzz_checks(tower: Tower, args, rep: _Reporter) -> int:
     return 0
 
 
-CONSTRUCTIONS = {}
+CONSTRUCTIONS = {
+    # name: (function in this module, leading arguments, input levels).
+    # Leading arguments are options of `construct` or "tower"/"base".
+    "unit-vcategory": ("unit_vcategory", ("base",), ()),
+    "product-vcat": ("product_vcat", ("index",), ("vcategory",) * 2),
+    "product-vfunctor": ("product_vfunctor", ("index",), ("vfunctor",) * 2),
+    "product-vnat": ("product_vnat", ("index",), ("vnat",) * 2),
+    "assoc-vcat": ("assoc_vcat", ("index",), ("vcategory",) * 3),
+    "interchange-vcat": ("interchange_vcat", ("index", "index2"),
+                         ("vcategory",) * 4),
+    "compose-vfunctor": ("compose_vfunctor", (), ("vfunctor",) * 2),
+    "identity-vfunctor": ("identity_vfunctor", (), ("vcategory",)),
+    "identity-vnat": ("identity_vnat", (), ("vfunctor",)),
+    "compose-vnat-vert": ("compose_vnat_vert", (), ("vnat",) * 2),
+    "whisker-vnat": ("whisker_vnat", ("side",), ("vfunctor", "vnat")),
+    "from-symmetric": ("_from_symmetric", ("tower", "index"), ()),
+    "unit-v2category": ("unit_v2category", ("base",), ()),
+    "product-v2cat": ("product_v2cat", ("index",), ("v2category",) * 2),
+    "compose-v2functors": ("compose_v2functors", (), ("v2functor",) * 2),
+    "identity-v2functor": ("identity_v2functor", (), ("v2category",)),
+    "id-nat": ("id_nat", (), ("v2functor",)),
+    "compose-nat-along-functor": ("compose_nat_along_functor", (),
+                                  ("v2nat",) * 2),
+    "id-modification": ("id_modification", (), ("v2nat",)),
+    "vcomp-modifications": ("vcomp_modifications", (), ("modification",) * 2),
+    "whisker-nat-mod-left": ("whisker_nat_mod_left", (),
+                             ("v2nat", "modification")),
+    "whisker-nat-mod-right": ("whisker_nat_mod_right", (),
+                              ("modification", "v2nat")),
+    "hcomp-mods": ("hcomp_modifications_along_nat", (), ("modification",) * 2),
+    "whisker-functor-nat": ("whisker_functor_nat", (), ("v2functor", "v2nat")),
+    "whisker-nat-functor": ("whisker_nat_functor", (), ("v2nat", "v2functor")),
+    "hcomp-nats": ("hcomp_nats_along_category", (), ("v2nat",) * 2),
+    "whisker-functor-mod": ("whisker_functor_mod", (),
+                            ("v2functor", "modification")),
+    "whisker-mod-functor": ("whisker_mod_functor", (),
+                            ("modification", "v2functor")),
+    "whisker-nat-mod-category": ("whisker_nat_mod_along_category", (),
+                                 ("v2nat", "modification")),
+    "whisker-mod-nat-category": ("whisker_mod_nat_along_category", (),
+                                 ("modification", "v2nat")),
+    "hcomp-mods-category": ("hcomp_mods_along_category", (),
+                            ("modification",) * 2),
+}
 
 
-def _construction(name):
-    def register(fn):
-        CONSTRUCTIONS[name] = fn
-        return fn
-    return register
-
-
-def _get(section: dict, name: str, what: str):
-    """Inputs must exist at the right level; a miss fails the construction."""
-    if name not in section:
-        raise ConstructionFailed(f"no {what} named {name!r}")
-    return section[name]
-
-
-@_construction("unit-vcategory")
-def _c_unit_vcat(tower, args):
-    return unit_vcategory(tower.base)
-
-
-@_construction("product-vcat")
-def _c_product_vcat(tower, args):
-    a, b = (_get(tower.vcategories, n, "vcategory") for n in args.inputs)
-    return product_vcat(args.index, a, b)
-
-
-@_construction("product-vfunctor")
-def _c_product_vfunctor(tower, args):
-    t, s = (_get(tower.vfunctors, n, "vfunctor") for n in args.inputs)
-    return product_vfunctor(args.index, t, s)
-
-
-@_construction("product-vnat")
-def _c_product_vnat(tower, args):
-    s, t = (_get(tower.vnats, n, "vnat") for n in args.inputs)
-    return product_vnat(args.index, s, t)
-
-
-@_construction("assoc-vcat")
-def _c_assoc_vcat(tower, args):
-    a, b, c = (_get(tower.vcategories, n, "vcategory") for n in args.inputs)
-    return assoc_vcat(args.index, a, b, c)
-
-
-@_construction("interchange-vcat")
-def _c_interchange_vcat(tower, args):
-    cats = [_get(tower.vcategories, n, "vcategory") for n in args.inputs]
-    return interchange_vcat(args.index, args.index2, *cats)
-
-
-@_construction("compose-vfunctor")
-def _c_compose_vfunctor(tower, args):
-    s, t = (_get(tower.vfunctors, n, "vfunctor") for n in args.inputs)
-    return compose_vfunctor(s, t)
-
-
-@_construction("identity-vfunctor")
-def _c_identity_vfunctor(tower, args):
-    return identity_vfunctor(_get(tower.vcategories, args.inputs[0],
-                                  "vcategory"))
-
-
-@_construction("identity-vnat")
-def _c_identity_vnat(tower, args):
-    return identity_vnat(_get(tower.vfunctors, args.inputs[0], "vfunctor"))
-
-
-@_construction("compose-vnat-vert")
-def _c_compose_vnat(tower, args):
-    b, a = (_get(tower.vnats, n, "vnat") for n in args.inputs)
-    return compose_vnat_vert(b, a)
-
-
-@_construction("whisker-vnat")
-def _c_whisker_vnat(tower, args):
-    f = _get(tower.vfunctors, args.inputs[0], "vfunctor")
-    a = _get(tower.vnats, args.inputs[1], "vnat")
-    return whisker_vnat(args.side, f, a)
-
-
-@_construction("from-symmetric")
-def _c_from_symmetric(tower, args):
+def _from_symmetric(tower: Tower, k: int):
     if tower.symmetry is None:
         raise ConstructionFailed("document base carries no symmetry table")
     base = tower.base
     sym = instances.SymmetricMonoidal(
         base.base, base.unit, base.tensor_obj_table[1],
         base.tensor_mor_table[1], base.assoc_table[1], tower.symmetry)
-    return instances.from_symmetric(sym, args.index)
+    return instances.from_symmetric(sym, k)
 
 
-@_construction("unit-v2category")
-def _c_unit_v2cat(tower, args):
-    return unit_v2category(tower.base)
+def _construct(tower: Tower, args):
+    """Run a construction on inputs looked up at their levels."""
+    function, leading, levels = CONSTRUCTIONS[args.construction]
+    if len(args.inputs) != len(levels):
+        raise ValueError(f"{args.construction} takes {len(levels)} inputs, "
+                         f"got {len(args.inputs)}")
+    inputs = []
+    for name, level in zip(args.inputs, levels):
+        section = getattr(tower, TOWER[level].section)
+        if name not in section:
+            raise ConstructionFailed(f"no {level} named {name!r}")
+        inputs.append(section[name])
+    options = dict(vars(args), tower=tower, base=tower.base)
+    return globals()[function](*(options[a] for a in leading), *inputs)
 
 
-@_construction("product-v2cat")
-def _c_product_v2cat(tower, args):
-    u, w = (_get(tower.v2categories, n, "v2category") for n in args.inputs)
-    return product_v2cat(args.index, u, w)
+def _file(tower: Tower, level: str, structure, hint: str) -> str:
+    """The name of an equal filed structure; else file the frame, then this.
+
+    Frame slots are filed the same way, under ``<hint>.<slot>``.
+    """
+    row = TOWER[level]
+    section = getattr(tower, row.section)
+    name = _find_name(section, structure)
+    if name is None:
+        for slot, lower in row.frame:
+            _file(tower, lower, getattr(structure, slot), f"{hint}.{slot}")
+        section[name := hint] = structure
+    return name
 
 
-@_construction("compose-v2functors")
-def _c_compose_v2functors(tower, args):
-    s, t = (_get(tower.v2functors, n, "v2functor") for n in args.inputs)
-    return compose_v2functors(s, t)
-
-
-@_construction("identity-v2functor")
-def _c_identity_v2functor(tower, args):
-    return identity_v2functor(_get(tower.v2categories, args.inputs[0],
-                                   "v2category"))
-
-
-@_construction("id-nat")
-def _c_id_nat(tower, args):
-    return id_nat(_get(tower.v2functors, args.inputs[0], "v2functor"))
-
-
-@_construction("compose-nat-along-functor")
-def _c_compose_nat(tower, args):
-    b, g = (_get(tower.v2nats, n, "v2nat") for n in args.inputs)
-    return compose_nat_along_functor(b, g)
-
-
-@_construction("id-modification")
-def _c_id_modification(tower, args):
-    return id_modification(_get(tower.v2nats, args.inputs[0], "v2nat"))
-
-
-@_construction("vcomp-modifications")
-def _c_vcomp_modifications(tower, args):
-    n, m = (_get(tower.modifications, x, "modification") for x in args.inputs)
-    return vcomp_modifications(n, m)
-
-
-@_construction("whisker-nat-mod-left")
-def _c_whisker_nat_mod_left(tower, args):
-    g = _get(tower.v2nats, args.inputs[0], "v2nat")
-    m = _get(tower.modifications, args.inputs[1], "modification")
-    return whisker_nat_mod_left(g, m)
-
-
-@_construction("whisker-nat-mod-right")
-def _c_whisker_nat_mod_right(tower, args):
-    m = _get(tower.modifications, args.inputs[0], "modification")
-    r = _get(tower.v2nats, args.inputs[1], "v2nat")
-    return whisker_nat_mod_right(m, r)
-
-
-@_construction("hcomp-mods")
-def _c_hcomp_mods(tower, args):
-    n, m = (_get(tower.modifications, x, "modification") for x in args.inputs)
-    return hcomp_modifications_along_nat(n, m)
-
-
-@_construction("whisker-functor-nat")
-def _c_whisker_functor_nat(tower, args):
-    g = _get(tower.v2functors, args.inputs[0], "v2functor")
-    a = _get(tower.v2nats, args.inputs[1], "v2nat")
-    return whisker_functor_nat(g, a)
-
-
-@_construction("whisker-nat-functor")
-def _c_whisker_nat_functor(tower, args):
-    g = _get(tower.v2nats, args.inputs[0], "v2nat")
-    h = _get(tower.v2functors, args.inputs[1], "v2functor")
-    return whisker_nat_functor(g, h)
-
-
-@_construction("hcomp-nats")
-def _c_hcomp_nats(tower, args):
-    g, a = (_get(tower.v2nats, n, "v2nat") for n in args.inputs)
-    return hcomp_nats_along_category(g, a)
-
-
-@_construction("whisker-functor-mod")
-def _c_whisker_functor_mod(tower, args):
-    k = _get(tower.v2functors, args.inputs[0], "v2functor")
-    m = _get(tower.modifications, args.inputs[1], "modification")
-    return whisker_functor_mod(k, m)
-
-
-@_construction("whisker-mod-functor")
-def _c_whisker_mod_functor(tower, args):
-    n = _get(tower.modifications, args.inputs[0], "modification")
-    f = _get(tower.v2functors, args.inputs[1], "v2functor")
-    return whisker_mod_functor(n, f)
-
-
-@_construction("whisker-nat-mod-category")
-def _c_whisker_nat_mod_category(tower, args):
-    r = _get(tower.v2nats, args.inputs[0], "v2nat")
-    m = _get(tower.modifications, args.inputs[1], "modification")
-    return whisker_nat_mod_along_category(r, m)
-
-
-@_construction("whisker-mod-nat-category")
-def _c_whisker_mod_nat_category(tower, args):
-    n = _get(tower.modifications, args.inputs[0], "modification")
-    a = _get(tower.v2nats, args.inputs[1], "v2nat")
-    return whisker_mod_nat_along_category(n, a)
-
-
-@_construction("hcomp-mods-category")
-def _c_hcomp_mods_category(tower, args):
-    n, m = (_get(tower.modifications, x, "modification") for x in args.inputs)
-    return hcomp_mods_along_category(n, m)
-
-
-def _store_result(tower: Tower, result, name: str) -> CheckReport:
-    """Validate and file a construction result, naming its dependencies."""
-    from .vcat import VCategory, VFunctor, VNatTransform
-    from .v2cat import V2Category, V2Functor, V2NatTransform, VModification
-    from .kfold import KFoldMonoidal
-
-    if isinstance(result, KFoldMonoidal):
-        report = check_kfold(result)
-        if report.ok:
-            tower.base = result
-            tower.vcategories.clear()
-            tower.vfunctors.clear()
-            tower.vnats.clear()
-            tower.v2categories.clear()
-            tower.v2functors.clear()
-            tower.v2nats.clear()
-            tower.modifications.clear()
-            tower.pastings.clear()
+def _store(tower: Tower, result, name: str) -> CheckReport:
+    """Validate a construction result and file it under ``name``."""
+    row = next(r for r in TOWER.values() if isinstance(result, r.kind))
+    report = row.check(result)
+    if not report.ok:
         return report
-    if isinstance(result, VCategory):
-        report = check_vcategory(result)
-        if report.ok:
-            tower.vcategories[name] = result
-        return report
-    if isinstance(result, VFunctor):
-        report = check_vfunctor(result)
-        if report.ok:
-            _ensure_named(tower.vcategories, result.source, f"{name}.source")
-            _ensure_named(tower.vcategories, result.target, f"{name}.target")
-            tower.vfunctors[name] = result
-        return report
-    if isinstance(result, VNatTransform):
-        report = check_vnat(result)
-        if report.ok:
-            _file_vfunctor(tower, result.source, f"{name}.source")
-            _file_vfunctor(tower, result.target, f"{name}.target")
-            tower.vnats[name] = result
-        return report
-    if isinstance(result, V2Category):
-        report = check_v2category(result)
-        if report.ok:
-            tower.v2categories[name] = result
-        return report
-    if isinstance(result, V2Functor):
-        report = check_v2functor(result)
-        if report.ok:
-            _file_v2functor(tower, result, name)
-        return report
-    if isinstance(result, V2NatTransform):
-        report = check_v2nat(result)
-        if report.ok:
-            _file_v2nat(tower, result, name)
-        return report
-    if isinstance(result, VModification):
-        report = check_modification(result)
-        if report.ok:
-            _file_v2nat(tower, result.source, f"{name}.source")
-            _file_v2nat(tower, result.target, f"{name}.target")
-            tower.modifications[name] = result
-        return report
-    raise ConstructionFailed(f"cannot file a result of type {type(result)}")
-
-
-def _ensure_named(registry: dict, value, hint: str) -> str:
-    for existing, candidate in registry.items():
-        if candidate is value or candidate == value:
-            return existing
-    registry[hint] = value
-    return hint
-
-
-def _file_vfunctor(tower, vf, hint):
-    _ensure_named(tower.vcategories, vf.source, f"{hint}.source")
-    _ensure_named(tower.vcategories, vf.target, f"{hint}.target")
-    return _ensure_named(tower.vfunctors, vf, hint)
-
-
-def _file_v2functor(tower, vf, hint):
-    _ensure_named(tower.v2categories, vf.source, f"{hint}.source")
-    _ensure_named(tower.v2categories, vf.target, f"{hint}.target")
-    return _ensure_named(tower.v2functors, vf, hint)
-
-
-def _file_v2nat(tower, nat, hint):
-    _file_v2functor(tower, nat.source, f"{hint}.source")
-    _file_v2functor(tower, nat.target, f"{hint}.target")
-    return _ensure_named(tower.v2nats, nat, hint)
-
-
-def _file_modification(tower, mod, hint):
-    _file_v2nat(tower, mod.source, f"{hint}.source")
-    _file_v2nat(tower, mod.target, f"{hint}.target")
-    return _ensure_named(tower.modifications, mod, hint)
+    if row.name == "base":
+        # Every filed structure lives over the old base.
+        for lower in list(TOWER.values())[1:]:
+            getattr(tower, lower.section).clear()
+        tower.base = result
+    else:
+        _file(tower, row.name, result, name)
+        getattr(tower, row.section)[name] = result
+    return report
 
 
 def _run_construct(args) -> int:
@@ -555,8 +407,7 @@ def _run_construct(args) -> int:
               f"available: {', '.join(sorted(CONSTRUCTIONS))}", file=sys.stderr)
         return 2
     try:
-        result = CONSTRUCTIONS[args.construction](tower, args)
-        report = _store_result(tower, result, args.name)
+        report = _store(tower, _construct(tower, args), args.name)
     except (ParseError, DanglingReference) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -585,53 +436,20 @@ def _corpus_towers(seed: int) -> dict:
            "zmod3": instances.zmod2_symmetric().symmetry}
     towers = {name: Tower(base, symmetry=sym[name])
               for name, base in corpus.bases.items()}
-
-    def tower_for(base):
-        for name, candidate in corpus.bases.items():
-            if candidate is base:
-                return towers[name]
-        raise KernelError("corpus structure lives over an unknown base")
-
-    for name, vc in corpus.vcategories.items():
-        tower_for(vc.base).vcategories[name] = vc
-    for name, vf in corpus.vfunctors.items():
-        t = tower_for(vf.source.base)
-        _ensure_named(t.vcategories, vf.source, f"{name}.source")
-        _ensure_named(t.vcategories, vf.target, f"{name}.target")
-        t.vfunctors[name] = vf
-    for name, nat in corpus.vnats.items():
-        t = tower_for(nat.source.source.base)
-        _file_vfunctor(t, nat.source, f"{name}.source")
-        _file_vfunctor(t, nat.target, f"{name}.target")
-        t.vnats[name] = nat
-    for name, u in corpus.v2categories.items():
-        tower_for(u.base).v2categories[name] = u
-    for name, vf in corpus.v2functors.items():
-        t = tower_for(vf.source.base)
-        _ensure_named(t.v2categories, vf.source, f"{name}.source")
-        _ensure_named(t.v2categories, vf.target, f"{name}.target")
-        t.v2functors[name] = vf
-    for name, nat in corpus.v2nats.items():
-        t = tower_for(nat.source.source.base)
-        _file_v2functor(t, nat.source, f"{name}.source")
-        _file_v2functor(t, nat.target, f"{name}.target")
-        t.v2nats[name] = nat
-    for name, m in corpus.modifications.items():
-        t = tower_for(m.source.source.source.base)
-        _file_modification(t, m, name)
-    for name, p in corpus.pastings.items():
-        t = tower_for(p.cat_u.base)
-        for slot in ("f", "h", "p", "g", "k", "q"):
-            _file_v2functor(t, getattr(p, slot), f"{name}.{slot}")
-        for col in (1, 2, 3, 4):
-            for kind in ("alpha", "beta", "gamma"):
-                _file_v2nat(t, getattr(p, f"{kind}{col}"),
-                            f"{name}.{kind}{col}")
-            for kind in ("mu", "nu"):
-                _file_modification(t, getattr(p, f"{kind}{col}"),
-                                   f"{name}.{kind}{col}")
-        t.pastings[name] = p
+    over = {id(base): towers[name] for name, base in corpus.bases.items()}
+    for row in list(TOWER.values())[1:]:
+        for name, structure in getattr(corpus, row.section).items():
+            _file(over[id(_base_of(row.name, structure))], row.name,
+                  structure, name)
     return towers
+
+
+def _base_of(level: str, structure):
+    """A structure's base, found by walking its first frame slot down."""
+    while TOWER[level].frame:
+        slot, level = TOWER[level].frame[0]
+        structure = getattr(structure, slot)
+    return structure.base
 
 
 def _run_corpus(args) -> int:
@@ -651,10 +469,6 @@ def _run_fuzz(args) -> int:
         print(f"error: unknown base {args.base!r}", file=sys.stderr)
         return 2
     base = base()
-    checkers = {"vcategory": check_vcategory, "vfunctor": check_vfunctor,
-                "vnat": check_vnat, "v2category": check_v2category,
-                "v2functor": check_v2functor, "v2nat": check_v2nat,
-                "modification": check_modification}
     failed = False
     for k in range(args.count):
         try:
@@ -663,10 +477,7 @@ def _run_fuzz(args) -> int:
         except instances.BudgetExhausted as err:
             print(f"fuzz[{k}]: budget exhausted: {err}", file=sys.stderr)
             return 2
-        if args.level == "pasting":
-            report = exchange_suite(inst)
-        else:
-            report = checkers[args.level](inst)
+        report = TOWER[args.level].check(inst)
         status = report.status
         print(f"fuzz[{k}] {args.level} seed={args.seed + k}: {status}")
         failed = failed or not report.ok
@@ -704,9 +515,7 @@ def main(argv=None) -> int:
 
     p_fuzz = sub.add_parser("fuzz", help="generate and check random instances")
     p_fuzz.add_argument("--level", required=True,
-                        choices=("vcategory", "vfunctor", "vnat", "v2category",
-                                 "v2functor", "v2nat", "modification",
-                                 "pasting"))
+                        choices=LEVELS[1:])
     p_fuzz.add_argument("--count", type=int, default=1)
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("--base", default="bool2")

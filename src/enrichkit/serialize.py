@@ -59,9 +59,15 @@ def _rows(table: dict, arity: int = 0) -> list:
                   for key, value in table.items())
 
 
+def _rows_of(rows, what: str) -> list:
+    if not isinstance(rows, list):
+        raise ParseError(f"{what}: expected a list of rows")
+    return rows
+
+
 def _table(rows, arity: int, what: str) -> dict:
     out = {}
-    for row in rows:
+    for row in _rows_of(rows, what):
         if not isinstance(row, list) or len(row) != arity + 1 \
                 or not all(isinstance(cell, str) for cell in row):
             raise ParseError(f"{what}: expected rows of {arity + 1} strings")
@@ -92,6 +98,8 @@ def _vcategory_tables(vc: VCategory) -> dict:
 
 
 def _vcategory_from(doc, base: KFoldMonoidal, what: str) -> VCategory:
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what}: expected an object")
     for k in ("objects", "hom", "comp", "identity"):
         if k not in doc:
             raise ParseError(f"{what}: missing {k!r}")
@@ -196,12 +204,20 @@ def tower_to_document(t: Tower) -> dict:
     return doc
 
 
-def _name_of(registry: dict, value, owner: str, slot: str) -> str:
+def _find_name(registry: dict, value):
+    """The first name filed for value (or an equal structure), else None."""
     for name, candidate in registry.items():
         if candidate is value or candidate == value:
             return name
-    raise DanglingReference(
-        f"{owner}: {slot} is not a named structure in this document")
+    return None
+
+
+def _name_of(registry: dict, value, owner: str, slot: str) -> str:
+    name = _find_name(registry, value)
+    if name is None:
+        raise DanglingReference(
+            f"{owner}: {slot} is not a named structure in this document")
+    return name
 
 
 def document_to_tower(doc) -> Tower:
@@ -235,29 +251,29 @@ def document_to_tower(doc) -> Tower:
     if "symmetry" in d:
         tower.symmetry = _table(d["symmetry"], 2, "symmetry")
 
-    for name, vdoc in doc.get("vcategories", {}).items():
+    for name, vdoc in _entries(doc, "vcategories"):
         vc = _vcategory_from(vdoc, base, f"vcategories.{name}")
         _check_vcat_ids(base, vc, f"vcategories.{name}")
         tower.vcategories[name] = vc
 
-    for name, fdoc in doc.get("vfunctors", {}).items():
+    for name, fdoc in _entries(doc, "vfunctors"):
         src = _resolve(tower.vcategories, fdoc, "source", f"vfunctors.{name}")
         tgt = _resolve(tower.vcategories, fdoc, "target", f"vfunctors.{name}")
         tower.vfunctors[name] = _vfunctor_from(fdoc, src, tgt,
                                                f"vfunctors.{name}")
 
-    for name, ndoc in doc.get("vnats", {}).items():
+    for name, ndoc in _entries(doc, "vnats"):
         src = _resolve(tower.vfunctors, ndoc, "source", f"vnats.{name}")
         tgt = _resolve(tower.vfunctors, ndoc, "target", f"vnats.{name}")
         if "components" not in ndoc:
             raise ParseError(f"vnats.{name}: missing components")
         tower.vnats[name] = VNatTransform(src, tgt, dict(ndoc["components"]))
 
-    for name, udoc in doc.get("v2categories", {}).items():
+    for name, udoc in _entries(doc, "v2categories"):
         tower.v2categories[name] = _v2category_from(udoc, base,
                                                     f"v2categories.{name}")
 
-    for name, fdoc in doc.get("v2functors", {}).items():
+    for name, fdoc in _entries(doc, "v2functors"):
         src = _resolve(tower.v2categories, fdoc, "source", f"v2functors.{name}")
         tgt = _resolve(tower.v2categories, fdoc, "target", f"v2functors.{name}")
         what = f"v2functors.{name}"
@@ -265,7 +281,7 @@ def document_to_tower(doc) -> Tower:
             raise ParseError(f"{what}: missing obj_map/hom_map")
         obj_map = dict(fdoc["obj_map"])
         hom_map = {}
-        for row in fdoc["hom_map"]:
+        for row in _rows_of(fdoc["hom_map"], what):
             if not isinstance(row, list) or len(row) != 3:
                 raise ParseError(f"{what}: hom_map rows must be [u, u', tables]")
             a, b, tables = row
@@ -277,14 +293,14 @@ def document_to_tower(doc) -> Tower:
             hom_map[(a, b)] = _vfunctor_from(tables, source, target, what)
         tower.v2functors[name] = V2Functor(src, tgt, obj_map, hom_map)
 
-    for name, ndoc in doc.get("v2nats", {}).items():
+    for name, ndoc in _entries(doc, "v2nats"):
         what = f"v2nats.{name}"
         src = _resolve(tower.v2functors, ndoc, "source", what)
         tgt = _resolve(tower.v2functors, ndoc, "target", what)
         if "components" not in ndoc:
             raise ParseError(f"{what}: missing components")
         components = {}
-        for row in ndoc["components"]:
+        for row in _rows_of(ndoc["components"], what):
             if not isinstance(row, list) or len(row) != 2:
                 raise ParseError(f"{what}: component rows must be [u, tables]")
             u, tables = row
@@ -296,7 +312,7 @@ def document_to_tower(doc) -> Tower:
                 tables, unit_vcategory(base), target, what)
         tower.v2nats[name] = V2NatTransform(src, tgt, components)
 
-    for name, mdoc in doc.get("modifications", {}).items():
+    for name, mdoc in _entries(doc, "modifications"):
         what = f"modifications.{name}"
         src = _resolve(tower.v2nats, mdoc, "source", what)
         tgt = _resolve(tower.v2nats, mdoc, "target", what)
@@ -305,7 +321,7 @@ def document_to_tower(doc) -> Tower:
         tower.modifications[name] = VModification(src, tgt,
                                                   dict(mdoc["components"]))
 
-    for name, pdoc in doc.get("pastings", {}).items():
+    for name, pdoc in _entries(doc, "pastings"):
         what = f"pastings.{name}"
         cats = pdoc.get("categories")
         if not isinstance(cats, list) or len(cats) != 3:
@@ -329,19 +345,30 @@ def document_to_tower(doc) -> Tower:
     return tower
 
 
+def _entries(doc: dict, section: str):
+    """(name, entry) pairs of a section; each entry is a JSON object."""
+    entries = doc.get(section, {})
+    if not isinstance(entries, dict):
+        raise ParseError(f"{section}: expected an object of named entries")
+    for name, entry in entries.items():
+        if not isinstance(entry, dict):
+            raise ParseError(f"{section}.{name}: expected an object")
+    return entries.items()
+
+
 def _v2category_from(udoc, base, what) -> V2Category:
     for k in ("objects", "hom", "comp", "identity"):
         if k not in udoc:
             raise ParseError(f"{what}: missing {k!r}")
     objects = set(udoc["objects"])
     hom = {}
-    for row in udoc["hom"]:
+    for row in _rows_of(udoc["hom"], what):
         if not isinstance(row, list) or len(row) != 3:
             raise ParseError(f"{what}: hom rows must be [a, b, tables]")
         a, b, tables = row
         hom[(a, b)] = _vcategory_from(tables, base, f"{what}.hom({a},{b})")
     comp = {}
-    for row in udoc["comp"]:
+    for row in _rows_of(udoc["comp"], what):
         if not isinstance(row, list) or len(row) != 4:
             raise ParseError(f"{what}: comp rows must be [a, b, c, tables]")
         a, b, c, tables = row
@@ -352,7 +379,7 @@ def _v2category_from(udoc, base, what) -> V2Category:
             raise DanglingReference(f"{what}: unknown object {err}")
         comp[(a, b, c)] = _vfunctor_from(tables, source, target, what)
     identity = {}
-    for row in udoc["identity"]:
+    for row in _rows_of(udoc["identity"], what):
         if not isinstance(row, list) or len(row) != 2:
             raise ParseError(f"{what}: identity rows must be [a, tables]")
         a, tables = row

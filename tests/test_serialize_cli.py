@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -10,12 +11,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from enrichkit.cli import main
+from enrichkit.cli import CONSTRUCTIONS, TOWER, main
 from enrichkit.errors import DanglingReference, ParseError
 from enrichkit.serialize import dumps, load, loads
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 @pytest.fixture(scope="module")
@@ -170,8 +171,8 @@ def test_closed_pipe_ends_without_traceback(corpus_dir):
     assert proc.stderr == b""
 
 
-def _table_cells(doc):
-    """Paths to every cell of the base, vcategory and vfunctor row tables."""
+def _string_tables(doc):
+    """Paths to the base, vcategory and vfunctor row tables (string cells)."""
     base = doc["base"]
     tables = [("base", "comp"), ("base", "symmetry")]
     tables += [("base", kind, i) for kind in
@@ -181,8 +182,33 @@ def _table_cells(doc):
                for section, kinds in (("vcategories", ("hom", "comp")),
                                       ("vfunctors", ("hom_map",)))
                for name in doc[section] for kind in kinds]
+    return tables
+
+
+def _row_tables(doc):
+    """Paths to every row table, the level-2 ones (object cells) included."""
+    return _string_tables(doc) + [
+        (section, name, kind)
+        for section, kinds in (("v2categories", ("hom", "comp", "identity")),
+                               ("v2functors", ("hom_map",)),
+                               ("v2nats", ("components",)))
+        for name in doc[section] for kind in kinds]
+
+
+SECTIONS = ("vcategories", "vfunctors", "vnats", "v2categories",
+            "v2functors", "v2nats", "modifications", "pastings")
+
+
+def _entries_and_sections(doc):
+    """Paths to every named entry and every section, the base included."""
+    return ([(section, name) for section in SECTIONS for name in doc[section]]
+            + [(section,) for section in ("base",) + SECTIONS])
+
+
+def _table_cells(doc):
+    """Paths to every cell of the base, vcategory and vfunctor row tables."""
     paths = []
-    for path in tables:
+    for path in _string_tables(doc):
         rows = _at(doc, path)
         paths += [(*path, r, c) for r, row in enumerate(rows)
                   for c in range(len(row))]
@@ -209,21 +235,29 @@ def _at(doc, path):
     return doc
 
 
-NON_STRINGS = st.one_of(
-    st.none(), st.booleans(), st.integers(),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.lists(st.lists(st.text(max_size=2), max_size=2), max_size=2),
-    st.dictionaries(st.text(max_size=2), st.text(max_size=2), max_size=2))
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                   st.floats(allow_nan=False, allow_infinity=False))
+STRING_LISTS = st.lists(st.lists(st.text(max_size=2), max_size=2), max_size=2)
+STRING_OBJECTS = st.dictionaries(st.text(max_size=2), st.text(max_size=2),
+                                 max_size=2)
+NON_STRINGS = st.one_of(SCALARS, STRING_LISTS, STRING_OBJECTS)
+NON_LISTS = st.one_of(SCALARS, st.text(max_size=2), STRING_OBJECTS)
+NON_OBJECTS = st.one_of(SCALARS, st.text(max_size=2), STRING_LISTS)
 
 
 @given(data=st.data())
 def test_non_string_cell_or_name_exits_two(corpus_dir, data):
     # One table cell or structure name becomes null, a number, a list or an
-    # object: check reports a parse error, never a traceback.
+    # object; or a whole row table becomes a non-list; or a whole named
+    # entry or section becomes a non-object: check reports a parse error,
+    # never a traceback.
     doc = json.loads((corpus_dir / "bool2.json").read_text())
-    path = data.draw(st.one_of(st.sampled_from(_table_cells(doc)),
-                               st.sampled_from(_name_refs(doc))))
-    _at(doc, path[:-1])[path[-1]] = data.draw(NON_STRINGS)
+    path, value = data.draw(st.one_of(
+        st.tuples(st.sampled_from(_table_cells(doc) + _name_refs(doc)),
+                  NON_STRINGS),
+        st.tuples(st.sampled_from(_row_tables(doc)), NON_LISTS),
+        st.tuples(st.sampled_from(_entries_and_sections(doc)), NON_OBJECTS)))
+    _at(doc, path[:-1])[path[-1]] = value
     mutated = corpus_dir / "non-string.json"
     mutated.write_text(json.dumps(doc))
     err = io.StringIO()
@@ -233,6 +267,113 @@ def test_non_string_cell_or_name_exits_two(corpus_dir, data):
     assert code == 2, path
     assert err.getvalue().startswith("error:"), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("path", [("vcategories", "P", "hom"),
+                                  ("vcategories", "P"), ("vcategories",)])
+def test_non_list_table_or_non_object_entry_exits_two(corpus_dir, tmp_path,
+                                                      capsys, path):
+    doc = json.loads((corpus_dir / "bool2.json").read_text())
+    _at(doc, path[:-1])[path[-1]] = 7
+    mutated = tmp_path / "shape.json"
+    mutated.write_text(json.dumps(doc))
+    assert main(["check", str(mutated)]) == 2
+    assert capsys.readouterr().err.startswith("error: vcategories")
+
+
+# One call per construction on the corpus: document, inputs, options, and
+# the level the result is filed at.
+CORPUS_CALLS = {
+    "unit-vcategory": ("bool2", [], [], "vcategory"),
+    "product-vcat": ("bool2", ["P", "P"], [], "vcategory"),
+    "product-vfunctor": ("bool2", ["id_P", "collapse_P"], [], "vfunctor"),
+    "product-vnat": ("bool2", ["unit_P", "collapse_to_id"], [], "vnat"),
+    "assoc-vcat": ("bool2", ["P", "P", "P"], [], "vfunctor"),
+    # The interchange functor needs a base with at least three tensors.
+    "interchange-vcat": ("zmod3", ["D", "D", "D", "D"],
+                         ["--index", "1", "--index2", "2"], "vfunctor"),
+    "compose-vfunctor": ("bool2", ["collapse_P", "id_P"], [], "vfunctor"),
+    "identity-vfunctor": ("bool2", ["P"], [], "vfunctor"),
+    "identity-vnat": ("bool2", ["id_P"], [], "vnat"),
+    "compose-vnat-vert": ("bool2", ["unit_P", "collapse_to_id"], [], "vnat"),
+    "whisker-vnat": ("bool2", ["id_P", "unit_P"], [], "vnat"),
+    "from-symmetric": ("bool2", [], ["--index", "3"], "base"),
+    "unit-v2category": ("bool2", [], [], "v2category"),
+    "product-v2cat": ("bool3", ["W3", "W3"], [], "v2category"),
+    "compose-v2functors": ("bool2", ["id_W", "id_W"], [], "v2functor"),
+    "identity-v2functor": ("bool2", ["W"], [], "v2functor"),
+    "id-nat": ("bool2", ["id_W"], [], "v2nat"),
+    "compose-nat-along-functor": ("bool2", ["q_t", "q_one"], [], "v2nat"),
+    "id-modification": ("bool2", ["q_t"], [], "modification"),
+    "vcomp-modifications": ("bool2", ["stay", "rise"], [], "modification"),
+    "whisker-nat-mod-left": ("bool2", ["q_t", "stay"], [], "modification"),
+    "whisker-nat-mod-right": ("bool2", ["stay", "q_t"], [], "modification"),
+    "hcomp-mods": ("bool2", ["stay", "rise"], [], "modification"),
+    "whisker-functor-nat": ("bool2", ["id_W", "q_t"], [], "v2nat"),
+    "whisker-nat-functor": ("bool2", ["q_t", "id_W"], [], "v2nat"),
+    "hcomp-nats": ("bool2", ["q_t", "q_one"], [], "v2nat"),
+    "whisker-functor-mod": ("bool2", ["id_W", "stay"], [], "modification"),
+    "whisker-mod-functor": ("bool2", ["stay", "id_W"], [], "modification"),
+    "whisker-nat-mod-category": ("bool2", ["q_t", "stay"], [],
+                                 "modification"),
+    "whisker-mod-nat-category": ("bool2", ["stay", "q_t"], [],
+                                 "modification"),
+    "hcomp-mods-category": ("bool2", ["stay", "rise"], [], "modification"),
+}
+
+
+@pytest.mark.parametrize("construction", sorted(CONSTRUCTIONS))
+def test_every_construction_files_its_result_under_name(
+        corpus_dir, tmp_path, capsys, construction):
+    # Also when the result equals a structure the document already names
+    # (identity-v2functor W is id_W): the result is filed under both names.
+    document, inputs, options, level = CORPUS_CALLS[construction]
+    out = tmp_path / "out.json"
+    assert main(["construct", str(corpus_dir / f"{document}.json"),
+                 construction, "--inputs", *inputs, *options,
+                 "--name", "R", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out} ({construction} -> R)\n"
+    tower = load(out)
+    if level == "base":
+        assert tower.base.n == 3
+    else:
+        assert "R" in getattr(tower, TOWER[level].section)
+
+
+@pytest.mark.parametrize("construction, inputs, takes", [
+    ("identity-vfunctor", None, 1),         # no --inputs at all
+    ("product-vcat", ["P"], 2),             # too few
+    ("identity-vfunctor", ["P", "P"], 1)])  # too many
+def test_wrong_input_count_exits_two(corpus_dir, tmp_path, capsys,
+                                     construction, inputs, takes):
+    out = tmp_path / "x.json"
+    argv = ["construct", str(corpus_dir / "bool2.json"), construction,
+            "--out", str(out)]
+    if inputs is not None:
+        argv += ["--inputs", *inputs]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: bad arguments: {construction} takes {takes} "
+                   f"inputs, got {len(inputs or [])}\n")
+    assert not out.exists()
+
+
+def test_readme_lists_every_construction():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    listing = readme.split("Available names:", 1)[1].split("```")[1]
+    assert sorted(listing.replace(",", " ").split()) == sorted(CONSTRUCTIONS)
+
+
+def test_level_choices_are_the_tower_levels(capsys):
+    for command, levels in (("check", ["all", *TOWER]),
+                            ("fuzz", [level for level in TOWER
+                                      if level != "base"])):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = capsys.readouterr().out
+        choices = re.search(r"--level \{([^}]*)\}", usage).group(1)
+        assert choices.split(",") == levels
 
 
 def test_construct_product(corpus_dir, tmp_path, capsys):
