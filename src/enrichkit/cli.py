@@ -43,7 +43,7 @@ from .errors import (
     SourceTargetInvalid,
 )
 from .kfold import KFoldMonoidal, check_kfold
-from .report import CheckReport
+from .report import CheckReport, cached_report
 from .serialize import (
     _PASTING_FUNCTORS,
     _PASTING_MODS,
@@ -346,7 +346,13 @@ def _from_symmetric(tower: Tower, k: int):
 
 
 def _construct(tower: Tower, args):
-    """Run a construction on inputs looked up at their levels."""
+    """Run a construction on inputs looked up at their levels.
+
+    Each input is checked first, through ``cached_report`` so that the
+    result's check reuses what it shares: a table missing an entry is an
+    input error here, rather than a ``KeyError`` where a lazily built product
+    first reads it.  A complete input that fails a diagram still goes into
+    the construction."""
     function, leading, levels = CONSTRUCTIONS[args.construction]
     if len(args.inputs) != len(levels):
         raise ValueError(f"{args.construction} takes {len(levels)} inputs, "
@@ -357,6 +363,7 @@ def _construct(tower: Tower, args):
         if name not in section:
             raise ConstructionFailed(f"no {level} named {name!r}")
         inputs.append(section[name])
+        cached_report(section[name], TOWER[level].check)
     options = dict(vars(args), tower=tower, base=tower.base)
     return globals()[function](*(options[a] for a in leading), *inputs)
 
@@ -372,8 +379,27 @@ def _file(tower: Tower, level: str, structure, hint: str) -> str:
     if name is None:
         for slot, lower in row.frame:
             _file(tower, lower, getattr(structure, slot), f"{hint}.{slot}")
-        section[name := hint] = structure
+        _put(tower, level, name := hint, structure)
     return name
+
+
+def _put(tower: Tower, level: str, name: str, structure) -> None:
+    """File ``structure`` under ``name``, refusing (``DanglingReference``) to
+    replace a structure that another filed structure names, unless an equal
+    one stays filed."""
+    section = getattr(tower, TOWER[level].section)
+    if name in section:
+        kept = {**section, name: structure}
+        for user in TOWER.values():
+            for slot, lower in user.frame:
+                if lower != level:
+                    continue
+                for label, other in getattr(tower, user.section).items():
+                    if _find_name(kept, getattr(other, slot)) is None:
+                        raise DanglingReference(
+                            f"filing under {name!r} would replace the {level}"
+                            f" that {user.section}.{label}.{slot} names")
+    section[name] = structure
 
 
 def _store(tower: Tower, result, name: str) -> CheckReport:
@@ -389,7 +415,7 @@ def _store(tower: Tower, result, name: str) -> CheckReport:
         tower.base = result
     else:
         _file(tower, row.name, result, name)
-        getattr(tower, row.section)[name] = result
+        _put(tower, row.name, name, result)
     return report
 
 
@@ -408,7 +434,7 @@ def _run_construct(args) -> int:
         return 2
     try:
         report = _store(tower, _construct(tower, args), args.name)
-    except (ParseError, DanglingReference) as err:
+    except (MalformedTable, ParseError, DanglingReference) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (ConstructionFailed, KernelError) as err:

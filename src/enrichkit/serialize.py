@@ -65,6 +65,36 @@ def _rows_of(rows, what: str) -> list:
     return rows
 
 
+def _keyed(rows, arity: int, what: str, shape: str):
+    """(key cells, last cell) of rows of ``arity`` string keys and one more
+    cell; ``shape`` names the row layout in the error message."""
+    for row in _rows_of(rows, what):
+        if not isinstance(row, list) or len(row) != arity + 1 \
+                or not all(isinstance(cell, str) for cell in row[:-1]):
+            raise ParseError(f"{what}: {shape}")
+        yield row[:-1], row[-1]
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{what}: expected an object")
+    return value
+
+
+def _names(value, what: str) -> list:
+    if not isinstance(value, list) \
+            or not all(isinstance(name, str) for name in value):
+        raise ParseError(f"{what}: expected a list of names")
+    return value
+
+
+def _name_map(value, what: str) -> dict:
+    """A JSON object whose values are all names, copied."""
+    if not all(isinstance(name, str) for name in _object(value, what).values()):
+        raise ParseError(f"{what}: expected an object of names")
+    return dict(value)
+
+
 def _table(rows, arity: int, what: str) -> dict:
     out = {}
     for row in _rows_of(rows, what):
@@ -86,7 +116,8 @@ def _vfunctor_from(tables, source: VCategory, target: VCategory,
     if not isinstance(tables, dict) or "obj_map" not in tables \
             or "hom_map" not in tables:
         raise ParseError(f"{what}: expected obj_map and hom_map")
-    return VFunctor(source, target, dict(tables["obj_map"]),
+    return VFunctor(source, target,
+                    _name_map(tables["obj_map"], f"{what}.obj_map"),
                     _table(tables["hom_map"], 2, what))
 
 
@@ -103,10 +134,10 @@ def _vcategory_from(doc, base: KFoldMonoidal, what: str) -> VCategory:
     for k in ("objects", "hom", "comp", "identity"):
         if k not in doc:
             raise ParseError(f"{what}: missing {k!r}")
-    return VCategory(base, set(doc["objects"]),
+    return VCategory(base, set(_names(doc["objects"], f"{what}.objects")),
                      _table(doc["hom"], 2, what),
                      _table(doc["comp"], 3, what),
-                     dict(doc["identity"]))
+                     _name_map(doc["identity"], f"{what}.identity"))
 
 
 # -- document <-> tower ---------------------------------------------------------
@@ -227,23 +258,29 @@ def document_to_tower(doc) -> Tower:
         raise ParseError(f"unknown or missing format marker, expected {FORMAT!r}")
     if "base" not in doc:
         raise ParseError("document has no base section")
-    d = doc["base"]
+    d = _object(doc["base"], "base")
     try:
-        cat = FinCategory(set(d["objects"]), set(d["morphisms"]),
-                          dict(d["dom"]), dict(d["cod"]),
+        cat = FinCategory(set(_names(d["objects"], "base.objects")),
+                          set(_names(d["morphisms"], "base.morphisms")),
+                          _name_map(d["dom"], "base.dom"),
+                          _name_map(d["cod"], "base.cod"),
                           _table(d["comp"], 2, "base.comp"),
-                          dict(d["identity"]))
+                          _name_map(d["identity"], "base.identity"))
         n = int(d["tensors"])
+        unit = d["unit"]
+        if not isinstance(unit, str):
+            raise ParseError("base.unit: expected a name")
         base = KFoldMonoidal(
-            cat, n, d["unit"],
+            cat, n, unit,
             {int(i): _table(rows, 2, "tensor_obj")
-             for i, rows in d["tensor_obj"].items()},
+             for i, rows in _object(d["tensor_obj"], "base.tensor_obj").items()},
             {int(i): _table(rows, 2, "tensor_mor")
-             for i, rows in d["tensor_mor"].items()},
+             for i, rows in _object(d["tensor_mor"], "base.tensor_mor").items()},
             {int(i): _table(rows, 3, "assoc")
-             for i, rows in d["assoc"].items()},
+             for i, rows in _object(d["assoc"], "base.assoc").items()},
             {tuple(int(x) for x in ij.split(",")): _table(rows, 4, "interchange")
-             for ij, rows in d.get("interchange", {}).items()})
+             for ij, rows in _object(d.get("interchange", {}),
+                                     "base.interchange").items()})
     except (KeyError, TypeError, ValueError) as err:
         raise ParseError(f"malformed base section: {err}")
     _check_base_ids(base)
@@ -267,7 +304,8 @@ def document_to_tower(doc) -> Tower:
         tgt = _resolve(tower.vfunctors, ndoc, "target", f"vnats.{name}")
         if "components" not in ndoc:
             raise ParseError(f"vnats.{name}: missing components")
-        tower.vnats[name] = VNatTransform(src, tgt, dict(ndoc["components"]))
+        tower.vnats[name] = VNatTransform(
+            src, tgt, _name_map(ndoc["components"], f"vnats.{name}.components"))
 
     for name, udoc in _entries(doc, "v2categories"):
         tower.v2categories[name] = _v2category_from(udoc, base,
@@ -279,12 +317,10 @@ def document_to_tower(doc) -> Tower:
         what = f"v2functors.{name}"
         if "obj_map" not in fdoc or "hom_map" not in fdoc:
             raise ParseError(f"{what}: missing obj_map/hom_map")
-        obj_map = dict(fdoc["obj_map"])
+        obj_map = _name_map(fdoc["obj_map"], f"{what}.obj_map")
         hom_map = {}
-        for row in _rows_of(fdoc["hom_map"], what):
-            if not isinstance(row, list) or len(row) != 3:
-                raise ParseError(f"{what}: hom_map rows must be [u, u', tables]")
-            a, b, tables = row
+        for (a, b), tables in _keyed(fdoc["hom_map"], 2, what,
+                                     "hom_map rows must be [u, u', tables]"):
             try:
                 source = src.hom[(a, b)]
                 target = tgt.hom[(obj_map[a], obj_map[b])]
@@ -300,10 +336,8 @@ def document_to_tower(doc) -> Tower:
         if "components" not in ndoc:
             raise ParseError(f"{what}: missing components")
         components = {}
-        for row in _rows_of(ndoc["components"], what):
-            if not isinstance(row, list) or len(row) != 2:
-                raise ParseError(f"{what}: component rows must be [u, tables]")
-            u, tables = row
+        for (u,), tables in _keyed(ndoc["components"], 1, what,
+                                   "component rows must be [u, tables]"):
             try:
                 target = src.target.hom[(src.obj_map[u], tgt.obj_map[u])]
             except KeyError as err:
@@ -318,8 +352,8 @@ def document_to_tower(doc) -> Tower:
         tgt = _resolve(tower.v2nats, mdoc, "target", what)
         if "components" not in mdoc:
             raise ParseError(f"{what}: missing components")
-        tower.modifications[name] = VModification(src, tgt,
-                                                  dict(mdoc["components"]))
+        tower.modifications[name] = VModification(
+            src, tgt, _name_map(mdoc["components"], f"{what}.components"))
 
     for name, pdoc in _entries(doc, "pastings"):
         what = f"pastings.{name}"
@@ -327,15 +361,16 @@ def document_to_tower(doc) -> Tower:
         if not isinstance(cats, list) or len(cats) != 3:
             raise ParseError(f"{what}: categories must list three names")
         args = [_lookup(tower.v2categories, c, what) for c in cats]
+        functors, nats, mods = (
+            _object(pdoc.get(group, {}), f"{what}.{group}")
+            for group in ("functors", "nats", "modifications"))
         for k in _PASTING_FUNCTORS:
-            args.append(_lookup(tower.v2functors,
-                                pdoc.get("functors", {}).get(k), what))
+            args.append(_lookup(tower.v2functors, functors.get(k), what))
         by_col = {}
         for k in _PASTING_NATS:
-            by_col[k] = _lookup(tower.v2nats, pdoc.get("nats", {}).get(k), what)
+            by_col[k] = _lookup(tower.v2nats, nats.get(k), what)
         for k in _PASTING_MODS:
-            by_col[k] = _lookup(tower.modifications,
-                                pdoc.get("modifications", {}).get(k), what)
+            by_col[k] = _lookup(tower.modifications, mods.get(k), what)
         for col in (1, 2, 3, 4):
             args.extend([by_col[f"alpha{col}"], by_col[f"beta{col}"],
                          by_col[f"gamma{col}"], by_col[f"mu{col}"],
@@ -360,18 +395,14 @@ def _v2category_from(udoc, base, what) -> V2Category:
     for k in ("objects", "hom", "comp", "identity"):
         if k not in udoc:
             raise ParseError(f"{what}: missing {k!r}")
-    objects = set(udoc["objects"])
+    objects = set(_names(udoc["objects"], f"{what}.objects"))
     hom = {}
-    for row in _rows_of(udoc["hom"], what):
-        if not isinstance(row, list) or len(row) != 3:
-            raise ParseError(f"{what}: hom rows must be [a, b, tables]")
-        a, b, tables = row
+    for (a, b), tables in _keyed(udoc["hom"], 2, what,
+                                 "hom rows must be [a, b, tables]"):
         hom[(a, b)] = _vcategory_from(tables, base, f"{what}.hom({a},{b})")
     comp = {}
-    for row in _rows_of(udoc["comp"], what):
-        if not isinstance(row, list) or len(row) != 4:
-            raise ParseError(f"{what}: comp rows must be [a, b, c, tables]")
-        a, b, c, tables = row
+    for (a, b, c), tables in _keyed(udoc["comp"], 3, what,
+                                    "comp rows must be [a, b, c, tables]"):
         try:
             source = product_vcat(1, hom[(b, c)], hom[(a, b)])
             target = hom[(a, c)]
@@ -379,10 +410,8 @@ def _v2category_from(udoc, base, what) -> V2Category:
             raise DanglingReference(f"{what}: unknown object {err}")
         comp[(a, b, c)] = _vfunctor_from(tables, source, target, what)
     identity = {}
-    for row in _rows_of(udoc["identity"], what):
-        if not isinstance(row, list) or len(row) != 2:
-            raise ParseError(f"{what}: identity rows must be [a, tables]")
-        a, tables = row
+    for (a,), tables in _keyed(udoc["identity"], 1, what,
+                               "identity rows must be [a, tables]"):
         try:
             target = hom[(a, a)]
         except KeyError as err:

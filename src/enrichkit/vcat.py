@@ -8,9 +8,16 @@ the checkers state it as column equations over the base's lifted tables
 Product object sets are literal encoded pairs with no quotienting: the
 strict unit law holds only after the canonical relabeling (a, 0) -> a,
 which relabel_vcategory makes available bit-exactly.
+
+A product's composition table is a ``LazyTable``: read-only, and built whole
+on its first read, because level-2 checks mostly compare product frames by
+identity and never read them.  So a factor with a missing composition entry
+raises at the first read of the product's ``comp``, not when the product is
+taken.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -33,12 +40,57 @@ def pair(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
+class LazyTable(Mapping):
+    """A read-only lookup table that ``build()`` fills whole on first read.
+
+    Every read (lookup, iteration, ``len``, ``==``) sees the built dict, so a
+    lazy table equals the plain dict with the same entries.  ``get`` is the
+    built dict's own method, so ``report.lift`` keeps a C-level lookup.
+    """
+    __slots__ = ("_build", "_table")
+
+    def __init__(self, build):
+        self._build, self._table = build, None
+
+    def _dict(self) -> dict:
+        if self._table is None:
+            self._table, self._build = self._build(), None
+        return self._table
+
+    @property
+    def get(self):
+        return self._dict().get
+
+    def __getitem__(self, key):
+        return self._dict()[key]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __len__(self):
+        return len(self._dict())
+
+    def items(self):
+        return self._dict().items()
+
+    def __eq__(self, other):
+        return self._dict() == other
+
+    def __repr__(self):
+        return f"LazyTable({self._dict()!r})"
+
+
+def _plain(table):
+    """The dict behind a table, so that hot loops read it directly."""
+    return table._dict() if isinstance(table, LazyTable) else table
+
+
 @dataclass
 class VCategory:
     base: KFoldMonoidal
     objects: set
     hom: dict        # (a, b) -> hom-object in the base
-    comp: dict       # (a, b, c) -> composition morphism in the base
+    comp: Mapping    # (a, b, c) -> composition morphism in the base
     identity: dict   # a -> identity element I -> hom(a, a)
 
 
@@ -90,8 +142,9 @@ def check_vcategory(vc: VCategory, *,
     for a, b2 in iproduct(objs, repeat=2):
         if (a, b2) not in vc.hom or vc.hom[(a, b2)] not in cat.objects:
             raise MalformedTable(f"hom entry ({a}, {b2}) missing or unknown")
+    vc_comp = _plain(vc.comp)
     for key in iproduct(objs, repeat=3):
-        if key not in vc.comp or vc.comp[key] not in cat.morphisms:
+        if key not in vc_comp or vc_comp[key] not in cat.morphisms:
             raise MalformedTable(f"composition entry {key} missing or unknown")
     for a in objs:
         if a not in vc.identity or vc.identity[a] not in cat.morphisms:
@@ -251,31 +304,41 @@ def product_vcat(i: int, a: VCategory, b: VCategory) -> VCategory:
 
 
 def _product_vcat(i: int, a: VCategory, b: VCategory) -> VCategory:
+    """Objects, homs and identities now; the composition table is a
+    ``LazyTable`` built on its first read.  A factor missing a hom or
+    identity entry raises here, one missing a composition entry raises a
+    ``KeyError`` at that first read."""
     _same_base(a, b)
     base = a.base
     if not 1 <= i <= base.n - 1:
         raise IndexOutOfRange(f"product index {i} needs tensor {i + 1} <= n")
-    cat = base.base
     aobj, bobj = sorted(a.objects), sorted(b.objects)
     objects = {pair(x, y) for x in aobj for y in bobj}
     hom = {}
-    comp = {}
     identity = {}
     for (x, y) in iproduct(aobj, bobj):
         for (x2, y2) in iproduct(aobj, bobj):
             hom[(pair(x, y), pair(x2, y2))] = base.tensor_obj(
                 i + 1, a.hom[(x, x2)], b.hom[(y, y2)])
-    for (x, y), (x2, y2), (x3, y3) in iproduct(
-            iproduct(aobj, bobj), repeat=3):
-        eta = base.interchange_mor(1, i + 1,
-                                   a.hom[(x2, x3)], b.hom[(y2, y3)],
-                                   a.hom[(x, x2)], b.hom[(y, y2)])
-        both = base.tensor_mor(i + 1, a.comp[(x, x2, x3)], b.comp[(y, y2, y3)])
-        comp[(pair(x, y), pair(x2, y2), pair(x3, y3))] = compose(cat, both, eta)
     for (x, y) in iproduct(aobj, bobj):
         identity[pair(x, y)] = base.tensor_mor(i + 1, a.identity[x],
                                                b.identity[y])
-    return VCategory(base, objects, hom, comp, identity)
+
+    def build_comp():
+        cat = base.base
+        acomp, bcomp = _plain(a.comp), _plain(b.comp)
+        comp = {}
+        for (x, y), (x2, y2), (x3, y3) in iproduct(
+                iproduct(aobj, bobj), repeat=3):
+            eta = base.interchange_mor(1, i + 1,
+                                       a.hom[(x2, x3)], b.hom[(y2, y3)],
+                                       a.hom[(x, x2)], b.hom[(y, y2)])
+            both = base.tensor_mor(i + 1, acomp[(x, x2, x3)],
+                                   bcomp[(y, y2, y3)])
+            comp[(pair(x, y), pair(x2, y2), pair(x3, y3))] = \
+                compose(cat, both, eta)
+        return comp
+    return VCategory(base, objects, hom, LazyTable(build_comp), identity)
 
 
 def product_vfunctor(i: int, t: VFunctor, s: VFunctor) -> VFunctor:

@@ -245,18 +245,46 @@ NON_LISTS = st.one_of(SCALARS, st.text(max_size=2), STRING_OBJECTS)
 NON_OBJECTS = st.one_of(SCALARS, st.text(max_size=2), STRING_LISTS)
 
 
+def _shaped_fields(doc):
+    """Paths to every field that must be a list of names (object sets) or an
+    object (name maps, base tensor sections, pasting name groups)."""
+    lists = [("base", "objects"), ("base", "morphisms")] + [
+        (section, name, "objects")
+        for section in ("vcategories", "v2categories") for name in doc[section]]
+    objects = [("base", kind) for kind in
+               ("dom", "cod", "identity", "tensor_obj", "tensor_mor", "assoc",
+                "interchange")]
+    objects += [(section, name, kind)
+                for section, kind in (("vcategories", "identity"),
+                                      ("vfunctors", "obj_map"),
+                                      ("vnats", "components"),
+                                      ("v2functors", "obj_map"),
+                                      ("modifications", "components"),
+                                      ("pastings", "functors"),
+                                      ("pastings", "nats"),
+                                      ("pastings", "modifications"))
+                for name in doc[section]]
+    return lists, objects
+
+
 @given(data=st.data())
 def test_non_string_cell_or_name_exits_two(corpus_dir, data):
-    # One table cell or structure name becomes null, a number, a list or an
-    # object; or a whole row table becomes a non-list; or a whole named
-    # entry or section becomes a non-object: check reports a parse error,
-    # never a traceback.
+    # One table cell, name-map value or structure name becomes null, a
+    # number, a list or an object; or a whole row table or object set becomes a non-list; or a
+    # whole named entry, section or name map becomes a non-object: check
+    # reports a parse error, never a traceback.
     doc = json.loads((corpus_dir / "bool2.json").read_text())
+    lists, objects = _shaped_fields(doc)
+    map_values = [(*path, key) for path in objects
+                  if path[-1] in ("dom", "cod", "identity", "obj_map",
+                                  "components")
+                  for key in _at(doc, path)]
     path, value = data.draw(st.one_of(
-        st.tuples(st.sampled_from(_table_cells(doc) + _name_refs(doc)),
-                  NON_STRINGS),
-        st.tuples(st.sampled_from(_row_tables(doc)), NON_LISTS),
-        st.tuples(st.sampled_from(_entries_and_sections(doc)), NON_OBJECTS)))
+        st.tuples(st.sampled_from(_table_cells(doc) + _name_refs(doc)
+                                  + map_values), NON_STRINGS),
+        st.tuples(st.sampled_from(_row_tables(doc) + lists), NON_LISTS),
+        st.tuples(st.sampled_from(_entries_and_sections(doc) + objects),
+                  NON_OBJECTS)))
     _at(doc, path[:-1])[path[-1]] = value
     mutated = corpus_dir / "non-string.json"
     mutated.write_text(json.dumps(doc))
@@ -270,7 +298,11 @@ def test_non_string_cell_or_name_exits_two(corpus_dir, data):
 
 
 @pytest.mark.parametrize("path", [("vcategories", "P", "hom"),
-                                  ("vcategories", "P"), ("vcategories",)])
+                                  ("vcategories", "P"), ("vcategories",),
+                                  ("vcategories", "P", "objects"),
+                                  ("vcategories", "P", "identity"),
+                                  ("pastings", "pasting1", "functors"),
+                                  ("base", "tensor_obj")])
 def test_non_list_table_or_non_object_entry_exits_two(corpus_dir, tmp_path,
                                                       capsys, path):
     doc = json.loads((corpus_dir / "bool2.json").read_text())
@@ -278,7 +310,7 @@ def test_non_list_table_or_non_object_entry_exits_two(corpus_dir, tmp_path,
     mutated = tmp_path / "shape.json"
     mutated.write_text(json.dumps(doc))
     assert main(["check", str(mutated)]) == 2
-    assert capsys.readouterr().err.startswith("error: vcategories")
+    assert capsys.readouterr().err.startswith(f"error: {path[0]}")
 
 
 # One call per construction on the corpus: document, inputs, options, and
@@ -356,6 +388,58 @@ def test_wrong_input_count_exits_two(corpus_dir, tmp_path, capsys,
     assert err == (f"error: bad arguments: {construction} takes {takes} "
                    f"inputs, got {len(inputs or [])}\n")
     assert not out.exists()
+
+
+def test_construct_refuses_to_replace_a_named_input(corpus_dir, tmp_path,
+                                                    capsys):
+    # collapse_P names P as its source, so P cannot be replaced.
+    out = tmp_path / "x.json"
+    assert main(["construct", str(corpus_dir / "bool2.json"), "product-vcat",
+                 "--inputs", "P", "P", "--name", "P", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: filing under 'P' would replace the vcategory that "
+        "vfunctors.collapse_P.source names\n")
+    assert not out.exists()
+    # The same holds for the name a new frame slot is filed under: S names
+    # R.source, and the product of T with itself needs a new R.source.
+    steps = [("product-vfunctor", ["id_P", "collapse_P"], "R"),
+             ("identity-vfunctor", ["R.source"], "S"),
+             ("identity-vfunctor", ["P3"], "T")]
+    doc = corpus_dir / "bool2.json"
+    for k, (construction, inputs, name) in enumerate(steps):
+        step = tmp_path / f"step{k}.json"
+        assert main(["construct", str(doc), construction, "--inputs", *inputs,
+                     "--name", name, "--out", str(step)]) == 0
+        doc = step
+    assert main(["construct", str(doc), "product-vfunctor", "--inputs", "T",
+                 "T", "--name", "R", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: filing under 'R.source' would replace the vcategory that ")
+    assert not out.exists()
+
+
+def test_construct_on_an_incomplete_input_exits_two(corpus_dir, tmp_path,
+                                                   capsys):
+    # The product reads its factors' composition tables only when its own is
+    # first read, so the input check is what reports the missing entry.
+    doc = json.loads((corpus_dir / "bool2.json").read_text())
+    _drop_key(doc["vcategories"]["P"]["comp"], ["b", "b", "b"])
+    broken = tmp_path / "incomplete.json"
+    broken.write_text(json.dumps(doc))
+    out = tmp_path / "x.json"
+    message = "error: composition entry ('b', 'b', 'b') missing or unknown\n"
+    assert main(["construct", str(broken), "product-vcat",
+                 "--inputs", "P", "P", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    assert main(["check", str(broken)]) == 2
+    assert capsys.readouterr().err == message
+
+
+def _drop_key(rows, key):
+    kept = [row for row in rows if row[:-1] != key]
+    assert len(kept) == len(rows) - 1
+    rows[:] = kept
 
 
 def test_readme_lists_every_construction():

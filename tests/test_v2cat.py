@@ -420,6 +420,13 @@ def test_product_v2cat(bool3, zmod3, xor_x2):
     key = (pair("*", "*"), pair("*", "*"))
     assert prod.hom[key] == product_vcat(2, w3.hom[("*", "*")],
                                          w3.hom[("*", "*")])
+    # The pentagon only compares its two 64-object frames by identity, so
+    # their composition tables are never built.
+    h = prod.hom[key]
+    for frame in (product_vcat(1, product_vcat(1, h, h), h),
+                  product_vcat(1, h, product_vcat(1, h, h))):
+        assert len(frame.objects) == 64
+        assert frame.comp._table is None
     prodx = product_v2cat(1, xor_x2, xor_x2)
     assert check_v2category(prodx).ok
 

@@ -1,3 +1,5 @@
+from itertools import product as iproduct
+
 import pytest
 
 from enrichkit.errors import (
@@ -11,6 +13,7 @@ from enrichkit.instances import (
     preorder_vcat,
     unique_morphism,
 )
+from enrichkit.serialize import Tower, dumps
 from enrichkit.vcat import (
     VCategory,
     VFunctor,
@@ -130,14 +133,35 @@ def test_product_hom_table(preorder_p):
 def test_product_composition_is_thin_morphism(preorder_p):
     pp = product_vcat(1, preorder_p, preorder_p)
     cat = preorder_p.base.base
+    expected = {
+        key: thin_morphism(
+            cat,
+            preorder_p.base.tensor_obj(1, pp.hom[key[1:]],
+                                       pp.hom[(key[0], key[1])]),
+            pp.hom[(key[0], key[2])])
+        for key in iproduct(sorted(pp.objects), repeat=3)}
+    assert dict(pp.comp) == expected
+    assert pp.comp == expected and expected == pp.comp
+    assert not pp.comp != expected
+
+
+def test_product_composition_table_is_read_only(preorder_p):
+    pp = product_vcat(1, preorder_p, preorder_p)
     key = (pair("a", "a"), pair("a", "b"), pair("b", "b"))
-    got = pp.comp[key]
-    expected = thin_morphism(
-        cat,
-        preorder_p.base.tensor_obj(1, pp.hom[key[1:]],
-                                   pp.hom[(key[0], key[1])]),
-        pp.hom[(key[0], key[2])])
-    assert got == expected
+    with pytest.raises(TypeError):
+        pp.comp[key] = pp.comp[key]
+
+
+def test_product_save_is_the_same_before_and_after_the_build(bool2):
+    p = preorder_vcat(bool2, ["a", "b"], {("a", "a"), ("a", "b"), ("b", "b")})
+    pp = product_vcat(1, p, p)
+    tower = Tower(bool2, vcategories={"P": p, "PP": pp})
+    assert pp.comp._table is None
+    first = dumps(tower)
+    assert pp.comp._table is not None
+    assert dumps(tower) == first
+    plain = VCategory(pp.base, pp.objects, pp.hom, dict(pp.comp), pp.identity)
+    assert dumps(Tower(bool2, vcategories={"P": p, "PP": plain})) == first
 
 
 def test_product_strict_unit_relabel(preorder_p, cocycle_d):
