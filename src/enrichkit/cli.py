@@ -510,6 +510,18 @@ def _run_fuzz(args) -> int:
     return 1 if failed else 0
 
 
+def _count(text: str) -> int:
+    """A count argument: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="enrichkit",
@@ -522,7 +534,7 @@ def main(argv=None) -> int:
     p_check.add_argument("--all-witnesses", action="store_true")
     p_check.add_argument("--machine", action="store_true")
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--fuzz", type=int, default=0,
+    p_check.add_argument("--fuzz", type=_count, default=0,
                          help="append N generated instance checks")
 
     p_con = sub.add_parser("construct", help="run a named construction")
@@ -542,7 +554,7 @@ def main(argv=None) -> int:
     p_fuzz = sub.add_parser("fuzz", help="generate and check random instances")
     p_fuzz.add_argument("--level", required=True,
                         choices=LEVELS[1:])
-    p_fuzz.add_argument("--count", type=int, default=1)
+    p_fuzz.add_argument("--count", type=_count, default=1)
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("--base", default="bool2")
 

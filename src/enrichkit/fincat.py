@@ -8,9 +8,10 @@ the higher layers eventually folds both legs down to morphism ids here and
 compares them for equality.
 
 Checkers state each diagram family as equations between legs of lifted
-table lookups (``report.lift``), evaluated a column of instances at a time
-by ``report.equations``; an undefined composite propagates as ``None`` and
-fails its equation.
+table lookups (``report.lift``), evaluated a block of instances at a time
+by ``report.equations`` (product domains, declared by their axes) or
+``report.row_equations`` (filtered rows); an undefined composite propagates
+as ``None`` and fails its equation.
 """
 from __future__ import annotations
 
@@ -25,7 +26,8 @@ from .errors import (
     UnknownMorphism,
     UnknownObject,
 )
-from .report import CheckReport, ReportBuilder, equations, lift
+from .report import (CheckReport, ReportBuilder, each_row, equations, lift,
+                     row_equations)
 
 ObjId = str
 MorId = str
@@ -169,10 +171,9 @@ def check_category(cat: FinCategory, *,
         return [(comp(h, comp(g, f)), comp(comp(h, g), f))]
 
     b = ReportBuilder(all_witnesses)
-    b.family("identity-boundary",
-             *equations(product(objs), identity_boundary))
-    b.family("composition-defined", product(mors, repeat=2),
-             composition_defined)
+    b.family("identity-boundary", *equations([objs], identity_boundary))
+    b.family("composition-defined",
+             *each_row(product(mors, repeat=2), composition_defined))
     # mors is sorted, so the nested loops already run in lexicographic order.
     triples = ((h, g, f)
                for h in mors for g in mors for f in mors
@@ -184,7 +185,7 @@ def check_category(cat: FinCategory, *,
             ("unit-right", ((f, cat.identity[cat.dom[f]]) for f in mors),
              unit_right),
             ("associativity", triples, associativity)):
-        b.family(name, *equations(rows, legs))
+        b.family(name, *row_equations(rows, legs))
     return b.report()
 
 
@@ -224,11 +225,12 @@ def check_functor(fun: FinFunctor, *,
         return [(mor(src_comp(g, f)), tgt_comp(mor(g), mor(f)))]
 
     b = ReportBuilder(all_witnesses)
-    for name, rows, legs in (
-            ("functor-boundary", product(sorted(src.morphisms)), boundary),
-            ("functor-identity", product(sorted(src.objects)), identities),
-            ("functor-composition", src.composable_pairs(), composites)):
-        b.family(name, *equations(rows, legs))
+    for name, (blocks, check) in (
+            ("functor-boundary", equations([sorted(src.morphisms)], boundary)),
+            ("functor-identity", equations([sorted(src.objects)], identities)),
+            ("functor-composition",
+             row_equations(src.composable_pairs(), composites))):
+        b.family(name, blocks, check)
     return b.report()
 
 
@@ -262,10 +264,10 @@ def check_natural(nat: FinNatTransform, *,
                  comp(component(src_cod(f)), F_mor(f)))]
 
     b = ReportBuilder(all_witnesses)
-    for name, rows, legs in (
-            ("component-boundary", product(sorted(src.objects)), boundary),
-            ("naturality", product(sorted(src.morphisms)), square)):
-        b.family(name, *equations(rows, legs))
+    for name, axis, legs in (
+            ("component-boundary", sorted(src.objects), boundary),
+            ("naturality", sorted(src.morphisms), square)):
+        b.family(name, *equations([axis], legs))
     return b.report()
 
 

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .fincat import FinCategory
 from .kfold import KFoldMonoidal, LiftedTables, check_kfold
-from .report import CheckReport, ReportBuilder, equations, lift
+from .report import CheckReport, ReportBuilder, const, equations, lift
 from .vcat import (
     VCategory,
     VFunctor,
@@ -101,6 +101,7 @@ def _symmetric_problems(sym: SymmetricMonoidal) -> CheckReport:
     to, tm, al = cols.to[1], cols.tm[1], cols.al[1]
     c = lift(sym.symmetry)
     inverse_missing = _invert_components(cat, sym.assoc) is None
+    no_inverse, undefined = const("<no associator inverse>"), const(None)
 
     def c_boundary(a, y):
         m = c(a, y)
@@ -115,18 +116,18 @@ def _symmetric_problems(sym: SymmetricMonoidal) -> CheckReport:
 
     def c_hexagon(a, y, z):
         if inverse_missing:
-            return [(["<no associator inverse>"] * len(a), [None] * len(a))]
+            return [(no_inverse, undefined)]
         return [(comp(al(y, z, a), comp(c(a, to(y, z)), al(a, y, z))),
                  comp(tm(idm(y), c(a, z)),
                       comp(al(y, a, z), tm(c(a, y), idm(z)))))]
 
     b = ReportBuilder(all_witnesses=True)
-    for name, rows, legs in (
-            ("symmetry-boundary", product(objs, repeat=2), c_boundary),
-            ("symmetry-involution", product(objs, repeat=2), c_involution),
-            ("symmetry-naturality", product(mors, repeat=2), c_natural),
-            ("symmetry-hexagon", product(objs, repeat=3), c_hexagon)):
-        b.family(name, *equations(rows, legs))
+    for name, axes, legs in (
+            ("symmetry-boundary", [objs] * 2, c_boundary),
+            ("symmetry-involution", [objs] * 2, c_involution),
+            ("symmetry-naturality", [mors] * 2, c_natural),
+            ("symmetry-hexagon", [objs] * 3, c_hexagon)):
+        b.family(name, *equations(axes, legs))
 
     out = b.report()
     out.merge(rep, prefix="monoidal:")

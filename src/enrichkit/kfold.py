@@ -13,9 +13,10 @@ diagram over every instantiating tuple of objects and morphisms:
   * the hexagonal condition for every index triple i < j < k (reported as a
     vacuous family when fewer than three tensors exist).
 
-Each family is declared once, as a name, a row domain and a legs function
-over the structure's tables in column form (``LiftedTables``), and
-``report.equations`` evaluates it a chunk of rows at a time.
+Each family is declared once, as a name, the axes of its product row
+domain and a legs function over the structure's tables in column form
+(``LiftedTables``), and ``report.equations`` evaluates it a block of rows at
+a time, each lookup only over the row positions it reads.
 
 Associator components are additionally probed for invertibility; a
 non-invertible component is reported as a warning, not a failure, because
@@ -28,7 +29,7 @@ from itertools import combinations, product
 
 from .errors import IndexOutOfRange, MalformedTable, UnknownMorphism, UnknownObject
 from .fincat import FinCategory, check_category
-from .report import CheckReport, ReportBuilder, equations, lift
+from .report import CheckReport, ReportBuilder, const, equations, lift
 
 
 @dataclass
@@ -134,10 +135,12 @@ def _require_tables(v: KFoldMonoidal) -> None:
 
 def _tensor_diagrams(t: LiftedTables, i: int, cat: FinCategory, unit: str,
                      objs: list, mors: list) -> list:
-    """(name, rows, legs) of every diagram of tensor i and its associator."""
+    """(name, axes, legs) of every diagram of tensor i and its associator."""
     comp, dom, cod, idm = t.comp, t.dom, t.cod, t.idm
     to, tm, al = t.to[i], t.tm[i], t.al[i]
-    e = cat.identity[unit]
+    units, ids = const(unit), const(cat.identity[unit])
+    pairs = cat.composable_pairs()
+    first, second = (lift({p: p[n] for p in pairs}) for n in (0, 1))
 
     def identity(a, y):
         return [(tm(idm(a), idm(y)), idm(to(a, y)))]
@@ -147,16 +150,14 @@ def _tensor_diagrams(t: LiftedTables, i: int, cat: FinCategory, unit: str,
         return [(dom(fg), to(dom(f), dom(g))), (cod(fg), to(cod(f), cod(g)))]
 
     def composition(fs, gs):
-        (f2, f1), (g2, g1) = zip(*fs), zip(*gs)
+        f2, f1, g2, g1 = first(fs), second(fs), first(gs), second(gs)
         return [(tm(comp(f2, f1), comp(g2, g1)),
                  comp(tm(f2, g2), tm(f1, g1)))]
 
     def unit_object(a):
-        units = [unit] * len(a)
         return [(to(a, units), a), (to(units, a), a)]
 
     def unit_morphism(f):
-        ids = [e] * len(f)
         return [(tm(f, ids), f), (tm(ids, f), f)]
 
     def assoc_boundary(a, y, z):
@@ -173,27 +174,26 @@ def _tensor_diagrams(t: LiftedTables, i: int, cat: FinCategory, unit: str,
         bot = comp(al(a, y, to(z, w)), al(to(a, y), z, w))
         return [(top, bot)]
 
-    pairs = cat.composable_pairs()
     return [
-        (f"tensor-identity[{i}]", product(objs, repeat=2), identity),
-        (f"tensor-boundary[{i}]", product(mors, repeat=2), boundary),
-        (f"tensor-composition[{i}]", product(pairs, repeat=2), composition),
-        (f"unit-strict-object[{i}]", product(objs), unit_object),
-        (f"unit-strict-morphism[{i}]", product(mors), unit_morphism),
-        (f"associator-boundary[{i}]", product(objs, repeat=3), assoc_boundary),
-        (f"associator-naturality[{i}]", product(mors, repeat=3),
-         assoc_naturality),
-        (f"pentagon[{i}]", product(objs, repeat=4), pentagon),
+        (f"tensor-identity[{i}]", [objs] * 2, identity),
+        (f"tensor-boundary[{i}]", [mors] * 2, boundary),
+        (f"tensor-composition[{i}]", [pairs] * 2, composition),
+        (f"unit-strict-object[{i}]", [objs], unit_object),
+        (f"unit-strict-morphism[{i}]", [mors], unit_morphism),
+        (f"associator-boundary[{i}]", [objs] * 3, assoc_boundary),
+        (f"associator-naturality[{i}]", [mors] * 3, assoc_naturality),
+        (f"pentagon[{i}]", [objs] * 4, pentagon),
     ]
 
 
 def _interchange_diagrams(t: LiftedTables, i: int, j: int, unit: str,
                           objs: list, mors: list) -> list:
-    """(name, rows, legs) of every diagram of the interchange eta_ij."""
+    """(name, axes, legs) of every diagram of the interchange eta_ij."""
     comp, dom, cod, idm = t.comp, t.dom, t.cod, t.idm
     to_i, tm_i, al_i = t.to[i], t.tm[i], t.al[i]
     to_j, tm_j, al_j = t.to[j], t.tm[j], t.al[j]
     eta = t.eta[(i, j)]
+    units = const(unit)
 
     def boundary(a, y, c, d):
         m = eta(a, y, c, d)
@@ -201,13 +201,11 @@ def _interchange_diagrams(t: LiftedTables, i: int, j: int, unit: str,
                 (cod(m), to_j(to_i(a, c), to_i(y, d)))]
 
     def internal_unit(a, y):
-        units = [unit] * len(a)
         want = idm(to_j(a, y))
         return [(eta(a, y, units, units), want),
                 (eta(units, units, a, y), want)]
 
     def external_unit(a, y):
-        units = [unit] * len(a)
         want = idm(to_i(a, y))
         return [(eta(a, units, y, units), want),
                 (eta(units, a, units, y), want)]
@@ -238,17 +236,17 @@ def _interchange_diagrams(t: LiftedTables, i: int, j: int, unit: str,
 
     ij = f"[{i},{j}]"
     return [
-        (f"eta-boundary{ij}", product(objs, repeat=4), boundary),
-        (f"eta-internal-unit{ij}", product(objs, repeat=2), internal_unit),
-        (f"eta-external-unit{ij}", product(objs, repeat=2), external_unit),
-        (f"eta-naturality{ij}", product(mors, repeat=4), naturality),
-        (f"eta-internal-assoc{ij}", product(objs, repeat=6), internal_assoc),
-        (f"eta-external-assoc{ij}", product(objs, repeat=6), external_assoc),
+        (f"eta-boundary{ij}", [objs] * 4, boundary),
+        (f"eta-internal-unit{ij}", [objs] * 2, internal_unit),
+        (f"eta-external-unit{ij}", [objs] * 2, external_unit),
+        (f"eta-naturality{ij}", [mors] * 4, naturality),
+        (f"eta-internal-assoc{ij}", [objs] * 6, internal_assoc),
+        (f"eta-external-assoc{ij}", [objs] * 6, external_assoc),
     ]
 
 
 def _hexagon(t: LiftedTables, i: int, j: int, k: int, objs: list) -> tuple:
-    """(name, rows, legs) of the hexagon of the index triple i < j < k."""
+    """(name, axes, legs) of the hexagon of the index triple i < j < k."""
     comp = t.comp
     to_i, to_j, to_k = t.to[i], t.to[j], t.to[k]
     tm_i, tm_j, tm_k = t.tm[i], t.tm[j], t.tm[k]
@@ -266,7 +264,7 @@ def _hexagon(t: LiftedTables, i: int, j: int, k: int, objs: list) -> tuple:
                                  to_k(c, c2), to_k(d, d2))))
         return [(left, right)]
 
-    return f"hexagon[{i},{j},{k}]", product(objs, repeat=8), legs
+    return f"hexagon[{i},{j},{k}]", [objs] * 8, legs
 
 
 def check_kfold(v: KFoldMonoidal, *,
@@ -292,8 +290,8 @@ def check_kfold(v: KFoldMonoidal, *,
         diagrams += _interchange_diagrams(t, i, j, v.unit, objs, mors)
     diagrams += [_hexagon(t, i, j, k, objs)
                  for i, j, k in combinations(indices, 3)]
-    for name, rows, legs in diagrams:
-        b.family(name, *equations(rows, legs))
+    for name, axes, legs in diagrams:
+        b.family(name, *equations(axes, legs))
     if v.n < 3:
         b.vacuous("hexagon")
 

@@ -8,10 +8,18 @@ are rendered as "<undefined>".
 
 Most diagrams are equations between two legs of table lookups.  A checker
 states such a family as a row domain (tuples of ids in lexicographic order)
-and a legs function over columns: ``lift`` turns each lookup table into a
-function from key columns to a value column, and ``equations`` evaluates the
-legs a chunk of rows at a time and hands the rows and their verdicts to
-``ReportBuilder.family``.
+and a legs function over columns.  A product domain is declared by its
+axes, one list of ids per row position (``equations``); any other row
+iterable is one axis (``row_equations``).  A column carries the axes it
+depends on: ``lift`` turns a lookup table into a function from key columns
+to a value column over the union of their axes, so a lookup runs once per
+point of that product only, and ``const`` is a column on no axis.  The legs
+run once per block, the product of the trailing axes with the fewest
+leading axes fixed so that it holds at most ``CHUNK`` rows.  A block whose
+equations all hold is counted whole by ``ReportBuilder.family``; only a
+failing block is walked row by row, for each failing row's first failing
+equation.  ``each_row`` gives the families checked one row at a time the
+same ``family`` loop, as blocks of one row.
 
 ``_memo(obj, key, build)`` is the one memo: it keeps ``build()`` in a dict on
 ``obj`` and returns it on every later call with that key.  Checker reports,
@@ -21,10 +29,11 @@ structures are immutable once constructed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice, product, repeat
+from operator import mul
 
-# Rows evaluated per call of a family's legs function.
-CHUNK = 4096
+# Rows a block holds at most.
+CHUNK = 1 << 15
 
 
 def _fmt(value) -> str:
@@ -80,30 +89,36 @@ class CheckReport:
 class ReportBuilder:
     """Accumulates one report, one diagram family at a time.
 
-    Enumeration is deterministic: callers hand over instances, as any
-    iterable, in lexicographic order.  Each family is one sequential pass
-    that pulls instances as it evaluates them.  With ``all_witnesses=False``
-    it stops at the first failure and pulls nothing further.
+    Enumeration is deterministic: callers hand over blocks of instances, as
+    any iterable, in lexicographic order.  Each family is one sequential pass
+    that pulls blocks as it evaluates them and counts a passing block whole.
+    With ``all_witnesses=False`` it stops at the first failure and pulls no
+    further block.
     """
 
     def __init__(self, all_witnesses: bool = False):
         self.all_witnesses = all_witnesses
         self._report = CheckReport()
 
-    def family(self, name: str, instances, check) -> None:
-        """Evaluate ``check(instance) -> None | (lhs, rhs)`` over a family.
+    def family(self, name: str, blocks, check) -> None:
+        """Evaluate a diagram family a block of instances at a time.
 
-        Records the number of instances evaluated: all of them, or up to and
-        including the first failing one when the scan stops early.
+        ``check(block)`` returns ``(n, failures)``: the block's number of
+        instances and ``(k, instance, lhs, rhs)`` for each failing one, in
+        order, ``k`` its offset in the block.  Records the number of
+        instances evaluated: all of them, or up to and including the first
+        failing one when the scan stops early.
         """
         count = 0
-        for count, inst in enumerate(instances, 1):
-            res = check(inst)
-            if res is not None:
+        for block in blocks:
+            n, failures = check(block)
+            for k, inst, lhs, rhs in failures:
                 self._report.witnesses.append(
-                    Witness(name, tuple(inst), _fmt(res[0]), _fmt(res[1])))
+                    Witness(name, tuple(inst), _fmt(lhs), _fmt(rhs)))
                 if not self.all_witnesses:
-                    break
+                    self._report.families[name] = count + k + 1
+                    return
+            count += n
         self._report.families[name] = count
 
     def vacuous(self, name: str) -> None:
@@ -120,60 +135,167 @@ class ReportBuilder:
         return self._report
 
 
+def const(value):
+    """An axis-free column: ``value`` in every row of every block."""
+    return _Column((), [value])
+
+
 def lift(table):
     """The column form of a lookup table.
 
-    ``lift(table)(*key_columns)`` is the list of ``table.get(key)`` for the
+    ``lift(table)(*key_columns)`` is the column of ``table.get(key)`` for the
     keys read across the columns row by row; a table keyed by single ids
-    takes one column.  A key that is missing or holds a ``None`` yields
-    ``None``, so an undefined composite stays undefined through every lookup
-    that uses it.  Columns are lists or tuples of one length.
+    takes one column.  The result depends on the union of the arguments'
+    axes, and ``table.get`` runs once per point of their product only: a
+    narrower argument is widened by repetition.  A key that is missing or
+    holds a ``None`` yields ``None``, so an undefined composite stays
+    undefined through every lookup that uses it.
     """
     get = table.get
 
     def column(*key_columns):
-        keys = zip(*key_columns) if len(key_columns) > 1 else key_columns[0]
-        return list(map(get, keys))
+        if len(key_columns) == 1:
+            col, = key_columns
+            return _Column(col.axes, list(map(get, col.values)))
+        # Arguments on disjoint axes in increasing order, the common case,
+        # are keyed by their product; any others are widened and zipped.
+        axes = ()
+        for col in key_columns:
+            if col.axes:
+                if axes and axes[-1] >= col.axes[0]:
+                    break
+                axes += col.axes
+        else:
+            keys = product(*[col.values for col in key_columns])
+            return _Column(axes, list(map(get, keys)))
+        axes = _union(key_columns)
+        keys = zip(*[_widen(col, axes) for col in key_columns])
+        return _Column(axes, list(map(get, keys)))
     return column
 
 
-def equations(rows, legs):
-    """The ``(instances, check)`` arguments of ``ReportBuilder.family`` for a
-    family of equations.
+def equations(axes, legs):
+    """The ``(blocks, check)`` arguments of ``ReportBuilder.family`` for a
+    family of equations over the product of ``axes``.
 
-    ``legs(*columns)`` gets a chunk of rows as one column per row position
-    and returns the family's equations in order, each a pair of columns
-    (lhs, rhs).  A row fails at its first equation whose lhs is ``None`` or
-    differs from its rhs, and that equation's pair is its witness.  Rows are
-    pulled ``CHUNK`` at a time, so a family is never held whole.
+    Row ``(v0, v1, ...)`` takes ``v0`` from ``axes[0]`` and so on, and rows
+    run in the product's lexicographic order.  ``legs(*columns)`` gets one
+    column per row position and returns the family's equations in order,
+    each a pair of columns (lhs, rhs).  A row fails at its first equation
+    whose lhs is ``None`` or differs from its rhs, and that equation's pair
+    is its witness.
+
+    A block is the product of the trailing axes with the fewest leading
+    axes fixed so that it holds at most ``CHUNK`` rows; ``legs`` runs once
+    per block, with a fixed axis as an axis-free column.
     """
-    verdict = [None]
+    axes = [list(axis) for axis in axes]
+    lead, n = len(axes), 1
+    while lead and n * len(axes[lead - 1]) <= CHUNK:
+        lead -= 1
+        n *= len(axes[lead])
+    free = tuple((i, len(axes[i])) for i in range(lead, len(axes)))
+    trailing = [_Column((axis,), axes[axis[0]]) for axis in free]
 
-    def instances():
+    def check(prefix):
+        def row(k):
+            tail = []
+            for i, size in reversed(free):
+                k, j = divmod(k, size)
+                tail.append(axes[i][j])
+            return prefix + tuple(reversed(tail))
+        columns = [_Column((), [v]) for v in prefix] + trailing
+        return n, _failures(legs(*columns), free, row)
+    return product(*axes[:lead]), check
+
+
+def row_equations(rows, legs):
+    """``equations`` over a row iterable that is no product, as one axis.
+
+    Rows are tuples in the order the family scans them, pulled ``CHUNK`` at
+    a time, so a family is never held whole; position ``p``'s column holds
+    each row's ``p``-th id.
+    """
+    def blocks():
         it = iter(rows)
         while chunk := list(islice(it, CHUNK)):
-            failures = _first_failures(len(chunk), legs(*zip(*chunk)))
-            if not failures:
-                verdict[0] = None
-                yield from chunk
-                continue
-            for k, row in enumerate(chunk):
-                verdict[0] = failures.get(k)
-                yield row
+            yield chunk
 
-    # family calls check on each row right after pulling it.
-    return instances(), lambda row: verdict[0]
+    def check(chunk):
+        axes = ((0, len(chunk)),)
+        columns = [_Column(axes, list(col)) for col in zip(*chunk)]
+        return len(chunk), _failures(legs(*columns), axes, chunk.__getitem__)
+    return blocks(), check
 
 
-def _first_failures(n: int, eqs) -> dict:
-    """Row index -> (lhs, rhs) of the row's first failing equation."""
-    failed = {}
+def each_row(rows, check):
+    """The ``(blocks, check)`` arguments of ``ReportBuilder.family`` for a
+    family checked one row at a time by ``check(row) -> None | (lhs, rhs)``:
+    each row is a block of one."""
+    def one(row):
+        res = check(row)
+        return 1, () if res is None else ((0, row, *res),)
+    return rows, one
+
+
+class _Column:
+    """A column of a block: its values over the product of ``axes``.
+
+    ``axes`` is the sorted tuple of the ``(axis, size)`` pairs the values
+    depend on, and ``values`` lists them in row-major order, so an
+    axis-free column holds one value.
+    """
+    __slots__ = ("axes", "values")
+
+    def __init__(self, axes, values):
+        self.axes, self.values = axes, values
+
+
+def _union(columns) -> tuple:
+    return tuple(sorted(set().union(*(col.axes for col in columns))))
+
+
+def _widen(col, axes) -> list:
+    """``col``'s values over ``axes``, a superset of its own axes."""
+    values = col.values
+    if col.axes == axes:
+        return values
+    # Adjacent missing axes are inserted as one, of their product's size.
+    inner = n = 1
+    for axis in reversed(axes):
+        if axis in col.axes:
+            if n != 1:
+                values, inner, n = _repeat(values, inner, n), inner * n, 1
+            inner *= axis[1]
+        else:
+            n *= axis[1]
+    return values if n == 1 else _repeat(values, inner, n)
+
+
+def _repeat(values: list, inner: int, n: int) -> list:
+    """``values`` with each run of ``inner`` entries repeated ``n`` times."""
+    runs = zip(*[iter(values)] * inner)
+    return list(chain.from_iterable(map(mul, runs, repeat(n))))
+
+
+def _failures(eqs, axes, row):
+    """``(k, row(k), lhs, rhs)`` for each failing row ``k`` of a block over
+    ``axes``, in order, with its first failing equation; ``()`` when the
+    whole block passes."""
+    failing = []
     for lhs, rhs in eqs:
-        bad = [(k, l, r) for k, l, r in zip(range(n), lhs, rhs, strict=True)
-               if l is None or l != r]
-        for k, l, r in bad:
-            failed.setdefault(k, (l, r))
-    return failed
+        both = lhs.axes if lhs.axes == rhs.axes else _union((lhs, rhs))
+        left = _widen(lhs, both)
+        if None in left or left != _widen(rhs, both):
+            failing.append((lhs, rhs))
+    if not failing:
+        return ()
+    first = {}
+    for lhs, rhs in failing:
+        for k, (l, r) in enumerate(zip(_widen(lhs, axes), _widen(rhs, axes))):
+            if l is None or l != r:
+                first.setdefault(k, (l, r))
+    return [(k, row(k), *first[k]) for k in sorted(first)]
 
 
 def _memo(obj, key, build):

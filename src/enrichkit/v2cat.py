@@ -35,7 +35,7 @@ from .errors import (
 )
 from .fincat import compose
 from .kfold import KFoldMonoidal, check_kfold
-from .report import CheckReport, ReportBuilder, cached_report
+from .report import CheckReport, ReportBuilder, cached_report, each_row
 from .vcat import (
     VFunctor,
     assoc_vcat,
@@ -198,7 +198,8 @@ def check_v2category(u: V2Category, *,
         if m2.target != u.hom[(x, z)]:
             return "target", f"expected hom({x},{z})"
         return None
-    b.family("composition-functor-shape", iproduct(objs, repeat=3), comp_shape)
+    b.family("composition-functor-shape",
+             *each_row(iproduct(objs, repeat=3), comp_shape))
 
     def ident_shape(row):
         a, = row
@@ -208,7 +209,8 @@ def check_v2category(u: V2Category, *,
         if j2.target != u.hom[(a, a)]:
             return "target", f"expected hom({a},{a})"
         return None
-    b.family("identity-functor-shape", iproduct(objs), ident_shape)
+    b.family("identity-functor-shape",
+             *each_row(iproduct(objs), ident_shape))
 
     if not b.report().ok:
         return b.report()
@@ -240,7 +242,7 @@ def check_v2category(u: V2Category, *,
                 assoc_vcat(1, u.hom[(z, w)], u.hom[(y, z)], u.hom[(x, y)])))
         return _witness(_diff_vfunctor(lhs, rhs))
 
-    b.family("pentagon", iproduct(objs, repeat=4), pentagon)
+    b.family("pentagon", *each_row(iproduct(objs, repeat=4), pentagon))
 
     def unit_left(xy):
         x, y = xy
@@ -250,7 +252,7 @@ def check_v2category(u: V2Category, *,
                              identity_vfunctor(u.hom[(x, y)])))
         rhs = unit_relabel_left(1, u.hom[(x, y)])
         return _witness(_diff_vfunctor(lhs, rhs))
-    b.family("unit-left", iproduct(objs, repeat=2), unit_left)
+    b.family("unit-left", *each_row(iproduct(objs, repeat=2), unit_left))
 
     def unit_right(xy):
         x, y = xy
@@ -260,7 +262,7 @@ def check_v2category(u: V2Category, *,
                              u.identity[x]))
         rhs = unit_relabel_right(1, u.hom[(x, y)])
         return _witness(_diff_vfunctor(lhs, rhs))
-    b.family("unit-right", iproduct(objs, repeat=2), unit_right)
+    b.family("unit-right", *each_row(iproduct(objs, repeat=2), unit_right))
 
     # Consequence diagrams: implied by functoriality, replayed directly as an
     # engine self-test.
@@ -291,7 +293,8 @@ def check_v2category(u: V2Category, *,
                     for hkm, fgl in iproduct(
                         iproduct(u.one_cells(tri[1], tri[2]), repeat=3),
                         iproduct(u.one_cells(tri[0], tri[1]), repeat=3)))
-    b.family("consequence-interchange", square_insts, interchange_square)
+    b.family("consequence-interchange",
+             *each_row(square_insts, interchange_square))
 
     def unit_product(inst):
         (x, y, z), g, f = inst
@@ -307,14 +310,14 @@ def check_v2category(u: V2Category, *,
                   for tri in iproduct(objs, repeat=3)
                   for g in u.one_cells(tri[1], tri[2])
                   for f in u.one_cells(tri[0], tri[1]))
-    b.family("consequence-units", unit_insts, unit_product)
+    b.family("consequence-units", *each_row(unit_insts, unit_product))
 
     def j_component(row):
         a, = row
         lhs = u.identity[a].hom_map[("0", "0")]
         rhs = u.hom[(a, a)].identity[u.unit1(a)]
         return None if lhs == rhs else (lhs, rhs)
-    b.family("consequence-identity", iproduct(objs), j_component)
+    b.family("consequence-identity", *each_row(iproduct(objs), j_component))
 
     return b.report()
 
@@ -342,7 +345,8 @@ def check_v2functor(t: V2Functor, *,
         if vf.target != tgt.hom[(t.obj_map[x], t.obj_map[y])]:
             return "target", "expected image hom"
         return None
-    b.family("hom-functor-shape", iproduct(objs, repeat=2), shape)
+    b.family("hom-functor-shape",
+             *each_row(iproduct(objs, repeat=2), shape))
     if not b.report().ok:
         return b.report()
 
@@ -362,14 +366,15 @@ def check_v2functor(t: V2Functor, *,
             tgt.comp[(t.obj_map[x], t.obj_map[y], t.obj_map[z])],
             product_vfunctor(1, t.hom_map[(y, z)], t.hom_map[(x, y)]))
         return _witness(_diff_vfunctor(lhs, rhs))
-    b.family("composition-square", iproduct(objs, repeat=3), square)
+    b.family("composition-square",
+             *each_row(iproduct(objs, repeat=3), square))
 
     def unit(row):
         a, = row
         lhs = compose_vfunctor(t.hom_map[(a, a)], src.identity[a])
         rhs = tgt.identity[t.obj_map[a]]
         return _witness(_diff_vfunctor(lhs, rhs))
-    b.family("unit-triangle", iproduct(objs), unit)
+    b.family("unit-triangle", *each_row(iproduct(objs), unit))
 
     return b.report()
 
@@ -396,7 +401,7 @@ def check_v2nat(a: V2NatTransform, *,
         if comp.target != w.hom[(t.obj_map[x], s.obj_map[x])]:
             return "target", "expected hom(Tx, Sx)"
         return None
-    b.family("component-shape", iproduct(objs), shape)
+    b.family("component-shape", *each_row(iproduct(objs), shape))
     if not b.report().ok:
         return b.report()
 
@@ -424,7 +429,7 @@ def check_v2nat(a: V2NatTransform, *,
                 product_vfunctor(1, s.hom_map[key], a.components[x]),
                 unit_intro_right(1, u.hom[key])))
         return _witness(_diff_vfunctor(lhs, rhs))
-    b.family("naturality", iproduct(objs, repeat=2), naturality)
+    b.family("naturality", *each_row(iproduct(objs, repeat=2), naturality))
 
     return b.report()
 
@@ -456,7 +461,7 @@ def check_modification(m: VModification, *,
         if cat.cod[mor] != want:
             return cat.cod[mor], want
         return None
-    b.family("component-boundary", iproduct(objs), boundary)
+    b.family("component-boundary", *each_row(iproduct(objs), boundary))
     if not b.report().ok:
         return b.report()
 
@@ -482,7 +487,7 @@ def check_modification(m: VModification, *,
     insts = (((x, y), f, g)
              for x in objs for y in objs
              for f in u.one_cells(x, y) for g in u.one_cells(x, y))
-    b.family("modification-square", insts, square)
+    b.family("modification-square", *each_row(insts, square))
 
     return b.report()
 
@@ -879,7 +884,7 @@ def exchange_suite(p: PastingInstance, *,
             except KernelError as err:
                 return f"<error: {err}>", None
             return _witness(diff(lhs, rhs))
-        b.family(name, [("pasting",)], run)
+        b.family(name, *each_row([("pasting",)], run))
 
     guard("exchange-1",
           lambda: (compose_nat_along_functor(

@@ -4,7 +4,8 @@ hom-data are objects and morphisms of an iterated monoidal base.
 Hom-objects are base object ids, never structured values, so every diagram
 at this level folds down to morphism-id equality in the base category, and
 the checkers state it as column equations over the base's lifted tables
-(``kfold.LiftedTables``) and the structure's own tables.
+(``kfold.LiftedTables``) and the structure's own tables, which
+``report.equations`` evaluates a block of object tuples at a time.
 Product object sets are literal encoded pairs with no quotienting: the
 strict unit law holds only after the canonical relabeling (a, 0) -> a,
 which relabel_vcategory makes available bit-exactly.
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .fincat import compose
 from .kfold import KFoldMonoidal, LiftedTables, check_kfold
-from .report import (CheckReport, ReportBuilder, _memo, cached_report,
+from .report import (CheckReport, ReportBuilder, _memo, cached_report, const,
                      equations, lift)
 
 
@@ -154,6 +155,7 @@ def check_vcategory(vc: VCategory, *,
     comp, dom, cod, idm = cols.comp, cols.dom, cols.cod, cols.idm
     to, tm, al = cols.to[1], cols.tm[1], cols.al[1]
     hom, vcomp, ident = lift(vc.hom), lift(vc.comp), lift(vc.identity)
+    unit = const(base.unit)
 
     def comp_boundary(x, y, z):
         m = vcomp(x, y, z)
@@ -161,7 +163,7 @@ def check_vcategory(vc: VCategory, *,
 
     def ident_boundary(a):
         m = ident(a)
-        return [(dom(m), [base.unit] * len(a)), (cod(m), hom(a, a))]
+        return [(dom(m), unit), (cod(m), hom(a, a))]
 
     def pentagon(x, y, z, w):
         hom_zw = hom(z, w)
@@ -180,13 +182,13 @@ def check_vcategory(vc: VCategory, *,
         return [(comp(vcomp(x, x, y), tm(id_xy, ident(x))), id_xy)]
 
     b = ReportBuilder(all_witnesses)
-    for name, rows, legs in (
-            ("composition-boundary", iproduct(objs, repeat=3), comp_boundary),
-            ("identity-boundary", iproduct(objs), ident_boundary),
-            ("pentagon", iproduct(objs, repeat=4), pentagon),
-            ("unit-left", iproduct(objs, repeat=2), unit_left),
-            ("unit-right", iproduct(objs, repeat=2), unit_right)):
-        b.family(name, *equations(rows, legs))
+    for name, arity, legs in (
+            ("composition-boundary", 3, comp_boundary),
+            ("identity-boundary", 1, ident_boundary),
+            ("pentagon", 4, pentagon),
+            ("unit-left", 2, unit_left),
+            ("unit-right", 2, unit_right)):
+        b.family(name, *equations([objs] * arity, legs))
     return b.report()
 
 
@@ -226,11 +228,11 @@ def check_vfunctor(vf: VFunctor, *,
         return [(comp(hom_map(a, a), src_ident(a)), tgt_ident(obj(a)))]
 
     b = ReportBuilder(all_witnesses)
-    for name, rows, legs in (
-            ("functor-boundary", iproduct(objs, repeat=2), boundary),
-            ("functor-composition", iproduct(objs, repeat=3), square),
-            ("functor-identity", iproduct(objs), unit)):
-        b.family(name, *equations(rows, legs))
+    for name, arity, legs in (
+            ("functor-boundary", 2, boundary),
+            ("functor-composition", 3, square),
+            ("functor-identity", 1, unit)):
+        b.family(name, *equations([objs] * arity, legs))
     return b.report()
 
 
@@ -255,10 +257,11 @@ def check_vnat(nat: VNatTransform, *,
     t_obj, t_hom = lift(t.obj_map), lift(t.hom_map)
     s_obj, s_hom = lift(s.obj_map), lift(s.hom_map)
     component = lift(nat.components)
+    unit = const(base.unit)
 
     def boundary(a):
         m = component(a)
-        return [(dom(m), [base.unit] * len(a)),
+        return [(dom(m), unit),
                 (cod(m), w_hom(t_obj(a), s_obj(a)))]
 
     def hexagon(x, y):
@@ -267,10 +270,10 @@ def check_vnat(nat: VNatTransform, *,
                  comp(w_comp(tx, sx, sy), tm(s_hom(x, y), component(x))))]
 
     b = ReportBuilder(all_witnesses)
-    for name, rows, legs in (
-            ("component-boundary", iproduct(objs), boundary),
-            ("naturality", iproduct(objs, repeat=2), hexagon)):
-        b.family(name, *equations(rows, legs))
+    for name, arity, legs in (
+            ("component-boundary", 1, boundary),
+            ("naturality", 2, hexagon)):
+        b.family(name, *equations([objs] * arity, legs))
     return b.report()
 
 

@@ -1,4 +1,13 @@
-from enrichkit.report import CHUNK, ReportBuilder, equations, lift
+import random
+from itertools import product
+from unittest import mock
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from enrichkit import report
+from enrichkit.report import (CHUNK, ReportBuilder, const, each_row, equations,
+                              lift, row_equations)
 
 
 def _instances(limit):
@@ -14,18 +23,21 @@ def _fails_on_odd(inst):
     return (k, "even") if k % 2 else None
 
 
+def _witnesses(rep):
+    return [(w.instance, w.lhs, w.rhs) for w in rep.witnesses]
+
+
 def test_family_stops_pulling_at_first_witness():
     b = ReportBuilder()
-    b.family("odd", _instances(limit=1), _fails_on_odd)
+    b.family("odd", *each_row(_instances(limit=1), _fails_on_odd))
     rep = b.report()
     assert rep.families["odd"] == 2
-    assert [(w.instance, w.lhs, w.rhs) for w in rep.witnesses] == \
-        [((1,), "1", "even")]
+    assert _witnesses(rep) == [((1,), "1", "even")]
 
 
 def test_family_all_witnesses_counts_every_instance_in_order():
     b = ReportBuilder(all_witnesses=True)
-    b.family("odd", _instances(limit=9), _fails_on_odd)
+    b.family("odd", *each_row(_instances(limit=9), _fails_on_odd))
     rep = b.report()
     assert rep.families["odd"] == 10
     assert [w.instance for w in rep.witnesses] == [(1,), (3,), (5,), (7,), (9,)]
@@ -33,58 +45,81 @@ def test_family_all_witnesses_counts_every_instance_in_order():
 
 def test_family_over_an_empty_iterator_records_zero():
     b = ReportBuilder()
-    b.family("empty", iter(()), _fails_on_odd)
+    b.family("empty", *each_row(iter(()), _fails_on_odd))
     assert b.report().families == {"empty": 0}
 
 
 # -- the column engine --------------------------------------------------------
 
-def _parity_legs(k):
-    """One equation per row: k's parity against "even"."""
-    return [(["odd" if n % 2 else "even" for n in k], ["even"] * len(k))]
+def _parity_legs(n):
+    """One equation per row k < n: k's parity against "even"."""
+    parity = lift({k: "odd" if k % 2 else "even" for k in range(n)})
+    even = const("even")
+    return lambda k: [(parity(k), even)]
 
 
 def test_lift_propagates_missing_keys():
     comp = lift({("g", "f"): "gf"})
-    assert comp(["g", "g", None], ["f", "x", "f"]) == ["gf", None, None]
     ident = lift({"a": "id_a"})
-    assert ident(["a", None, "b"]) == ["id_a", None, None]
+    b = ReportBuilder(all_witnesses=True)
+    b.family("comp", *equations(
+        [["g", "h"], ["f", "x"]], lambda g, f: [(comp(g, f), const("gf"))]))
+    b.family("chain", *equations(
+        [["a", "b"]], lambda a: [(comp(ident(a), const("f")), const("gf"))]))
+    rep = b.report()
+    assert rep.families == {"comp": 4, "chain": 2}
+    assert _witnesses(rep) == [
+        (("g", "x"), "<undefined>", "gf"),
+        (("h", "f"), "<undefined>", "gf"),
+        (("h", "x"), "<undefined>", "gf"),
+        (("a",), "<undefined>", "gf"),
+        (("b",), "<undefined>", "gf")]
 
 
 def test_equations_failure_in_a_later_chunk_counts_its_global_index():
-    b = ReportBuilder()
     k = CHUNK + 5
+    half = CHUNK // 2
+    index = {(i, j): i * half + j for i in range(4) for j in range(half)}
+    marked = dict(index)
+    marked[(2, 5)] = -1
+    ident = {n: n for n in range(2 * CHUNK)}
+    b = ReportBuilder()
+    # Blocks of CHUNK / 2 rows with the first axis fixed; row (2, 5) is
+    # global row CHUNK + 5.
     b.family("late", *equations(
+        [range(4), range(half)],
+        lambda i, j: [(lift(index)(i, j), lift(marked)(i, j))]))
+    # CHUNK rows pulled at a time.
+    b.family("late-rows", *row_equations(
         ((n,) for n in range(2 * CHUNK)),
-        lambda col: [(list(col), [n if n != k else -1 for n in col])]))
+        lambda n: [(lift(ident)(n), lift({**ident, k: -1})(n))]))
     rep = b.report()
-    assert rep.families["late"] == k + 1
-    assert [(w.instance, w.lhs, w.rhs) for w in rep.witnesses] == \
-        [((k,), str(k), "-1")]
+    assert rep.families == {"late": k + 1, "late-rows": k + 1}
+    assert _witnesses(rep) == [((2, 5), str(k), "-1"), ((k,), str(k), "-1")]
 
 
 def test_equations_first_failing_equation_is_the_witness():
     b = ReportBuilder()
     b.family("two", *equations(
-        [("x",)], lambda col: [(["a"], ["b"]), (["c"], ["d"])]))
+        [["x"]], lambda col: [(const("a"), const("b")),
+                              (const("c"), const("d"))]))
     w, = b.report().witnesses
     assert (w.instance, w.lhs, w.rhs) == (("x",), "a", "b")
 
 
 def test_equations_undefined_lhs_fails_even_against_undefined_rhs():
+    p = lift({"x": "p"})
     b = ReportBuilder()
-    b.family("undef", *equations(
-        [("x",), ("y",)], lambda col: [(["p", None], ["p", None])]))
+    b.family("undef", *equations([["x", "y"]], lambda col: [(p(col), p(col))]))
     rep = b.report()
     assert rep.families["undef"] == 2
-    assert [(w.instance, w.lhs, w.rhs) for w in rep.witnesses] == \
-        [(("y",), "<undefined>", "<undefined>")]
+    assert _witnesses(rep) == [(("y",), "<undefined>", "<undefined>")]
 
 
 def test_equations_all_witnesses_counts_every_row_in_order():
     b = ReportBuilder(all_witnesses=True)
     n = 2 * CHUNK + 3
-    b.family("odd", *equations(((k,) for k in range(n)), _parity_legs))
+    b.family("odd", *row_equations(((k,) for k in range(n)), _parity_legs(n)))
     rep = b.report()
     assert rep.families["odd"] == n
     assert [w.instance for w in rep.witnesses] == \
@@ -94,5 +129,162 @@ def test_equations_all_witnesses_counts_every_row_in_order():
 
 def test_equations_over_an_empty_domain_records_zero():
     b = ReportBuilder()
-    b.family("empty", *equations(iter(()), _parity_legs))
-    assert b.report().families == {"empty": 0}
+    b.family("empty", *equations([[]], _parity_legs(1)))
+    b.family("empty-axis", *equations(
+        [[0, 1], []], lambda k, _: _parity_legs(2)(k)))
+    b.family("empty-rows", *row_equations(iter(()), _parity_legs(1)))
+    assert b.report().families == {"empty": 0, "empty-axis": 0,
+                                   "empty-rows": 0}
+
+
+def test_row_equations_stop_pulling_after_the_failing_block():
+    def rows():
+        for n in range(3 * CHUNK):
+            if n >= 2 * CHUNK:
+                raise AssertionError(f"row {n} pulled past the failing block")
+            yield (n,)
+    marked = lift({n: -1 if n == CHUNK + 1 else n for n in range(2 * CHUNK)})
+    b = ReportBuilder()
+    b.family("second", *row_equations(rows(), lambda n: [(n, marked(n))]))
+    assert b.report().families["second"] == CHUNK + 2
+
+
+# -- broadcasting against a row-by-row reference --------------------------------
+#
+# An expression is ("pos", p), ("const", v) or ("lookup", table, args).  Ids
+# are the integers 0..3; a lookup table of arity m holds a value in 0..3 for
+# all but a few of the 4**m keys (a single id when m == 1, else an m-tuple).
+
+IDS = range(4)
+
+
+@st.composite
+def _table(draw, arity):
+    keys = list(IDS) if arity == 1 else list(product(IDS, repeat=arity))
+    values = draw(st.lists(st.sampled_from(IDS), min_size=len(keys),
+                           max_size=len(keys)))
+    missing = draw(st.sets(st.sampled_from(keys), max_size=3))
+    return {k: v for k, v in zip(keys, values) if k not in missing}
+
+
+@st.composite
+def _expr(draw, positions, depth):
+    kinds = ["pos", "const"] + (["lookup"] * 2 if depth else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "pos":
+        return "pos", draw(st.sampled_from(range(positions)))
+    if kind == "const":
+        return "const", draw(st.sampled_from(IDS))
+    args = draw(st.lists(_expr(positions, depth - 1), min_size=1, max_size=3))
+    return "lookup", draw(_table(len(args))), args
+
+
+def _on_columns(expr, columns):
+    kind = expr[0]
+    if kind == "pos":
+        return columns[expr[1]]
+    if kind == "const":
+        return const(expr[1])
+    _, table, args = expr
+    return lift(table)(*(_on_columns(a, columns) for a in args))
+
+
+def _on_row(expr, row):
+    kind = expr[0]
+    if kind == "pos":
+        return row[expr[1]]
+    if kind == "const":
+        return expr[1]
+    _, table, args = expr
+    key = tuple(_on_row(a, row) for a in args)
+    return table.get(key[0] if len(key) == 1 else key)
+
+
+def _reference(rows, eqs, all_witnesses):
+    """(count, witnesses) of a family evaluated one row at a time."""
+    witnesses = []
+    for count, row in enumerate(rows, 1):
+        for lhs, rhs in eqs:
+            l, r = _on_row(lhs, row), _on_row(rhs, row)
+            if l is None or l != r:
+                witnesses.append((row, report._fmt(l), report._fmt(r)))
+                if not all_witnesses:
+                    return count, witnesses
+                break
+    return len(rows), witnesses
+
+
+@st.composite
+def _family(draw):
+    axes = draw(st.lists(st.lists(st.sampled_from(IDS), max_size=4),
+                         min_size=1, max_size=5))
+    eqs = []
+    for _ in range(draw(st.integers(1, 3))):
+        lhs = draw(_expr(len(axes), 2))
+        rhs = lhs if draw(st.booleans()) else draw(_expr(len(axes), 2))
+        eqs.append((lhs, rhs))
+    return axes, eqs
+
+
+def _engine(domain, rows, eqs, all_witnesses):
+    def legs(*columns):
+        return [(_on_columns(l, columns), _on_columns(r, columns))
+                for l, r in eqs]
+    b = ReportBuilder(all_witnesses)
+    b.family("f", *domain(rows, legs))
+    rep = b.report()
+    return rep.families["f"], _witnesses(rep)
+
+
+@given(_family(), st.sampled_from([1, 2, 3, 5, 8, 64, CHUNK]),
+       st.booleans(), st.data())
+def test_broadcast_matches_row_by_row_evaluation(family, chunk, all_witnesses,
+                                                 data):
+    axes, eqs = family
+    rows = list(product(*axes))
+    kept = data.draw(st.lists(st.booleans(), min_size=len(rows),
+                              max_size=len(rows)))
+    filtered = [row for row, keep in zip(rows, kept) if keep]
+    with mock.patch.object(report, "CHUNK", chunk):
+        assert _engine(equations, axes, eqs, all_witnesses) == \
+            _reference(rows, eqs, all_witnesses)
+        assert _engine(row_equations, iter(filtered), eqs, all_witnesses) == \
+            _reference(filtered, eqs, all_witnesses)
+
+
+def test_broadcast_first_failure_in_the_last_of_several_blocks():
+    axes = [[0, 1, 2], [0, 1], [3, 2, 1, 0]]
+    table = {key: 0 for key in product(IDS, repeat=3)}
+    del table[(2, 1, 0)]
+    # Fails only at the last row, (2, 1, 0), in the last of 24, 6 or 3 blocks.
+    eqs = [(("lookup", table, [("pos", 0), ("pos", 1), ("pos", 2)]),
+            ("const", 0))]
+    for chunk in (1, 4, 8):
+        with mock.patch.object(report, "CHUNK", chunk):
+            for all_witnesses in (False, True):
+                got = _engine(equations, axes, eqs, all_witnesses)
+                assert got == _reference(list(product(*axes)), eqs,
+                                         all_witnesses)
+                assert got == (24, [((2, 1, 0), "<undefined>", "0")])
+
+
+def test_broadcast_over_skipped_axes_and_interleaved_failing_equations():
+    rng = random.Random(7)
+
+    def table(arity):
+        keys = IDS if arity == 1 else product(IDS, repeat=arity)
+        return {k: 0 for k in keys if rng.random() > 0.1}
+    axes = [list(IDS)] * 5
+    pos = [("pos", p) for p in range(5)]
+    # The first lookup skips an inner axis (3) and the outer one (0) of the
+    # second; each equation fails at rows where the other holds.
+    eqs = [(("lookup", table(4), [pos[0], pos[1], pos[2], pos[4]]),
+            ("const", 0)),
+           (("lookup", table(2), [pos[1], pos[3]]),
+            ("lookup", table(1), [pos[2]]))]
+    rows = list(product(*axes))
+    for chunk in (16, 64, CHUNK):
+        with mock.patch.object(report, "CHUNK", chunk):
+            for all_witnesses in (False, True):
+                assert _engine(equations, axes, eqs, all_witnesses) == \
+                    _reference(rows, eqs, all_witnesses)

@@ -129,6 +129,19 @@ def test_reports_deterministic(corpus_dir, capsys):
     assert "--workers" in capsys.readouterr().err
 
 
+def test_negative_counts_exit_two(corpus_dir, capsys):
+    for argv, flag in (
+            (["check", str(corpus_dir / "bool2.json"), "--fuzz", "-1"],
+             "--fuzz"),
+            (["fuzz", "--level", "vcategory", "--count", "-3"], "--count")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument " + flag in captured.err
+
+
 def test_workers_environment_variable_is_not_read(corpus_dir, monkeypatch,
                                                   capsys):
     # A non-integer value once crashed every subcommand while the argument
