@@ -11,15 +11,15 @@ states such a family as a row domain (tuples of ids in lexicographic order)
 and a legs function over columns.  A product domain is declared by its
 axes, one list of ids per row position (``equations``); any other row
 iterable is one axis (``row_equations``).  A column carries the axes it
-depends on: ``lift`` turns a lookup table into a function from key columns
-to a value column over the union of their axes, so a lookup runs once per
-point of that product only, and ``const`` is a column on no axis.  The legs
-run once per block, the product of the trailing axes with the fewest
-leading axes fixed so that it holds at most ``CHUNK`` rows.  A block whose
-equations all hold is counted whole by ``ReportBuilder.family``; only a
-failing block is walked row by row, for each failing row's first failing
-equation.  ``each_row`` gives the families checked one row at a time the
-same ``family`` loop, as blocks of one row.
+depends on: ``lift`` turns a lookup table, or a function of the key, into a
+function from key columns to a value column over the union of their axes,
+so a lookup runs once per point of that product only, and ``const`` is a
+column on no axis.  The legs run once per block, the product of the
+trailing axes with the fewest leading axes fixed so that it holds at most
+``CHUNK`` rows.  A block whose equations all hold is counted whole by
+``ReportBuilder.family``; only a failing block is walked row by row, for
+each failing row's first failing equation.  ``each_row`` gives the families
+checked one row at a time the same ``family`` loop, as blocks of one row.
 
 ``_memo(obj, key, build)`` is the one memo: it keeps ``build()`` in a dict on
 ``obj`` and returns it on every later call with that key.  Checker reports,
@@ -141,17 +141,19 @@ def const(value):
 
 
 def lift(table):
-    """The column form of a lookup table.
+    """The column form of a lookup table, or of a function of the key.
 
     ``lift(table)(*key_columns)`` is the column of ``table.get(key)`` for the
     keys read across the columns row by row; a table keyed by single ids
-    takes one column.  The result depends on the union of the arguments'
-    axes, and ``table.get`` runs once per point of their product only: a
-    narrower argument is widened by repetition.  A key that is missing or
-    holds a ``None`` yields ``None``, so an undefined composite stays
-    undefined through every lookup that uses it.
+    takes one column.  A callable ``table`` is called as ``table(key)``
+    instead, with the same keys: a tuple for several columns, the value
+    itself for one.  The result depends on the union of the arguments'
+    axes, and the lookup runs once per point of their product only: a
+    narrower argument is widened by repetition.  A key that is missing from
+    a table or holds a ``None`` yields ``None``, so an undefined composite
+    stays undefined through every lookup that uses it.
     """
-    get = table.get
+    get = table if callable(table) else table.get
 
     def column(*key_columns):
         if len(key_columns) == 1:

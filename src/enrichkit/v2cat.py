@@ -1,9 +1,13 @@
 """Level-2 enrichment and the three-dimensional composition engine.
 
 Structures one level up from vcat: hom-data are now enriched categories and
-the compositions are enriched functors.  Axioms are checked as equalities of
-whole functors (object maps and hom tables compared entry by entry), which
-subsumes the object-level equations like (fg)h = f(gh).
+the compositions are enriched functors.  A V-2-category is a category
+enriched over V-Cat, so its pentagon and unit laws, the composition square
+and unit triangle of a 2-functor, and the naturality of a 2-transformation
+are vcat's axiom tables read over V-Cat's operations (``_VCAT``).  They
+compare whole functors (object maps and hom tables entry by entry), which
+subsumes the object-level equations like (fg)h = f(gh); a failing row's
+witness is the first entry in which the two functors differ.
 
 Three composition regimes exist, written here as in the source structure:
 
@@ -21,6 +25,8 @@ engine bug, on invalid input a diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from itertools import product as iproduct
 
 from .errors import (
@@ -35,9 +41,14 @@ from .errors import (
 )
 from .fincat import compose
 from .kfold import KFoldMonoidal, check_kfold
-from .report import CheckReport, ReportBuilder, cached_report, each_row
+from .report import (CheckReport, ReportBuilder, cached_report, each_row,
+                     equations, lift)
 from .vcat import (
     VFunctor,
+    _category_laws,
+    _functor_laws,
+    _naturality,
+    _Ops,
     assoc_vcat,
     check_vcategory,
     check_vfunctor,
@@ -98,6 +109,28 @@ class VModification:
     components: dict  # u -> base morphism I -> hom_W(Tu,Su)(q, q^)
 
 
+def _vcat_ops() -> _Ops:
+    """V-Cat's operations: functor composition, the first product of
+    functors, identity functors and the associator functor; the unitors are
+    the unit relabelings, and their inverses the unit introductions."""
+    def star(f):
+        return lift(lambda key: f(*key))
+    comp = star(compose_vfunctor)
+    intro_left = lift(partial(unit_intro_left, 1))
+    intro_right = lift(partial(unit_intro_right, 1))
+    return _Ops(
+        comp=comp, tm=star(partial(product_vfunctor, 1)),
+        idm=lift(identity_vfunctor), al=star(partial(assoc_vcat, 1)),
+        lam=lift(partial(unit_relabel_left, 1)),
+        rho=lift(partial(unit_relabel_right, 1)),
+        lam_inv=lambda f, hom, x, y: comp(f, intro_left(hom(x, y))),
+        rho_inv=lambda f, hom, x, y: comp(f, intro_right(hom(x, y))))
+
+
+# Level 2 is level 1 over V-Cat: its axioms are vcat's tables over these.
+_VCAT = _vcat_ops()
+
+
 def _q(nat: V2NatTransform, u) -> str:
     """Object part of a transformation's component at u."""
     return nat.components[u].obj_map["0"]
@@ -135,7 +168,31 @@ def _witness(d):
     return None if d is None else (f"{d[0]}={d[1]}", f"{d[0]}={d[2]}")
 
 
+def _diffed(family):
+    """``equations``' ``(blocks, check)`` with each failing row's pair of
+    functors replaced by its ``_diff_vfunctor`` witness."""
+    blocks, check = family
+
+    def diffed(block):
+        n, failures = check(block)
+        return n, [(k, row, *_witness(_diff_vfunctor(lhs, rhs)))
+                   for k, row, lhs, rhs in failures]
+    return blocks, diffed
+
+
 # -- gates ----------------------------------------------------------------------
+
+def _gate(b: ReportBuilder, check, structures) -> bool:
+    """Check each ``(prefix, structure)`` through its cached report and merge
+    every failing report into ``b`` under its prefix; True if all passed."""
+    ok = True
+    for prefix, lower in structures:
+        rep = cached_report(lower, check)
+        if not rep.ok:
+            b.merge(rep, prefix=prefix)
+            ok = False
+    return ok
+
 
 def _require_v2category(u: V2Category) -> None:
     rep = cached_report(u, check_v2category)
@@ -179,14 +236,8 @@ def check_v2category(u: V2Category, *,
             raise MalformedTable(f"identity functor for {a!r} missing")
 
     b = ReportBuilder(all_witnesses)
-
-    ok = True
-    for key in iproduct(objs, repeat=2):
-        rep = cached_report(u.hom[key], check_vcategory)
-        if not rep.ok:
-            b.merge(rep, prefix=f"hom{key}:")
-            ok = False
-    if not ok:
+    if not _gate(b, check_vcategory, ((f"hom{key}:", u.hom[key])
+                                      for key in iproduct(objs, repeat=2))):
         return b.report()
 
     def comp_shape(tri):
@@ -215,110 +266,18 @@ def check_v2category(u: V2Category, *,
     if not b.report().ok:
         return b.report()
 
-    for key in iproduct(objs, repeat=3):
-        rep = cached_report(u.comp[key], check_vfunctor)
-        if not rep.ok:
-            b.merge(rep, prefix=f"composition-functor{key}:")
-            ok = False
-    for a in objs:
-        rep = cached_report(u.identity[a], check_vfunctor)
-        if not rep.ok:
-            b.merge(rep, prefix=f"identity-functor({a}):")
-            ok = False
-    if not ok:
+    functors = chain(((f"composition-functor{key}:", u.comp[key])
+                      for key in iproduct(objs, repeat=3)),
+                     ((f"identity-functor({a}):", u.identity[a])
+                      for a in objs))
+    if not _gate(b, check_vfunctor, functors):
         return b.report()
 
-    def pentagon(quad):
-        x, y, z, w = quad
-        lhs = compose_vfunctor(
-            u.comp[(x, y, w)],
-            product_vfunctor(1, u.comp[(y, z, w)],
-                             identity_vfunctor(u.hom[(x, y)])))
-        rhs = compose_vfunctor(
-            u.comp[(x, z, w)],
-            compose_vfunctor(
-                product_vfunctor(1, identity_vfunctor(u.hom[(z, w)]),
-                                 u.comp[(x, y, z)]),
-                assoc_vcat(1, u.hom[(z, w)], u.hom[(y, z)], u.hom[(x, y)])))
-        return _witness(_diff_vfunctor(lhs, rhs))
-
-    b.family("pentagon", *each_row(iproduct(objs, repeat=4), pentagon))
-
-    def unit_left(xy):
-        x, y = xy
-        lhs = compose_vfunctor(
-            u.comp[(x, y, y)],
-            product_vfunctor(1, u.identity[y],
-                             identity_vfunctor(u.hom[(x, y)])))
-        rhs = unit_relabel_left(1, u.hom[(x, y)])
-        return _witness(_diff_vfunctor(lhs, rhs))
-    b.family("unit-left", *each_row(iproduct(objs, repeat=2), unit_left))
-
-    def unit_right(xy):
-        x, y = xy
-        lhs = compose_vfunctor(
-            u.comp[(x, x, y)],
-            product_vfunctor(1, identity_vfunctor(u.hom[(x, y)]),
-                             u.identity[x]))
-        rhs = unit_relabel_right(1, u.hom[(x, y)])
-        return _witness(_diff_vfunctor(lhs, rhs))
-    b.family("unit-right", *each_row(iproduct(objs, repeat=2), unit_right))
-
-    # Consequence diagrams: implied by functoriality, replayed directly as an
-    # engine self-test.
-    cat = base.base
-
-    def interchange_square(inst):
-        (x, y, z), (h, k, m), (f, g, l) = inst
-        hc = u.hom[(y, z)]
-        hb = u.hom[(x, y)]
-        ha = u.hom[(x, z)]
-        m2 = u.comp[(x, y, z)]
-        hf = m2.obj_map[pair(h, f)]
-        kg = m2.obj_map[pair(k, g)]
-        ml = m2.obj_map[pair(m, l)]
-        lhs = cat.comp.get((ha.comp[(hf, kg, ml)], base.tensor_mor_table[1].get(
-            (m2.hom_map[(pair(k, g), pair(m, l))],
-             m2.hom_map[(pair(h, f), pair(k, g))]))))
-        eta = base.interchange_table[(1, 2)].get(
-            (hc.hom[(k, m)], hb.hom[(g, l)], hc.hom[(h, k)], hb.hom[(f, g)]))
-        mid = base.tensor_mor_table[2].get(
-            (hc.comp[(h, k, m)], hb.comp[(f, g, l)]))
-        rhs = cat.comp.get((m2.hom_map[(pair(h, f), pair(m, l))],
-                            cat.comp.get((mid, eta))))
-        return None if lhs == rhs and lhs is not None else (lhs, rhs)
-
-    square_insts = ((tri, hkm, fgl)
-                    for tri in iproduct(objs, repeat=3)
-                    for hkm, fgl in iproduct(
-                        iproduct(u.one_cells(tri[1], tri[2]), repeat=3),
-                        iproduct(u.one_cells(tri[0], tri[1]), repeat=3)))
-    b.family("consequence-interchange",
-             *each_row(square_insts, interchange_square))
-
-    def unit_product(inst):
-        (x, y, z), g, f = inst
-        m2 = u.comp[(x, y, z)]
-        gf = m2.obj_map[pair(g, f)]
-        lhs = u.hom[(x, z)].identity[gf]
-        rhs = cat.comp.get((m2.hom_map[(pair(g, f), pair(g, f))],
-                            base.tensor_mor_table[2].get(
-                                (u.hom[(y, z)].identity[g],
-                                 u.hom[(x, y)].identity[f]))))
-        return None if lhs == rhs and lhs is not None else (lhs, rhs)
-    unit_insts = ((tri, g, f)
-                  for tri in iproduct(objs, repeat=3)
-                  for g in u.one_cells(tri[1], tri[2])
-                  for f in u.one_cells(tri[0], tri[1]))
-    b.family("consequence-units", *each_row(unit_insts, unit_product))
-
-    def j_component(row):
-        a, = row
-        lhs = u.identity[a].hom_map[("0", "0")]
-        rhs = u.hom[(a, a)].identity[u.unit1(a)]
-        return None if lhs == rhs else (lhs, rhs)
-    b.family("consequence-identity", *each_row(iproduct(objs), j_component))
-
+    pentagon, unit_left, unit_right = _category_laws(_VCAT, u)
+    for name, arity, legs in (("pentagon", 4, pentagon),
+                              ("unit-left", 2, unit_left),
+                              ("unit-right", 2, unit_right)):
+        b.family(name, *_diffed(equations([objs] * arity, legs)))
     return b.report()
 
 
@@ -350,32 +309,14 @@ def check_v2functor(t: V2Functor, *,
     if not b.report().ok:
         return b.report()
 
-    ok = True
-    for key in iproduct(objs, repeat=2):
-        rep = cached_report(t.hom_map[key], check_vfunctor)
-        if not rep.ok:
-            b.merge(rep, prefix=f"hom-functor{key}:")
-            ok = False
-    if not ok:
+    if not _gate(b, check_vfunctor, ((f"hom-functor{key}:", t.hom_map[key])
+                                     for key in iproduct(objs, repeat=2))):
         return b.report()
 
-    def square(tri):
-        x, y, z = tri
-        lhs = compose_vfunctor(t.hom_map[(x, z)], src.comp[tri])
-        rhs = compose_vfunctor(
-            tgt.comp[(t.obj_map[x], t.obj_map[y], t.obj_map[z])],
-            product_vfunctor(1, t.hom_map[(y, z)], t.hom_map[(x, y)]))
-        return _witness(_diff_vfunctor(lhs, rhs))
-    b.family("composition-square",
-             *each_row(iproduct(objs, repeat=3), square))
-
-    def unit(row):
-        a, = row
-        lhs = compose_vfunctor(t.hom_map[(a, a)], src.identity[a])
-        rhs = tgt.identity[t.obj_map[a]]
-        return _witness(_diff_vfunctor(lhs, rhs))
-    b.family("unit-triangle", *each_row(iproduct(objs), unit))
-
+    square, unit = _functor_laws(_VCAT, t)
+    for name, arity, legs in (("composition-square", 3, square),
+                              ("unit-triangle", 1, unit)):
+        b.family(name, *_diffed(equations([objs] * arity, legs)))
     return b.report()
 
 
@@ -405,32 +346,12 @@ def check_v2nat(a: V2NatTransform, *,
     if not b.report().ok:
         return b.report()
 
-    ok = True
-    for x in objs:
-        rep = cached_report(a.components[x], check_vfunctor)
-        if not rep.ok:
-            b.merge(rep, prefix=f"component({x}):")
-            ok = False
-    if not ok:
+    if not _gate(b, check_vfunctor, ((f"component({x}):", a.components[x])
+                                     for x in objs)):
         return b.report()
 
-    def naturality(key):
-        x, y = key
-        tx, ty = t.obj_map[x], t.obj_map[y]
-        sx, sy = s.obj_map[x], s.obj_map[y]
-        lhs = compose_vfunctor(
-            w.comp[(tx, ty, sy)],
-            compose_vfunctor(
-                product_vfunctor(1, a.components[y], t.hom_map[key]),
-                unit_intro_left(1, u.hom[key])))
-        rhs = compose_vfunctor(
-            w.comp[(tx, sx, sy)],
-            compose_vfunctor(
-                product_vfunctor(1, s.hom_map[key], a.components[x]),
-                unit_intro_right(1, u.hom[key])))
-        return _witness(_diff_vfunctor(lhs, rhs))
-    b.family("naturality", *each_row(iproduct(objs, repeat=2), naturality))
-
+    b.family("naturality", *_diffed(
+        equations([objs] * 2, _naturality(_VCAT, a))))
     return b.report()
 
 

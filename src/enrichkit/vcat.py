@@ -6,6 +6,10 @@ at this level folds down to morphism-id equality in the base category, and
 the checkers state it as column equations over the base's lifted tables
 (``kfold.LiftedTables``) and the structure's own tables, which
 ``report.equations`` evaluates a block of object tuples at a time.
+The axioms (pentagon, unit laws, functor square and unit triangle,
+naturality) are written once, as tables over the operations of the monoidal
+category enriched in (``_Ops``); the checkers here read them over the base,
+and v2cat reads the same tables over V-Cat.
 Product object sets are literal encoded pairs with no quotienting: the
 strict unit law holds only after the canonical relabeling (a, 0) -> a,
 which relabel_vcategory makes available bit-exactly.
@@ -18,6 +22,7 @@ taken.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import product as iproduct
@@ -130,6 +135,86 @@ def _require_vfunctor(vf: VFunctor, exc=SourceTargetInvalid) -> None:
         raise exc("enriched functor failed its checker", rep)
 
 
+# -- axiom tables -------------------------------------------------------------
+
+# The operations of a monoidal category in column form, as the axiom tables
+# read them: composition, the first tensor of morphisms, identities, the
+# associator, the unitors at an object, and ``lam_inv(f, hom, x, y)`` /
+# ``rho_inv(...)``, f precomposed with the inverse unitor at hom(x, y).
+_Ops = namedtuple("_Ops", "comp tm idm al lam rho lam_inv rho_inv")
+
+
+def _strict(f, hom, x, y):
+    return f
+
+
+def _base_ops(cols: LiftedTables) -> _Ops:
+    """The base's operations.  Its unitors are strict, so λ and ρ are
+    identities and precomposing with their inverses changes nothing."""
+    return _Ops(comp=cols.comp, tm=cols.tm[1], idm=cols.idm, al=cols.al[1],
+                lam=cols.idm, rho=cols.idm, lam_inv=_strict, rho_inv=_strict)
+
+
+def _category_laws(ops: _Ops, c):
+    """Pentagon, left and right unit legs of ``c``, enriched in ``ops``."""
+    comp, tm, idm = ops.comp, ops.tm, ops.idm
+    hom, vcomp, ident = lift(c.hom), lift(c.comp), lift(c.identity)
+
+    def pentagon(x, y, z, w):
+        hom_zw = hom(z, w)
+        lhs = comp(vcomp(x, y, w), tm(vcomp(y, z, w), idm(hom(x, y))))
+        rhs = comp(vcomp(x, z, w),
+                   comp(tm(idm(hom_zw), vcomp(x, y, z)),
+                        ops.al(hom_zw, hom(y, z), hom(x, y))))
+        return [(lhs, rhs)]
+
+    def unit_left(x, y):
+        hom_xy = hom(x, y)
+        return [(comp(vcomp(x, y, y), tm(ident(y), idm(hom_xy))),
+                 ops.lam(hom_xy))]
+
+    def unit_right(x, y):
+        hom_xy = hom(x, y)
+        return [(comp(vcomp(x, x, y), tm(idm(hom_xy), ident(x))),
+                 ops.rho(hom_xy))]
+    return pentagon, unit_left, unit_right
+
+
+def _functor_laws(ops: _Ops, f):
+    """Composition square and unit triangle legs of ``f`` over ``ops``."""
+    comp = ops.comp
+    obj, hom_map = lift(f.obj_map), lift(f.hom_map)
+    src_comp, src_ident = lift(f.source.comp), lift(f.source.identity)
+    tgt_comp, tgt_ident = lift(f.target.comp), lift(f.target.identity)
+
+    def square(x, y, z):
+        return [(comp(hom_map(x, z), src_comp(x, y, z)),
+                 comp(tgt_comp(obj(x), obj(y), obj(z)),
+                      ops.tm(hom_map(y, z), hom_map(x, y))))]
+
+    def unit(a):
+        return [(comp(hom_map(a, a), src_ident(a)), tgt_ident(obj(a)))]
+    return square, unit
+
+
+def _naturality(ops: _Ops, nat):
+    """Naturality hexagon legs of ``nat`` over ``ops``."""
+    t, s = nat.source, nat.target
+    comp, tm = ops.comp, ops.tm
+    hom, w_comp = lift(t.source.hom), lift(t.target.comp)
+    t_obj, t_hom = lift(t.obj_map), lift(t.hom_map)
+    s_obj, s_hom = lift(s.obj_map), lift(s.hom_map)
+    component = lift(nat.components)
+
+    def hexagon(x, y):
+        tx, ty, sx, sy = t_obj(x), t_obj(y), s_obj(x), s_obj(y)
+        return [(comp(w_comp(tx, ty, sy), ops.lam_inv(
+                     tm(component(y), t_hom(x, y)), hom, x, y)),
+                 comp(w_comp(tx, sx, sy), ops.rho_inv(
+                     tm(s_hom(x, y), component(x)), hom, x, y)))]
+    return hexagon
+
+
 # -- checkers -----------------------------------------------------------------
 
 def check_vcategory(vc: VCategory, *,
@@ -152,8 +237,7 @@ def check_vcategory(vc: VCategory, *,
             raise MalformedTable(f"identity element for {a!r} missing or unknown")
 
     cols = LiftedTables(base)
-    comp, dom, cod, idm = cols.comp, cols.dom, cols.cod, cols.idm
-    to, tm, al = cols.to[1], cols.tm[1], cols.al[1]
+    dom, cod, to = cols.dom, cols.cod, cols.to[1]
     hom, vcomp, ident = lift(vc.hom), lift(vc.comp), lift(vc.identity)
     unit = const(base.unit)
 
@@ -165,22 +249,7 @@ def check_vcategory(vc: VCategory, *,
         m = ident(a)
         return [(dom(m), unit), (cod(m), hom(a, a))]
 
-    def pentagon(x, y, z, w):
-        hom_zw = hom(z, w)
-        lhs = comp(vcomp(x, y, w), tm(vcomp(y, z, w), idm(hom(x, y))))
-        rhs = comp(vcomp(x, z, w),
-                   comp(tm(idm(hom_zw), vcomp(x, y, z)),
-                        al(hom_zw, hom(y, z), hom(x, y))))
-        return [(lhs, rhs)]
-
-    def unit_left(x, y):
-        id_xy = idm(hom(x, y))
-        return [(comp(vcomp(x, y, y), tm(ident(y), id_xy)), id_xy)]
-
-    def unit_right(x, y):
-        id_xy = idm(hom(x, y))
-        return [(comp(vcomp(x, x, y), tm(id_xy, ident(x))), id_xy)]
-
+    pentagon, unit_left, unit_right = _category_laws(_base_ops(cols), vc)
     b = ReportBuilder(all_witnesses)
     for name, arity, legs in (
             ("composition-boundary", 3, comp_boundary),
@@ -210,23 +279,15 @@ def check_vfunctor(vf: VFunctor, *,
             raise MalformedTable(f"hom map entry {key} missing or unknown")
 
     cols = LiftedTables(base)
-    comp, dom, cod, tm = cols.comp, cols.dom, cols.cod, cols.tm[1]
     hom_map, obj = lift(vf.hom_map), lift(vf.obj_map)
-    src_hom, src_comp, src_ident = map(lift, (src.hom, src.comp, src.identity))
-    tgt_hom, tgt_comp, tgt_ident = map(lift, (tgt.hom, tgt.comp, tgt.identity))
+    src_hom, tgt_hom = lift(src.hom), lift(tgt.hom)
 
     def boundary(x, y):
         m = hom_map(x, y)
-        return [(dom(m), src_hom(x, y)), (cod(m), tgt_hom(obj(x), obj(y)))]
+        return [(cols.dom(m), src_hom(x, y)),
+                (cols.cod(m), tgt_hom(obj(x), obj(y)))]
 
-    def square(x, y, z):
-        return [(comp(hom_map(x, z), src_comp(x, y, z)),
-                 comp(tgt_comp(obj(x), obj(y), obj(z)),
-                      tm(hom_map(y, z), hom_map(x, y))))]
-
-    def unit(a):
-        return [(comp(hom_map(a, a), src_ident(a)), tgt_ident(obj(a)))]
-
+    square, unit = _functor_laws(_base_ops(cols), vf)
     b = ReportBuilder(all_witnesses)
     for name, arity, legs in (
             ("functor-boundary", 2, boundary),
@@ -251,28 +312,19 @@ def check_vnat(nat: VNatTransform, *,
             raise MalformedTable(f"component at {a!r} missing or unknown")
 
     cols = LiftedTables(base)
-    comp, dom, cod, tm = cols.comp, cols.dom, cols.cod, cols.tm[1]
-    w = t.target
-    w_hom, w_comp = lift(w.hom), lift(w.comp)
-    t_obj, t_hom = lift(t.obj_map), lift(t.hom_map)
-    s_obj, s_hom = lift(s.obj_map), lift(s.hom_map)
-    component = lift(nat.components)
+    w_hom, component = lift(t.target.hom), lift(nat.components)
+    t_obj, s_obj = lift(t.obj_map), lift(s.obj_map)
     unit = const(base.unit)
 
     def boundary(a):
         m = component(a)
-        return [(dom(m), unit),
-                (cod(m), w_hom(t_obj(a), s_obj(a)))]
-
-    def hexagon(x, y):
-        tx, ty, sx, sy = t_obj(x), t_obj(y), s_obj(x), s_obj(y)
-        return [(comp(w_comp(tx, ty, sy), tm(component(y), t_hom(x, y))),
-                 comp(w_comp(tx, sx, sy), tm(s_hom(x, y), component(x))))]
+        return [(cols.dom(m), unit),
+                (cols.cod(m), w_hom(t_obj(a), s_obj(a)))]
 
     b = ReportBuilder(all_witnesses)
     for name, arity, legs in (
             ("component-boundary", 1, boundary),
-            ("naturality", 2, hexagon)):
+            ("naturality", 2, _naturality(_base_ops(cols), nat))):
         b.family(name, *equations([objs] * arity, legs))
     return b.report()
 

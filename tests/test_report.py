@@ -59,21 +59,27 @@ def _parity_legs(n):
 
 
 def test_lift_propagates_missing_keys():
-    comp = lift({("g", "f"): "gf"})
-    ident = lift({"a": "id_a"})
-    b = ReportBuilder(all_witnesses=True)
-    b.family("comp", *equations(
-        [["g", "h"], ["f", "x"]], lambda g, f: [(comp(g, f), const("gf"))]))
-    b.family("chain", *equations(
-        [["a", "b"]], lambda a: [(comp(ident(a), const("f")), const("gf"))]))
-    rep = b.report()
-    assert rep.families == {"comp": 4, "chain": 2}
-    assert _witnesses(rep) == [
-        (("g", "x"), "<undefined>", "gf"),
-        (("h", "f"), "<undefined>", "gf"),
-        (("h", "x"), "<undefined>", "gf"),
-        (("a",), "<undefined>", "gf"),
-        (("b",), "<undefined>", "gf")]
+    comp_table, ident_table = {("g", "f"): "gf"}, {"a": "id_a"}
+    # A table, and a function of the key: a tuple for two columns, the id
+    # itself for one.
+    for comp, ident in ((lift(comp_table), lift(ident_table)),
+                        (lift(lambda key: comp_table.get(key)),
+                         lift(lambda key: ident_table.get(key)))):
+        b = ReportBuilder(all_witnesses=True)
+        b.family("comp", *equations(
+            [["g", "h"], ["f", "x"]],
+            lambda g, f: [(comp(g, f), const("gf"))]))
+        b.family("chain", *equations(
+            [["a", "b"]],
+            lambda a: [(comp(ident(a), const("f")), const("gf"))]))
+        rep = b.report()
+        assert rep.families == {"comp": 4, "chain": 2}
+        assert _witnesses(rep) == [
+            (("g", "x"), "<undefined>", "gf"),
+            (("h", "f"), "<undefined>", "gf"),
+            (("h", "x"), "<undefined>", "gf"),
+            (("a",), "<undefined>", "gf"),
+            (("b",), "<undefined>", "gf")]
 
 
 def test_equations_failure_in_a_later_chunk_counts_its_global_index():

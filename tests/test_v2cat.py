@@ -15,6 +15,8 @@ from enrichkit.instances import (
 from enrichkit.vcat import VFunctor, pair, product_vcat, unit_vcategory
 from enrichkit.v2cat import (
     PastingInstance,
+    V2Functor,
+    V2NatTransform,
     check_modification,
     check_v2category,
     check_v2functor,
@@ -69,9 +71,9 @@ def cells(w):
 def test_w_passes(w):
     rep = check_v2category(w)
     assert rep.ok
-    kinds = {f.split("(")[0].split("[")[0] for f in rep.families}
-    assert {"pentagon", "unit-left", "unit-right", "consequence-interchange",
-            "consequence-units", "consequence-identity"} <= kinds
+    assert set(rep.families) == {
+        "composition-functor-shape", "identity-functor-shape", "pentagon",
+        "unit-left", "unit-right"}
 
 
 def test_identity_v2functor_passes(w):
@@ -93,6 +95,55 @@ def test_unit_redirect_fails_unit_triangles(bool2):
 
 def test_xor_group_passes(xor_x2):
     assert check_v2category(xor_x2).ok
+
+
+def _witness_rows(rep):
+    return [(w.diagram, w.instance, w.lhs, w.rhs) for w in rep.witnesses]
+
+
+def test_constant_hom_functor_fails_only_the_unit_triangle(w):
+    # Sending both 1-cells to t keeps every composition square (join with t
+    # is t) but moves the unit 1-cell.
+    hom = w.hom[("*", "*")]
+    cat = w.base.base
+    const_t = {"one": "t", "t": "t"}
+    hom_map = {(f, g): unique_morphism(cat, hom.hom[(f, g)],
+                                       hom.hom[(const_t[f], const_t[g])])
+               for f in hom.objects for g in hom.objects}
+    t = V2Functor(w, w, {"*": "*"},
+                  {("*", "*"): VFunctor(hom, hom, const_t, hom_map)})
+    rep = check_v2functor(t, all_witnesses=True)
+    assert rep.failing_families() == {"unit-triangle"}
+    assert _witness_rows(rep) == [
+        ("unit-triangle", ("*",), "obj[0]=t", "obj[0]=one")]
+
+
+def test_swapped_xor_cells_fail_the_square_and_the_unit_triangle(xor_x2):
+    hom = xor_x2.hom[("*", "*")]
+    ident = xor_x2.base.base.identity
+    swap = {"x": "y", "y": "x"}
+    t = V2Functor(xor_x2, xor_x2, {"*": "*"},
+                  {("*", "*"): VFunctor(hom, hom, swap,
+                                        {key: ident[hom.hom[key]]
+                                         for key in hom.hom})})
+    rep = check_v2functor(t, all_witnesses=True)
+    assert rep.failing_families() == {"composition-square", "unit-triangle"}
+    assert _witness_rows(rep) == [
+        ("composition-square", ("*", "*", "*"),
+         "obj[(x,x)]=y", "obj[(x,x)]=x"),
+        ("unit-triangle", ("*",), "obj[0]=y", "obj[0]=x")]
+
+
+def test_unit_component_between_identity_and_lowering_fails_naturality(
+        w, cells):
+    hom = w.hom[("*", "*")]
+    one = VFunctor(unit_vcategory(w.base), hom, {"0": "one"},
+                   {("0", "0"): hom.identity["one"]})
+    a = V2NatTransform(cells["idw"], cells["low"], {"*": one})
+    rep = check_v2nat(a, all_witnesses=True)
+    assert rep.failing_families() == {"naturality"}
+    assert _witness_rows(rep) == [
+        ("naturality", ("*", "*"), "obj[t]=t", "obj[t]=one")]
 
 
 def test_compose_nat_identity_absorption(cells):
