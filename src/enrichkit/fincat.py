@@ -88,6 +88,16 @@ def compose(cat: FinCategory, g: MorId, f: MorId) -> MorId:
         raise CompositionUndefined(f"no table entry for ({g}, {f})")
 
 
+def inverse(cat: FinCategory, m: MorId):
+    """The first g in hom(cod m, dom m) with g∘m and m∘g identities, or
+    None when m has no two-sided inverse."""
+    for g in cat.hom(cat.cod[m], cat.dom[m]):
+        if (cat.comp.get((g, m)) == cat.identity[cat.dom[m]]
+                and cat.comp.get((m, g)) == cat.identity[cat.cod[m]]):
+            return g
+    return None
+
+
 def compose_chain(cat: FinCategory, morphisms) -> MorId:
     """Left fold of compose: [h, g, f] evaluates to h∘g∘f."""
     morphisms = list(morphisms)
@@ -271,9 +281,10 @@ def check_natural(nat: FinNatTransform, *,
     return b.report()
 
 
-def product_category(c1: FinCategory, c2: FinCategory,
-                     encode=lambda x, y: f"({x},{y})") -> FinCategory:
+def product_category(c1: FinCategory, c2: FinCategory) -> FinCategory:
     """Componentwise product category; ids are encoded pairs."""
+    def encode(x, y):
+        return f"({x},{y})"
     objects = {encode(a, b) for a, b in product(c1.objects, c2.objects)}
     morphisms = {encode(f, g) for f, g in product(c1.morphisms, c2.morphisms)}
     dom = {encode(f, g): encode(c1.dom[f], c2.dom[g])

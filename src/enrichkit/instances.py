@@ -26,7 +26,7 @@ from .errors import (
     NotPreorder,
     NotSymmetric,
 )
-from .fincat import FinCategory
+from .fincat import FinCategory, inverse
 from .kfold import KFoldMonoidal, LiftedTables, check_kfold
 from .report import CheckReport, ReportBuilder, const, equations, lift
 from .vcat import (
@@ -76,13 +76,15 @@ class SymmetricMonoidal:
     symmetry: dict        # (a, b) -> c_{ab}: a⊗b -> b⊗a
 
 
-def _symmetric_problems(sym: SymmetricMonoidal) -> CheckReport:
+def _symmetric_problems(
+        sym: SymmetricMonoidal) -> tuple[CheckReport, dict | None]:
     """Check the symmetric axioms on top of a 1-fold structure.
 
     The shared monoidal axioms (pentagon, strict unit, bifunctoriality,
     naturality of the associator) are delegated to check_kfold on the 1-fold
     restriction; this adds naturality of c, the inverse law c∘c = id, and
-    the hexagon relating c to the associator.
+    the hexagon relating c to the associator.  Returns the report and the
+    associator's inverse components (None if one is missing).
     """
     single = KFoldMonoidal(sym.base, 1, sym.unit,
                            {1: sym.tensor_obj}, {1: sym.tensor_mor},
@@ -100,7 +102,7 @@ def _symmetric_problems(sym: SymmetricMonoidal) -> CheckReport:
     comp, dom, cod, idm = cols.comp, cols.dom, cols.cod, cols.idm
     to, tm, al = cols.to[1], cols.tm[1], cols.al[1]
     c = lift(sym.symmetry)
-    inverse_missing = _invert_components(cat, sym.assoc) is None
+    inv = _invert_components(cat, sym.assoc)
     no_inverse, undefined = const("<no associator inverse>"), const(None)
 
     def c_boundary(a, y):
@@ -115,7 +117,7 @@ def _symmetric_problems(sym: SymmetricMonoidal) -> CheckReport:
                  comp(tm(g, f), c(dom(f), dom(g))))]
 
     def c_hexagon(a, y, z):
-        if inverse_missing:
+        if inv is None:
             return [(no_inverse, undefined)]
         return [(comp(al(y, z, a), comp(c(a, to(y, z)), al(a, y, z))),
                  comp(tm(idm(y), c(a, z)),
@@ -131,23 +133,13 @@ def _symmetric_problems(sym: SymmetricMonoidal) -> CheckReport:
 
     out = b.report()
     out.merge(rep, prefix="monoidal:")
-    return out
+    return out, inv
 
 
 def _invert_components(cat: FinCategory, table: dict):
     """Two-sided inverses for every component, or None if any is missing."""
-    out = {}
-    for key, m in table.items():
-        found = None
-        for g in cat.hom(cat.cod[m], cat.dom[m]):
-            if (cat.comp.get((g, m)) == cat.identity[cat.dom[m]]
-                    and cat.comp.get((m, g)) == cat.identity[cat.cod[m]]):
-                found = g
-                break
-        if found is None:
-            return None
-        out[key] = found
-    return out
+    out = {key: inverse(cat, m) for key, m in table.items()}
+    return None if None in out.values() else out
 
 
 def from_symmetric(sym: SymmetricMonoidal, k: int) -> KFoldMonoidal:
@@ -162,11 +154,10 @@ def from_symmetric(sym: SymmetricMonoidal, k: int) -> KFoldMonoidal:
     NotSymmetric when the input data is not coherently symmetric or its
     associator is not invertible.
     """
-    problems = _symmetric_problems(sym)
+    problems, inv = _symmetric_problems(sym)
     if not problems.ok:
         raise NotSymmetric("symmetric input failed its checks", problems)
     cat = sym.base
-    inv = _invert_components(cat, sym.assoc)
     if inv is None:
         raise NotSymmetric("associator has a non-invertible component")
 

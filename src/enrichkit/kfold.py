@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import IndexOutOfRange, MalformedTable, UnknownMorphism, UnknownObject
-from .fincat import FinCategory, check_category
+from .fincat import FinCategory, check_category, inverse
 from .report import CheckReport, ReportBuilder, const, equations, lift
 
 
@@ -299,11 +299,7 @@ def check_kfold(v: KFoldMonoidal, *,
     for i in indices:
         for tri in product(objs, repeat=3):
             m = v.assoc_table[i][tri]
-            has_inverse = any(
-                cat.comp.get((g, m)) == cat.identity[cat.dom[m]]
-                and cat.comp.get((m, g)) == cat.identity[cat.cod[m]]
-                for g in cat.hom(cat.cod[m], cat.dom[m]))
-            if not has_inverse:
+            if inverse(cat, m) is None:
                 b.warn(f"associator-invertible[{i}]", tri, m, "<no inverse>")
 
     return b.report()

@@ -53,8 +53,8 @@ class Tower:
 
 # -- encoding helpers ----------------------------------------------------------
 
-def _rows(table: dict, arity: int = 0) -> list:
-    """Table as sorted rows [k1, ..., kn, value]; arity is documentation."""
+def _rows(table: dict) -> list:
+    """Table as sorted rows [k1, ..., kn, value]."""
     return sorted([*key, value] if isinstance(key, tuple) else [key, value]
                   for key, value in table.items())
 
@@ -108,7 +108,7 @@ def _table(rows, arity: int, what: str) -> dict:
 
 def _vfunctor_tables(vf: VFunctor) -> dict:
     return {"obj_map": dict(sorted(vf.obj_map.items())),
-            "hom_map": _rows(vf.hom_map, 2)}
+            "hom_map": _rows(vf.hom_map)}
 
 
 def _vfunctor_from(tables, source: VCategory, target: VCategory,
@@ -123,8 +123,8 @@ def _vfunctor_from(tables, source: VCategory, target: VCategory,
 
 def _vcategory_tables(vc: VCategory) -> dict:
     return {"objects": sorted(vc.objects),
-            "hom": _rows(vc.hom, 2),
-            "comp": _rows(vc.comp, 3),
+            "hom": _rows(vc.hom),
+            "comp": _rows(vc.comp),
             "identity": dict(sorted(vc.identity.items()))}
 
 
@@ -151,20 +151,20 @@ def tower_to_document(t: Tower) -> dict:
         "dom": dict(sorted(cat.dom.items())),
         "cod": dict(sorted(cat.cod.items())),
         "identity": dict(sorted(cat.identity.items())),
-        "comp": _rows(cat.comp, 2),
+        "comp": _rows(cat.comp),
         "tensors": base.n,
         "unit": base.unit,
-        "tensor_obj": {str(i): _rows(base.tensor_obj_table[i], 2)
+        "tensor_obj": {str(i): _rows(base.tensor_obj_table[i])
                        for i in range(1, base.n + 1)},
-        "tensor_mor": {str(i): _rows(base.tensor_mor_table[i], 2)
+        "tensor_mor": {str(i): _rows(base.tensor_mor_table[i])
                        for i in range(1, base.n + 1)},
-        "assoc": {str(i): _rows(base.assoc_table[i], 3)
+        "assoc": {str(i): _rows(base.assoc_table[i])
                   for i in range(1, base.n + 1)},
-        "interchange": {f"{i},{j}": _rows(tab, 4)
+        "interchange": {f"{i},{j}": _rows(tab)
                         for (i, j), tab in sorted(base.interchange_table.items())},
     }
     if t.symmetry is not None:
-        doc_base["symmetry"] = _rows(t.symmetry, 2)
+        doc_base["symmetry"] = _rows(t.symmetry)
     doc = {"format": FORMAT, "base": doc_base}
 
     if t.vcategories:

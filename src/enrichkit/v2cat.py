@@ -2,9 +2,12 @@
 
 Structures one level up from vcat: hom-data are now enriched categories and
 the compositions are enriched functors.  A V-2-category is a category
-enriched over V-Cat, so its pentagon and unit laws, the composition square
-and unit triangle of a 2-functor, and the naturality of a 2-transformation
-are vcat's axiom tables read over V-Cat's operations (``_VCAT``).  They
+enriched over V-Cat, whose cells are listed once (``_VCAT_CELLS``).  The
+product, unit, composites, identities and whiskers of 2-functors and
+2-transformations are vcat's constructions over them, and the pentagon and
+unit laws, the composition square and unit triangle of a 2-functor, and the
+naturality of a 2-transformation are vcat's axiom tables over them, lifted
+(``_VCAT``).  They
 compare whole functors (object maps and hom tables entry by entry), which
 subsumes the object-level equations like (fg)h = f(gh); a failing row's
 witness is the first entry in which the two functors differ.
@@ -24,6 +27,7 @@ engine bug, on invalid input a diagnostic.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -31,7 +35,6 @@ from itertools import product as iproduct
 
 from .errors import (
     AgreementFailure,
-    IndexOutOfRange,
     InvalidPasting,
     KernelError,
     LowerLevelInvalid,
@@ -46,9 +49,17 @@ from .report import (CheckReport, ReportBuilder, cached_report, each_row,
 from .vcat import (
     VFunctor,
     _category_laws,
+    _Cells,
+    _compose_functors,
+    _compose_nats,
     _functor_laws,
+    _identity_functor,
+    _identity_nat,
     _naturality,
     _Ops,
+    _product,
+    _unit,
+    _whisker,
     assoc_vcat,
     check_vcategory,
     check_vfunctor,
@@ -73,7 +84,7 @@ class V2Category:
     base: KFoldMonoidal
     objects: set
     hom: dict        # (a, b) -> VCategory
-    comp: dict       # (a, b, c) -> VFunctor hom(b,c) x_1 hom(a,b) -> hom(a,c)
+    comp: Mapping    # (a, b, c) -> VFunctor hom(b,c) x_1 hom(a,b) -> hom(a,c)
     identity: dict   # a -> VFunctor I -> hom(a, a)
 
     def one_cells(self, a, b):
@@ -109,26 +120,40 @@ class VModification:
     components: dict  # u -> base morphism I -> hom_W(Tu,Su)(q, q^)
 
 
-def _vcat_ops() -> _Ops:
-    """V-Cat's operations: functor composition, the first product of
-    functors, identity functors and the associator functor; the unitors are
-    the unit relabelings, and their inverses the unit introductions."""
+def _after_unit_pair(f: VFunctor, i: int) -> VFunctor:
+    """f precomposed with I -> I ⊗_i I, the 0 -> (0, 0) relabeling."""
+    return compose_vfunctor(f, unit_pair_intro(i, f.source.base))
+
+
+# V-Cat's cells: functors compose, the i-th tensor is ``product_vcat(i, ...)``
+# on the base's (i+1)-th, the unitors are the unit relabelings and their
+# inverses the unit introductions.
+_VCAT_CELLS = _Cells(
+    comp=compose_vfunctor, tensor_obj=product_vcat,
+    tensor_mor=product_vfunctor, idm=identity_vfunctor, assoc=assoc_vcat,
+    interchange=interchange_vcat, lam=partial(unit_relabel_left, 1),
+    rho=partial(unit_relabel_right, 1), lam_inv=partial(unit_intro_left, 1),
+    rho_inv=partial(unit_intro_right, 1), unit_pair=_after_unit_pair,
+    unit=unit_vcategory, shift=1,
+    Cat=V2Category, Functor=V2Functor, Nat=V2NatTransform)
+
+
+def _lifted(cells: _Cells) -> _Ops:
+    """The axiom tables' operations (first tensor, first associator) over
+    ``cells``, each cell lifted as a function of the key."""
     def star(f):
         return lift(lambda key: f(*key))
-    comp = star(compose_vfunctor)
-    intro_left = lift(partial(unit_intro_left, 1))
-    intro_right = lift(partial(unit_intro_right, 1))
+    comp = star(cells.comp)
+    lam_inv, rho_inv = lift(cells.lam_inv), lift(cells.rho_inv)
     return _Ops(
-        comp=comp, tm=star(partial(product_vfunctor, 1)),
-        idm=lift(identity_vfunctor), al=star(partial(assoc_vcat, 1)),
-        lam=lift(partial(unit_relabel_left, 1)),
-        rho=lift(partial(unit_relabel_right, 1)),
-        lam_inv=lambda f, hom, x, y: comp(f, intro_left(hom(x, y))),
-        rho_inv=lambda f, hom, x, y: comp(f, intro_right(hom(x, y))))
+        comp=comp, tm=star(partial(cells.tensor_mor, 1)),
+        idm=lift(cells.idm), al=star(partial(cells.assoc, 1)),
+        lam=lift(cells.lam), rho=lift(cells.rho),
+        lam_inv=lambda f, hom, x, y: comp(f, lam_inv(hom(x, y))),
+        rho_inv=lambda f, hom, x, y: comp(f, rho_inv(hom(x, y))))
 
 
-# Level 2 is level 1 over V-Cat: its axioms are vcat's tables over these.
-_VCAT = _vcat_ops()
+_VCAT = _lifted(_VCAT_CELLS)
 
 
 def _q(nat: V2NatTransform, u) -> str:
@@ -194,22 +219,10 @@ def _gate(b: ReportBuilder, check, structures) -> bool:
     return ok
 
 
-def _require_v2category(u: V2Category) -> None:
-    rep = cached_report(u, check_v2category)
+def _require(structure, check, message: str) -> None:
+    rep = cached_report(structure, check)
     if not rep.ok:
-        raise LowerLevelInvalid("level-2 category failed its checker", rep)
-
-
-def _require_v2functor(t: V2Functor) -> None:
-    rep = cached_report(t, check_v2functor)
-    if not rep.ok:
-        raise LowerLevelInvalid("level-2 functor failed its checker", rep)
-
-
-def _require_v2nat(a: V2NatTransform) -> None:
-    rep = cached_report(a, check_v2nat)
-    if not rep.ok:
-        raise LowerLevelInvalid("level-2 transformation failed its checker", rep)
+        raise LowerLevelInvalid(message, rep)
 
 
 # -- checkers --------------------------------------------------------------------
@@ -219,9 +232,7 @@ def check_v2category(u: V2Category, *,
     base = u.base
     if base.n < 2:
         raise MalformedTable("level-2 structure needs at least two tensors")
-    base_rep = cached_report(base, check_kfold)
-    if not base_rep.ok:
-        raise LowerLevelInvalid("tensor structure failed its checker", base_rep)
+    _require(base, check_kfold, "tensor structure failed its checker")
     if not u.objects:
         raise MalformedTable("level-2 category has no objects")
     objs = sorted(u.objects)
@@ -283,8 +294,8 @@ def check_v2category(u: V2Category, *,
 
 def check_v2functor(t: V2Functor, *,
                     all_witnesses: bool = False) -> CheckReport:
-    _require_v2category(t.source)
-    _require_v2category(t.target)
+    for cat in (t.source, t.target):
+        _require(cat, check_v2category, "level-2 category failed its checker")
     src, tgt = t.source, t.target
     objs = sorted(src.objects)
     for a in objs:
@@ -325,8 +336,8 @@ def check_v2nat(a: V2NatTransform, *,
     t, s = a.source, a.target
     if t.source != s.source or t.target != s.target:
         raise NotParallel("level-2 functors are not parallel")
-    _require_v2functor(t)
-    _require_v2functor(s)
+    for fun in (t, s):
+        _require(fun, check_v2functor, "level-2 functor failed its checker")
     u, w = t.source, t.target
     objs = sorted(u.objects)
     for x in objs:
@@ -360,8 +371,8 @@ def check_modification(m: VModification, *,
     th, ph = m.source, m.target
     if th.source != ph.source or th.target != ph.target:
         raise NotParallel("level-2 transformations are not parallel")
-    _require_v2nat(th)
-    _require_v2nat(ph)
+    for nat in (th, ph):
+        _require(nat, check_v2nat, "level-2 transformation failed its checker")
     t, s = th.source, th.target
     u, w = t.source, t.target
     base = u.base
@@ -418,26 +429,13 @@ def check_modification(m: VModification, *,
 def compose_nat_along_functor(b: V2NatTransform,
                               g: V2NatTransform) -> V2NatTransform:
     """g then b, sharing the middle 2-functor."""
-    if g.target != b.source:
-        raise NotComposable("transformations do not share the middle functor")
-    t, r = g.source, b.target
-    w = t.target
-    intro = unit_pair_intro(1, w.base)
-    components = {}
-    for u in sorted(t.source.objects):
-        tu, su, ru = t.obj_map[u], g.target.obj_map[u], r.obj_map[u]
-        components[u] = compose_vfunctor(
-            w.comp[(tu, su, ru)],
-            compose_vfunctor(
-                product_vfunctor(1, b.components[u], g.components[u]), intro))
-    return V2NatTransform(t, r, components)
+    return _compose_nats(_VCAT_CELLS, b, g)
 
 
 def id_nat(t: V2Functor) -> V2NatTransform:
     """Identity transformation: the component at u is the identity functor
     of the image object."""
-    return V2NatTransform(
-        t, t, {u: t.target.identity[t.obj_map[u]] for u in t.source.objects})
+    return _identity_nat(_VCAT_CELLS, t)
 
 
 def vcomp_modifications(n: VModification, m: VModification) -> VModification:
@@ -560,43 +558,21 @@ def hcomp_modifications_along_nat(n: VModification,
 
 def compose_v2functors(s: V2Functor, t: V2Functor) -> V2Functor:
     """s after t: composed object maps, composed hom functors."""
-    if t.target != s.source:
-        raise NotComposable("functor frames do not match")
-    obj_map = {u: s.obj_map[t.obj_map[u]] for u in t.source.objects}
-    hom_map = {}
-    for key in t.hom_map:
-        x, y = key
-        hom_map[key] = compose_vfunctor(
-            s.hom_map[(t.obj_map[x], t.obj_map[y])], t.hom_map[key])
-    return V2Functor(t.source, s.target, obj_map, hom_map)
+    return _compose_functors(_VCAT_CELLS, s, t)
 
 
 def identity_v2functor(u: V2Category) -> V2Functor:
-    return V2Functor(u, u, {x: x for x in u.objects},
-                     {key: identity_vfunctor(u.hom[key])
-                      for key in u.hom})
+    return _identity_functor(_VCAT_CELLS, u)
 
 
 def whisker_functor_nat(g: V2Functor, a: V2NatTransform) -> V2NatTransform:
     """Post-compose a transformation with a 2-functor (g a)."""
-    if a.source.target != g.source:
-        raise NotComposable("whisker frames do not match")
-    f_fun, h_fun = a.source, a.target
-    components = {}
-    for u in sorted(f_fun.source.objects):
-        components[u] = compose_vfunctor(
-            g.hom_map[(f_fun.obj_map[u], h_fun.obj_map[u])], a.components[u])
-    return V2NatTransform(compose_v2functors(g, f_fun),
-                          compose_v2functors(g, h_fun), components)
+    return _whisker(_VCAT_CELLS, "left", g, a)
 
 
 def whisker_nat_functor(g: V2NatTransform, h: V2Functor) -> V2NatTransform:
     """Pre-compose a transformation with a 2-functor (g h): reindexing."""
-    if h.target != g.source.source:
-        raise NotComposable("whisker frames do not match")
-    components = {u: g.components[h.obj_map[u]] for u in h.source.objects}
-    return V2NatTransform(compose_v2functors(g.source, h),
-                          compose_v2functors(g.target, h), components)
+    return _whisker(_VCAT_CELLS, "right", h, g)
 
 
 def hcomp_nats_along_category(g: V2NatTransform,
@@ -849,49 +825,15 @@ def exchange_suite(p: PastingInstance, *,
 # -- products and units --------------------------------------------------------------
 
 def product_v2cat(i: int, u: V2Category, w: V2Category) -> V2Category:
-    """The i-th product of level-2 structures: cartesian objects, hom
-    categories taken with the (i+1)-th level-1 product, composition routed
-    through the level-1 interchange."""
-    if u.base is not w.base and u.base != w.base:
-        raise MalformedTable("structures live over different bases")
-    base = u.base
-    if not 1 <= i <= base.n - 2:
-        raise IndexOutOfRange(
-            f"level-2 product index {i} needs tensor {i + 2} <= n")
-    uo, wo = sorted(u.objects), sorted(w.objects)
-    objects = {pair(a, b) for a in uo for b in wo}
-    hom = {}
-    for (a, b) in iproduct(uo, wo):
-        for (a2, b2) in iproduct(uo, wo):
-            hom[(pair(a, b), pair(a2, b2))] = product_vcat(
-                i + 1, u.hom[(a, a2)], w.hom[(b, b2)])
-    comp = {}
-    for (a, b), (a2, b2), (a3, b3) in iproduct(iproduct(uo, wo), repeat=3):
-        eta = interchange_vcat(1, i + 1,
-                               u.hom[(a2, a3)], w.hom[(b2, b3)],
-                               u.hom[(a, a2)], w.hom[(b, b2)])
-        both = product_vfunctor(i + 1, u.comp[(a, a2, a3)],
-                                w.comp[(b, b2, b3)])
-        comp[(pair(a, b), pair(a2, b2), pair(a3, b3))] = \
-            compose_vfunctor(both, eta)
-    identity = {}
-    intro = unit_pair_intro(i + 1, base)
-    for (a, b) in iproduct(uo, wo):
-        identity[pair(a, b)] = compose_vfunctor(
-            product_vfunctor(i + 1, u.identity[a], w.identity[b]), intro)
-    return V2Category(base, objects, hom, comp, identity)
+    """The i-th product of level-2 structures: vcat's product over V-Cat, so
+    hom categories are taken with the (i+1)-th level-1 product; built once
+    per (i, u, w), with a ``LazyTable`` of composition functors."""
+    return _product(_VCAT_CELLS, i, u, w)
 
 
 def unit_v2category(base: KFoldMonoidal) -> V2Category:
-    """One object, hom the unit enriched category, everything collapsed."""
-    unitv = unit_vcategory(base)
-    e = base.base.identity[base.unit]
-    m2 = VFunctor(product_vcat(1, unitv, unitv), unitv,
-                  {pair("0", "0"): "0"},
-                  {(pair("0", "0"), pair("0", "0")): e})
-    return V2Category(base, {"0"}, {("0", "0"): unitv},
-                      {("0", "0", "0"): m2},
-                      {"0": identity_vfunctor(unitv)})
+    """One object, hom the unit enriched category; built once per base."""
+    return _unit(_VCAT_CELLS, base)
 
 
 def relabel_v2category(u: V2Category, obj_map: dict, cell_maps: dict) -> V2Category:
@@ -913,14 +855,13 @@ def relabel_v2category(u: V2Category, obj_map: dict, cell_maps: dict) -> V2Categ
         na, nb, nc = obj_map[a], obj_map[b], obj_map[c]
         source = product_vcat(1, hom[(nb, nc)], hom[(na, nb)])
         cg, cf, ch = cell_maps[(b, c)], cell_maps[(a, b)], cell_maps[(a, c)]
+        pairs = list(iproduct(sorted(u.hom[(b, c)].objects),
+                              sorted(u.hom[(a, b)].objects)))
         nobj = {pair(cg[g], cf[f]): ch[m2.obj_map[pair(g, f)]]
-                for g in u.hom[(b, c)].objects
-                for f in u.hom[(a, b)].objects}
+                for (g, f) in pairs}
         nhom = {}
-        for (g, f) in iproduct(sorted(u.hom[(b, c)].objects),
-                               sorted(u.hom[(a, b)].objects)):
-            for (g2, f2) in iproduct(sorted(u.hom[(b, c)].objects),
-                                     sorted(u.hom[(a, b)].objects)):
+        for (g, f) in pairs:
+            for (g2, f2) in pairs:
                 nhom[(pair(cg[g], cf[f]), pair(cg[g2], cf[f2]))] = \
                     m2.hom_map[(pair(g, f), pair(g2, f2))]
         comp[(na, nb, nc)] = VFunctor(source, hom[(na, nc)], nobj, nhom)

@@ -9,7 +9,9 @@ the checkers state it as column equations over the base's lifted tables
 The axioms (pentagon, unit laws, functor square and unit triangle,
 naturality) are written once, as tables over the operations of the monoidal
 category enriched in (``_Ops``); the checkers here read them over the base,
-and v2cat reads the same tables over V-Cat.
+and v2cat reads the same tables over V-Cat.  The constructions both levels
+share (product, unit, composites, identities, whiskers) are written once
+too, over a record of its cells (``_Cells``) that v2cat reads over V-Cat.
 Product object sets are literal encoded pairs with no quotienting: the
 strict unit law holds only after the canonical relabeling (a, 0) -> a,
 which relabel_vcategory makes available bit-exactly.
@@ -25,7 +27,9 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import partial
 from itertools import product as iproduct
+from operator import attrgetter
 
 from .errors import (
     BaseInvalid,
@@ -123,16 +127,16 @@ def _require_base(base: KFoldMonoidal) -> None:
         raise BaseInvalid("tensor structure failed its checker", rep)
 
 
-def _require_vcategory(vc: VCategory, exc=SourceTargetInvalid) -> None:
+def _require_vcategory(vc: VCategory) -> None:
     rep = cached_report(vc, check_vcategory)
     if not rep.ok:
-        raise exc("enriched category failed its checker", rep)
+        raise SourceTargetInvalid("enriched category failed its checker", rep)
 
 
-def _require_vfunctor(vf: VFunctor, exc=SourceTargetInvalid) -> None:
+def _require_vfunctor(vf: VFunctor) -> None:
     rep = cached_report(vf, check_vfunctor)
     if not rep.ok:
-        raise exc("enriched functor failed its checker", rep)
+        raise SourceTargetInvalid("enriched functor failed its checker", rep)
 
 
 # -- axiom tables -------------------------------------------------------------
@@ -144,7 +148,7 @@ def _require_vfunctor(vf: VFunctor, exc=SourceTargetInvalid) -> None:
 _Ops = namedtuple("_Ops", "comp tm idm al lam rho lam_inv rho_inv")
 
 
-def _strict(f, hom, x, y):
+def _strict(f, *_):
     return f
 
 
@@ -336,13 +340,33 @@ def vfunctor_equal(t: VFunctor, s: VFunctor) -> bool:
     return t.obj_map == s.obj_map and t.hom_map == s.hom_map
 
 
-# -- constructions ------------------------------------------------------------
+# -- the cells enriched in ----------------------------------------------------
 
-def unit_vcategory(base: KFoldMonoidal) -> VCategory:
-    """One object 0 with hom-object the base unit; built once per base."""
-    e = base.base.identity[base.unit]
-    return _memo(base, "unit_vcategory", lambda: VCategory(
-        base, {"0"}, {("0", "0"): base.unit}, {("0", "0", "0"): e}, {"0": e}))
+# The cells of the monoidal category enriched in: ``comp(g, f)`` (f first),
+# the i-th tensor of objects and of morphisms, identities, the i-th
+# associator, the (i, j) interchange, the unitors λ and ρ at an object and
+# their inverses, ``unit_pair(f, i)`` (f after I -> I ⊗_i I), ``unit(base)``,
+# ``shift`` (its i-th tensor is the base's (i + shift)-th) and the classes of
+# the structures enriched in it.  The constructions below are written once
+# over this record; vcat reads it over the base, v2cat over V-Cat.
+_Cells = namedtuple("_Cells", "comp tensor_obj tensor_mor idm assoc "
+                    "interchange lam rho lam_inv rho_inv unit_pair unit "
+                    "shift Cat Functor Nat")
+
+
+def _base_cells(base: KFoldMonoidal) -> _Cells:
+    """The base's cells, built once per base; its unitors are strict."""
+    def build():
+        cat = base.base
+        ident = cat.identity.__getitem__
+        return _Cells(
+            comp=partial(compose, cat), tensor_obj=base.tensor_obj,
+            tensor_mor=base.tensor_mor, idm=ident, assoc=base.associator,
+            interchange=base.interchange_mor, lam=ident, rho=ident,
+            lam_inv=ident, rho_inv=ident, unit_pair=_strict,
+            unit=attrgetter("unit"), shift=0,
+            Cat=VCategory, Functor=VFunctor, Nat=VNatTransform)
+    return _memo(base, "cells", build)
 
 
 def _same_base(a, b):
@@ -350,68 +374,151 @@ def _same_base(a, b):
         raise MalformedTable("structures live over different bases")
 
 
-def product_vcat(i: int, a: VCategory, b: VCategory) -> VCategory:
-    """The i-th product: pairs of objects, hom-objects tensored one level up,
+def _unit(cells: _Cells, base):
+    """One object 0 whose hom is the unit I, with composition λ_I and
+    identity 1_I; built once per base and level."""
+    def build():
+        unit = cells.unit(base)
+        return cells.Cat(base, {"0"}, {("0", "0"): unit},
+                         {("0", "0", "0"): cells.lam(unit)},
+                         {"0": cells.idm(unit)})
+    return _memo(base, ("unit", cells.Cat), build)
+
+
+def _product(cells: _Cells, i: int, a, b):
+    """The i-th product: pairs of objects, homs tensored one level up,
     composition routed through the (1, i+1) interchange.  Built once per
     (i, a, b), kept on ``a`` with ``b`` itself, so id(b) is never reused."""
-    return _memo(a, ("product_vcat", i, id(b)),
-                 lambda: (b, _product_vcat(i, a, b)))[1]
+    return _memo(a, ("product", i, id(b)),
+                 lambda: (b, _build_product(cells, i, a, b)))[1]
 
 
-def _product_vcat(i: int, a: VCategory, b: VCategory) -> VCategory:
+def _build_product(cells: _Cells, i: int, a, b):
     """Objects, homs and identities now; the composition table is a
     ``LazyTable`` built on its first read.  A factor missing a hom or
     identity entry raises here, one missing a composition entry raises a
     ``KeyError`` at that first read."""
     _same_base(a, b)
     base = a.base
-    if not 1 <= i <= base.n - 1:
-        raise IndexOutOfRange(f"product index {i} needs tensor {i + 1} <= n")
+    if not 1 <= i <= base.n - 1 - cells.shift:
+        raise IndexOutOfRange(
+            f"product index {i} needs tensor {i + 1 + cells.shift} <= n")
+    tensor_obj, tensor_mor = cells.tensor_obj, cells.tensor_mor
     aobj, bobj = sorted(a.objects), sorted(b.objects)
     objects = {pair(x, y) for x in aobj for y in bobj}
     hom = {}
     identity = {}
     for (x, y) in iproduct(aobj, bobj):
+        identity[pair(x, y)] = cells.unit_pair(tensor_mor(
+            i + 1, a.identity[x], b.identity[y]), i + 1)
         for (x2, y2) in iproduct(aobj, bobj):
-            hom[(pair(x, y), pair(x2, y2))] = base.tensor_obj(
+            hom[(pair(x, y), pair(x2, y2))] = tensor_obj(
                 i + 1, a.hom[(x, x2)], b.hom[(y, y2)])
-    for (x, y) in iproduct(aobj, bobj):
-        identity[pair(x, y)] = base.tensor_mor(i + 1, a.identity[x],
-                                               b.identity[y])
 
     def build_comp():
-        cat = base.base
+        compose, interchange = cells.comp, cells.interchange
+        ahom, bhom = a.hom, b.hom
         acomp, bcomp = _plain(a.comp), _plain(b.comp)
         comp = {}
         for (x, y), (x2, y2), (x3, y3) in iproduct(
                 iproduct(aobj, bobj), repeat=3):
-            eta = base.interchange_mor(1, i + 1,
-                                       a.hom[(x2, x3)], b.hom[(y2, y3)],
-                                       a.hom[(x, x2)], b.hom[(y, y2)])
-            both = base.tensor_mor(i + 1, acomp[(x, x2, x3)],
-                                   bcomp[(y, y2, y3)])
+            eta = interchange(1, i + 1, ahom[(x2, x3)], bhom[(y2, y3)],
+                              ahom[(x, x2)], bhom[(y, y2)])
+            both = tensor_mor(i + 1, acomp[(x, x2, x3)], bcomp[(y, y2, y3)])
             comp[(pair(x, y), pair(x2, y2), pair(x3, y3))] = \
-                compose(cat, both, eta)
+                compose(both, eta)
         return comp
-    return VCategory(base, objects, hom, LazyTable(build_comp), identity)
+    return cells.Cat(base, objects, hom, LazyTable(build_comp), identity)
+
+
+def _compose_functors(cells: _Cells, s, t):
+    """s after t: composed object maps, hom maps composed entry by entry."""
+    if t.target != s.source:
+        raise NotComposable("functor frames do not match")
+    compose = cells.comp
+    obj_map = {x: s.obj_map[t.obj_map[x]] for x in t.source.objects}
+    hom_map = {}
+    for x in t.source.objects:
+        for y in t.source.objects:
+            hom_map[(x, y)] = compose(
+                s.hom_map[(t.obj_map[x], t.obj_map[y])], t.hom_map[(x, y)])
+    return cells.Functor(t.source, s.target, obj_map, hom_map)
+
+
+def _identity_functor(cells: _Cells, a):
+    idm = cells.idm
+    return cells.Functor(a, a, {x: x for x in a.objects},
+                         {(x, y): idm(a.hom[(x, y)])
+                          for x in a.objects for y in a.objects})
+
+
+def _identity_nat(cells: _Cells, t):
+    return cells.Nat(t, t, {x: t.target.identity[t.obj_map[x]]
+                            for x in t.source.objects})
+
+
+def _compose_nats(cells: _Cells, b, a):
+    """a then b: each component pair tensored, from I ⊗_1 I, and multiplied
+    through the target's composition."""
+    if a.target != b.source:
+        raise NotComposable("transformation frames do not match")
+    compose, tensor_mor = cells.comp, cells.tensor_mor
+    w = a.source.target
+    components = {}
+    for x in a.source.source.objects:
+        tx = a.source.obj_map[x]
+        sx = a.target.obj_map[x]
+        rx = b.target.obj_map[x]
+        components[x] = compose(w.comp[(tx, sx, rx)], cells.unit_pair(
+            tensor_mor(1, b.components[x], a.components[x]), 1))
+    return cells.Nat(a.source, b.target, components)
+
+
+def _whisker(cells: _Cells, side: str, f, a):
+    if side == "left":
+        if a.source.target != f.source:
+            raise NotComposable("whisker frames do not match")
+        components = {
+            x: cells.comp(
+                f.hom_map[(a.source.obj_map[x], a.target.obj_map[x])],
+                a.components[x])
+            for x in a.source.source.objects}
+        return cells.Nat(_compose_functors(cells, f, a.source),
+                         _compose_functors(cells, f, a.target), components)
+    if side == "right":
+        if f.target != a.source.source:
+            raise NotComposable("whisker frames do not match")
+        components = {x: a.components[f.obj_map[x]]
+                      for x in f.source.objects}
+        return cells.Nat(_compose_functors(cells, a.source, f),
+                         _compose_functors(cells, a.target, f), components)
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
+# -- constructions ------------------------------------------------------------
+
+def unit_vcategory(base: KFoldMonoidal) -> VCategory:
+    """One object 0 with hom-object the base unit; built once per base."""
+    return _unit(_base_cells(base), base)
+
+
+def product_vcat(i: int, a: VCategory, b: VCategory) -> VCategory:
+    """The i-th product, on the base's (i+1)-th tensor; built once per
+    (i, a, b).  Its composition table is a ``LazyTable``."""
+    return _product(_base_cells(a.base), i, a, b)
 
 
 def product_vfunctor(i: int, t: VFunctor, s: VFunctor) -> VFunctor:
     """Formal product of functors: pair map on objects, tensored hom maps."""
-    _same_base(t.source, s.source)
     base = t.source.base
-    if not 1 <= i <= base.n - 1:
-        raise IndexOutOfRange(f"product index {i} needs tensor {i + 1} <= n")
     source = product_vcat(i, t.source, s.source)
     target = product_vcat(i, t.target, s.target)
     obj_map = {}
     hom_map = {}
-    for x in sorted(t.source.objects):
-        for y in sorted(s.source.objects):
-            obj_map[pair(x, y)] = pair(t.obj_map[x], s.obj_map[y])
-    for (x, y) in iproduct(sorted(t.source.objects), sorted(s.source.objects)):
-        for (x2, y2) in iproduct(sorted(t.source.objects),
-                                 sorted(s.source.objects)):
+    pairs = list(iproduct(sorted(t.source.objects), sorted(s.source.objects)))
+    for (x, y) in pairs:
+        obj_map[pair(x, y)] = pair(t.obj_map[x], s.obj_map[y])
+        for (x2, y2) in pairs:
             hom_map[(pair(x, y), pair(x2, y2))] = base.tensor_mor(
                 i + 1, t.hom_map[(x, x2)], s.hom_map[(y, y2)])
     return VFunctor(source, target, obj_map, hom_map)
@@ -440,13 +547,12 @@ def assoc_vcat(i: int, a: VCategory, b: VCategory, c: VCategory) -> VFunctor:
     target = product_vcat(i, a, product_vcat(i, b, c))
     obj_map = {}
     hom_map = {}
-    for x, y, z in iproduct(sorted(a.objects), sorted(b.objects),
-                            sorted(c.objects)):
+    triples = list(iproduct(sorted(a.objects), sorted(b.objects),
+                            sorted(c.objects)))
+    for (x, y, z) in triples:
         obj_map[pair(pair(x, y), z)] = pair(x, pair(y, z))
-    for (x, y, z) in iproduct(sorted(a.objects), sorted(b.objects),
-                              sorted(c.objects)):
-        for (x2, y2, z2) in iproduct(sorted(a.objects), sorted(b.objects),
-                                     sorted(c.objects)):
+    for (x, y, z) in triples:
+        for (x2, y2, z2) in triples:
             hom_map[(pair(pair(x, y), z), pair(pair(x2, y2), z2))] = \
                 base.associator(i + 1, a.hom[(x, x2)], b.hom[(y, y2)],
                                 c.hom[(z, z2)])
@@ -482,72 +588,27 @@ def interchange_vcat(i: int, j: int, a: VCategory, b: VCategory,
 
 
 def identity_vfunctor(a: VCategory) -> VFunctor:
-    cat = a.base.base
-    return VFunctor(a, a, {x: x for x in a.objects},
-                    {(x, y): cat.identity[a.hom[(x, y)]]
-                     for x in a.objects for y in a.objects})
+    return _identity_functor(_base_cells(a.base), a)
 
 
 def identity_vnat(t: VFunctor) -> VNatTransform:
     """The identity transformation, components the identity elements j."""
-    return VNatTransform(t, t, {x: t.target.identity[t.obj_map[x]]
-                                for x in t.source.objects})
+    return _identity_nat(_base_cells(t.source.base), t)
 
 
 def compose_vfunctor(s: VFunctor, t: VFunctor) -> VFunctor:
     """s after t."""
-    if t.target != s.source:
-        raise NotComposable("functor frames do not match")
-    cat = t.source.base.base
-    obj_map = {x: s.obj_map[t.obj_map[x]] for x in t.source.objects}
-    hom_map = {}
-    for x in t.source.objects:
-        for y in t.source.objects:
-            hom_map[(x, y)] = compose(
-                cat, s.hom_map[(t.obj_map[x], t.obj_map[y])],
-                t.hom_map[(x, y)])
-    return VFunctor(t.source, s.target, obj_map, hom_map)
+    return _compose_functors(_base_cells(t.source.base), s, t)
 
 
 def compose_vnat_vert(b: VNatTransform, a: VNatTransform) -> VNatTransform:
     """Vertical composite: a then b, components multiplied through M."""
-    if a.target != b.source:
-        raise NotComposable("transformation frames do not match")
-    base = a.source.source.base
-    cat = base.base
-    w = a.source.target
-    components = {}
-    for x in a.source.source.objects:
-        tx = a.source.obj_map[x]
-        sx = a.target.obj_map[x]
-        rx = b.target.obj_map[x]
-        components[x] = compose(
-            cat, w.comp[(tx, sx, rx)],
-            base.tensor_mor(1, b.components[x], a.components[x]))
-    return VNatTransform(a.source, b.target, components)
+    return _compose_nats(_base_cells(a.source.source.base), b, a)
 
 
 def whisker_vnat(side: str, f: VFunctor, a: VNatTransform) -> VNatTransform:
     """Whisker a functor onto a transformation ("left": f after a)."""
-    cat = f.source.base.base
-    if side == "left":
-        if a.source.target != f.source:
-            raise NotComposable("whisker frames do not match")
-        components = {
-            x: compose(cat,
-                       f.hom_map[(a.source.obj_map[x], a.target.obj_map[x])],
-                       a.components[x])
-            for x in a.source.source.objects}
-        return VNatTransform(compose_vfunctor(f, a.source),
-                             compose_vfunctor(f, a.target), components)
-    if side == "right":
-        if f.target != a.source.source:
-            raise NotComposable("whisker frames do not match")
-        components = {x: a.components[f.obj_map[x]]
-                      for x in f.source.objects}
-        return VNatTransform(compose_vfunctor(a.source, f),
-                             compose_vfunctor(a.target, f), components)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return _whisker(_base_cells(f.source.base), side, f, a)
 
 
 # -- strict-unit plumbing -----------------------------------------------------
@@ -556,14 +617,12 @@ def _unit_functor(i: int, a: VCategory, left: bool, intro: bool) -> VFunctor:
     """The identity-component functor between a and its product with I:
     product(i, I, a) when ``left``, else product(i, a, I); a -> product when
     ``intro``, else product -> a.  Components are read from a's own homs."""
-    cat = a.base.base
     unitv = unit_vcategory(a.base)
     if left:
         prod, tag = product_vcat(i, unitv, a), lambda x: pair("0", x)
     else:
         prod, tag = product_vcat(i, a, unitv), lambda x: pair(x, "0")
-    hom = {(x, y): cat.identity[a.hom[(x, y)]]
-           for x in a.objects for y in a.objects}
+    hom = identity_vfunctor(a).hom_map
     if intro:
         return VFunctor(a, prod, {x: tag(x) for x in a.objects}, hom)
     return VFunctor(prod, a, {tag(x): x for x in a.objects},
@@ -591,11 +650,10 @@ def unit_intro_right(i: int, a: VCategory) -> VFunctor:
 
 
 def unit_pair_intro(i: int, base: KFoldMonoidal) -> VFunctor:
-    """I -> product(i, I, I), the 0 -> (0, 0) relabeling."""
-    unitv = unit_vcategory(base)
-    target = product_vcat(i, unitv, unitv)
-    e = base.base.identity[base.unit]
-    return VFunctor(unitv, target, {"0": pair("0", "0")}, {("0", "0"): e})
+    """I -> product(i, I, I), the 0 -> (0, 0) relabeling; built once per
+    (base, i)."""
+    return _memo(base, ("unit_pair_intro", i),
+                 lambda: unit_intro_left(i, unit_vcategory(base)))
 
 
 def relabel_vcategory(a: VCategory, obj_map: dict) -> VCategory:

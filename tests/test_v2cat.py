@@ -1,6 +1,9 @@
+from itertools import product as iproduct
+
 import pytest
 
-from enrichkit.errors import AgreementFailure, InvalidPasting, NotComposable
+from enrichkit.errors import (AgreementFailure, IndexOutOfRange,
+                              InvalidPasting, NotComposable)
 from enrichkit.instances import (
     Bounds,
     _endo_v2functors,
@@ -11,10 +14,24 @@ from enrichkit.instances import (
     join_monoid_v2cat,
     random_instance,
     unique_morphism,
+    xor_group_v2cat,
+    zmod2,
 )
-from enrichkit.vcat import VFunctor, pair, product_vcat, unit_vcategory
+from enrichkit.serialize import Tower, dumps
+from enrichkit.vcat import (
+    LazyTable,
+    VFunctor,
+    compose_vfunctor,
+    interchange_vcat,
+    pair,
+    product_vcat,
+    product_vfunctor,
+    unit_pair_intro,
+    unit_vcategory,
+)
 from enrichkit.v2cat import (
     PastingInstance,
+    V2Category,
     V2Functor,
     V2NatTransform,
     check_modification,
@@ -480,6 +497,64 @@ def test_product_v2cat(bool3, zmod3, xor_x2):
         assert frame.comp._table is None
     prodx = product_v2cat(1, xor_x2, xor_x2)
     assert check_v2category(prodx).ok
+
+
+def _eager_product_v2cat(i, u, w):
+    """Reference: the level-2 product with every table built eagerly, loop
+    for loop through the level-1 constructions."""
+    uo, wo = sorted(u.objects), sorted(w.objects)
+    objects = {pair(a, b) for a in uo for b in wo}
+    hom = {}
+    for (a, b) in iproduct(uo, wo):
+        for (a2, b2) in iproduct(uo, wo):
+            hom[(pair(a, b), pair(a2, b2))] = product_vcat(
+                i + 1, u.hom[(a, a2)], w.hom[(b, b2)])
+    comp = {}
+    for (a, b), (a2, b2), (a3, b3) in iproduct(iproduct(uo, wo), repeat=3):
+        eta = interchange_vcat(1, i + 1,
+                               u.hom[(a2, a3)], w.hom[(b2, b3)],
+                               u.hom[(a, a2)], w.hom[(b, b2)])
+        both = product_vfunctor(i + 1, u.comp[(a, a2, a3)],
+                                w.comp[(b, b2, b3)])
+        comp[(pair(a, b), pair(a2, b2), pair(a3, b3))] = \
+            compose_vfunctor(both, eta)
+    intro = unit_pair_intro(i + 1, u.base)
+    identity = {}
+    for (a, b) in iproduct(uo, wo):
+        identity[pair(a, b)] = compose_vfunctor(
+            product_vfunctor(i + 1, u.identity[a], w.identity[b]), intro)
+    return V2Category(u.base, objects, hom, comp, identity)
+
+
+@pytest.mark.parametrize("make", [lambda: join_monoid_v2cat(bool_poset(3)),
+                                  lambda: xor_group_v2cat(zmod2(3))],
+                         ids=["W3", "X2"])
+def test_product_v2cat_matches_the_eager_construction(make):
+    u = make()
+    prod = product_v2cat(1, u, u)
+    # Nothing has read the composition table yet, if it is a lazy one.
+    assert not isinstance(prod.comp, LazyTable) or prod.comp._table is None
+    before = dumps(Tower(u.base, v2categories={"prod": prod}))
+    ref = _eager_product_v2cat(1, u, u)
+    assert prod.objects == ref.objects
+    assert prod.hom == ref.hom
+    assert sorted(prod.comp) == sorted(ref.comp)
+    for key, functor in ref.comp.items():
+        assert prod.comp[key] == functor
+    assert prod.identity == ref.identity
+    after = dumps(Tower(u.base, v2categories={"prod": prod}))
+    assert before == after
+    assert after == dumps(Tower(u.base, v2categories={"prod": ref}))
+
+
+def test_product_v2cat_index_range_and_memo(bool2, bool3, zmod3, xor_x2):
+    with pytest.raises(IndexOutOfRange):
+        product_v2cat(1, join_monoid_v2cat(bool2), join_monoid_v2cat(bool2))
+    w3 = join_monoid_v2cat(bool3)
+    with pytest.raises(IndexOutOfRange):
+        product_v2cat(2, w3, w3)  # needs tensor 4
+    assert product_v2cat(1, xor_x2, xor_x2) is product_v2cat(1, xor_x2, xor_x2)
+    assert unit_v2category(zmod3) is unit_v2category(zmod3)
 
 
 def test_product_v2cat_unit_relabel(zmod3, xor_x2):
