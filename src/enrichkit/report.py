@@ -21,10 +21,12 @@ trailing axes with the fewest leading axes fixed so that it holds at most
 each failing row's first failing equation.  ``each_row`` gives the families
 checked one row at a time the same ``family`` loop, as blocks of one row.
 
-``_memo(obj, key, build)`` is the one memo: it keeps ``build()`` in a dict on
-``obj`` and returns it on every later call with that key.  Checker reports,
-products and the unit enriched category go through it, which is sound because
-structures are immutable once constructed.
+``_memo(obj, key, build)`` is the one memo: it keeps ``build(obj)`` in a dict
+on ``obj`` and returns it on every later call with that key, a hit being one
+lookup in that dict.  Checker reports, products, units and the base's cell
+record go through it.  That is sound only while a structure is not mutated
+after its first check or construction: its tables are plain dicts, and the
+memo never looks at them again.
 """
 from __future__ import annotations
 
@@ -301,17 +303,20 @@ def _failures(eqs, axes, row):
 
 
 def _memo(obj, key, build):
-    """``build()``, computed once per ``(obj, key)`` and stored on ``obj``."""
-    memo = vars(obj).setdefault("_memo", {})
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
+    """``build(obj)``, computed once per ``(obj, key)`` and stored on ``obj``."""
+    try:
+        return obj._memo[key]
+    except (AttributeError, KeyError):
+        pass
+    value = vars(obj).setdefault("_memo", {})[key] = build(obj)
+    return value
 
 
 def cached_report(obj, check) -> CheckReport:
-    """Memoize a checker run on an immutable structure.
+    """Memoize a checker run on a structure.
 
-    Structures are frozen after construction, so the first full check is
-    authoritative for the object's lifetime.
+    The first full check is kept for the object's lifetime.  Structures are
+    mutable dicts underneath, so do not mutate one after its first check:
+    the cached report would not see the change.
     """
-    return _memo(obj, "report", lambda: check(obj))
+    return _memo(obj, "report", check)

@@ -7,10 +7,14 @@ product, unit, composites, identities and whiskers of 2-functors and
 2-transformations are vcat's constructions over them, and the pentagon and
 unit laws, the composition square and unit triangle of a 2-functor, and the
 naturality of a 2-transformation are vcat's axiom tables over them, lifted
-(``_VCAT``).  They
-compare whole functors (object maps and hom tables entry by entry), which
-subsumes the object-level equations like (fg)h = f(gh); a failing row's
-witness is the first entry in which the two functors differ.
+(``_VCAT``).  They compare whole functors (object maps and hom tables entry
+by entry), which subsumes the object-level equations like (fg)h = f(gh); a
+failing row's witness is the first entry in which the two functors differ.
+A modification's component at u is a level-1 transformation between the
+components at u of its source and target (``_at``), so its vertical
+composite, identity and 2-functor whisker are vcat's transformation
+operations at each component, and the nat/mod whiskers are the central
+horizontal formula at an identity modification.
 
 Three composition regimes exist, written here as in the source structure:
 
@@ -48,6 +52,7 @@ from .report import (CheckReport, ReportBuilder, cached_report, each_row,
                      equations, lift)
 from .vcat import (
     VFunctor,
+    VNatTransform,
     _category_laws,
     _Cells,
     _compose_functors,
@@ -64,7 +69,9 @@ from .vcat import (
     check_vcategory,
     check_vfunctor,
     compose_vfunctor,
+    compose_vnat_vert,
     identity_vfunctor,
+    identity_vnat,
     interchange_vcat,
     pair,
     product_vcat,
@@ -76,6 +83,7 @@ from .vcat import (
     unit_relabel_left,
     unit_relabel_right,
     unit_vcategory,
+    whisker_vnat,
 )
 
 
@@ -181,11 +189,22 @@ def _diff_nat(x: V2NatTransform, y: V2NatTransform):
     return None
 
 
-def _diff_mod(x: VModification, y: VModification):
+def _diff_mod(x: VModification, y: VModification, at="component[{}]"):
     for u in sorted(set(x.components) | set(y.components)):
         if x.components.get(u) != y.components.get(u):
-            return f"component[{u}]", x.components.get(u), y.components.get(u)
+            return at.format(u), x.components.get(u), y.components.get(u)
     return None
+
+
+def _agree(diff, message: str, first, *routes):
+    """``first``, once no ``(label, route)`` differs from it by ``diff``;
+    else AgreementFailure, ``message`` formatted with the label and the
+    first difference (where, first's entry, the route's entry)."""
+    for label, route in routes:
+        d = diff(first, route)
+        if d is not None:
+            raise AgreementFailure(message.format(label, *d))
+    return first
 
 
 def _witness(d):
@@ -438,120 +457,81 @@ def id_nat(t: V2Functor) -> V2NatTransform:
     return _identity_nat(_VCAT_CELLS, t)
 
 
+def _at(m: VModification, u) -> VNatTransform:
+    """m's component at u as the level-1 transformation it is, between the
+    components of m's source and target at u."""
+    return VNatTransform(m.source.components[u], m.target.components[u],
+                         {"0": m.components[u]})
+
+
+def _each(objects, op) -> dict:
+    """A modification's components: ``op(u)``, a level-1 transformation out
+    of the unit enriched category, read at its one object, for each u."""
+    return {u: op(u).components["0"] for u in sorted(objects)}
+
+
 def vcomp_modifications(n: VModification, m: VModification) -> VModification:
-    """m then n, through vertical composition in each hom category."""
+    """m then n: vertical composition of their components at each u."""
     if m.target != n.source:
         raise NotComposable("modifications do not share the middle transformation")
-    al, sg = m.source, n.target
-    t, s = al.source, al.target
-    w = t.target
-    base = w.base
-    cat = base.base
-    components = {}
-    for u in sorted(t.source.objects):
-        homv = w.hom[(t.obj_map[u], s.obj_map[u])]
-        components[u] = compose(
-            cat, homv.comp[(_q(al, u), _q(m.target, u), _q(sg, u))],
-            base.tensor_mor(1, n.components[u], m.components[u]))
-    return VModification(al, sg, components)
+    return VModification(m.source, n.target, _each(
+        m.source.source.source.objects,
+        lambda u: compose_vnat_vert(_at(n, u), _at(m, u))))
 
 
 def id_modification(a: V2NatTransform) -> VModification:
-    """Identity modification: component at u is the identity element of the
-    component's object part."""
-    t, s = a.source, a.target
-    w = t.target
-    components = {}
-    for u in sorted(t.source.objects):
-        homv = w.hom[(t.obj_map[u], s.obj_map[u])]
-        components[u] = homv.identity[_q(a, u)]
-    return VModification(a, a, components)
+    """Identity modification: the identity transformation of each component."""
+    return VModification(a, a, _each(a.source.source.objects,
+                                     lambda u: identity_vnat(a.components[u])))
 
 
-def whisker_nat_mod_left(g: V2NatTransform, m: VModification) -> VModification:
-    """Whisker a transformation g on the left of modification m (g * m)."""
-    ps = m.source
-    if ps.target != g.source:
-        raise NotComposable("whisker frames do not match")
-    f_fun, g_fun = ps.source, ps.target
-    h_fun = g.target
+def _hcomp_central(n: VModification, m: VModification) -> VModification:
+    """The central formula of n * m: at u, the components tensored and
+    multiplied through W's composition functor at (fu, gu, hu)."""
+    f_fun, g_fun, h_fun = m.source.source, m.source.target, n.source.target
     w = f_fun.target
-    base = w.base
-    cat = base.base
-    components = {}
-    for u in sorted(f_fun.source.objects):
-        fu, gu, hu = f_fun.obj_map[u], g_fun.obj_map[u], h_fun.obj_map[u]
-        qc = _q(g, u)
-        key = (pair(qc, _q(ps, u)), pair(qc, _q(m.target, u)))
-        j_qc = w.hom[(gu, hu)].identity[qc]
-        components[u] = compose(
-            cat, w.comp[(fu, gu, hu)].hom_map[key],
-            base.tensor_mor(2, j_qc, m.components[u]))
-    return VModification(compose_nat_along_functor(g, ps),
-                         compose_nat_along_functor(g, m.target), components)
-
-
-def whisker_nat_mod_right(m: VModification, r: V2NatTransform) -> VModification:
-    """Whisker a transformation r on the right of modification m (m * r)."""
-    ps = m.source
-    if r.target != ps.source:
-        raise NotComposable("whisker frames do not match")
-    e_fun = r.source
-    f_fun, g_fun = ps.source, ps.target
-    w = f_fun.target
-    base = w.base
-    cat = base.base
-    components = {}
-    for u in sorted(e_fun.source.objects):
-        eu, fu, gu = e_fun.obj_map[u], f_fun.obj_map[u], g_fun.obj_map[u]
-        qb = _q(r, u)
-        key = (pair(_q(ps, u), qb), pair(_q(m.target, u), qb))
-        j_qb = w.hom[(eu, fu)].identity[qb]
-        components[u] = compose(
-            cat, w.comp[(eu, fu, gu)].hom_map[key],
-            base.tensor_mor(2, m.components[u], j_qb))
-    return VModification(compose_nat_along_functor(ps, r),
-                         compose_nat_along_functor(m.target, r), components)
-
-
-def hcomp_modifications_along_nat(n: VModification,
-                                  m: VModification) -> VModification:
-    """Horizontal composite n * m across a shared middle 2-functor.
-
-    Computes the central formula plus both whisker factorizations
-    (n.target * m) o (n * m.source) and (n * m.target) o (n.source * m), and
-    insists all three agree.
-    """
-    if m.source.target != n.source.source:
-        raise NotComposable("modifications are not horizontally adjacent")
-    f_fun = m.source.source
-    g_fun = m.source.target
-    h_fun = n.source.target
-    w = f_fun.target
-    base = w.base
-    cat = base.base
     central = {}
     for u in sorted(f_fun.source.objects):
         fu, gu, hu = f_fun.obj_map[u], g_fun.obj_map[u], h_fun.obj_map[u]
         key = (pair(_q(n.source, u), _q(m.source, u)),
                pair(_q(n.target, u), _q(m.target, u)))
         central[u] = compose(
-            cat, w.comp[(fu, gu, hu)].hom_map[key],
-            base.tensor_mor(2, n.components[u], m.components[u]))
+            w.base.base, w.comp[(fu, gu, hu)].hom_map[key],
+            w.base.tensor_mor(2, n.components[u], m.components[u]))
+    return VModification(
+        compose_nat_along_functor(n.source, m.source),
+        compose_nat_along_functor(n.target, m.target), central)
+
+
+def whisker_nat_mod_left(g: V2NatTransform, m: VModification) -> VModification:
+    """Whisker a transformation g on the left of modification m (g * m)."""
+    if m.source.target != g.source:
+        raise NotComposable("whisker frames do not match")
+    return _hcomp_central(id_modification(g), m)
+
+
+def whisker_nat_mod_right(m: VModification, r: V2NatTransform) -> VModification:
+    """Whisker a transformation r on the right of modification m (m * r)."""
+    if r.target != m.source.source:
+        raise NotComposable("whisker frames do not match")
+    return _hcomp_central(m, id_modification(r))
+
+
+def hcomp_modifications_along_nat(n: VModification,
+                                  m: VModification) -> VModification:
+    """Horizontal composite n * m across a shared middle 2-functor: the
+    central formula, which must agree with both whisker factorizations
+    (n.target * m) o (n * m.source) and (n * m.target) o (n.source * m)."""
+    if m.source.target != n.source.source:
+        raise NotComposable("modifications are not horizontally adjacent")
+    central = _hcomp_central(n, m)
     way1 = vcomp_modifications(whisker_nat_mod_left(n.target, m),
                                whisker_nat_mod_right(n, m.source))
     way2 = vcomp_modifications(whisker_nat_mod_right(n, m.target),
                                whisker_nat_mod_left(n.source, m))
-    for label, other in (("whisker-right-then-left", way1),
-                         ("whisker-left-then-right", way2)):
-        for u in central:
-            if central[u] != other.components[u]:
-                raise AgreementFailure(
-                    f"central and {label} routes differ at {u}: "
-                    f"{central[u]} != {other.components[u]}")
-    return VModification(
-        compose_nat_along_functor(n.source, m.source),
-        compose_nat_along_functor(n.target, m.target), central)
+    return _agree(partial(_diff_mod, at="{}"), "central and {0} routes differ at {1}: "
+                  "{2} != {3}", central, ("whisker-right-then-left", way1),
+                  ("whisker-left-then-right", way2))
 
 
 # -- composition along a 2-category -----------------------------------------------
@@ -587,29 +567,21 @@ def hcomp_nats_along_category(g: V2NatTransform,
         whisker_nat_functor(g, a.target), whisker_functor_nat(g.source, a))
     way2 = compose_nat_along_functor(
         whisker_functor_nat(g.target, a), whisker_nat_functor(g, a.source))
-    d = _diff_nat(way1, way2)
-    if d is not None:
-        raise AgreementFailure(
-            f"two routes for the horizontal composite differ at {d[0]}: "
-            f"{d[1]} != {d[2]}")
-    return way1
+    return _agree(_diff_nat, "two routes for the horizontal composite "
+                  "differ at {1}: {2} != {3}", way1, (None, way2))
 
 
 def whisker_functor_mod(k: V2Functor, m: VModification) -> VModification:
-    """Post-compose a modification with a 2-functor (k m)."""
+    """Post-compose a modification with a 2-functor (k m): at u, k's hom
+    functor at (fu, hu) whiskered onto the component."""
     al = m.source
     if al.source.target != k.source:
         raise NotComposable("whisker frames do not match")
-    f_fun, h_fun = al.source, al.target
-    cat = k.target.base.base
-    components = {}
-    for u in sorted(f_fun.source.objects):
-        hom_vf = k.hom_map[(f_fun.obj_map[u], h_fun.obj_map[u])]
-        components[u] = compose(
-            cat, hom_vf.hom_map[(_q(al, u), _q(m.target, u))],
-            m.components[u])
-    return VModification(whisker_functor_nat(k, al),
-                         whisker_functor_nat(k, m.target), components)
+    return VModification(
+        whisker_functor_nat(k, al), whisker_functor_nat(k, m.target),
+        _each(al.source.source.objects, lambda u: whisker_vnat(
+            "left", k.hom_map[(al.source.obj_map[u], al.target.obj_map[u])],
+            _at(m, u))))
 
 
 def whisker_mod_functor(n: VModification, f: V2Functor) -> VModification:
@@ -629,17 +601,12 @@ def whisker_nat_mod_along_category(r: V2NatTransform,
     al = m.source
     if al.source.target != r.source.source:
         raise NotComposable("whisker frames do not match")
-    f_fun, h_fun = al.source, al.target
-    g_fun, k_fun = r.source, r.target
-    way1 = whisker_nat_mod_right(whisker_functor_mod(k_fun, m),
-                                 whisker_nat_functor(r, f_fun))
-    way2 = whisker_nat_mod_left(whisker_nat_functor(r, h_fun),
-                                whisker_functor_mod(g_fun, m))
-    d = _diff_mod(way1, way2)
-    if d is not None:
-        raise AgreementFailure(
-            f"two routes for the nat-onto-mod whisker differ at {d[0]}: "
-            f"{d[1]} != {d[2]}")
+    way1 = whisker_nat_mod_right(whisker_functor_mod(r.target, m),
+                                 whisker_nat_functor(r, al.source))
+    way2 = whisker_nat_mod_left(whisker_nat_functor(r, al.target),
+                                whisker_functor_mod(r.source, m))
+    _agree(_diff_mod, "two routes for the nat-onto-mod whisker differ at {1}: "
+           "{2} != {3}", way1, (None, way2))
     return VModification(hcomp_nats_along_category(r, al),
                          hcomp_nats_along_category(r, m.target),
                          way1.components)
@@ -652,17 +619,12 @@ def whisker_mod_nat_along_category(n: VModification,
     ga = n.source
     if a.source.target != ga.source.source:
         raise NotComposable("whisker frames do not match")
-    f_fun, h_fun = a.source, a.target
-    g_fun, k_fun = ga.source, ga.target
-    way1 = whisker_nat_mod_right(whisker_mod_functor(n, h_fun),
-                                 whisker_functor_nat(g_fun, a))
-    way2 = whisker_nat_mod_left(whisker_functor_nat(k_fun, a),
-                                whisker_mod_functor(n, f_fun))
-    d = _diff_mod(way1, way2)
-    if d is not None:
-        raise AgreementFailure(
-            f"two routes for the mod-onto-nat whisker differ at {d[0]}: "
-            f"{d[1]} != {d[2]}")
+    way1 = whisker_nat_mod_right(whisker_mod_functor(n, a.target),
+                                 whisker_functor_nat(ga.source, a))
+    way2 = whisker_nat_mod_left(whisker_functor_nat(ga.target, a),
+                                whisker_mod_functor(n, a.source))
+    _agree(_diff_mod, "two routes for the mod-onto-nat whisker differ at {1}: "
+           "{2} != {3}", way1, (None, way2))
     return VModification(hcomp_nats_along_category(ga, a),
                          hcomp_nats_along_category(n.target, a),
                          way1.components)
@@ -680,24 +642,18 @@ def hcomp_mods_along_category(n: VModification,
     ga, rh = n.source, n.target
     if al.source.target != ga.source.source:
         raise NotComposable("modifications are not horizontally adjacent")
-    f_fun, h_fun = al.source, al.target
-    g_fun, k_fun = ga.source, ga.target
     way1 = vcomp_modifications(whisker_nat_mod_along_category(rh, m),
                                whisker_mod_nat_along_category(n, al))
     way2 = vcomp_modifications(whisker_mod_nat_along_category(n, bt),
                                whisker_nat_mod_along_category(ga, m))
-    way3 = hcomp_modifications_along_nat(whisker_mod_functor(n, h_fun),
-                                         whisker_functor_mod(g_fun, m))
-    way4 = hcomp_modifications_along_nat(whisker_functor_mod(k_fun, m),
-                                         whisker_mod_functor(n, f_fun))
-    for label, other in (("via-target-whiskers", way2),
-                         ("via-common-functor-upper", way3),
-                         ("via-common-functor-lower", way4)):
-        d = _diff_mod(way1, other)
-        if d is not None:
-            raise AgreementFailure(
-                f"routes for the horizontal composite differ ({label}) "
-                f"at {d[0]}: {d[1]} != {d[2]}")
+    way3 = hcomp_modifications_along_nat(whisker_mod_functor(n, al.target),
+                                         whisker_functor_mod(ga.source, m))
+    way4 = hcomp_modifications_along_nat(whisker_functor_mod(ga.target, m),
+                                         whisker_mod_functor(n, al.source))
+    _agree(_diff_mod, "routes for the horizontal composite differ ({0}) "
+           "at {1}: {2} != {3}", way1, ("via-target-whiskers", way2),
+           ("via-common-functor-upper", way3),
+           ("via-common-functor-lower", way4))
     return VModification(hcomp_nats_along_category(ga, al),
                          hcomp_nats_along_category(rh, bt),
                          way1.components)

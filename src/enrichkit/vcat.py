@@ -19,8 +19,8 @@ which relabel_vcategory makes available bit-exactly.
 A product's composition table is a ``LazyTable``: read-only, and built whole
 on its first read, because level-2 checks mostly compare product frames by
 identity and never read them.  So a factor with a missing composition entry
-raises at the first read of the product's ``comp``, not when the product is
-taken.
+raises ``MalformedTable`` at the first read of the product's ``comp``, not
+when the product is taken.
 """
 from __future__ import annotations
 
@@ -73,6 +73,9 @@ class LazyTable(Mapping):
 
     def __getitem__(self, key):
         return self._dict()[key]
+
+    def __contains__(self, key):
+        return key in self._dict()
 
     def __iter__(self):
         return iter(self._dict())
@@ -354,19 +357,21 @@ _Cells = namedtuple("_Cells", "comp tensor_obj tensor_mor idm assoc "
                     "shift Cat Functor Nat")
 
 
+def _build_base_cells(base: KFoldMonoidal) -> _Cells:
+    cat = base.base
+    ident = cat.identity.__getitem__
+    return _Cells(
+        comp=partial(compose, cat), tensor_obj=base.tensor_obj,
+        tensor_mor=base.tensor_mor, idm=ident, assoc=base.associator,
+        interchange=base.interchange_mor, lam=ident, rho=ident,
+        lam_inv=ident, rho_inv=ident, unit_pair=_strict,
+        unit=attrgetter("unit"), shift=0,
+        Cat=VCategory, Functor=VFunctor, Nat=VNatTransform)
+
+
 def _base_cells(base: KFoldMonoidal) -> _Cells:
     """The base's cells, built once per base; its unitors are strict."""
-    def build():
-        cat = base.base
-        ident = cat.identity.__getitem__
-        return _Cells(
-            comp=partial(compose, cat), tensor_obj=base.tensor_obj,
-            tensor_mor=base.tensor_mor, idm=ident, assoc=base.associator,
-            interchange=base.interchange_mor, lam=ident, rho=ident,
-            lam_inv=ident, rho_inv=ident, unit_pair=_strict,
-            unit=attrgetter("unit"), shift=0,
-            Cat=VCategory, Functor=VFunctor, Nat=VNatTransform)
-    return _memo(base, "cells", build)
+    return _memo(base, "cells", _build_base_cells)
 
 
 def _same_base(a, b):
@@ -377,7 +382,7 @@ def _same_base(a, b):
 def _unit(cells: _Cells, base):
     """One object 0 whose hom is the unit I, with composition λ_I and
     identity 1_I; built once per base and level."""
-    def build():
+    def build(base):
         unit = cells.unit(base)
         return cells.Cat(base, {"0"}, {("0", "0"): unit},
                          {("0", "0", "0"): cells.lam(unit)},
@@ -390,14 +395,14 @@ def _product(cells: _Cells, i: int, a, b):
     composition routed through the (1, i+1) interchange.  Built once per
     (i, a, b), kept on ``a`` with ``b`` itself, so id(b) is never reused."""
     return _memo(a, ("product", i, id(b)),
-                 lambda: (b, _build_product(cells, i, a, b)))[1]
+                 lambda a: (b, _build_product(cells, i, a, b)))[1]
 
 
 def _build_product(cells: _Cells, i: int, a, b):
     """Objects, homs and identities now; the composition table is a
     ``LazyTable`` built on its first read.  A factor missing a hom or
-    identity entry raises here, one missing a composition entry raises a
-    ``KeyError`` at that first read."""
+    identity entry raises here, one missing a composition entry raises
+    ``MalformedTable``, naming the factor's key, at that first read."""
     _same_base(a, b)
     base = a.base
     if not 1 <= i <= base.n - 1 - cells.shift:
@@ -419,6 +424,11 @@ def _build_product(cells: _Cells, i: int, a, b):
         compose, interchange = cells.comp, cells.interchange
         ahom, bhom = a.hom, b.hom
         acomp, bcomp = _plain(a.comp), _plain(b.comp)
+        for table, objs in ((acomp, aobj), (bcomp, bobj)):
+            for key in iproduct(objs, repeat=3):
+                if key not in table:
+                    raise MalformedTable(
+                        f"product factor's composition entry {key} missing")
         comp = {}
         for (x, y), (x2, y2), (x3, y3) in iproduct(
                 iproduct(aobj, bobj), repeat=3):
@@ -653,7 +663,7 @@ def unit_pair_intro(i: int, base: KFoldMonoidal) -> VFunctor:
     """I -> product(i, I, I), the 0 -> (0, 0) relabeling; built once per
     (base, i)."""
     return _memo(base, ("unit_pair_intro", i),
-                 lambda: unit_intro_left(i, unit_vcategory(base)))
+                 lambda base: unit_intro_left(i, unit_vcategory(base)))
 
 
 def relabel_vcategory(a: VCategory, obj_map: dict) -> VCategory:

@@ -3,7 +3,7 @@ from itertools import product as iproduct
 import pytest
 
 from enrichkit.errors import (AgreementFailure, IndexOutOfRange,
-                              InvalidPasting, NotComposable)
+                              InvalidPasting, MalformedTable, NotComposable)
 from enrichkit.instances import (
     Bounds,
     _endo_v2functors,
@@ -478,6 +478,15 @@ def test_exchange_detects_corrupted_composition():
     p, _, _ = corrupted_join_pasting()
     rep = exchange_suite(p)
     assert not rep.ok
+    # The route disagreement inside the horizontal composite along the
+    # 2-category surfaces, message and all, as the lhs of both identities
+    # that use it.
+    lhs = ("<error: two routes for the horizontal composite differ at "
+           "component[*].obj[0]: one != t>")
+    rep = exchange_suite(p, all_witnesses=True)
+    assert [(w.diagram, w.instance, w.lhs, w.rhs) for w in rep.witnesses] == [
+        ("exchange-3", ("pasting",), lhs, "<undefined>"),
+        ("exchange-4", ("pasting",), lhs, "<undefined>")]
 
 
 def test_product_v2cat(bool3, zmod3, xor_x2):
@@ -555,6 +564,14 @@ def test_product_v2cat_index_range_and_memo(bool2, bool3, zmod3, xor_x2):
         product_v2cat(2, w3, w3)  # needs tensor 4
     assert product_v2cat(1, xor_x2, xor_x2) is product_v2cat(1, xor_x2, xor_x2)
     assert unit_v2category(zmod3) is unit_v2category(zmod3)
+
+
+def test_lazy_product_v2cat_names_the_factors_missing_functor(bool3):
+    broken = join_monoid_v2cat(bool3)
+    del broken.comp[("*", "*", "*")]
+    prod = product_v2cat(1, broken, join_monoid_v2cat(bool3))
+    with pytest.raises(MalformedTable, match=r"\('\*', '\*', '\*'\) missing"):
+        check_v2category(prod)
 
 
 def test_product_v2cat_unit_relabel(zmod3, xor_x2):

@@ -5,6 +5,7 @@ import pytest
 from enrichkit.errors import (
     BaseInvalid,
     IndexOutOfRange,
+    MalformedTable,
     NotParallel,
 )
 from enrichkit.instances import (
@@ -198,6 +199,17 @@ def test_product_memo_never_serves_a_dead_factor(bool2):
         prod = product_vcat(1, a, b)
         assert prod.objects == {pair(x, o) for x in a.objects}
         del b, prod
+
+
+def test_lazy_product_names_the_factors_missing_composition_entry(bool2):
+    broken = preorder_vcat(bool2, ["a", "b"],
+                           {("a", "a"), ("a", "b"), ("b", "b")})
+    del broken.comp[("a", "a", "a")]
+    good = preorder_vcat(bool2, ["a", "b"],
+                         {("a", "a"), ("a", "b"), ("b", "b")})
+    prod = product_vcat(1, broken, good)
+    with pytest.raises(MalformedTable, match=r"\('a', 'a', 'a'\) missing"):
+        check_vcategory(prod)
 
 
 def test_product_vfunctor_identity(preorder_p):
