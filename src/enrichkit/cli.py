@@ -350,8 +350,8 @@ def _construct(tower: Tower, args):
 
     Each input is checked first, through ``cached_report`` so that the
     result's check reuses what it shares: a table missing an entry is an
-    input error here, rather than a ``KeyError`` where a lazily built product
-    first reads it.  A complete input that fails a diagram still goes into
+    input error here, rather than a ``MalformedTable`` where a lazily built
+    product first reads it.  A complete input that fails a diagram still goes into
     the construction."""
     function, leading, levels = CONSTRUCTIONS[args.construction]
     if len(args.inputs) != len(levels):

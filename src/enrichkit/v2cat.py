@@ -53,6 +53,7 @@ from .report import (CheckReport, ReportBuilder, cached_report, each_row,
 from .vcat import (
     VFunctor,
     VNatTransform,
+    _base_cells,
     _category_laws,
     _Cells,
     _compose_functors,
@@ -65,6 +66,7 @@ from .vcat import (
     _product,
     _unit,
     _whisker,
+    _whisker_components,
     assoc_vcat,
     check_vcategory,
     check_vfunctor,
@@ -83,7 +85,6 @@ from .vcat import (
     unit_relabel_left,
     unit_relabel_right,
     unit_vcategory,
-    whisker_vnat,
 )
 
 
@@ -464,25 +465,24 @@ def _at(m: VModification, u) -> VNatTransform:
                          {"0": m.components[u]})
 
 
-def _each(objects, op) -> dict:
-    """A modification's components: ``op(u)``, a level-1 transformation out
-    of the unit enriched category, read at its one object, for each u."""
-    return {u: op(u).components["0"] for u in sorted(objects)}
+def _each(nat: V2NatTransform, op) -> dict:
+    """Components on nat's frame: for each u, ``op(u)``, the components of a
+    level-1 transformation out of the unit enriched category, read at "0"."""
+    return {u: op(u)["0"] for u in sorted(nat.source.source.objects)}
 
 
 def vcomp_modifications(n: VModification, m: VModification) -> VModification:
     """m then n: vertical composition of their components at each u."""
     if m.target != n.source:
         raise NotComposable("modifications do not share the middle transformation")
-    return VModification(m.source, n.target, _each(
-        m.source.source.source.objects,
-        lambda u: compose_vnat_vert(_at(n, u), _at(m, u))))
+    return VModification(m.source, n.target, _each(m.source, lambda u: (
+        compose_vnat_vert(_at(n, u), _at(m, u)).components)))
 
 
 def id_modification(a: V2NatTransform) -> VModification:
     """Identity modification: the identity transformation of each component."""
-    return VModification(a, a, _each(a.source.source.objects,
-                                     lambda u: identity_vnat(a.components[u])))
+    return VModification(a, a, _each(
+        a, lambda u: identity_vnat(a.components[u]).components))
 
 
 def _hcomp_central(n: VModification, m: VModification) -> VModification:
@@ -577,11 +577,11 @@ def whisker_functor_mod(k: V2Functor, m: VModification) -> VModification:
     al = m.source
     if al.source.target != k.source:
         raise NotComposable("whisker frames do not match")
+    cells = _base_cells(k.target.base)
     return VModification(
         whisker_functor_nat(k, al), whisker_functor_nat(k, m.target),
-        _each(al.source.source.objects, lambda u: whisker_vnat(
-            "left", k.hom_map[(al.source.obj_map[u], al.target.obj_map[u])],
-            _at(m, u))))
+        _each(al, lambda u: _whisker_components(cells, "left", k.hom_map[
+            (al.source.obj_map[u], al.target.obj_map[u])], _at(m, u))))
 
 
 def whisker_mod_functor(n: VModification, f: V2Functor) -> VModification:

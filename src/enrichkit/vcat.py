@@ -484,25 +484,29 @@ def _compose_nats(cells: _Cells, b, a):
     return cells.Nat(a.source, b.target, components)
 
 
-def _whisker(cells: _Cells, side: str, f, a):
+def _whisker_components(cells: _Cells, side: str, f, a) -> dict:
+    """The components of a whiskered by f, without building its frame."""
     if side == "left":
         if a.source.target != f.source:
             raise NotComposable("whisker frames do not match")
-        components = {
-            x: cells.comp(
-                f.hom_map[(a.source.obj_map[x], a.target.obj_map[x])],
-                a.components[x])
-            for x in a.source.source.objects}
-        return cells.Nat(_compose_functors(cells, f, a.source),
-                         _compose_functors(cells, f, a.target), components)
+        return {x: cells.comp(
+                    f.hom_map[(a.source.obj_map[x], a.target.obj_map[x])],
+                    a.components[x])
+                for x in a.source.source.objects}
     if side == "right":
         if f.target != a.source.source:
             raise NotComposable("whisker frames do not match")
-        components = {x: a.components[f.obj_map[x]]
-                      for x in f.source.objects}
-        return cells.Nat(_compose_functors(cells, a.source, f),
-                         _compose_functors(cells, a.target, f), components)
+        return {x: a.components[f.obj_map[x]] for x in f.source.objects}
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
+def _whisker(cells: _Cells, side: str, f, a):
+    components = _whisker_components(cells, side, f, a)
+    if side == "left":
+        return cells.Nat(_compose_functors(cells, f, a.source),
+                         _compose_functors(cells, f, a.target), components)
+    return cells.Nat(_compose_functors(cells, a.source, f),
+                     _compose_functors(cells, a.target, f), components)
 
 
 # -- constructions ------------------------------------------------------------
