@@ -23,10 +23,10 @@ checked one row at a time the same ``family`` loop, as blocks of one row.
 
 ``_memo(obj, key, build)`` is the one memo: it keeps ``build(obj)`` in a dict
 on ``obj`` and returns it on every later call with that key, a hit being one
-lookup in that dict.  Checker reports, products, units and the base's cell
-record go through it.  That is sound only while a structure is not mutated
-after its first check or construction: its tables are plain dicts, and the
-memo never looks at them again.
+lookup in that dict.  Checker reports, products and their factors, units
+and the base's cell record go through it.  That is sound only while a
+structure is not mutated after its first check or construction: its tables
+are plain dicts, and the memo never looks at them again.
 """
 from __future__ import annotations
 

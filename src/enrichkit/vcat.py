@@ -16,6 +16,11 @@ Product object sets are literal encoded pairs with no quotienting: the
 strict unit law holds only after the canonical relabeling (a, 0) -> a,
 which relabel_vcategory makes available bit-exactly.
 
+V-Cat is (k−1)-fold monoidal, so ``check_vcategory`` certifies a level-1
+product of passing factors over a passing base from their reports (see
+there) and scans everything else, loaded documents included; the scan,
+``_scan_vcategory``, stays the oracle of the construction's own tests.
+
 A product's composition table is a ``LazyTable``: read-only, and built whole
 on its first read, because level-2 checks mostly compare product frames by
 identity and never read them.  So a factor with a missing composition entry
@@ -224,9 +229,49 @@ def _naturality(ops: _Ops, nat):
 
 # -- checkers -----------------------------------------------------------------
 
+# The families of ``check_vcategory`` in scan order, with their arities.
+_VCATEGORY_FAMILIES = (("composition-boundary", 3), ("identity-boundary", 1),
+                       ("pentagon", 4), ("unit-left", 2), ("unit-right", 2))
+
+
 def check_vcategory(vc: VCategory, *,
                     all_witnesses: bool = False) -> CheckReport:
-    """Pentagon and unit triangles over every object tuple."""
+    """Pentagon and unit triangles over every object tuple.
+
+    V-Cat is (k−1)-fold monoidal (Forcey, with the k-fold axioms of
+    Balteanu–Fiedorowicz–Schwänzl–Vogt): over a base that passes
+    ``check_kfold``, the i-th product of two V-categories, on ⊗_{i+1} and
+    the interchange η^{1,i+1}, is a V-category.  So a level-1 frame built by
+    ``product_vcat`` is certified, not scanned, when the base and both
+    factors' cached reports pass and it has |A|·|B| objects (``pair`` is
+    not injective on ids holding ``,`` or parentheses): its report is the
+    scan's passing one, each family at its closed-form count n^arity.  Any
+    other structure, a loaded document included, is scanned.
+    """
+    if not _certified(vc):
+        return _scan_vcategory(vc, all_witnesses)
+    n = len(vc.objects)
+    return CheckReport(families={name: n ** arity
+                                 for name, arity in _VCATEGORY_FAMILIES})
+
+
+def _certified(vc: VCategory) -> bool:
+    """Whether ``vc`` is a product of passing factors over a passing base."""
+    factors = getattr(vc, "_memo", {}).get("factors")
+    if factors is None or not cached_report(vc.base, check_kfold).ok:
+        return False
+    a, b = factors
+    if len(vc.objects) != len(a.objects) * len(b.objects):
+        return False
+    try:
+        return all(cached_report(f, check_vcategory).ok for f in factors)
+    except MalformedTable:    # the scan raises it, in the product's terms
+        return False
+
+
+def _scan_vcategory(vc: VCategory,
+                    all_witnesses: bool = False) -> CheckReport:
+    """The exhaustive check: every family over every object tuple."""
     _require_base(vc.base)
     base, cat = vc.base, vc.base.base
     if not vc.objects:
@@ -258,12 +303,8 @@ def check_vcategory(vc: VCategory, *,
 
     pentagon, unit_left, unit_right = _category_laws(_base_ops(cols), vc)
     b = ReportBuilder(all_witnesses)
-    for name, arity, legs in (
-            ("composition-boundary", 3, comp_boundary),
-            ("identity-boundary", 1, ident_boundary),
-            ("pentagon", 4, pentagon),
-            ("unit-left", 2, unit_left),
-            ("unit-right", 2, unit_right)):
+    for (name, arity), legs in zip(_VCATEGORY_FAMILIES, (
+            comp_boundary, ident_boundary, pentagon, unit_left, unit_right)):
         b.family(name, *equations([objs] * arity, legs))
     return b.report()
 
@@ -393,9 +434,13 @@ def _unit(cells: _Cells, base):
 def _product(cells: _Cells, i: int, a, b):
     """The i-th product: pairs of objects, homs tensored one level up,
     composition routed through the (1, i+1) interchange.  Built once per
-    (i, a, b), kept on ``a`` with ``b`` itself, so id(b) is never reused."""
-    return _memo(a, ("product", i, id(b)),
-                 lambda a: (b, _build_product(cells, i, a, b)))[1]
+    (i, a, b) and kept on ``a``; its memo records its factors, which keeps
+    ``b`` alive, so id(b) is never reused, and certifies it at level 1."""
+    def build(a):
+        prod = _build_product(cells, i, a, b)
+        _memo(prod, "factors", lambda _: (a, b))
+        return prod
+    return _memo(a, ("product", i, id(b)), build)
 
 
 def _build_product(cells: _Cells, i: int, a, b):

@@ -128,7 +128,7 @@ def test_random_instance_determinism():
 
 def test_shipped_corpus_product_closure():
     from enrichkit.instances import corpus
-    from enrichkit.vcat import product_vcat
+    from enrichkit.vcat import _scan_vcategory, product_vcat
     c = corpus(0)
     by_base = {}
     for name, vc in c.vcategories.items():
@@ -137,7 +137,7 @@ def test_shipped_corpus_product_closure():
         for a in group:
             for b in group:
                 for i in range(1, a.base.n):
-                    assert check_vcategory(product_vcat(i, a, b)).ok
+                    assert _scan_vcategory(product_vcat(i, a, b)).ok
 
 
 def test_random_instance_bounds():

@@ -5,6 +5,7 @@ import pytest
 from enrichkit.errors import (
     BaseInvalid,
     IndexOutOfRange,
+    KernelError,
     MalformedTable,
     NotParallel,
 )
@@ -19,6 +20,7 @@ from enrichkit.vcat import (
     VCategory,
     VFunctor,
     VNatTransform,
+    _scan_vcategory,
     assoc_vcat,
     check_vcategory,
     check_vfunctor,
@@ -202,14 +204,80 @@ def test_product_memo_never_serves_a_dead_factor(bool2):
 
 
 def test_lazy_product_names_the_factors_missing_composition_entry(bool2):
+    # The factor fails its own check, so the product is scanned, not
+    # certified, and the scan's message names the factor's key.
     broken = preorder_vcat(bool2, ["a", "b"],
                            {("a", "a"), ("a", "b"), ("b", "b")})
     del broken.comp[("a", "a", "a")]
     good = preorder_vcat(bool2, ["a", "b"],
                          {("a", "a"), ("a", "b"), ("b", "b")})
     prod = product_vcat(1, broken, good)
-    with pytest.raises(MalformedTable, match=r"\('a', 'a', 'a'\) missing"):
+    with pytest.raises(MalformedTable, match=r"^product factor's composition "
+                       r"entry \('a', 'a', 'a'\) missing$"):
         check_vcategory(prod)
+
+
+def _outcome(check, vc):
+    """A report field by field, families in order, or the error it raised."""
+    try:
+        rep = check(vc)
+    except KernelError as err:
+        return f"{type(err).__name__}: {err}"
+    return rep.witnesses, list(rep.families.items()), rep.warnings
+
+
+@pytest.mark.parametrize("base_name", ["bool2", "bool3", "zmod3"])
+def test_certified_product_report_is_the_scans(base_name, request):
+    from enrichkit.instances import Bounds, random_instance
+    base = request.getfixturevalue(base_name)
+    small = Bounds(max_objects=2)
+    for seed in range(12):
+        a = random_instance("vcategory", seed, small, base=base)
+        b = random_instance("vcategory", seed + 100, small, base=base)
+        key = min(a.comp)
+        bad = VCategory(base, set(a.objects), dict(a.hom),
+                        {**a.comp, key: min(m for m in base.base.morphisms
+                                            if m != a.comp[key])},
+                        dict(a.identity))
+        assert not check_vcategory(bad).ok
+        for i in range(1, base.n):
+            for p in (product_vcat(i, a, b),
+                      product_vcat(i, product_vcat(i, a, b), a)):
+                certified = _outcome(check_vcategory, p)
+                assert p.comp._table is None    # derived, not scanned
+                assert certified == _outcome(_scan_vcategory, p)
+            p = product_vcat(i, bad, b)
+            assert _outcome(check_vcategory, p) == _outcome(_scan_vcategory, p)
+
+
+def test_colliding_product_ids_are_scanned(preorder_p):
+    # pair("a", "b,c") == pair("a,b", "c"): the product has 3 objects, not
+    # 4, so it is no certified product.
+    a = relabel_vcategory(preorder_p, {"a": "a", "b": "a,b"})
+    b = relabel_vcategory(preorder_p, {"a": "b,c", "b": "c"})
+    p = product_vcat(1, a, b)
+    assert len(p.objects) == 3
+    reported = _outcome(check_vcategory, p)
+    assert p.comp._table is not None    # the scan read it
+    assert reported == _outcome(_scan_vcategory, p)
+
+
+def test_associator_frames_are_certified_not_scanned(bool2, monkeypatch):
+    from enrichkit import vcat
+    scanned = []
+
+    def spy(vc, all_witnesses=False):
+        scanned.append(vc)
+        return _scan_vcategory(vc, all_witnesses)
+    monkeypatch.setattr(vcat, "_scan_vcategory", spy)
+    p3 = preorder_vcat(bool2, ["a", "b", "c"],
+                       {("a", "a"), ("b", "b"), ("c", "c"),
+                        ("a", "b"), ("b", "c"), ("a", "c")})
+    f = assoc_vcat(1, p3, p3, p3)
+    assert check_vcategory(f.source).ok and check_vcategory(f.target).ok
+    assert f.source.comp._table is None and f.target.comp._table is None
+    assert check_vfunctor(f).ok
+    assert [id(vc) for vc in scanned] == [id(p3)]
 
 
 def test_product_vfunctor_identity(preorder_p):
@@ -343,7 +411,7 @@ def test_closure_on_seeded_randoms(bool2, zmod3):
         a = random_instance("vcategory", seed, Bounds(), base=base)
         b = random_instance("vcategory", seed + 100, Bounds(), base=base)
         for i in range(1, base.n):
-            assert check_vcategory(product_vcat(i, a, b)).ok
+            assert _scan_vcategory(product_vcat(i, a, b)).ok
         a2 = random_instance("vcategory", seed, small, base=base)
         b2 = random_instance("vcategory", seed + 100, small, base=base)
         for i in range(1, base.n):
