@@ -14,6 +14,7 @@ by position and rebuilt on load.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .errors import DanglingReference, ParseError
@@ -65,14 +66,28 @@ def _rows_of(rows, what: str) -> list:
     return rows
 
 
+def _ids(cells):
+    """``cells`` as a list of interned strings, or None if one is no string.
+
+    The JSON decoder gives each occurrence of an id its own string object;
+    interned, they all share one, so the checkers' table lookups compare
+    ids by identity instead of by content.
+    """
+    try:
+        return list(map(sys.intern, cells))
+    except TypeError:
+        return None
+
+
 def _keyed(rows, arity: int, what: str, shape: str):
     """(key cells, last cell) of rows of ``arity`` string keys and one more
     cell; ``shape`` names the row layout in the error message."""
     for row in _rows_of(rows, what):
-        if not isinstance(row, list) or len(row) != arity + 1 \
-                or not all(isinstance(cell, str) for cell in row[:-1]):
+        key = _ids(row[:-1]) \
+            if isinstance(row, list) and len(row) == arity + 1 else None
+        if key is None:
             raise ParseError(f"{what}: {shape}")
-        yield row[:-1], row[-1]
+        yield key, row[-1]
 
 
 def _object(value, what: str) -> dict:
@@ -82,27 +97,29 @@ def _object(value, what: str) -> dict:
 
 
 def _names(value, what: str) -> list:
-    if not isinstance(value, list) \
-            or not all(isinstance(name, str) for name in value):
+    names = _ids(value) if isinstance(value, list) else None
+    if names is None:
         raise ParseError(f"{what}: expected a list of names")
-    return value
+    return names
 
 
 def _name_map(value, what: str) -> dict:
     """A JSON object whose values are all names, copied."""
-    if not all(isinstance(name, str) for name in _object(value, what).values()):
+    names = _ids(_object(value, what).values())
+    if names is None:
         raise ParseError(f"{what}: expected an object of names")
-    return dict(value)
+    return dict(zip(map(sys.intern, value), names))
 
 
 def _table(rows, arity: int, what: str) -> dict:
     out = {}
     for row in _rows_of(rows, what):
-        if not isinstance(row, list) or len(row) != arity + 1 \
-                or not all(isinstance(cell, str) for cell in row):
+        cells = _ids(row) \
+            if isinstance(row, list) and len(row) == arity + 1 else None
+        if cells is None:
             raise ParseError(f"{what}: expected rows of {arity + 1} strings")
-        key = tuple(row[:-1]) if arity > 1 else row[0]
-        out[key] = row[-1]
+        key = tuple(cells[:-1]) if arity > 1 else cells[0]
+        out[key] = cells[-1]
     return out
 
 
@@ -271,7 +288,7 @@ def document_to_tower(doc) -> Tower:
         if not isinstance(unit, str):
             raise ParseError("base.unit: expected a name")
         base = KFoldMonoidal(
-            cat, n, unit,
+            cat, n, sys.intern(unit),
             {int(i): _table(rows, 2, "tensor_obj")
              for i, rows in _object(d["tensor_obj"], "base.tensor_obj").items()},
             {int(i): _table(rows, 2, "tensor_mor")

@@ -33,6 +33,17 @@ def test_round_trip_byte_stability(corpus_dir):
         assert dumps(load(path)) == original
 
 
+def test_load_shares_one_string_per_id(corpus_dir):
+    # Every occurrence of an id is one string object, so the checkers'
+    # tuple-keyed lookups compare ids by identity.
+    tower = load(corpus_dir / "bool2.json")
+    vc = tower.vcategories["P3"]
+    objects = {a: a for a in vc.objects}
+    assert all(a is objects[a] for key in vc.comp for a in key)
+    morphisms = {m: m for m in tower.base.base.morphisms}
+    assert all(m is morphisms[m] for m in vc.comp.values())
+
+
 def test_empty_document_is_parse_error():
     with pytest.raises(ParseError):
         loads("")
