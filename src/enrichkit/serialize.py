@@ -10,6 +10,13 @@ Functors that occur inside a larger structure (composition functors, hom
 functors of a level-2 functor, transformation components) are stored as
 bare ``{obj_map, hom_map}`` tables; their source and target are determined
 by position and rebuilt on load.
+
+A document is plain tables, so after the ``vcategories`` section is read,
+``vcat.recognize_products`` compares each V-category whose ids are pairs
+with the products of the document's other V-categories.  One that equals a
+product entry for entry is certified by ``check_vcategory`` as that product
+is; the loaded tables themselves are kept, so every name stays its own
+structure.  A table that repeats a row key is a parse error.
 """
 from __future__ import annotations
 
@@ -20,7 +27,8 @@ from dataclasses import dataclass, field
 from .errors import DanglingReference, ParseError
 from .fincat import FinCategory
 from .kfold import KFoldMonoidal
-from .vcat import VCategory, VFunctor, VNatTransform, product_vcat, unit_vcategory
+from .vcat import (VCategory, VFunctor, VNatTransform, product_vcat,
+                   recognize_products, unit_vcategory)
 from .v2cat import (
     PastingInstance,
     V2Category,
@@ -82,11 +90,15 @@ def _ids(cells):
 def _keyed(rows, arity: int, what: str, shape: str):
     """(key cells, last cell) of rows of ``arity`` string keys and one more
     cell; ``shape`` names the row layout in the error message."""
+    seen = set()
     for row in _rows_of(rows, what):
         key = _ids(row[:-1]) \
             if isinstance(row, list) and len(row) == arity + 1 else None
         if key is None:
             raise ParseError(f"{what}: {shape}")
+        if tuple(key) in seen:
+            raise ParseError(f"{what}: repeated row key {key}")
+        seen.add(tuple(key))
         yield key, row[-1]
 
 
@@ -119,6 +131,8 @@ def _table(rows, arity: int, what: str) -> dict:
         if cells is None:
             raise ParseError(f"{what}: expected rows of {arity + 1} strings")
         key = tuple(cells[:-1]) if arity > 1 else cells[0]
+        if key in out:
+            raise ParseError(f"{what}: repeated row key {cells[:-1]}")
         out[key] = cells[-1]
     return out
 
@@ -135,7 +149,7 @@ def _vfunctor_from(tables, source: VCategory, target: VCategory,
         raise ParseError(f"{what}: expected obj_map and hom_map")
     return VFunctor(source, target,
                     _name_map(tables["obj_map"], f"{what}.obj_map"),
-                    _table(tables["hom_map"], 2, what))
+                    _table(tables["hom_map"], 2, f"{what}.hom_map"))
 
 
 def _vcategory_tables(vc: VCategory) -> dict:
@@ -152,8 +166,8 @@ def _vcategory_from(doc, base: KFoldMonoidal, what: str) -> VCategory:
         if k not in doc:
             raise ParseError(f"{what}: missing {k!r}")
     return VCategory(base, set(_names(doc["objects"], f"{what}.objects")),
-                     _table(doc["hom"], 2, what),
-                     _table(doc["comp"], 3, what),
+                     _table(doc["hom"], 2, f"{what}.hom"),
+                     _table(doc["comp"], 3, f"{what}.comp"),
                      _name_map(doc["identity"], f"{what}.identity"))
 
 
@@ -253,9 +267,15 @@ def tower_to_document(t: Tower) -> dict:
 
 
 def _find_name(registry: dict, value):
-    """The first name filed for value (or an equal structure), else None."""
+    """The name filed for value itself, else the first name filed for an
+    equal structure, else None.  So a reference read from a document is
+    saved under the name it was read from, even when another name holds an
+    equal structure."""
     for name, candidate in registry.items():
-        if candidate is value or candidate == value:
+        if candidate is value:
+            return name
+    for name, candidate in registry.items():
+        if candidate == value:
             return name
     return None
 
@@ -283,7 +303,9 @@ def document_to_tower(doc) -> Tower:
                           _name_map(d["cod"], "base.cod"),
                           _table(d["comp"], 2, "base.comp"),
                           _name_map(d["identity"], "base.identity"))
-        n = int(d["tensors"])
+        n = d["tensors"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ParseError("base.tensors: expected an integer")
         unit = d["unit"]
         if not isinstance(unit, str):
             raise ParseError("base.unit: expected a name")
@@ -309,6 +331,7 @@ def document_to_tower(doc) -> Tower:
         vc = _vcategory_from(vdoc, base, f"vcategories.{name}")
         _check_vcat_ids(base, vc, f"vcategories.{name}")
         tower.vcategories[name] = vc
+    recognize_products(tower.vcategories.values())
 
     for name, fdoc in _entries(doc, "vfunctors"):
         src = _resolve(tower.vcategories, fdoc, "source", f"vfunctors.{name}")
@@ -496,7 +519,45 @@ def _check_vcat_ids(base, vc, what) -> None:
 # -- file API --------------------------------------------------------------------
 
 def dumps(t: Tower) -> str:
-    return json.dumps(tower_to_document(t), sort_keys=True, indent=2) + "\n"
+    """The canonical text: ``json.dumps(doc, sort_keys=True, indent=2)``
+    and a newline, byte for byte.  ``indent`` selects json's pure-Python
+    encoder, so ``_write`` writes the same text directly, joining each list
+    of ids in one call."""
+    out = []
+    _write(tower_to_document(t), "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_encode = json.encoder.encode_basestring_ascii
+
+
+def _write(value, newline: str, out: list) -> None:
+    """Append ``value``'s indented JSON to ``out``; ``newline`` starts a
+    line at the value's own depth."""
+    inner = newline + "  "
+    if isinstance(value, str):
+        out.append(_encode(value))
+    elif isinstance(value, dict):
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + _encode(key) + ": ")
+            _write(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}" if value else "{}")
+    elif isinstance(value, list):
+        try:    # a row, or a list of names: strings only
+            out.append("[" + inner + ("," + inner).join(map(_encode, value))
+                       + newline + "]" if value else "[]")
+        except TypeError:
+            sep = "[" + inner
+            for item in value:
+                out.append(sep)
+                _write(item, inner, out)
+                sep = "," + inner
+            out.append(newline + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 def loads(text: str) -> Tower:

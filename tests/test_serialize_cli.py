@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from enrichkit.cli import CONSTRUCTIONS, TOWER, main
 from enrichkit.errors import DanglingReference, ParseError
-from enrichkit.serialize import dumps, load, loads
+from enrichkit.serialize import dumps, load, loads, tower_to_document
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -42,6 +42,43 @@ def test_load_shares_one_string_per_id(corpus_dir):
     assert all(a is objects[a] for key in vc.comp for a in key)
     morphisms = {m: m for m in tower.base.base.morphisms}
     assert all(m is morphisms[m] for m in vc.comp.values())
+
+
+@pytest.fixture(scope="module")
+def p3cubed(corpus_dir):
+    """The associator of P3 x P3 x P3, constructed and saved."""
+    out = corpus_dir / "p3cubed.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["construct", str(corpus_dir / "bool2.json"),
+                     "assoc-vcat", "--index", "1", "--inputs", "P3", "P3",
+                     "P3", "--out", str(out)]) == 0
+    return out
+
+
+def test_writer_matches_json_dumps(corpus_dir, p3cubed):
+    for path in [corpus_dir / f"{name}.json"
+                 for name in ("bool2", "bool3", "zmod3")] + [p3cubed]:
+        tower = load(path)
+        expected = json.dumps(tower_to_document(tower), sort_keys=True,
+                              indent=2) + "\n"
+        assert dumps(tower) == expected == path.read_text()
+
+
+def test_loaded_associator_frames_are_not_scanned(p3cubed, capsys,
+                                                  monkeypatch):
+    # Both 27-object frames equal products of P3 and are certified from
+    # it; only the factors are scanned.
+    from enrichkit import vcat
+    scanned, scan = [], vcat._scan_vcategory
+
+    def spy(vc, all_witnesses=False):
+        scanned.append(len(vc.objects))
+        return scan(vc, all_witnesses)
+    monkeypatch.setattr(vcat, "_scan_vcategory", spy)
+    assert main(["check", str(p3cubed), "--machine", "--level",
+                 "vfunctor"]) == 0
+    assert '"checked": 19683' in capsys.readouterr().out
+    assert sorted(scanned) == [2, 3]
 
 
 def test_empty_document_is_parse_error():
@@ -335,6 +372,43 @@ def test_non_list_table_or_non_object_entry_exits_two(corpus_dir, tmp_path,
     mutated.write_text(json.dumps(doc))
     assert main(["check", str(mutated)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path[0]}")
+
+
+@pytest.mark.parametrize("tensors", [2.7, True])
+def test_non_integer_tensor_count_exits_two(corpus_dir, tmp_path, capsys,
+                                            tensors):
+    doc = json.loads((corpus_dir / "bool2.json").read_text())
+    doc["base"]["tensors"] = tensors
+    mutated = tmp_path / "tensors.json"
+    mutated.write_text(json.dumps(doc))
+    assert main(["check", str(mutated)]) == 2
+    assert capsys.readouterr().err == \
+        "error: base.tensors: expected an integer\n"
+
+
+@pytest.mark.parametrize("after", [False, True])
+def test_repeated_row_key_exits_two(corpus_dir, tmp_path, capsys, after):
+    # Before or after the row it repeats, the row is an input error, not a
+    # silent choice of the last one.
+    doc = json.loads((corpus_dir / "bool2.json").read_text())
+    rows = doc["vcategories"]["P"]["hom"]
+    rows.insert(rows.index(["a", "a", "top"]) + after, ["a", "a", "bot"])
+    mutated = tmp_path / "repeated.json"
+    mutated.write_text(json.dumps(doc))
+    assert main(["check", str(mutated)]) == 2
+    assert capsys.readouterr().err == \
+        "error: vcategories.P.hom: repeated row key ['a', 'a']\n"
+
+
+def test_repeated_level2_row_key_exits_two(corpus_dir, tmp_path, capsys):
+    doc = json.loads((corpus_dir / "bool2.json").read_text())
+    rows = doc["v2categories"]["W"]["hom"]
+    rows.append(rows[0])
+    mutated = tmp_path / "repeated.json"
+    mutated.write_text(json.dumps(doc))
+    assert main(["check", str(mutated)]) == 2
+    assert capsys.readouterr().err == \
+        "error: v2categories.W: repeated row key ['*', '*']\n"
 
 
 # One call per construction on the corpus: document, inputs, options, and

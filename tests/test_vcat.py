@@ -1,6 +1,10 @@
+import json
+from functools import partial
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from enrichkit.errors import (
     BaseInvalid,
@@ -15,7 +19,7 @@ from enrichkit.instances import (
     preorder_vcat,
     unique_morphism,
 )
-from enrichkit.serialize import Tower, dumps
+from enrichkit.serialize import Tower, dumps, loads
 from enrichkit.vcat import (
     VCategory,
     VFunctor,
@@ -278,6 +282,140 @@ def test_associator_frames_are_certified_not_scanned(bool2, monkeypatch):
     assert f.source.comp._table is None and f.target.comp._table is None
     assert check_vfunctor(f).ok
     assert [id(vc) for vc in scanned] == [id(p3)]
+
+
+def _loaded(vcategories):
+    """The V-categories of a tower, saved and loaded again."""
+    base = next(iter(vcategories.values())).base
+    return loads(dumps(Tower(base, vcategories=vcategories))).vcategories
+
+
+def _recognized(vc) -> bool:
+    return "factors" in vars(vc).get("_memo", {})
+
+
+def _corrupted(vc, key):
+    """A copy of ``vc`` whose composition entry at ``key`` is wrong."""
+    wrong = min(m for m in vc.base.base.morphisms if m != vc.comp[key])
+    return VCategory(vc.base, set(vc.objects), dict(vc.hom),
+                     {**vc.comp, key: wrong}, dict(vc.identity))
+
+
+# Object ids for a factor: plain, or holding "," and parentheses.
+IDS = [st.lists(cells, min_size=2, max_size=2, unique=True)
+       for cells in (st.sampled_from("abc"),
+                     st.text(alphabet="a,()", min_size=1, max_size=3))]
+
+
+@given(data=st.data())
+def test_loaded_product_report_is_the_scans(bool2, bool3, zmod3, data):
+    # Products saved and loaded again, nested, over a failing factor or
+    # over ids holding "," or parentheses, report what the scan reports.
+    from enrichkit.instances import Bounds, random_instance
+    base = data.draw(st.sampled_from([bool2, bool3, zmod3]))
+    ids, factors = IDS[data.draw(st.integers(0, 1))], []
+    for _ in "ABC":
+        vc = random_instance("vcategory", data.draw(st.integers(0, 50)),
+                             Bounds(max_objects=2), base=base)
+        vc = relabel_vcategory(vc, dict(zip(sorted(vc.objects),
+                                            data.draw(ids))))
+        if data.draw(st.integers(0, 3)) == 0:
+            vc = _corrupted(vc, data.draw(st.sampled_from(sorted(vc.comp))))
+        factors.append(vc)
+    a, b, c = factors
+    i = data.draw(st.integers(1, base.n - 1))
+    ab = product_vcat(i, a, b)
+    vcategories = {"A": a, "B": b, "C": c}
+    for name, prod in (("AB", ab), ("ABC", product_vcat(i, ab, c))):
+        try:
+            len(prod.comp)
+        except KernelError:    # a corrupted factor's composite is undefined
+            continue
+        vcategories[name] = prod
+    for vc in _loaded(vcategories).values():
+        for all_witnesses in (False, True):
+            assert _outcome(partial(check_vcategory,
+                                    all_witnesses=all_witnesses), vc) == \
+                _outcome(partial(_scan_vcategory,
+                                 all_witnesses=all_witnesses), vc)
+
+
+def test_loaded_products_are_recognized(preorder_p):
+    inner = product_vcat(1, preorder_p, preorder_p)
+    loaded = _loaded({"P": preorder_p, "PP": inner,
+                      "PPP": product_vcat(1, inner, preorder_p)})
+    assert _recognized(loaded["PP"]) and _recognized(loaded["PPP"])
+    report = check_vcategory(loaded["PPP"])
+    assert report.families == _scan_vcategory(loaded["PPP"]).families
+    assert not _recognized(loaded["P"])
+
+
+def test_corrupted_loaded_product_is_scanned(preorder_p):
+    prod = product_vcat(1, preorder_p, preorder_p)
+    key = (pair("a", "a"), pair("a", "b"), pair("b", "b"))
+    loaded = _loaded({"P": preorder_p, "PP": _corrupted(prod, key)})["PP"]
+    assert not _recognized(loaded)
+    assert not check_vcategory(loaded).ok
+    assert _outcome(check_vcategory, loaded) == \
+        _outcome(_scan_vcategory, loaded)
+
+
+def test_loaded_product_of_an_incomplete_factor_is_scanned(preorder_p):
+    # The factor's product cannot be built; the parent keeps its own scan
+    # and the check still names the factor's missing entry.
+    doc = json.loads(dumps(Tower(preorder_p.base, vcategories={
+        "P": preorder_p, "PP": product_vcat(1, preorder_p, preorder_p)})))
+    rows = doc["vcategories"]["P"]["comp"]
+    rows.remove(next(row for row in rows if row[:3] == ["a", "a", "a"]))
+    tower = loads(json.dumps(doc))
+    parent = tower.vcategories["PP"]
+    assert not _recognized(parent)
+    assert check_vcategory(parent).ok and _scan_vcategory(parent).ok
+    with pytest.raises(MalformedTable, match=r"^composition entry "
+                       r"\('a', 'a', 'a'\) missing or unknown$"):
+        check_vcategory(tower.vcategories["P"])
+
+
+def test_equal_loaded_products_keep_their_names(preorder_p):
+    # Two names with equal product tables stay two structures, so a
+    # reference to the second is saved under its own name.
+    prod = product_vcat(1, preorder_p, preorder_p)
+    twin = VCategory(prod.base, set(prod.objects), dict(prod.hom),
+                     dict(prod.comp), dict(prod.identity))
+    text = dumps(Tower(prod.base, vcategories={
+        "P": preorder_p, "X": prod, "Y": twin},
+        vfunctors={"id_Y": identity_vfunctor(twin)}))
+    tower = loads(text)
+    x, y = tower.vcategories["X"], tower.vcategories["Y"]
+    assert x is not y and _recognized(x) and _recognized(y)
+    assert json.loads(text)["vfunctors"]["id_Y"]["source"] == "Y"
+    assert dumps(tower) == text
+
+
+def test_recognition_tries_a_bounded_number_of_candidates(bool2,
+                                                        monkeypatch):
+    # Six V-categories on {a, b} give 6⁴ candidate products on a frame of
+    # pairs of pairs; one that equals none of them is not compared with
+    # all, and a product filed beside it is still recognized.
+    from enrichkit import vcat
+    leaves = {f"L{k}": preorder_vcat(bool2, ["a", "b"], {("a", "a"), ("b", "b")}
+                                     | ({("a", "b")} if k % 2 else set()))
+              for k in range(6)}
+    inner = product_vcat(1, leaves["L0"], leaves["L0"])
+    outer = product_vcat(1, inner, inner)
+    key = (pair(pair("a", "a"), pair("a", "a")),) * 3
+    text = dumps(Tower(bool2, vcategories={
+        **leaves, "Q": _corrupted(outer, key), "R": outer}))
+    built, build = [], vcat.product_vcat
+
+    def spy(i, a, b):
+        built.append((i, a, b))
+        return build(i, a, b)
+    monkeypatch.setattr(vcat, "product_vcat", spy)
+    tower = loads(text)
+    assert not _recognized(tower.vcategories["Q"])
+    assert _recognized(tower.vcategories["R"])
+    assert len(built) < 6 ** 4
 
 
 def test_product_vfunctor_identity(preorder_p):
