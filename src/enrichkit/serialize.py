@@ -16,7 +16,8 @@ A document is plain tables, so after the ``vcategories`` section is read,
 with the products of the document's other V-categories.  One that equals a
 product entry for entry is certified by ``check_vcategory`` as that product
 is; the loaded tables themselves are kept, so every name stays its own
-structure.  A table that repeats a row key is a parse error.
+structure.  A table that repeats a row key, and a JSON object that repeats
+a key, are parse errors.
 """
 from __future__ import annotations
 
@@ -560,9 +561,21 @@ def _write(value, newline: str, out: list) -> None:
         out.append(json.dumps(value))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key given twice is a parse error."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"repeated key {key!r} in a JSON object")
+            seen.add(key)
+    return obj
+
+
 def loads(text: str) -> Tower:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise ParseError(f"invalid JSON: {err.msg}", err.lineno, err.colno)
     return document_to_tower(doc)

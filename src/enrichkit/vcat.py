@@ -25,9 +25,10 @@ product of its document's other V-categories.
 
 A product's composition table is a ``LazyTable``: read-only, and built whole
 on its first read, because level-2 checks mostly compare product frames by
-identity and never read them.  So a factor with a missing composition entry
-raises ``MalformedTable`` at the first read of the product's ``comp``, not
-when the product is taken.
+identity and never read them.  The build asks the cells once per distinct
+tuple of the factor entries an entry reads, not once per entry.  A factor
+with a missing composition entry raises ``MalformedTable`` at the first read
+of the product's ``comp``, not when the product is taken.
 """
 from __future__ import annotations
 
@@ -553,7 +554,14 @@ def _build_product(cells: _Cells, i: int, a, b):
     """Objects, homs and identities now; the composition table is a
     ``LazyTable`` built on its first read.  A factor missing a hom or
     identity entry raises here, one missing a composition entry raises
-    ``MalformedTable``, naming the factor's key, at that first read."""
+    ``MalformedTable``, naming the factor's key, at that first read.
+
+    The composite at ((x, y), (x2, y2), (x3, y3)) reads six factor entries
+    only: each factor's hom at (x2, x3) and (x, x2) and its comp at
+    (x, x2, x3).  So the table asks the cells once per distinct six entries
+    (``_comp_reads``) and shares the composite among the pairs reading them,
+    visiting the pairs in lexicographic order, so that the first cell that
+    raises is the same as entry by entry."""
     _same_base(a, b)
     base = a.base
     if not 1 <= i <= base.n - 1 - cells.shift:
@@ -561,35 +569,64 @@ def _build_product(cells: _Cells, i: int, a, b):
             f"product index {i} needs tensor {i + 1 + cells.shift} <= n")
     tensor_obj, tensor_mor = cells.tensor_obj, cells.tensor_mor
     aobj, bobj = sorted(a.objects), sorted(b.objects)
-    objects = {pair(x, y) for x in aobj for y in bobj}
+    pairs = {(x, y): pair(x, y) for x, y in iproduct(aobj, bobj)}
+    ids = list(pairs.values())
     hom = {}
     identity = {}
-    for (x, y) in iproduct(aobj, bobj):
-        identity[pair(x, y)] = cells.unit_pair(tensor_mor(
+    for (x, y), xy in pairs.items():
+        identity[xy] = cells.unit_pair(tensor_mor(
             i + 1, a.identity[x], b.identity[y]), i + 1)
-        for (x2, y2) in iproduct(aobj, bobj):
-            hom[(pair(x, y), pair(x2, y2))] = tensor_obj(
+        for (x2, y2), xy2 in pairs.items():
+            hom[(xy, xy2)] = tensor_obj(
                 i + 1, a.hom[(x, x2)], b.hom[(y, y2)])
 
     def build_comp():
         compose, interchange = cells.comp, cells.interchange
-        ahom, bhom = a.hom, b.hom
-        acomp, bcomp = _plain(a.comp), _plain(b.comp)
-        for table, objs in ((acomp, aobj), (bcomp, bobj)):
-            for key in iproduct(objs, repeat=3):
-                if key not in table:
-                    raise MalformedTable(
-                        f"product factor's composition entry {key} missing")
-        comp = {}
-        for (x, y), (x2, y2), (x3, y3) in iproduct(
-                iproduct(aobj, bobj), repeat=3):
-            eta = interchange(1, i + 1, ahom[(x2, x3)], bhom[(y2, y3)],
-                              ahom[(x, x2)], bhom[(y, y2)])
-            both = tensor_mor(i + 1, acomp[(x, x2, x3)], bcomp[(y, y2, y3)])
-            comp[(pair(x, y), pair(x2, y2), pair(x3, y3))] = \
-                compose(both, eta)
+        (arows, areads), (brows, breads) = (_comp_reads(a, aobj),
+                                            _comp_reads(b, bobj))
+        made, comp = {}, {}
+        for (x, y), xy in pairs.items():
+            for (x2, y2), xy2 in pairs.items():
+                for key, xy3 in zip(iproduct(arows[(x, x2)], brows[(y, y2)]),
+                                    ids):
+                    composite = made.get(key)
+                    if composite is None:
+                        (ahom23, ahom12, acomp), (bhom23, bhom12, bcomp) = \
+                            areads[key[0]], breads[key[1]]
+                        eta = interchange(1, i + 1, ahom23, bhom23,
+                                          ahom12, bhom12)
+                        both = tensor_mor(i + 1, acomp, bcomp)
+                        composite = made[key] = compose(both, eta)
+                    comp[(xy, xy2, xy3)] = composite
         return comp
-    return cells.Cat(base, objects, hom, LazyTable(build_comp), identity)
+    return cells.Cat(base, set(ids), hom, LazyTable(build_comp), identity)
+
+
+def _comp_reads(f, objs):
+    """The entries a product's composition reads from its factor ``f`` at a
+    triple (x, x2, x3) of ``objs``: hom(x2, x3), hom(x, x2) and
+    comp(x, x2, x3).  Returns, for each (x, x2), the indices of its triples'
+    entries in the order of x3, and the entries at each index; equal indices
+    mean the same three objects.  Entries are told apart by ``id``, so
+    level-2 cells, which are unhashable, are indexed too; ``f``'s tables
+    keep them alive.  A missing composition entry raises ``MalformedTable``
+    at the first such triple."""
+    hom, comp = f.hom, _plain(f.comp)
+    index, reads, rows = {}, [], {}
+    for x, x2 in iproduct(objs, repeat=2):
+        row = rows[(x, x2)] = []
+        for x3 in objs:
+            key = (x, x2, x3)
+            if key not in comp:
+                raise MalformedTable(
+                    f"product factor's composition entry {key} missing")
+            entries = (hom[(x2, x3)], hom[(x, x2)], comp[key])
+            identity = tuple(map(id, entries))
+            if identity not in index:
+                index[identity] = len(reads)
+                reads.append(entries)
+            row.append(index[identity])
+    return rows, reads
 
 
 def _compose_functors(cells: _Cells, s, t):
@@ -680,11 +717,12 @@ def product_vfunctor(i: int, t: VFunctor, s: VFunctor) -> VFunctor:
     target = product_vcat(i, t.target, s.target)
     obj_map = {}
     hom_map = {}
-    pairs = list(iproduct(sorted(t.source.objects), sorted(s.source.objects)))
-    for (x, y) in pairs:
-        obj_map[pair(x, y)] = pair(t.obj_map[x], s.obj_map[y])
-        for (x2, y2) in pairs:
-            hom_map[(pair(x, y), pair(x2, y2))] = base.tensor_mor(
+    pairs = {(x, y): pair(x, y) for x, y in iproduct(
+        sorted(t.source.objects), sorted(s.source.objects))}
+    for (x, y), xy in pairs.items():
+        obj_map[xy] = pair(t.obj_map[x], s.obj_map[y])
+        for (x2, y2), xy2 in pairs.items():
+            hom_map[(xy, xy2)] = base.tensor_mor(
                 i + 1, t.hom_map[(x, x2)], s.hom_map[(y, y2)])
     return VFunctor(source, target, obj_map, hom_map)
 
@@ -710,17 +748,14 @@ def assoc_vcat(i: int, a: VCategory, b: VCategory, c: VCategory) -> VFunctor:
     base = a.base
     source = product_vcat(i, product_vcat(i, a, b), c)
     target = product_vcat(i, a, product_vcat(i, b, c))
-    obj_map = {}
+    sources = {(x, y, z): pair(pair(x, y), z) for x, y, z in iproduct(
+        sorted(a.objects), sorted(b.objects), sorted(c.objects))}
+    obj_map = {xyz: pair(x, pair(y, z)) for (x, y, z), xyz in sources.items()}
     hom_map = {}
-    triples = list(iproduct(sorted(a.objects), sorted(b.objects),
-                            sorted(c.objects)))
-    for (x, y, z) in triples:
-        obj_map[pair(pair(x, y), z)] = pair(x, pair(y, z))
-    for (x, y, z) in triples:
-        for (x2, y2, z2) in triples:
-            hom_map[(pair(pair(x, y), z), pair(pair(x2, y2), z2))] = \
-                base.associator(i + 1, a.hom[(x, x2)], b.hom[(y, y2)],
-                                c.hom[(z, z2)])
+    for (x, y, z), xyz in sources.items():
+        for (x2, y2, z2), xyz2 in sources.items():
+            hom_map[(xyz, xyz2)] = base.associator(
+                i + 1, a.hom[(x, x2)], b.hom[(y, y2)], c.hom[(z, z2)])
     return VFunctor(source, target, obj_map, hom_map)
 
 
@@ -736,19 +771,17 @@ def interchange_vcat(i: int, j: int, a: VCategory, b: VCategory,
             f"interchange indices ({i}, {j}) need j >= i+1 and j+1 <= n")
     source = product_vcat(i, product_vcat(j, a, b), product_vcat(j, c, d))
     target = product_vcat(j, product_vcat(i, a, c), product_vcat(i, b, d))
-    obj_map = {}
+    sources = {(x, y, z, w): pair(pair(x, y), pair(z, w))
+               for x, y, z, w in iproduct(sorted(a.objects), sorted(b.objects),
+                                          sorted(c.objects), sorted(d.objects))}
+    obj_map = {xyzw: pair(pair(x, z), pair(y, w))
+               for (x, y, z, w), xyzw in sources.items()}
     hom_map = {}
-    quads = list(iproduct(sorted(a.objects), sorted(b.objects),
-                          sorted(c.objects), sorted(d.objects)))
-    for (x, y, z, w) in quads:
-        obj_map[pair(pair(x, y), pair(z, w))] = pair(pair(x, z), pair(y, w))
-    for (x, y, z, w) in quads:
-        for (x2, y2, z2, w2) in quads:
-            hom_map[(pair(pair(x, y), pair(z, w)),
-                     pair(pair(x2, y2), pair(z2, w2)))] = \
-                base.interchange_mor(i + 1, j + 1,
-                                     a.hom[(x, x2)], b.hom[(y, y2)],
-                                     c.hom[(z, z2)], d.hom[(w, w2)])
+    for (x, y, z, w), xyzw in sources.items():
+        for (x2, y2, z2, w2), xyzw2 in sources.items():
+            hom_map[(xyzw, xyzw2)] = base.interchange_mor(
+                i + 1, j + 1, a.hom[(x, x2)], b.hom[(y, y2)],
+                c.hom[(z, z2)], d.hom[(w, w2)])
     return VFunctor(source, target, obj_map, hom_map)
 
 

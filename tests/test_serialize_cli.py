@@ -400,6 +400,32 @@ def test_repeated_row_key_exits_two(corpus_dir, tmp_path, capsys, after):
         "error: vcategories.P.hom: repeated row key ['a', 'a']\n"
 
 
+@pytest.mark.parametrize("path", [("vcategories", "P", "identity"),
+                                  ("vfunctors", "collapse_P", "obj_map"),
+                                  ("vnats", "unit_P", "components"), ()],
+                         ids=["identity", "obj_map", "components", "top"])
+def test_repeated_object_key_exits_two(corpus_dir, tmp_path, capsys, path):
+    # A JSON object's first key given once more, with another value, before
+    # the real entry: keeping the last value would pass the check.
+    doc = json.loads((corpus_dir / "bool2.json").read_text())
+    obj = _at(doc, path)
+    key = min(obj)
+    other = {} if isinstance(obj[key], dict) else "u"
+    repeated = "{%s}" % ", ".join(
+        f"{json.dumps(k)}: {json.dumps(v)}"
+        for k, v in [(key, other), *obj.items()])
+    if path:
+        _at(doc, path[:-1])[path[-1]] = "REPEATED"
+        text = json.dumps(doc).replace('"REPEATED"', repeated)
+    else:
+        text = repeated
+    mutated = tmp_path / "repeated.json"
+    mutated.write_text(text)
+    assert main(["check", str(mutated)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: repeated key {key!r} in a JSON object\n"
+
+
 def test_repeated_level2_row_key_exits_two(corpus_dir, tmp_path, capsys):
     doc = json.loads((corpus_dir / "bool2.json").read_text())
     rows = doc["v2categories"]["W"]["hom"]

@@ -535,9 +535,23 @@ def _eager_product_v2cat(i, u, w):
     return V2Category(u.base, objects, hom, comp, identity)
 
 
+def _codiscrete(u, objects):
+    """The one-object ``u`` spread over ``objects``: every hom is u's hom
+    category, every composite u's composition functor and every identity
+    u's.  Its product's composition functors all read the same six cells."""
+    (x,) = u.objects
+    return V2Category(
+        u.base, set(objects),
+        {key: u.hom[(x, x)] for key in iproduct(objects, repeat=2)},
+        {key: u.comp[(x, x, x)] for key in iproduct(objects, repeat=3)},
+        {y: u.identity[x] for y in objects})
+
+
 @pytest.mark.parametrize("make", [lambda: join_monoid_v2cat(bool_poset(3)),
-                                  lambda: xor_group_v2cat(zmod2(3))],
-                         ids=["W3", "X2"])
+                                  lambda: xor_group_v2cat(zmod2(3)),
+                                  lambda: _codiscrete(
+                                      join_monoid_v2cat(bool_poset(3)), "pq")],
+                         ids=["W3", "X2", "W3-on-two-objects"])
 def test_product_v2cat_matches_the_eager_construction(make):
     u = make()
     prod = product_v2cat(1, u, u)

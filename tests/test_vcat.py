@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from functools import partial
 from itertools import product as iproduct
@@ -13,6 +14,7 @@ from enrichkit.errors import (
     MalformedTable,
     NotParallel,
 )
+from enrichkit.fincat import compose
 from enrichkit.instances import (
     bool_poset,
     cocycle_vcat,
@@ -219,6 +221,97 @@ def test_lazy_product_names_the_factors_missing_composition_entry(bool2):
     with pytest.raises(MalformedTable, match=r"^product factor's composition "
                        r"entry \('a', 'a', 'a'\) missing$"):
         check_vcategory(prod)
+
+
+def _formula_comp(i, a, b):
+    """Reference: a product's composition table entry by entry, as the
+    formula reads it, comp(tensor_{i+1}(a.comp, b.comp), η^{1,i+1}(homs)),
+    with its first error as ``type: message``."""
+    base = a.base
+    comp = {}
+    try:
+        for (x, y), (x2, y2), (x3, y3) in iproduct(
+                iproduct(sorted(a.objects), sorted(b.objects)), repeat=3):
+            eta = base.interchange_mor(1, i + 1, a.hom[(x2, x3)],
+                                       b.hom[(y2, y3)], a.hom[(x, x2)],
+                                       b.hom[(y, y2)])
+            both = base.tensor_mor(i + 1, a.comp[(x, x2, x3)],
+                                   b.comp[(y, y2, y3)])
+            comp[(pair(x, y), pair(x2, y2), pair(x3, y3))] = \
+                compose(base.base, both, eta)
+    except KernelError as err:
+        return f"{type(err).__name__}: {err}"
+    return comp
+
+
+def _built_comp(prod):
+    """The product's built composition table, or the error building it."""
+    try:
+        return dict(prod.comp)
+    except KernelError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+@given(data=st.data())
+def test_product_comp_is_the_formula_entry_by_entry(bool2, bool3, zmod3,
+                                                    data):
+    # Plain and nested products, over passing or corrupted factors, at
+    # every index: the same table, or the same first error.
+    from enrichkit.instances import Bounds, random_instance
+    base = data.draw(st.sampled_from([bool2, bool3, zmod3]))
+    factors = []
+    for _ in "ABC":
+        vc = random_instance("vcategory", data.draw(st.integers(0, 50)),
+                             Bounds(max_objects=2), base=base)
+        if data.draw(st.integers(0, 3)) == 0:
+            vc = _corrupted(vc, data.draw(st.sampled_from(sorted(vc.comp))))
+        factors.append(vc)
+    a, b, c = factors
+    for i in range(1, base.n):
+        ab = product_vcat(i, a, b)
+        built = _built_comp(ab)
+        assert built == _formula_comp(i, a, b)
+        if isinstance(built, str):
+            continue
+        for j in range(1, base.n):
+            for x, y in ((ab, c), (c, ab)):
+                assert _built_comp(product_vcat(j, x, y)) == \
+                    _formula_comp(j, x, y)
+
+
+def test_product_comp_raises_the_formulas_first_base_error(bool2):
+    # tensor_2(u, id_top) is read by the composition table only: the
+    # identities tensor id_top with itself.
+    table = {**bool2.tensor_mor_table[2]}
+    del table[("u", "id_top")]
+    base = dataclasses.replace(
+        bool2, tensor_mor_table={**bool2.tensor_mor_table, 2: table})
+    p = preorder_vcat(base, ["a", "b"], {("a", "a"), ("a", "b"), ("b", "b")})
+    pp = product_vcat(1, p, p)
+    expected = _formula_comp(1, p, p)
+    assert expected == ("UnknownMorphism: no tensor_2 entry for morphisms "
+                        "(u, id_top)")
+    assert _built_comp(pp) == expected
+
+
+def test_product_comp_asks_the_base_once_per_distinct_entries():
+    base = bool_poset(2)
+    calls = []
+
+    def counted(*args, tensor_mor=base.tensor_mor):
+        calls.append(args)
+        return tensor_mor(*args)
+    base.tensor_mor = counted    # before the base's cells are built
+    p3 = preorder_vcat(base, ["a", "b", "c"],
+                       {("a", "a"), ("b", "b"), ("c", "c"),
+                        ("a", "b"), ("b", "c"), ("a", "c")})
+    frame = product_vcat(1, product_vcat(1, p3, p3), p3)
+    calls.clear()
+    assert len(frame.comp) == 27 ** 3
+    # Both products' tables, the inner one's 729 entries included.
+    assert 0 < len(calls) < 27 ** 3 // 100
+    assert _built_comp(frame) == _formula_comp(
+        1, product_vcat(1, p3, p3), p3)
 
 
 def _outcome(check, vc):
