@@ -17,7 +17,7 @@ with the products of the document's other V-categories.  One that equals a
 product entry for entry is certified by ``check_vcategory`` as that product
 is; the loaded tables themselves are kept, so every name stays its own
 structure.  A table that repeats a row key, and a JSON object that repeats
-a key, are parse errors.
+a key, are parse errors that name the table or object by its path.
 """
 from __future__ import annotations
 
@@ -561,21 +561,54 @@ def _write(value, newline: str, out: list) -> None:
         out.append(json.dumps(value))
 
 
+class _RepeatedKey(Exception):
+    """A JSON object gives a key twice; ``loads`` finds where."""
+
+
 def _unique_keys(pairs: list) -> dict:
-    """A JSON object as a dict; a key given twice is a parse error."""
+    """A JSON object as a dict; a key given twice raises ``_RepeatedKey``."""
     obj = dict(pairs)
     if len(obj) != len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise ParseError(f"repeated key {key!r} in a JSON object")
-            seen.add(key)
+        raise _RepeatedKey
     return obj
 
 
+class _Pairs(list):
+    """A JSON object kept as its list of (key, value) pairs."""
+
+
+def _repeated_key(node, path: str = ""):
+    """The message for the first object, in the order the parser closes
+    them, that repeats a key, naming its JSON path; None if none does."""
+    if isinstance(node, _Pairs):
+        children = [(f"{path}.{key}" if path else key, value)
+                    for key, value in node]
+    elif isinstance(node, list):
+        children = [(f"{path}[{k}]", value) for k, value in enumerate(node)]
+    else:
+        return None
+    for where, value in children:
+        found = _repeated_key(value, where)
+        if found is not None:
+            return found
+    if isinstance(node, _Pairs):
+        seen = set()
+        for key, _ in node:
+            if key in seen:
+                return f"{path or 'document'}: repeated key {key!r}"
+            seen.add(key)
+    return None
+
+
 def loads(text: str) -> Tower:
+    # The parser meets a repeated key as its object closes, before any later
+    # syntax error; the re-parse that locates the key then raises that error.
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        try:
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
+        except _RepeatedKey:
+            raise ParseError(_repeated_key(
+                json.loads(text, object_pairs_hook=_Pairs))) from None
     except json.JSONDecodeError as err:
         raise ParseError(f"invalid JSON: {err.msg}", err.lineno, err.colno)
     return document_to_tower(doc)

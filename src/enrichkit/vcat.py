@@ -9,9 +9,11 @@ the checkers state it as column equations over the base's lifted tables
 The axioms (pentagon, unit laws, functor square and unit triangle,
 naturality) are written once, as tables over the operations of the monoidal
 category enriched in (``_Ops``); the checkers here read them over the base,
-and v2cat reads the same tables over V-Cat.  The constructions both levels
-share (product, unit, composites, identities, whiskers) are written once
-too, over a record of its cells (``_Cells``) that v2cat reads over V-Cat.
+and v2cat reads the same tables over V-Cat, and the naturality table once
+more over V-Cat's 2-cells for the modification axiom.  The constructions
+both levels share (product, unit, composites, identities, whiskers) are
+written once too, over a record of its cells (``_Cells``) that v2cat reads
+over V-Cat.
 Product object sets are literal encoded pairs with no quotienting: the
 strict unit law holds only after the canonical relabeling (a, 0) -> a,
 which relabel_vcategory makes available bit-exactly.
@@ -854,11 +856,16 @@ def unit_pair_intro(i: int, base: KFoldMonoidal) -> VFunctor:
                  lambda base: unit_intro_left(i, unit_vcategory(base)))
 
 
+def _require_bijection(obj_map: dict, objects) -> None:
+    """MalformedTable unless ``obj_map`` is a bijection on ``objects``."""
+    if sorted(obj_map) != sorted(objects) \
+            or len(set(obj_map.values())) != len(objects):
+        raise MalformedTable("relabeling is not a bijection on the object set")
+
+
 def relabel_vcategory(a: VCategory, obj_map: dict) -> VCategory:
     """Rename the object set through a bijection; tables re-keyed, data kept."""
-    if sorted(obj_map) != sorted(a.objects) \
-            or len(set(obj_map.values())) != len(a.objects):
-        raise MalformedTable("relabeling is not a bijection on the object set")
+    _require_bijection(obj_map, a.objects)
     objects = set(obj_map.values())
     hom = {(obj_map[x], obj_map[y]): v for (x, y), v in a.hom.items()}
     comp = {(obj_map[x], obj_map[y], obj_map[z]): v

@@ -134,6 +134,28 @@ def test_machine_format(corpus_dir, capsys):
     assert hexagons and hexagons[0]["status"] == "pass"
 
 
+def test_modification_square_checks_one_row_per_object_pair(corpus_dir,
+                                                           capsys):
+    # Naturality one dimension up: a row per (x, y) of the n-object U, not
+    # per (x, y, f, g), so W's rise and stay check 1 row, not 4.
+    path = corpus_dir / "bool2.json"
+    assert main(["check", str(path), "--machine", "--level",
+                 "modification"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    squares = {r["structure"]: r["checked"] for r in records
+               if r["family"] == "modification-square"}
+    tower = load(path)
+    names = {f"modification:{name}": m for name, m in tower.modifications.items()}
+    for pasting, p in tower.pastings.items():
+        names.update((f"modification:{pasting}.{slot}", getattr(p, slot))
+                     for slot in (f"{kind}{col}" for col in range(1, 5)
+                                  for kind in ("mu", "nu")))
+    assert {"modification:rise", "modification:stay"} <= squares.keys()
+    for name, checked in squares.items():
+        assert checked == len(names[name].source.source.source.objects) ** 2
+    assert squares["modification:rise"] == squares["modification:stay"] == 1
+
+
 def test_vacuous_hexagon_reported(corpus_dir, capsys):
     # Two tensors: the hexagonal condition has no instances and says so.
     assert main(["check", str(corpus_dir / "bool2.json"), "--machine",
@@ -400,11 +422,15 @@ def test_repeated_row_key_exits_two(corpus_dir, tmp_path, capsys, after):
         "error: vcategories.P.hom: repeated row key ['a', 'a']\n"
 
 
-@pytest.mark.parametrize("path", [("vcategories", "P", "identity"),
-                                  ("vfunctors", "collapse_P", "obj_map"),
-                                  ("vnats", "unit_P", "components"), ()],
-                         ids=["identity", "obj_map", "components", "top"])
-def test_repeated_object_key_exits_two(corpus_dir, tmp_path, capsys, path):
+@pytest.mark.parametrize("path, where", [
+    (("vcategories", "P", "identity"), "vcategories.P.identity"),
+    (("vfunctors", "collapse_P", "obj_map"), "vfunctors.collapse_P.obj_map"),
+    (("vnats", "unit_P", "components"), "vnats.unit_P.components"),
+    (("v2categories", "W", "hom", 0, 2), "v2categories.W.hom[0][2]"),
+    ((), "document")],
+    ids=["identity", "obj_map", "components", "inline-hom", "top"])
+def test_repeated_object_key_exits_two(corpus_dir, tmp_path, capsys, path,
+                                       where):
     # A JSON object's first key given once more, with another value, before
     # the real entry: keeping the last value would pass the check.
     doc = json.loads((corpus_dir / "bool2.json").read_text())
@@ -423,7 +449,24 @@ def test_repeated_object_key_exits_two(corpus_dir, tmp_path, capsys, path):
     mutated.write_text(text)
     assert main(["check", str(mutated)]) == 2
     assert capsys.readouterr().err == \
-        f"error: repeated key {key!r} in a JSON object\n"
+        f"error: {where}: repeated key {key!r}\n"
+
+
+@pytest.mark.parametrize("spoil", [lambda text: text[:-1],
+                                   lambda text: text + " garbage"],
+                         ids=["truncated", "trailing-data"])
+def test_repeated_key_before_a_syntax_error_exits_two(corpus_dir, tmp_path,
+                                                      capsys, spoil):
+    # The repeated key closes before the parser reaches the syntax error, so
+    # the re-parse that would locate the key meets the error instead.
+    doc = json.loads((corpus_dir / "bool2.json").read_text())
+    doc["vcategories"]["P"]["identity"] = "REPEATED"
+    text = json.dumps(doc).replace('"REPEATED"', '{"a": "u", "a": "id_top"}')
+    mutated = tmp_path / "repeated.json"
+    mutated.write_text(spoil(text))
+    assert main(["check", str(mutated)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
 
 
 def test_repeated_level2_row_key_exits_two(corpus_dir, tmp_path, capsys):

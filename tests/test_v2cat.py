@@ -1,16 +1,21 @@
+import random
 from itertools import product as iproduct
 
 import pytest
 
 from enrichkit.errors import (AgreementFailure, IndexOutOfRange,
                               InvalidPasting, MalformedTable, NotComposable)
+from enrichkit.fincat import FinCategory
 from enrichkit.instances import (
     Bounds,
+    SymmetricMonoidal,
     _endo_v2functors,
     _mods_between,
     _nats_between,
     _random_pasting,
+    _random_v2category,
     bool_poset,
+    from_symmetric,
     join_monoid_v2cat,
     random_instance,
     unique_morphism,
@@ -34,6 +39,7 @@ from enrichkit.v2cat import (
     V2Category,
     V2Functor,
     V2NatTransform,
+    VModification,
     check_modification,
     check_v2category,
     check_v2functor,
@@ -628,3 +634,124 @@ def test_random_level2_instances(bool2, zmod3):
         assert check_v2nat(nat).ok
         mod = random_instance("modification", seed, Bounds(max_hom=2))
         assert check_modification(mod).ok
+
+
+# -- the modification square against the per-(f, g) closure it replaced --------
+
+def _square_closure(m):
+    """The modification square one (x, y, f, g) at a time, as a closure over
+    the base's second tensor: the failing rows' instances."""
+    th, ph = m.source, m.target
+    t, s = th.source, th.target
+    u, w = t.source, t.target
+    base = u.base
+    cat = base.base
+
+    def q(nat, x):
+        return nat.components[x].obj_map["0"]
+    failing = []
+    for x, y in iproduct(sorted(u.objects), repeat=2):
+        tx, ty, sx, sy = t.obj_map[x], t.obj_map[y], s.obj_map[x], s.obj_map[y]
+        for f, g in iproduct(u.one_cells(x, y), repeat=2):
+            tf = t.hom_map[(x, y)].obj_map[f]
+            tg = t.hom_map[(x, y)].obj_map[g]
+            sf = s.hom_map[(x, y)].obj_map[f]
+            sg = s.hom_map[(x, y)].obj_map[g]
+            lhs = cat.comp.get((
+                w.comp[(tx, ty, sy)].hom_map[
+                    (pair(q(th, y), tf), pair(q(ph, y), tg))],
+                base.tensor_mor_table[2].get(
+                    (m.components[y], t.hom_map[(x, y)].hom_map[(f, g)]))))
+            rhs = cat.comp.get((
+                w.comp[(tx, sx, sy)].hom_map[
+                    (pair(sf, q(th, x)), pair(sg, q(ph, x)))],
+                base.tensor_mor_table[2].get(
+                    (s.hom_map[(x, y)].hom_map[(f, g)], m.components[x]))))
+            if lhs is None or lhs != rhs:
+                failing.append(((x, y), f, g))
+    return failing
+
+
+def _candidate_mods(u):
+    """Every modification candidate between transformations of endofunctors
+    of a one-object ``u``: each morphism I -> hom(q, q^) as the component."""
+    cat = u.base.base
+    star, = u.objects
+    endos = _endo_v2functors(u)
+    for t, s in iproduct(endos, repeat=2):
+        w_hom = t.target.hom[(t.obj_map[star], s.obj_map[star])]
+        nats = _nats_between(t, s)
+        for a, b in iproduct(nats, repeat=2):
+            q = a.components[star].obj_map["0"]
+            q2 = b.components[star].obj_map["0"]
+            for mor in cat.hom(u.base.unit, w_hom.hom[(q, q2)]):
+                yield VModification(a, b, {star: mor})
+
+
+def _deloop_z3():
+    """B(Z/3): one object, morphisms g0, g1, g2 under addition mod 3."""
+    g = [f"g{i}" for i in range(3)]
+    add = {(g[i], g[j]): g[(i + j) % 3] for i in range(3) for j in range(3)}
+    cat = FinCategory({"*"}, set(g), dict.fromkeys(g, "*"),
+                      dict.fromkeys(g, "*"), add, {"*": "g0"})
+    return from_symmetric(SymmetricMonoidal(
+        cat, "*", {("*", "*"): "*"}, add, {("*", "*", "*"): "g0"},
+        {("*", "*"): "g0"}), 2)
+
+
+def test_modification_square_matches_the_closure(bool2, bool3, zmod3):
+    # Naturality over V-Cat's 2-cells, one row per (x, y), passes exactly
+    # when every per-(f, g) square does, on every enumerated candidate.
+    structures = [join_monoid_v2cat(bool2), join_monoid_v2cat(bool3),
+                  xor_group_v2cat(zmod3)]
+    # Over B(Z/3), rejection sampling takes seconds to minutes at other seeds.
+    for base, seeds in ((bool2, (0, 2, 4, 5, 6)), (zmod3, (0, 2, 4, 5, 6)),
+                        (_deloop_z3(), (2, 4))):
+        structures += [_random_v2category(base, random.Random(seed), Bounds())
+                       for seed in seeds]
+    seen = 0
+    for u in structures:
+        for m in _candidate_mods(u):
+            rep = check_modification(m)
+            assert rep.families["modification-square"] == len(u.objects) ** 2
+            assert rep.ok == (not _square_closure(m))
+            seen += 1
+    assert seen >= 100
+
+
+def test_modification_square_fails_where_the_closure_does():
+    # B(Z/3) spread over two objects: the (x, y) square sets m's component at
+    # y against its component at x, so components that differ are not
+    # natural, in either form.
+    u = _codiscrete(_random_v2category(_deloop_z3(), random.Random(2),
+                                       Bounds()), "xy")
+    assert check_v2category(u).ok
+    a = id_nat(identity_v2functor(u))
+    constant = VModification(a, a, {"x": "g1", "y": "g1"})
+    assert check_modification(constant).ok and not _square_closure(constant)
+    m = VModification(a, a, {"x": "g2", "y": "g0"})
+    rep = check_modification(m, all_witnesses=True)
+    assert [(w.diagram, w.instance, w.lhs, w.rhs) for w in rep.witnesses] == [
+        ("modification-square", ("x", "y"),
+         "component[c0]=g0", "component[c0]=g2"),
+        ("modification-square", ("y", "x"),
+         "component[c0]=g2", "component[c0]=g0")]
+    assert {xy for xy, _, _ in _square_closure(m)} == {("x", "y"), ("y", "x")}
+
+
+def test_relabel_v2category_rejects_a_non_injective_map(w):
+    hom, = w.hom.values()
+    comp, = w.comp.values()
+    ident, = w.identity.values()
+    objs = ("a", "b")
+    two = V2Category(w.base, set(objs),
+                     {key: hom for key in iproduct(objs, repeat=2)},
+                     {key: comp for key in iproduct(objs, repeat=3)},
+                     dict.fromkeys(objs, ident))
+    assert check_v2category(two).ok
+    cells = {key: {c: c for c in hom.objects}
+             for key in iproduct(objs, repeat=2)}
+    swapped = relabel_v2category(two, {"a": "b", "b": "a"}, cells)
+    assert swapped.objects == {"a", "b"} and check_v2category(swapped).ok
+    with pytest.raises(MalformedTable, match="not a bijection"):
+        relabel_v2category(two, {"a": "x", "b": "x"}, cells)
