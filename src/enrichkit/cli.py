@@ -275,6 +275,10 @@ def _run_fuzz_checks(tower: Tower, args, rep: _Reporter) -> int:
             rep.note(f"fuzz[{k}]", f"generation budget exhausted: {err}",
                      failure=False)
             continue
+        except BaseInvalid as err:
+            # Every draw is checked against the base, so none can be made.
+            rep.note("fuzz", f"skipped, constituent invalid: {err}")
+            return 0
         made += 1
         for i in range(1, base.n):
             # Scanned, not certified: this is the construction's self-test.

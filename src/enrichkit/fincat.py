@@ -24,7 +24,6 @@ from .errors import (
     MalformedTable,
     NotParallel,
     UnknownMorphism,
-    UnknownObject,
 )
 from .report import (CheckReport, ReportBuilder, each_row, equations, lift,
                      row_equations)
@@ -41,12 +40,6 @@ class FinCategory:
     cod: dict
     comp: dict        # (g, f) -> g∘f, keyed exactly by composable pairs
     identity: dict    # object -> its identity morphism
-
-    def id_of(self, a: ObjId) -> MorId:
-        try:
-            return self.identity[a]
-        except KeyError:
-            raise UnknownObject(f"no identity registered for object {a!r}")
 
     def hom(self, a: ObjId, b: ObjId) -> list:
         """All morphisms a -> b, sorted."""

@@ -13,12 +13,29 @@ composite through the symmetry rather than written down by hand; the shipped
 corpus therefore exercises exactly the construction path a user-supplied
 symmetric base would take.  Genuinely non-symmetric structures are accepted
 as input everywhere but are not shipped.
+
+Generation.  Random V-categories, V-functors and V-2-categories come from
+one rejection loop, ``_sample(draw, check, attempts, what)``: it keeps the
+first candidate ``draw()`` returns that passes its level checker, records
+the attempt that produced it as the winner's ``_generation_attempts``, and
+raises ``BudgetExhausted`` when the budget runs out.  Each table of
+morphisms in a draw (composition and identity elements, a functor's hom
+map, transformation components) is filled by one per-slot loop,
+``_draw(cat, slots, pick)``, which picks a morphism from each slot's
+hom-set and gives None at the first empty one; every one-object
+V-2-category, shipped or random, is built by ``_monoid_v2cat``.  Two loops
+keep their own shape, since the RNG draws they make are part of the
+generated structures: ``_random_vnat`` returns None at the first empty
+component hom-set (t and s fix those hom-sets, so a redraw would fail
+there again), and each candidate of ``_random_v2category`` draws its hom
+V-category with its own inner budget.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 from itertools import product
+from operator import itemgetter
 
 from .errors import (
     BudgetExhausted,
@@ -36,6 +53,8 @@ from .vcat import (
     check_vcategory,
     check_vfunctor,
     check_vnat,
+    identity_vfunctor,
+    identity_vnat,
     pair,
     product_vcat,
     unit_vcategory,
@@ -55,12 +74,54 @@ from .v2cat import (
 RANDOM_ATTEMPT_CAP = 5000
 
 
+def _thin(hom: list):
+    """The only morphism of a non-empty hom-set of a thin base."""
+    if len(hom) > 1:
+        raise MalformedTable(f"hom-set is not thin: {hom}")
+    return hom[0]
+
+
 def unique_morphism(cat: FinCategory, a: str, b: str):
     """The unique morphism a -> b in a thin category, or None."""
     hom = cat.hom(a, b)
-    if len(hom) > 1:
-        raise MalformedTable(f"hom({a}, {b}) is not thin: {hom}")
-    return hom[0] if hom else None
+    return _thin(hom) if hom else None
+
+
+def _sample(draw, check, attempts: int, what: str):
+    """The first non-None ``draw()`` that passes ``check``, within budget."""
+    for attempt in range(1, attempts + 1):
+        cand = draw()
+        if cand is not None and check(cand).ok:
+            cand._generation_attempts = attempt
+            return cand
+    raise BudgetExhausted(f"no valid {what} after {attempts} attempts")
+
+
+def _draw(cat: FinCategory, slots, pick):
+    """``{key: pick(cat.hom(dom, cod))}`` over the (key, dom, cod) slots.
+
+    None at the first empty hom-set; the slots are read lazily, so no pick
+    is made past it.
+    """
+    out = {}
+    for key, dom, cod in slots:
+        hom = cat.hom(dom, cod)
+        if not hom:
+            return None
+        out[key] = pick(hom)
+    return out
+
+
+def _draw_vfunctor(source: VCategory, target: VCategory, obj_map: dict,
+                   pick):
+    """The V-functor on obj_map whose hom map is drawn by pick, or None."""
+    objs = sorted(source.objects)
+    hom_map = _draw(source.base.base,
+                    ((key, source.hom[key],
+                      target.hom[(obj_map[key[0]], obj_map[key[1]])])
+                     for key in product(objs, repeat=2)), pick)
+    return None if hom_map is None else VFunctor(source, target, obj_map,
+                                                 hom_map)
 
 
 # -- symmetric monoidal input and the k-fold construction --------------------
@@ -310,6 +371,32 @@ def cocycle_vcat(base: KFoldMonoidal, potential: dict) -> VCategory:
     return VCategory(base, set(objects), hom, comp, identity)
 
 
+def _monoid_v2cat(base: KFoldMonoidal, hom: VCategory, op: dict, pick,
+                  unit_cell: str) -> V2Category | None:
+    """One object whose 1-cells are hom's objects, composed by op.
+
+    op maps (g, f) to the 1-cell g.f; the entries of the composition and
+    unit V-functors are drawn by pick, and None means a hom-set had none.
+    """
+    star = "*"
+    m2 = _draw_vfunctor(product_vcat(1, hom, hom), hom,
+                        {pair(g, f): h for (g, f), h in op.items()}, pick)
+    j2 = m2 and _draw_vfunctor(unit_vcategory(base), hom, {"0": unit_cell},
+                               pick)
+    return j2 and V2Category(base, {star}, {(star, star): hom},
+                             {(star, star, star): m2}, {star: j2})
+
+
+def _shipped_monoid(base: KFoldMonoidal, hom: VCategory, op: dict,
+                    unit_cell: str) -> V2Category:
+    """``_monoid_v2cat`` over a thin base, which must have every entry."""
+    u = _monoid_v2cat(base, hom, op, _thin, unit_cell)
+    if u is None:
+        raise MalformedTable("the base lacks a composition or unit morphism "
+                             "of the one-object structure")
+    return u
+
+
 def join_monoid_v2cat(base: KFoldMonoidal) -> V2Category:
     """One object, 1-cells {one <= t}, horizontal composition by join.
 
@@ -317,28 +404,11 @@ def join_monoid_v2cat(base: KFoldMonoidal) -> V2Category:
     unit 1-cell exercise every level-2 diagram nontrivially over a
     meet-poset base with at least two tensors.
     """
-    star = "*"
     onec = ["one", "t"]
     hom = preorder_vcat(base, onec, {("one", "one"), ("one", "t"), ("t", "t")})
-
-    def join(x, y):
-        return "t" if "t" in (x, y) else "one"
-
-    src = product_vcat(1, hom, hom)
-    obj_map = {pair(g, f): join(g, f) for g in onec for f in onec}
-    hom_map = {}
-    for g, f in product(onec, repeat=2):
-        for g2, f2 in product(onec, repeat=2):
-            key = (pair(g, f), pair(g2, f2))
-            hom_map[key] = unique_morphism(
-                base.base, src.hom[key], hom.hom[(join(g, f), join(g2, f2))])
-    m2 = VFunctor(src, hom, obj_map, hom_map)
-
-    unitv = unit_vcategory(base)
-    j2 = VFunctor(unitv, hom, {"0": "one"},
-                  {("0", "0"): hom.identity["one"]})
-    return V2Category(base, {star}, {(star, star): hom},
-                      {(star, star, star): m2}, {star: j2})
+    join = {(g, f): "t" if "t" in (g, f) else "one"
+            for g in onec for f in onec}
+    return _shipped_monoid(base, hom, join, "one")
 
 
 def xor_group_v2cat(base: KFoldMonoidal) -> V2Category:
@@ -348,26 +418,10 @@ def xor_group_v2cat(base: KFoldMonoidal) -> V2Category:
     group operation, so interchange squares act on genuinely non-identity
     hom-objects.
     """
-    star = "*"
     cells = ["x", "y"]
-    potential = {"x": "0", "y": "1"}
-    hom = cocycle_vcat(base, potential)
-
-    def op(a, b):
-        return "x" if a == b else "y"
-
-    src = product_vcat(1, hom, hom)
-    obj_map = {pair(g, f): op(g, f) for g in cells for f in cells}
-    hom_map = {}
-    for g, f in product(cells, repeat=2):
-        for g2, f2 in product(cells, repeat=2):
-            key = (pair(g, f), pair(g2, f2))
-            hom_map[key] = base.base.identity[src.hom[key]]
-    m2 = VFunctor(src, hom, obj_map, hom_map)
-    unitv = unit_vcategory(base)
-    j2 = VFunctor(unitv, hom, {"0": "x"}, {("0", "0"): hom.identity["x"]})
-    return V2Category(base, {star}, {(star, star): hom},
-                      {(star, star, star): m2}, {star: j2})
+    hom = cocycle_vcat(base, {"x": "0", "y": "1"})
+    xor = {(g, f): "x" if g == f else "y" for g in cells for f in cells}
+    return _shipped_monoid(base, hom, xor, "x")
 
 
 # -- seeded random corpus -----------------------------------------------------
@@ -418,12 +472,8 @@ def corpus(seed: int = 0) -> Corpus:
         "R2": _random_vcategory(zmod3, random.Random(seed + 1), Bounds()),
     }
 
-    from .vcat import identity_vfunctor, identity_vnat
     ident = identity_vfunctor(p)
-    collapse = VFunctor(
-        p, p, {"a": "a", "b": "a"},
-        {(x, y): unique_morphism(bool2.base, p.hom[(x, y)], p.hom[("a", "a")])
-         for x in p.objects for y in p.objects})
+    collapse = _draw_vfunctor(p, p, {"a": "a", "b": "a"}, _thin)
     out.vfunctors = {"id_P": ident, "collapse_P": collapse}
     out.vnats = {
         "unit_P": identity_vnat(ident),
@@ -486,89 +536,48 @@ def _random_vcategory_on(base: KFoldMonoidal, objects: list,
                          rng: random.Random, bounds: Bounds) -> VCategory:
     cat = base.base
     base_objs = sorted(cat.objects)
-    for attempt in range(1, bounds.attempts + 1):
+
+    def draw():
         hom = {(a, b): rng.choice(base_objs)
                for a in objects for b in objects}
-        ok = True
-        comp = {}
-        for a, b, c in product(objects, repeat=3):
-            cands = cat.hom(base.tensor_obj(1, hom[(b, c)], hom[(a, b)]),
+        comp = _draw(cat, (((a, b, c),
+                            base.tensor_obj(1, hom[(b, c)], hom[(a, b)]),
                             hom[(a, c)])
-            if not cands:
-                ok = False
-                break
-            comp[(a, b, c)] = rng.choice(cands)
-        if not ok:
-            continue
-        identity = {}
-        for a in objects:
-            cands = cat.hom(base.unit, hom[(a, a)])
-            if not cands:
-                ok = False
-                break
-            identity[a] = rng.choice(cands)
-        if not ok:
-            continue
-        cand = VCategory(base, set(objects), hom, comp, identity)
-        if check_vcategory(cand).ok:
-            cand._generation_attempts = attempt
-            return cand
-    raise BudgetExhausted(
-        f"no valid enriched category after {bounds.attempts} attempts")
+                           for a, b, c in product(objects, repeat=3)),
+                     rng.choice)
+        identity = None if comp is None else _draw(
+            cat, ((a, base.unit, hom[(a, a)]) for a in objects), rng.choice)
+        return None if identity is None else VCategory(
+            base, set(objects), hom, comp, identity)
+
+    return _sample(draw, check_vcategory, bounds.attempts,
+                   "enriched category")
 
 
 def _random_vfunctor(a: VCategory, b: VCategory, rng: random.Random,
                      bounds: Bounds) -> VFunctor:
-    cat = a.base.base
-    src_objs = sorted(a.objects)
     tgt_objs = sorted(b.objects)
-    for attempt in range(1, bounds.attempts + 1):
-        obj_map = {o: rng.choice(tgt_objs) for o in src_objs}
-        hom_map = {}
-        ok = True
-        for x, y in product(src_objs, repeat=2):
-            cands = cat.hom(a.hom[(x, y)], b.hom[(obj_map[x], obj_map[y])])
-            if not cands:
-                ok = False
-                break
-            hom_map[(x, y)] = rng.choice(cands)
-        if not ok:
-            continue
-        cand = VFunctor(a, b, obj_map, hom_map)
-        if check_vfunctor(cand).ok:
-            cand._generation_attempts = attempt
-            return cand
-    raise BudgetExhausted(
-        f"no valid enriched functor after {bounds.attempts} attempts")
+
+    def draw():
+        obj_map = {o: rng.choice(tgt_objs) for o in sorted(a.objects)}
+        return _draw_vfunctor(a, b, obj_map, rng.choice)
+
+    return _sample(draw, check_vfunctor, bounds.attempts, "enriched functor")
 
 
 def _random_vnat(t: VFunctor, s: VFunctor, rng: random.Random,
                  bounds: Bounds):
-    cat = t.source.base.base
+    cat, unit = t.source.base.base, t.source.base.unit
     for _ in range(bounds.attempts):
-        components = {}
-        ok = True
-        for x in sorted(t.source.objects):
-            cands = cat.hom(t.source.base.unit,
-                            t.target.hom[(t.obj_map[x], s.obj_map[x])])
-            if not cands:
-                ok = False
-                break
-            components[x] = rng.choice(cands)
-        if not ok:
+        components = _draw(
+            cat, ((x, unit, t.target.hom[(t.obj_map[x], s.obj_map[x])])
+                  for x in sorted(t.source.objects)), rng.choice)
+        if components is None:
             return None
         cand = VNatTransform(t, s, components)
         if check_vnat(cand).ok:
             return cand
     return None
-
-
-def _chain_preorder(objects):
-    rel = set()
-    for i, a in enumerate(objects):
-        for b in objects[i:]:
-            rel.add((a, b))
-    return rel
 
 
 def _random_v2category(base: KFoldMonoidal, rng: random.Random,
@@ -579,23 +588,24 @@ def _random_v2category(base: KFoldMonoidal, rng: random.Random,
     quickly, but validity is always decided by the checker.
     """
     cat = base.base
-    star = "*"
-    for attempt in range(1, bounds.attempts + 1):
+    # The join-on-a-chain shortcut needs a genuine two-point chain in the
+    # base (thin, with a morphism from the non-unit object up to the unit);
+    # a discrete base is thin but supports no such preorder.
+    others = sorted(o for o in cat.objects if o != base.unit)
+    chain_base = (len(others) == 1
+                  and all(len(cat.hom(a, b)) <= 1
+                          for a in cat.objects for b in cat.objects)
+                  and unique_morphism(cat, others[0], base.unit) is not None)
+
+    def draw():
         ncell = rng.randint(1, max(1, bounds.max_hom))
         cells = [f"c{i}" for i in range(ncell)]
-        # The join-on-a-chain shortcut needs a genuine two-point chain in the
-        # base (thin, with a morphism from the non-unit object up to the
-        # unit); a discrete base is thin but supports no such preorder.
-        others = sorted(o for o in cat.objects if o != base.unit)
-        chain_base = (len(others) == 1
-                      and all(len(cat.hom(a, b2)) <= 1
-                              for a in cat.objects for b2 in cat.objects)
-                      and unique_morphism(cat, others[0], base.unit) is not None)
         if chain_base and rng.random() < 0.5:
             try:
-                hom = preorder_vcat(base, cells, _chain_preorder(cells))
+                hom = preorder_vcat(base, cells, {
+                    (a, b) for i, a in enumerate(cells) for b in cells[i:]})
             except NotPreorder:
-                continue
+                return None
             unit_cell = cells[0]
             op = {(g, f): cells[max(cells.index(g), cells.index(f))]
                   for g in cells for f in cells}
@@ -603,36 +613,13 @@ def _random_v2category(base: KFoldMonoidal, rng: random.Random,
             try:
                 hom = _random_vcategory_on(base, cells, rng, bounds)
             except BudgetExhausted:
-                continue
+                return None
             unit_cell = rng.choice(cells)
             op = {(g, f): rng.choice(cells) for g in cells for f in cells}
-        src = product_vcat(1, hom, hom)
-        obj_map = {pair(g, f): op[(g, f)] for g in cells for f in cells}
-        hom_map = {}
-        ok = True
-        for key in sorted(src.hom):
-            (gf1, gf2) = key
-            cands = cat.hom(src.hom[key],
-                            hom.hom[(obj_map[gf1], obj_map[gf2])])
-            if not cands:
-                ok = False
-                break
-            hom_map[key] = rng.choice(cands)
-        if not ok:
-            continue
-        m2 = VFunctor(src, hom, obj_map, hom_map)
-        unitv = unit_vcategory(base)
-        jc = cat.hom(base.unit, hom.hom[(unit_cell, unit_cell)])
-        if not jc:
-            continue
-        j2 = VFunctor(unitv, hom, {"0": unit_cell}, {("0", "0"): rng.choice(jc)})
-        cand = V2Category(base, {star}, {(star, star): hom},
-                          {(star, star, star): m2}, {star: j2})
-        if check_v2category(cand).ok:
-            cand._generation_attempts = attempt
-            return cand
-    raise BudgetExhausted(
-        f"no valid level-2 category after {bounds.attempts} attempts")
+        return _monoid_v2cat(base, hom, op, rng.choice, unit_cell)
+
+    return _sample(draw, check_v2category, bounds.attempts,
+                   "level-2 category")
 
 
 def _endo_v2functors(u: V2Category):
@@ -640,33 +627,17 @@ def _endo_v2functors(u: V2Category):
     star = sorted(u.objects)[0]
     hom = u.hom[(star, star)]
     cells = sorted(hom.objects)
-    cat = u.base.base
-    out = []
-    for images in product(cells, repeat=len(cells)):
-        obj_map = dict(zip(cells, images))
-        hom_map = {}
-        ok = True
-        for x, y in product(cells, repeat=2):
-            cands = cat.hom(hom.hom[(x, y)],
-                            hom.hom[(obj_map[x], obj_map[y])])
-            if not cands:
-                ok = False
-                break
-            hom_map[(x, y)] = cands[0]
-        if not ok:
-            continue
-        vf = VFunctor(hom, hom, obj_map, hom_map)
-        cand = V2Functor(u, u, {star: star}, {(star, star): vf})
-        if check_v2functor(cand).ok:
-            out.append(cand)
-    return out
+    vfs = (_draw_vfunctor(hom, hom, dict(zip(cells, images)), itemgetter(0))
+           for images in product(cells, repeat=len(cells)))
+    cands = (V2Functor(u, u, {star: star}, {(star, star): vf})
+             for vf in vfs if vf is not None)
+    return [cand for cand in cands if check_v2functor(cand).ok]
 
 
 def _nats_between(t: V2Functor, s: V2Functor):
     u = t.source
     star = sorted(u.objects)[0]
     w_hom = t.target.hom[(t.obj_map[star], s.obj_map[star])]
-    cat = u.base.base
     unitv = unit_vcategory(u.base)
     out = []
     for q in sorted(w_hom.objects):
@@ -698,33 +669,24 @@ def _random_pasting(u: V2Category, rng: random.Random,
     """Assemble a full two-column pasting on one structure by search."""
     functors = _endo_v2functors(u)
     for _ in range(bounds.attempts):
+        # f, h, p and g, k, q: the columns' 2-functors, in field order.
         fs = [rng.choice(functors) for _ in range(6)]
         f_, h_, p_, g_, k_, q_ = fs
-        columns = []
-        ok = True
+        fillers = []
         for (src, tgt) in [(f_, h_), (h_, p_), (g_, k_), (k_, q_)]:
             nats = _nats_between(src, tgt)
-            found = None
             tries = [(x, y, z) for x in nats for y in nats for z in nats]
             rng.shuffle(tries)
             for (x, y, z) in tries:
                 mu = _mods_between(x, y)
                 nu = _mods_between(y, z)
                 if mu and nu:
-                    found = (x, y, z, mu[0], nu[0])
+                    fillers += [x, y, z, mu[0], nu[0]]
                     break
-            if found is None:
-                ok = False
+            else:  # no column between src and tgt: redraw the 1-cells
                 break
-            columns.append(found)
-        if not ok:
-            continue
-        (a1, b1, g1, m1, n1), (a2, b2, g2, m2, n2), \
-            (a3, b3, g3, m3, n3), (a4, b4, g4, m4, n4) = columns
-        return PastingInstance(
-            u, u, u, f_, h_, p_, g_, k_, q_,
-            a1, b1, g1, m1, n1, a2, b2, g2, m2, n2,
-            a3, b3, g3, m3, n3, a4, b4, g4, m4, n4)
+        else:
+            return PastingInstance(u, u, u, *fs, *fillers)
     raise BudgetExhausted("no valid pasting instance")
 
 
@@ -777,29 +739,19 @@ def random_instance(level: str, seed: int, bounds: Bounds = None,
         if not endos:
             raise BudgetExhausted("no endofunctors found")
         return rng.choice(endos)
-    if level == "v2nat":
+    if level in ("v2nat", "modification"):
         for _ in range(bounds.attempts):
-            u = _random_v2category(base, rng, bounds)
-            endos = _endo_v2functors(u)
+            endos = _endo_v2functors(_random_v2category(base, rng, bounds))
             t = rng.choice(endos)
             s = rng.choice(endos)
             nats = _nats_between(t, s)
-            if nats:
-                return rng.choice(nats)
-        raise BudgetExhausted("no valid 2-transformation found")
-    if level == "modification":
-        for _ in range(bounds.attempts):
-            u = _random_v2category(base, rng, bounds)
-            endos = _endo_v2functors(u)
-            t = rng.choice(endos)
-            s = rng.choice(endos)
-            nats = _nats_between(t, s)
-            for a in nats:
-                for b in nats:
-                    mods = _mods_between(a, b)
-                    if mods:
-                        return rng.choice(mods)
-        raise BudgetExhausted("no valid modification found")
+            found = nats if level == "v2nat" else next(
+                (mods for a in nats for b in nats
+                 if (mods := _mods_between(a, b))), None)
+            if found:
+                return rng.choice(found)
+        what = "2-transformation" if level == "v2nat" else "modification"
+        raise BudgetExhausted(f"no valid {what} found")
     if level == "pasting":
         u = _random_v2category(base, rng, bounds)
         return _random_pasting(u, rng, bounds)

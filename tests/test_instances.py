@@ -116,11 +116,18 @@ def test_corpus_validated_and_deterministic():
         assert exchange_suite(p).ok
 
 
-def test_random_instance_determinism():
-    a = random_instance("vcategory", 42)
-    b = random_instance("vcategory", 42)
+@pytest.mark.parametrize("level", ["vcategory", "vfunctor", "v2category"])
+def test_random_instance_determinism(level):
+    # The rejection sampler's three callers: equal draws from one seed, and
+    # the attempt that produced each is recorded.
+    a = random_instance(level, 42)
+    b = random_instance(level, 42)
     assert a == b
     assert a._generation_attempts >= 1
+    assert b._generation_attempts == a._generation_attempts
+
+
+def test_random_modification_determinism():
     c = random_instance("modification", 5, Bounds(max_hom=2))
     d = random_instance("modification", 5, Bounds(max_hom=2))
     assert c == d

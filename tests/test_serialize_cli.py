@@ -688,3 +688,24 @@ def test_check_with_fuzz_flag(corpus_dir, capsys):
                  "--seed", "1", "--fuzz", "1"]) == 0
     out = capsys.readouterr().out
     assert "fuzz[0]" in out
+
+
+def test_check_with_fuzz_flag_on_an_invalid_base(corpus_dir, tmp_path, capsys):
+    # Every draw is checked against the base, so a base failing its k-fold
+    # checks ends the fuzz run with a note in both output channels.
+    doc = json.loads((corpus_dir / "bool2.json").read_text())
+    for row in doc["base"]["interchange"]["1,2"]:
+        if row[:4] == ["top", "top", "top", "top"]:
+            row[4] = "u"
+    mutated = tmp_path / "eta.json"
+    mutated.write_text(json.dumps(doc))
+    args = ["check", str(mutated), "--level", "base", "--fuzz", "1"]
+    assert main(args) == 1
+    out = capsys.readouterr().out
+    assert ("[fuzz] FAIL: skipped, constituent invalid: tensor structure "
+            "failed its checker") in out.splitlines()
+    assert main(args + ["--machine"]) == 1
+    notes = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert {"kind": "note", "structure": "fuzz", "status": "fail",
+            "message": "skipped, constituent invalid: tensor structure "
+                       "failed its checker"} in notes
