@@ -42,6 +42,7 @@ from .errors import (
     MalformedTable,
     NotPreorder,
     NotSymmetric,
+    UnknownObject,
 )
 from .fincat import FinCategory, inverse
 from .kfold import KFoldMonoidal, LiftedTables, check_kfold
@@ -358,6 +359,9 @@ def cocycle_vcat(base: KFoldMonoidal, potential: dict) -> VCategory:
     morphisms exist.
     """
     cat = base.base
+    if not {"0", "1"} <= cat.objects:
+        raise UnknownObject("cocycle_vcat needs a base with objects '0' and "
+                            "'1' (Z/2 under addition)")
     objects = sorted(potential)
 
     def add(x, y):

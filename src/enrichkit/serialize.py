@@ -11,25 +11,30 @@ functors of a level-2 functor, transformation components) are stored as
 bare ``{obj_map, hom_map}`` tables; their source and target are determined
 by position and rebuilt on load.
 
-A document is plain tables, so after the ``vcategories`` section is read,
-``vcat.recognize_products`` compares each V-category whose ids are pairs
-with the products of the document's other V-categories.  One that equals a
-product entry for entry is certified by ``check_vcategory`` as that product
-is; the loaded tables themselves are kept, so every name stays its own
-structure.  A table that repeats a row key, and a JSON object that repeats
-a key, are parse errors that name the table or object by its path.
+A ``vcategories`` entry built by ``product_vcat`` is saved as a reference,
+``{"product": {"index": i, "factors": [F1, F2]}}``, each F the name of
+another entry or a nested reference; every other V-category is saved as
+tables.  Loading rebuilds a reference with ``product_vcat``, factors
+first, so its tables cannot disagree with the construction and
+``check_vcategory`` certifies it as it does any product.  Each name stays
+its own structure, two names for one product included.  Format
+``tower/2`` added references; ``tower/1`` documents, all tables, are read
+by the same parser.  A table that repeats a row key, and a JSON object
+that repeats a key, are parse errors that name the table or object by its
+path.
 """
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .errors import DanglingReference, ParseError
+from .errors import DanglingReference, KernelError, MalformedTable, ParseError
 from .fincat import FinCategory
 from .kfold import KFoldMonoidal
-from .vcat import (VCategory, VFunctor, VNatTransform, product_vcat,
-                   recognize_products, unit_vcategory)
+from .report import _memo
+from .vcat import (VCategory, VFunctor, VNatTransform, product_of,
+                   product_vcat, unit_vcategory)
 from .v2cat import (
     PastingInstance,
     V2Category,
@@ -38,7 +43,8 @@ from .v2cat import (
     VModification,
 )
 
-FORMAT = "tower/1"
+FORMAT = "tower/2"
+READ_FORMATS = ("tower/1", FORMAT)
 
 _PASTING_FUNCTORS = ("f", "h", "p", "g", "k", "q")
 _PASTING_NATS = tuple(f"{kind}{col}" for col in (1, 2, 3, 4)
@@ -172,6 +178,89 @@ def _vcategory_from(doc, base: KFoldMonoidal, what: str) -> VCategory:
                      _name_map(doc["identity"], f"{what}.identity"))
 
 
+def _reference(registry: dict, vc):
+    """``vc`` as a product reference whose factors are names in
+    ``registry`` or nested references; None when it is no product, or a
+    factor is neither filed in ``registry`` nor a product.  Factors are
+    found by identity, as comparing tables would build lazy ones."""
+    made = product_of(vc)
+    if made is None:
+        return None
+    i, *factors = made
+    refs = []
+    for f in factors:
+        ref = _filed_as(registry, f)
+        if ref is None:
+            ref = _reference(registry, f)
+            if ref is None:
+                return None
+        refs.append(ref)
+    return {"product": {"index": i, "factors": refs}}
+
+
+def _vcategories_from(entries, base: KFoldMonoidal) -> dict:
+    """The ``vcategories`` section, by name in document order.  A reference
+    is rebuilt once its factors are; a name whose product another name
+    already holds gets a twin sharing its tables."""
+    docs = dict(entries)
+    done, resolving = {}, set()
+
+    def named(name, where):
+        if not isinstance(name, str):
+            raise ParseError(f"{where}: expected a name or a product reference")
+        if name in done:
+            return done[name]
+        if name not in docs:
+            raise DanglingReference(f"{where}: no V-category named {name!r}")
+        if name in resolving:
+            raise ParseError(
+                f"{where}: product references form a cycle through {name!r}")
+        resolving.add(name)
+        what, vdoc = f"vcategories.{name}", docs[name]
+        if "product" not in vdoc:
+            vc = _vcategory_from(vdoc, base, what)
+            _check_vcat_ids(base, vc, what)
+        elif len(vdoc) != 1:
+            raise ParseError(f"{what}: a product reference holds no tables")
+        else:
+            vc = product(vdoc["product"], f"{what}.product")
+            if any(vc is other for other in done.values()):
+                made, vc = vc, replace(vc)
+                _memo(vc, "product", lambda _: product_of(made))
+        resolving.discard(name)
+        done[name] = vc
+        return vc
+
+    def factor(value, where):
+        if not isinstance(value, dict):
+            return named(value, where)
+        if set(value) != {"product"}:
+            raise ParseError(f"{where}: expected a name or a product reference")
+        return product(value["product"], f"{where}.product")
+
+    def product(ref, where):
+        ref = _object(ref, where)
+        i, factors = ref.get("index"), ref.get("factors")
+        if set(ref) != {"index", "factors"}:
+            raise ParseError(f"{where}: expected index and factors")
+        if not isinstance(i, int) or isinstance(i, bool) \
+                or not 1 <= i <= base.n - 1:
+            raise ParseError(f"{where}.index: expected an integer from 1 to "
+                             f"{base.n - 1}")
+        if not isinstance(factors, list) or len(factors) != 2:
+            raise ParseError(f"{where}.factors: expected two factors")
+        a, b = (factor(f, f"{where}.factors[{k}]")
+                for k, f in enumerate(factors))
+        try:
+            return product_vcat(i, a, b)
+        except (KernelError, KeyError) as err:
+            raise MalformedTable(f"{where}: cannot build the product ({err})")
+
+    for name in docs:
+        named(name, "vcategories")
+    return {name: done[name] for name in docs}
+
+
 # -- document <-> tower ---------------------------------------------------------
 
 def tower_to_document(t: Tower) -> dict:
@@ -200,8 +289,9 @@ def tower_to_document(t: Tower) -> dict:
     doc = {"format": FORMAT, "base": doc_base}
 
     if t.vcategories:
-        doc["vcategories"] = {name: _vcategory_tables(vc)
-                              for name, vc in sorted(t.vcategories.items())}
+        doc["vcategories"] = {
+            name: _reference(t.vcategories, vc) or _vcategory_tables(vc)
+            for name, vc in sorted(t.vcategories.items())}
     if t.vfunctors:
         doc["vfunctors"] = {
             name: {"source": _name_of(t.vcategories, vf.source, name, "source"),
@@ -267,18 +357,22 @@ def tower_to_document(t: Tower) -> dict:
     return doc
 
 
+def _filed_as(registry: dict, value):
+    """The first name filed for value itself, else None."""
+    return next((name for name, other in registry.items() if other is value),
+                None)
+
+
 def _find_name(registry: dict, value):
     """The name filed for value itself, else the first name filed for an
     equal structure, else None.  So a reference read from a document is
     saved under the name it was read from, even when another name holds an
     equal structure."""
-    for name, candidate in registry.items():
-        if candidate is value:
-            return name
-    for name, candidate in registry.items():
-        if candidate == value:
-            return name
-    return None
+    name = _filed_as(registry, value)
+    if name is None:
+        name = next((name for name, other in registry.items()
+                     if other == value), None)
+    return name
 
 
 def _name_of(registry: dict, value, owner: str, slot: str) -> str:
@@ -292,8 +386,9 @@ def _name_of(registry: dict, value, owner: str, slot: str) -> str:
 def document_to_tower(doc) -> Tower:
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
-    if doc.get("format") != FORMAT:
-        raise ParseError(f"unknown or missing format marker, expected {FORMAT!r}")
+    if doc.get("format") not in READ_FORMATS:
+        raise ParseError("unknown or missing format marker, expected "
+                         + " or ".join(map(repr, READ_FORMATS)))
     if "base" not in doc:
         raise ParseError("document has no base section")
     d = _object(doc["base"], "base")
@@ -328,11 +423,7 @@ def document_to_tower(doc) -> Tower:
     if "symmetry" in d:
         tower.symmetry = _table(d["symmetry"], 2, "symmetry")
 
-    for name, vdoc in _entries(doc, "vcategories"):
-        vc = _vcategory_from(vdoc, base, f"vcategories.{name}")
-        _check_vcat_ids(base, vc, f"vcategories.{name}")
-        tower.vcategories[name] = vc
-    recognize_products(tower.vcategories.values())
+    tower.vcategories = _vcategories_from(_entries(doc, "vcategories"), base)
 
     for name, fdoc in _entries(doc, "vfunctors"):
         src = _resolve(tower.vcategories, fdoc, "source", f"vfunctors.{name}")

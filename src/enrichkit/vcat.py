@@ -21,9 +21,9 @@ which relabel_vcategory makes available bit-exactly.
 V-Cat is (k−1)-fold monoidal, so ``check_vcategory`` certifies a level-1
 product of passing factors over a passing base from their reports (see
 there) and scans everything else; the scan, ``_scan_vcategory``, stays the
-oracle of the construction's own tests.  A loaded V-category is such a
-product when ``recognize_products`` finds it equal, entry for entry, to a
-product of its document's other V-categories.
+oracle of the construction's own tests.  A document saves such a product
+as a reference that loading rebuilds with ``product_vcat``, so a loaded
+product is certified too; one saved as tables is scanned.
 
 A product's composition table is a ``LazyTable``: read-only, and built whole
 on its first read, because level-2 checks mostly compare product frames by
@@ -38,13 +38,12 @@ from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice, product as iproduct
+from itertools import product as iproduct
 from operator import attrgetter
 
 from .errors import (
     BaseInvalid,
     IndexOutOfRange,
-    KernelError,
     MalformedTable,
     NotComposable,
     NotParallel,
@@ -251,9 +250,9 @@ def check_vcategory(vc: VCategory, *,
     ``product_vcat`` is certified, not scanned, when the base and both
     factors' cached reports pass and it has |A|·|B| objects (``pair`` is
     not injective on ids holding ``,`` or parentheses): its report is the
-    scan's passing one, each family at its closed-form count n^arity.  So
-    is a loaded V-category whose tables ``recognize_products`` found equal
-    to such a product's.  Any other structure is scanned.
+    scan's passing one, each family at its closed-form count n^arity; a
+    document's product reference loads as such a frame.  Any other
+    structure is scanned, a product saved as tables included.
     """
     if not _certified(vc):
         return _scan_vcategory(vc, all_witnesses)
@@ -262,118 +261,22 @@ def check_vcategory(vc: VCategory, *,
                                  for name, arity in _VCATEGORY_FAMILIES})
 
 
-# Candidates compared per V-category at most.  Their number grows as a power
-# of the number of V-categories that share an object set (k leaves on A give
-# k⁴ candidates on (A × A) × (A × A)), while a product filed by ``construct``
-# matches one of the first few.
-_CANDIDATES = 64
-
-
-def recognize_products(vcats) -> None:
-    """Record the factors of each of ``vcats`` that is a product of the others.
-
-    A V-category whose ids are exactly the pairs of a grid A × B (``_grid``)
-    is compared with ``product_vcat(i, a, b)`` for every index i and every
-    candidate a on A and b on B: those of ``vcats`` whose ids form no grid,
-    and, when A or B is a grid itself, products of candidates, recursively.
-    The first candidate whose objects, hom, identity and comp tables all
-    equal the V-category's entry for entry lends it its factors, so
-    ``check_vcategory`` certifies it as it does that product.  A candidate
-    that cannot be built (a factor missing an entry) matches nothing, and
-    the search stops after ``_CANDIDATES`` candidates.  The V-category
-    itself is kept, its tables untouched.
-    """
-    leaves, grids = {}, []
-    for vc in vcats:
-        if _grid(vc.objects) is None:
-            leaves.setdefault(frozenset(vc.objects), []).append(vc)
-        else:
-            grids.append(vc)
-    for vc in grids:
-        for prod in islice(_candidates(frozenset(vc.objects), leaves, vc.base),
-                           _CANDIDATES):
-            if _same_tables(prod, vc):
-                _memo(vc, "factors", lambda _: prod._memo["factors"])
-                break
-
-
-def _unpair(x: str):
-    """(a, b) with ``pair(a, b) == x``, split at the only comma outside
-    parentheses, or None."""
-    if len(x) < 3 or x[0] != "(" or x[-1] != ")":
-        return None
-    depth, comma = 0, None
-    for k in range(1, len(x) - 1):
-        ch = x[k]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                return None
-        elif ch == "," and depth == 0:
-            if comma is not None:
-                return None
-            comma = k
-    if comma is None or depth:
-        return None
-    return x[1:comma], x[comma + 1:-1]
-
-
-def _grid(ids):
-    """(A, B) when ``ids`` is exactly {pair(a, b) : a in A, b in B}, else
-    None.  Distinct ids split into distinct pairs, so |ids| = |A|·|B|
-    means every pair is there."""
-    left, right = set(), set()
-    for x in ids:
-        split = _unpair(x)
-        if split is None:
-            return None
-        left.add(split[0])
-        right.add(split[1])
-    if not ids or len(ids) != len(left) * len(right):
-        return None
-    return frozenset(left), frozenset(right)
-
-
-def _candidates(ids, leaves, base):
-    """The V-categories on ``ids`` that ``leaves`` holds, then, when ``ids``
-    is a grid, every product of candidates on its two id sets that can be
-    built."""
-    yield from leaves.get(ids, ())
-    split = _grid(ids)
-    if split is None:
-        return
-    left, right = split
-    for a in _candidates(left, leaves, base):
-        for b in _candidates(right, leaves, base):
-            for i in range(1, base.n):
-                try:
-                    prod = product_vcat(i, a, b)
-                except (KernelError, KeyError):
-                    continue
-                yield prod
-
-
-def _same_tables(prod: VCategory, vc: VCategory) -> bool:
-    """Entry-for-entry equality, the n² hom table before the n³ comp."""
-    try:
-        return (prod.objects == vc.objects and prod.hom == vc.hom
-                and prod.identity == vc.identity and prod.comp == vc.comp)
-    except KernelError:    # the lazy comp could not be built
-        return False
+def product_of(vc):
+    """``(i, a, b)`` when ``vc`` was built as ``product_vcat(i, a, b)`` (or
+    its level-2 twin), else None."""
+    return getattr(vc, "_memo", {}).get("product")
 
 
 def _certified(vc: VCategory) -> bool:
     """Whether ``vc`` is a product of passing factors over a passing base."""
-    factors = getattr(vc, "_memo", {}).get("factors")
-    if factors is None or not cached_report(vc.base, check_kfold).ok:
+    made = product_of(vc)
+    if made is None or not cached_report(vc.base, check_kfold).ok:
         return False
-    a, b = factors
+    _, a, b = made
     if len(vc.objects) != len(a.objects) * len(b.objects):
         return False
     try:
-        return all(cached_report(f, check_vcategory).ok for f in factors)
+        return all(cached_report(f, check_vcategory).ok for f in (a, b))
     except MalformedTable:    # the scan raises it, in the product's terms
         return False
 
@@ -543,11 +446,12 @@ def _unit(cells: _Cells, base):
 def _product(cells: _Cells, i: int, a, b):
     """The i-th product: pairs of objects, homs tensored one level up,
     composition routed through the (1, i+1) interchange.  Built once per
-    (i, a, b) and kept on ``a``; its memo records its factors, which keeps
-    ``b`` alive, so id(b) is never reused, and certifies it at level 1."""
+    (i, a, b) and kept on ``a``; its memo records (i, a, b) (``product_of``),
+    which keeps ``b`` alive, so id(b) is never reused, certifies it at level
+    1 and lets a document save it as a reference."""
     def build(a):
         prod = _build_product(cells, i, a, b)
-        _memo(prod, "factors", lambda _: (a, b))
+        _memo(prod, "product", lambda _: (i, a, b))
         return prod
     return _memo(a, ("product", i, id(b)), build)
 

@@ -1,13 +1,16 @@
 import pytest
 
-from enrichkit.errors import BudgetExhausted, NotPreorder, NotSymmetric
+from enrichkit.errors import (BudgetExhausted, NotPreorder, NotSymmetric,
+                              UnknownObject)
 from enrichkit.instances import (
     Bounds,
+    bool_poset,
     bool_symmetric,
     cocycle_vcat,
     from_symmetric,
     preorder_vcat,
     random_instance,
+    xor_group_v2cat,
     zmod2_symmetric,
 )
 from enrichkit.kfold import check_kfold
@@ -86,6 +89,12 @@ def test_xor_group(xor_x2):
     assert check_v2category(xor_x2).ok
     m = xor_x2.comp[("*", "*", "*")].obj_map
     assert m[pair("y", "y")] == "x"
+
+
+def test_xor_group_needs_a_z2_base():
+    # The meet poset's objects are top and bot, not the parities 0 and 1.
+    with pytest.raises(UnknownObject, match="objects '0' and '1'"):
+        xor_group_v2cat(bool_poset(2))
 
 
 def test_corpus_validated_and_deterministic():

@@ -264,8 +264,14 @@ def _string_tables(doc):
     tables += [(section, name, kind)
                for section, kinds in (("vcategories", ("hom", "comp")),
                                       ("vfunctors", ("hom_map",)))
-               for name in doc[section] for kind in kinds]
+               for name in _tabled(doc, section) for kind in kinds]
     return tables
+
+
+def _tabled(doc, section):
+    """The names of a section's entries that are not product references."""
+    return [name for name, entry in doc[section].items()
+            if "product" not in entry]
 
 
 def _row_tables(doc):
@@ -333,7 +339,8 @@ def _shaped_fields(doc):
     object (name maps, base tensor sections, pasting name groups)."""
     lists = [("base", "objects"), ("base", "morphisms")] + [
         (section, name, "objects")
-        for section in ("vcategories", "v2categories") for name in doc[section]]
+        for section in ("vcategories", "v2categories")
+        for name in _tabled(doc, section)]
     objects = [("base", kind) for kind in
                ("dom", "cod", "identity", "tensor_obj", "tensor_mor", "assoc",
                 "interchange")]
@@ -346,8 +353,33 @@ def _shaped_fields(doc):
                                       ("pastings", "functors"),
                                       ("pastings", "nats"),
                                       ("pastings", "modifications"))
-                for name in doc[section]]
+                for name in _tabled(doc, section)]
     return lists, objects
+
+
+# A reference with a nested one, added to the document the malformed-shape
+# property spoils; every path into it, by the values that spoil it.
+REFERENCE = {"product": {"index": 1, "factors": [
+    "P", {"product": {"index": 1, "factors": ["P", "P3"]}}]}}
+BAD_INDICES = st.one_of(st.none(), st.booleans(), st.text(max_size=2),
+                        st.integers().filter(lambda i: i != 1),
+                        st.floats(allow_nan=False), STRING_LISTS)
+BAD_FACTOR_LISTS = st.one_of(NON_LISTS, st.lists(st.just("P"), max_size=3)
+                             .filter(lambda factors: len(factors) != 2))
+BAD_FACTORS = st.one_of(NON_STRINGS, st.sampled_from(
+    ["NOWHERE", "collapse_P", "W", "PP", "product"]))
+
+
+def _reference_fields(where=("vcategories", "PP"), ref=REFERENCE):
+    """(path, strategy) pairs into ``ref`` filed at ``where``."""
+    at = (*where, "product")
+    fields = [(at, NON_OBJECTS), ((*at, "index"), BAD_INDICES),
+              ((*at, "factors"), BAD_FACTOR_LISTS)]
+    for k, factor in enumerate(ref["product"]["factors"]):
+        fields.append(((*at, "factors", k), BAD_FACTORS))
+        if isinstance(factor, dict):
+            fields += _reference_fields((*at, "factors", k), factor)
+    return fields
 
 
 @given(data=st.data())
@@ -357,6 +389,7 @@ def test_non_string_cell_or_name_exits_two(corpus_dir, data):
     # whole named entry, section or name map becomes a non-object: check
     # reports a parse error, never a traceback.
     doc = json.loads((corpus_dir / "bool2.json").read_text())
+    doc["vcategories"]["PP"] = json.loads(json.dumps(REFERENCE))
     lists, objects = _shaped_fields(doc)
     map_values = [(*path, key) for path in objects
                   if path[-1] in ("dom", "cod", "identity", "obj_map",
@@ -367,7 +400,9 @@ def test_non_string_cell_or_name_exits_two(corpus_dir, data):
                                   + map_values), NON_STRINGS),
         st.tuples(st.sampled_from(_row_tables(doc) + lists), NON_LISTS),
         st.tuples(st.sampled_from(_entries_and_sections(doc) + objects),
-                  NON_OBJECTS)))
+                  NON_OBJECTS),
+        st.sampled_from(_reference_fields()).flatmap(
+            lambda field: st.tuples(st.just(field[0]), field[1]))))
     _at(doc, path[:-1])[path[-1]] = value
     mutated = corpus_dir / "non-string.json"
     mutated.write_text(json.dumps(doc))
@@ -378,6 +413,54 @@ def test_non_string_cell_or_name_exits_two(corpus_dir, data):
     assert code == 2, path
     assert err.getvalue().startswith("error:"), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def _ref(index, *factors):
+    return {"product": {"index": index, "factors": list(factors)}}
+
+
+@pytest.mark.parametrize("entries, name", [
+    ({"PP": _ref(1, "P", "NOWHERE")}, "PP"),
+    ({"PP": _ref(0, "P", "P")}, "PP"),
+    ({"PP": _ref(2, "P", "P")}, "PP"),
+    ({"PP": _ref(True, "P", "P")}, "PP"),
+    ({"PP": _ref("1", "P", "P")}, "PP"),
+    ({"A": _ref(1, "B", "P"), "B": _ref(1, "A", "P")}, "[AB]"),
+    ({"A": _ref(1, "P", "A")}, "A"),
+    ({"PP": {**_ref(1, "P", "P"), "objects": ["a"], "hom": []}}, "PP"),
+    ({"PP": _ref(1, "P", "collapse_P")}, "PP"),
+    ({"PP": _ref(1, "P", _ref(1, "P", "W"))}, "PP"),
+    ({"PP": _ref(1, "P", _ref(3, "P", "P"))}, "PP"),
+], ids=["unknown-factor", "index-0", "index-too-large", "index-bool",
+        "index-string", "cycle", "self", "tables-beside", "functor-factor",
+        "nested-v2category-factor", "nested-index-too-large"])
+def test_malformed_reference_exits_two(corpus_dir, tmp_path, capsys, entries,
+                                       name):
+    # Unknown factors (a V-2-category, a V-functor or no structure at all),
+    # indices out of range or not integers, cycles, and tables beside a
+    # reference, at the top or nested.
+    doc = json.loads((corpus_dir / "bool2.json").read_text())
+    doc["vcategories"].update(entries)
+    spoiled = tmp_path / "reference.json"
+    spoiled.write_text(json.dumps(doc))
+    assert main(["check", str(spoiled)]) == 2
+    err = capsys.readouterr().err
+    assert re.match(rf"error: vcategories\.{name}\.product\W|"
+                    rf"error: vcategories\.{name}: ", err), err
+    assert "Traceback" not in err
+
+
+def test_reference_to_an_incomplete_factor_exits_two(corpus_dir, tmp_path,
+                                                     capsys):
+    # P lacks a hom entry, so its product cannot be rebuilt.
+    doc = json.loads((corpus_dir / "bool2.json").read_text())
+    _drop_key(doc["vcategories"]["P"]["hom"], ["a", "b"])
+    doc["vcategories"]["PP"] = _ref(1, "P", "P")
+    spoiled = tmp_path / "reference.json"
+    spoiled.write_text(json.dumps(doc))
+    assert main(["check", str(spoiled)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: vcategories.PP.product: cannot build the product")
 
 
 @pytest.mark.parametrize("path", [("vcategories", "P", "hom"),

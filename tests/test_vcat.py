@@ -37,6 +37,7 @@ from enrichkit.vcat import (
     identity_vnat,
     interchange_vcat,
     pair,
+    product_of,
     product_vcat,
     product_vfunctor,
     product_vnat,
@@ -165,12 +166,17 @@ def test_product_save_is_the_same_before_and_after_the_build(bool2):
     p = preorder_vcat(bool2, ["a", "b"], {("a", "a"), ("a", "b"), ("b", "b")})
     pp = product_vcat(1, p, p)
     tower = Tower(bool2, vcategories={"P": p, "PP": pp})
-    assert pp.comp._table is None
     first = dumps(tower)
-    assert pp.comp._table is not None
+    assert pp.comp._table is None    # saved as a reference, not read
+    assert json.loads(first)["vcategories"]["PP"] == {
+        "product": {"index": 1, "factors": ["P", "P"]}}
+    assert len(pp.comp) == 4 ** 3
     assert dumps(tower) == first
+    # The same tables without the construction are saved as tables.
     plain = VCategory(pp.base, pp.objects, pp.hom, dict(pp.comp), pp.identity)
-    assert dumps(Tower(bool2, vcategories={"P": p, "PP": plain})) == first
+    text = dumps(Tower(bool2, vcategories={"P": p, "PP": plain}))
+    assert loads(text).vcategories["PP"] == pp
+    assert "product" not in json.loads(text)["vcategories"]["PP"]
 
 
 def test_product_strict_unit_relabel(preorder_p, cocycle_d):
@@ -383,8 +389,10 @@ def _loaded(vcategories):
     return loads(dumps(Tower(base, vcategories=vcategories))).vcategories
 
 
-def _recognized(vc) -> bool:
-    return "factors" in vars(vc).get("_memo", {})
+def _plain_copy(vc):
+    """``vc``'s tables without its construction, so saved as tables."""
+    return VCategory(vc.base, set(vc.objects), dict(vc.hom), dict(vc.comp),
+                     dict(vc.identity))
 
 
 def _corrupted(vc, key):
@@ -402,8 +410,9 @@ IDS = [st.lists(cells, min_size=2, max_size=2, unique=True)
 
 @given(data=st.data())
 def test_loaded_product_report_is_the_scans(bool2, bool3, zmod3, data):
-    # Products saved and loaded again, nested, over a failing factor or
-    # over ids holding "," or parentheses, report what the scan reports.
+    # Products saved as references and loaded again, named or nested, over
+    # a failing factor or over ids holding "," or parentheses, report what
+    # the scan reports, or raise what it raises.
     from enrichkit.instances import Bounds, random_instance
     base = data.draw(st.sampled_from([bool2, bool3, zmod3]))
     ids, factors = IDS[data.draw(st.integers(0, 1))], []
@@ -418,14 +427,12 @@ def test_loaded_product_report_is_the_scans(bool2, bool3, zmod3, data):
     a, b, c = factors
     i = data.draw(st.integers(1, base.n - 1))
     ab = product_vcat(i, a, b)
-    vcategories = {"A": a, "B": b, "C": c}
-    for name, prod in (("AB", ab), ("ABC", product_vcat(i, ab, c))):
-        try:
-            len(prod.comp)
-        except KernelError:    # a corrupted factor's composite is undefined
-            continue
-        vcategories[name] = prod
-    for vc in _loaded(vcategories).values():
+    loaded = _loaded({"A": a, "B": b, "C": c, "AB": ab,
+                      "ABC": product_vcat(i, ab, c),
+                      "A(BC)": product_vcat(i, a, product_vcat(i, b, c))})
+    for name in ("AB", "ABC", "A(BC)"):
+        assert product_of(loaded[name]) is not None
+    for vc in loaded.values():
         for all_witnesses in (False, True):
             assert _outcome(partial(check_vcategory,
                                     all_witnesses=all_witnesses), vc) == \
@@ -433,82 +440,113 @@ def test_loaded_product_report_is_the_scans(bool2, bool3, zmod3, data):
                                  all_witnesses=all_witnesses), vc)
 
 
-def test_loaded_products_are_recognized(preorder_p):
+def test_loaded_product_references_are_certified(preorder_p):
     inner = product_vcat(1, preorder_p, preorder_p)
-    loaded = _loaded({"P": preorder_p, "PP": inner,
-                      "PPP": product_vcat(1, inner, preorder_p)})
-    assert _recognized(loaded["PP"]) and _recognized(loaded["PPP"])
+    text = dumps(Tower(preorder_p.base, vcategories={
+        "P": preorder_p, "PP": inner,
+        "PPP": product_vcat(1, inner, preorder_p)}))
+    assert json.loads(text)["vcategories"]["PPP"] == {
+        "product": {"index": 1, "factors": ["PP", "P"]}}
+    loaded = loads(text).vcategories
+    i, a, b = product_of(loaded["PPP"])
+    assert (i, a, b) == (1, loaded["PP"], loaded["P"]) and a is loaded["PP"]
     report = check_vcategory(loaded["PPP"])
-    assert report.families == _scan_vcategory(loaded["PPP"]).families
-    assert not _recognized(loaded["P"])
+    assert loaded["PPP"].comp._table is None    # certified, not scanned
+    assert report == _scan_vcategory(loaded["PPP"])
+    assert product_of(loaded["P"]) is None
+
+
+def test_tower1_full_table_product_is_scanned(preorder_p, monkeypatch):
+    # A tower/1 document holds its products as tables: read as any other
+    # V-category, it is scanned and reports what the scan reports.
+    from enrichkit import vcat
+    prod = product_vcat(1, preorder_p, preorder_p)
+    doc = json.loads(dumps(Tower(preorder_p.base, vcategories={
+        "P": preorder_p, "PP": _plain_copy(prod)})))
+    doc["format"] = "tower/1"
+    loaded = loads(json.dumps(doc)).vcategories["PP"]
+    assert loaded == prod and product_of(loaded) is None
+    scanned = []
+
+    def spy(vc, all_witnesses=False):
+        scanned.append(vc)
+        return _scan_vcategory(vc, all_witnesses)
+    monkeypatch.setattr(vcat, "_scan_vcategory", spy)
+    assert check_vcategory(loaded) == _scan_vcategory(loaded)
+    assert scanned[0] is loaded
+
+
+def test_saved_references_round_trip(bool2, preorder_p):
+    # Two names for one product, a product of a named product, and a
+    # nested reference to an unnamed one: load then save is the identity.
+    discrete = preorder_vcat(bool2, ["a", "b"], {("a", "a"), ("b", "b")})
+    inner = product_vcat(1, preorder_p, preorder_p)
+    doc = json.loads(dumps(Tower(bool2, vcategories={
+        "P": preorder_p, "D": discrete, "X": inner, "Y": inner,
+        "Z": product_vcat(1, inner, preorder_p),
+        "N": product_vcat(1, discrete, product_vcat(1, discrete, preorder_p))},
+        vfunctors={"id_X": identity_vfunctor(inner)})))
+    refs = doc["vcategories"]
+    assert refs["X"] == refs["Y"] == {
+        "product": {"index": 1, "factors": ["P", "P"]}}
+    assert refs["Z"]["product"]["factors"] == ["X", "P"]
+    assert refs["N"]["product"]["factors"] == ["D", {
+        "product": {"index": 1, "factors": ["D", "P"]}}]
+    doc["vfunctors"]["id_Y"] = {**doc["vfunctors"]["id_X"],
+                                "source": "Y", "target": "Y"}
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    tower = loads(text)
+    x, y = tower.vcategories["X"], tower.vcategories["Y"]
+    assert x is not y and x == y and product_of(y) is not None
+    assert tower.vfunctors["id_Y"].source is y
+    assert dumps(tower) == text
 
 
 def test_corrupted_loaded_product_is_scanned(preorder_p):
     prod = product_vcat(1, preorder_p, preorder_p)
     key = (pair("a", "a"), pair("a", "b"), pair("b", "b"))
     loaded = _loaded({"P": preorder_p, "PP": _corrupted(prod, key)})["PP"]
-    assert not _recognized(loaded)
+    assert product_of(loaded) is None
     assert not check_vcategory(loaded).ok
     assert _outcome(check_vcategory, loaded) == \
         _outcome(_scan_vcategory, loaded)
 
 
 def test_loaded_product_of_an_incomplete_factor_is_scanned(preorder_p):
-    # The factor's product cannot be built; the parent keeps its own scan
-    # and the check still names the factor's missing entry.
+    # Saved as tables, the product keeps its own scan, and the check still
+    # names the factor's missing entry; saved as a reference, the product's
+    # check names it too.
+    prod = product_vcat(1, preorder_p, preorder_p)
     doc = json.loads(dumps(Tower(preorder_p.base, vcategories={
-        "P": preorder_p, "PP": product_vcat(1, preorder_p, preorder_p)})))
+        "P": preorder_p, "PP": _plain_copy(prod), "R": prod})))
     rows = doc["vcategories"]["P"]["comp"]
     rows.remove(next(row for row in rows if row[:3] == ["a", "a", "a"]))
     tower = loads(json.dumps(doc))
     parent = tower.vcategories["PP"]
-    assert not _recognized(parent)
+    assert product_of(parent) is None
     assert check_vcategory(parent).ok and _scan_vcategory(parent).ok
     with pytest.raises(MalformedTable, match=r"^composition entry "
                        r"\('a', 'a', 'a'\) missing or unknown$"):
         check_vcategory(tower.vcategories["P"])
+    with pytest.raises(MalformedTable, match=r"^product factor's composition "
+                       r"entry \('a', 'a', 'a'\) missing$"):
+        check_vcategory(tower.vcategories["R"])
 
 
 def test_equal_loaded_products_keep_their_names(preorder_p):
     # Two names with equal product tables stay two structures, so a
     # reference to the second is saved under its own name.
     prod = product_vcat(1, preorder_p, preorder_p)
-    twin = VCategory(prod.base, set(prod.objects), dict(prod.hom),
-                     dict(prod.comp), dict(prod.identity))
+    twin = _plain_copy(prod)
     text = dumps(Tower(prod.base, vcategories={
         "P": preorder_p, "X": prod, "Y": twin},
         vfunctors={"id_Y": identity_vfunctor(twin)}))
     tower = loads(text)
     x, y = tower.vcategories["X"], tower.vcategories["Y"]
-    assert x is not y and _recognized(x) and _recognized(y)
+    assert x is not y and x == y
+    assert product_of(x) is not None and product_of(y) is None
     assert json.loads(text)["vfunctors"]["id_Y"]["source"] == "Y"
     assert dumps(tower) == text
-
-
-def test_recognition_tries_a_bounded_number_of_candidates(bool2,
-                                                        monkeypatch):
-    # Six V-categories on {a, b} give 6⁴ candidate products on a frame of
-    # pairs of pairs; one that equals none of them is not compared with
-    # all, and a product filed beside it is still recognized.
-    from enrichkit import vcat
-    leaves = {f"L{k}": preorder_vcat(bool2, ["a", "b"], {("a", "a"), ("b", "b")}
-                                     | ({("a", "b")} if k % 2 else set()))
-              for k in range(6)}
-    inner = product_vcat(1, leaves["L0"], leaves["L0"])
-    outer = product_vcat(1, inner, inner)
-    key = (pair(pair("a", "a"), pair("a", "a")),) * 3
-    text = dumps(Tower(bool2, vcategories={
-        **leaves, "Q": _corrupted(outer, key), "R": outer}))
-    built, build = [], vcat.product_vcat
-
-    def spy(i, a, b):
-        built.append((i, a, b))
-        return build(i, a, b)
-    monkeypatch.setattr(vcat, "product_vcat", spy)
-    tower = loads(text)
-    assert not _recognized(tower.vcategories["Q"])
-    assert _recognized(tower.vcategories["R"])
-    assert len(built) < 6 ** 4
 
 
 def test_product_vfunctor_identity(preorder_p):
