@@ -262,8 +262,8 @@ def check_vcategory(vc: VCategory, *,
 
 
 def product_of(vc):
-    """``(i, a, b)`` when ``vc`` was built as ``product_vcat(i, a, b)`` (or
-    its level-2 twin), else None."""
+    """``(i, a, b)`` when ``vc`` was built as ``product_vcat(i, a, b)`` or
+    ``product_v2cat(i, a, b)``, else None."""
     return getattr(vc, "_memo", {}).get("product")
 
 

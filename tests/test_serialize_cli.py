@@ -66,8 +66,8 @@ def test_writer_matches_json_dumps(corpus_dir, p3cubed):
 
 def test_loaded_associator_frames_are_not_scanned(p3cubed, capsys,
                                                   monkeypatch):
-    # Both 27-object frames equal products of P3 and are certified from
-    # it; only the factors are scanned.
+    # Both 27-object frames are saved as references to P3, rebuilt on load
+    # and certified from it; only the factors are scanned.
     from enrichkit import vcat
     scanned, scan = [], vcat._scan_vcategory
 
