@@ -50,6 +50,7 @@ from .serialize import (
     _PASTING_NATS,
     Tower,
     _find_name,
+    _reference,
     load,
     save,
 )
@@ -392,7 +393,8 @@ def _file(tower: Tower, level: str, structure, hint: str) -> str:
 def _put(tower: Tower, level: str, name: str, structure) -> None:
     """File ``structure`` under ``name``, refusing (``DanglingReference``) to
     replace a structure that another filed structure names, unless an equal
-    one stays filed."""
+    one stays filed, or a V-category that a filed product reference names as
+    a factor, unless the reference can still be saved."""
     section = getattr(tower, TOWER[level].section)
     if name in section:
         kept = {**section, name: structure}
@@ -405,6 +407,13 @@ def _put(tower: Tower, level: str, name: str, structure) -> None:
                         raise DanglingReference(
                             f"filing under {name!r} would replace the {level}"
                             f" that {user.section}.{label}.{slot} names")
+        if level == "vcategory":
+            for label, vc in section.items():
+                if (label != name and _reference(section, vc) is not None
+                        and _reference(kept, vc) is None):
+                    raise DanglingReference(
+                        f"filing under {name!r} would replace a factor of "
+                        f"the product that vcategories.{label} references")
     section[name] = structure
 
 

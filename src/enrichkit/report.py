@@ -21,6 +21,22 @@ trailing axes with the fewest leading axes fixed so that it holds at most
 each failing row's first failing equation.  ``each_row`` gives the families
 checked one row at a time the same ``family`` loop, as blocks of one row.
 
+A block of at least ``CODED_ROWS`` rows whose axes hold at most 256 ids
+each is coded (``_coded``); smaller blocks keep lists, where building codes
+costs more than it saves.  A coded column holds ``bytes``, one code per
+row over its axes, and the list of values the codes index.  A lookup on
+coded columns builds each row's mixed-radix key with ``int.from_bytes``, a
+multiply-add per argument and ``int.to_bytes``.  When that key space is
+smaller than the rows, the table is read, or the function called, once per
+distinct key present, in key order, and keys become result codes by
+``bytes.translate``: directly for one-byte keys, and one plane per high
+byte for two-byte keys.  Otherwise the lookup runs once per row and its
+result is coded.  A result whose values are unhashable, or more than 256
+distinct, stays a list, and lookups on it run once per row.  Two coded
+legs are compared whole, each code translated to an index over both legs'
+distinct values; only a failing block is decoded and walked row by row, so
+witnesses, counts and early exit do not depend on the kernel.
+
 ``_memo(obj, key, build)`` is the one memo: it keeps ``build(obj)`` in a dict
 on ``obj`` and returns it on every later call with that key, a hit being one
 lookup in that dict.  Checker reports, products and their factors, units
@@ -30,12 +46,17 @@ are plain dicts, and the memo never looks at them again.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from itertools import chain, islice, product, repeat
+from itertools import chain, compress, islice, product, repeat
+from math import prod
 from operator import mul
 
-# Rows a block holds at most.
+# Rows a block holds at most: no more than 1 << 16, so that a coded key
+# space smaller than a block's rows fits two bytes.
 CHUNK = 1 << 15
+# Rows a block must hold to be coded (``_coded``).
+CODED_ROWS = 1 << 12
 
 
 def _fmt(value) -> str:
@@ -154,10 +175,17 @@ def lift(table):
     narrower argument is widened by repetition.  A key that is missing from
     a table or holds a ``None`` yields ``None``, so an undefined composite
     stays undefined through every lookup that uses it.
+
+    In a coded block, the lookup runs once per distinct key present, in key
+    order, when the key space is smaller than the rows (``_coded_lookup``);
+    otherwise once per row, and the result is coded.
     """
     get = table if callable(table) else table.get
 
     def column(*key_columns):
+        for col in key_columns:
+            if type(col) is _Coded:
+                return _coded_column(column, get, key_columns)
         if len(key_columns) == 1:
             col, = key_columns
             return _Column(col.axes, list(map(get, col.values)))
@@ -178,6 +206,20 @@ def lift(table):
     return column
 
 
+def _coded_column(column, get, key_columns):
+    """``column``, the lookup ``get`` lifted, over key columns of which at
+    least one is coded: once per distinct key (``_coded_lookup``) when it
+    can, else once per row over the decoded columns, with the result coded
+    unless an argument could not be."""
+    coded = _coded_args(key_columns)
+    if coded is not None:
+        col = _coded_lookup(get, coded)
+        if col is not None:
+            return col
+    col = column(*map(_decoded, key_columns))
+    return col if coded is None else _encoded(col)
+
+
 def equations(axes, legs):
     """The ``(blocks, check)`` arguments of ``ReportBuilder.family`` for a
     family of equations over the product of ``axes``.
@@ -191,7 +233,8 @@ def equations(axes, legs):
 
     A block is the product of the trailing axes with the fewest leading
     axes fixed so that it holds at most ``CHUNK`` rows; ``legs`` runs once
-    per block, with a fixed axis as an axis-free column.
+    per block, with a fixed axis as an axis-free column.  The block's axis
+    columns are coded when ``_coded`` accepts its shape.
     """
     axes = [list(axis) for axis in axes]
     lead, n = len(axes), 1
@@ -199,7 +242,11 @@ def equations(axes, legs):
         lead -= 1
         n *= len(axes[lead])
     free = tuple((i, len(axes[i])) for i in range(lead, len(axes)))
-    trailing = [_Column((axis,), axes[axis[0]]) for axis in free]
+    if _coded(n, [size for _, size in free]):
+        trailing = [_Coded((axis,), bytes(range(axis[1])), axes[axis[0]])
+                    for axis in free]
+    else:
+        trailing = [_Column((axis,), axes[axis[0]]) for axis in free]
 
     def check(prefix):
         def row(k):
@@ -242,6 +289,13 @@ def each_row(rows, check):
     return rows, one
 
 
+def _coded(rows: int, sizes: list) -> bool:
+    """Whether a block of ``rows`` rows over free axes of ``sizes`` ids is
+    evaluated as codes: each axis id must fit a byte, and the block must be
+    large enough that whole-column work repays building codes."""
+    return rows >= CODED_ROWS and max(sizes, default=0) <= 256
+
+
 class _Column:
     """A column of a block: its values over the product of ``axes``.
 
@@ -255,13 +309,144 @@ class _Column:
         self.axes, self.values = axes, values
 
 
+class _Coded:
+    """A coded column: ``codes`` holds one byte per point of the product of
+    ``axes``, in row-major order, and each byte indexes ``values``.  Every
+    code occurs in ``codes``, which ``_coded_lookup`` relies on.  Values
+    equal under ``==`` share a code when a lookup coded them, but an axis
+    may list an id twice."""
+    __slots__ = ("axes", "codes", "values")
+
+    def __init__(self, axes, codes: bytes, values: list):
+        self.axes, self.codes, self.values = axes, codes, values
+
+
+def _rows(axes) -> int:
+    return prod(size for _, size in axes)
+
+
 def _union(columns) -> tuple:
     return tuple(sorted(set().union(*(col.axes for col in columns))))
 
 
-def _widen(col, axes) -> list:
-    """``col``'s values over ``axes``, a superset of its own axes."""
-    values = col.values
+def _decoded(col) -> _Column:
+    """``col`` as a plain column."""
+    if isinstance(col, _Column):
+        return col
+    return _Column(col.axes, list(map(col.values.__getitem__, col.codes)))
+
+
+def _distinct(values):
+    """``(distinct, code)``: the distinct values in the order they first
+    occur, and a dict from each to its index; None when a value is
+    unhashable or more than 256 are distinct."""
+    try:
+        code = dict.fromkeys(values)
+    except TypeError:
+        return None
+    if len(code) > 256:
+        return None
+    distinct = list(code)
+    code.update(zip(distinct, range(len(distinct))))
+    return distinct, code
+
+
+def _encoded(col: _Column):
+    """``col`` coded, or as it is when ``_distinct`` cannot code it."""
+    index = _distinct(col.values)
+    if index is None:
+        return col
+    distinct, code = index
+    return _Coded(col.axes, bytes(map(code.__getitem__, col.values)), distinct)
+
+
+def _coded_args(key_columns):
+    """The arguments of a lookup, one of them coded, as coded columns when
+    the others are coded or axis-free; else None."""
+    coded = []
+    for col in key_columns:
+        if isinstance(col, _Column):
+            if col.axes:
+                return None
+            col = _Coded((), b"\0", col.values)
+        coded.append(col)
+    return coded
+
+
+def _keys(columns, axes, width: int) -> bytes:
+    """The mixed-radix key codes of coded ``columns`` over ``axes``, each
+    ``width`` bytes in the native order, the key space fitting that width.
+
+    Each column's codes are spread to the key's width and read as one
+    integer, so ``key * radix + codes`` adds a digit to every row's key at
+    once: no row's key leaves the key space, so nothing carries."""
+    rows = _rows(axes)
+    key = 0
+    for col in columns:
+        codes = _widen(col, axes, col.codes)
+        if width == 2:
+            spread = bytearray(2 * rows)
+            spread[sys.byteorder == "big"::2] = codes
+            codes = spread
+        key = key * len(col.values) + int.from_bytes(codes, sys.byteorder)
+    return key.to_bytes(width * rows, sys.byteorder)
+
+
+def _coded_lookup(get, columns):
+    """``get`` over coded key columns, once per distinct key present, in key
+    order, or None when the key space is not smaller than the rows.
+
+    Arguments on disjoint axes meet in every combination of their codes;
+    otherwise the keys present are found by scanning.  Keys are read off
+    the product of the arguments' values and become result codes by
+    ``bytes.translate``.  Two-byte keys are split by their high byte ``h``
+    into planes: plane ``h`` translates the low byte of every row, and keeps
+    the rows whose high byte is ``h``."""
+    axes = _union(columns)
+    rows = _rows(axes)
+    space = prod(len(col.values) for col in columns)
+    if space >= rows:
+        return None
+    keys = _keys(columns, axes, 1 if space <= 256 else 2)
+    if sum(len(col.axes) for col in columns) == len(axes):
+        selectors = [True] * space
+    elif space <= 256:
+        selectors = [k in keys for k in range(space)]
+    else:
+        selectors = list(map(set(memoryview(keys).cast("H")).__contains__,
+                             range(space)))
+    values = [col.values for col in columns]
+    every = product(*values) if len(values) > 1 else values[0]
+    present = list(compress(range(space), selectors))
+    found = list(map(get, compress(every, selectors)))
+    index = _distinct(found)
+    if index is None:
+        by_key = dict(zip(present, found))
+        if space > 256:
+            keys = memoryview(keys).cast("H")
+        return _Column(axes, list(map(by_key.__getitem__, keys)))
+    distinct, code = index
+    tables = [bytearray(256) for _ in range(0, space, 256)]
+    for k, value in zip(present, found):
+        tables[k >> 8][k & 255] = code[value]
+    if space <= 256:
+        return _Coded(axes, keys.translate(tables[0]), distinct)
+    at = int(sys.byteorder == "big")  # where a key's low byte sits
+    low, high = keys[at::2], keys[1 - at::2]
+    out = 0
+    for h, table in enumerate(tables):
+        plane = bytearray(256)
+        plane[h] = 255
+        out |= (int.from_bytes(low.translate(table), "little")
+                & int.from_bytes(high.translate(plane), "little"))
+    return _Coded(axes, out.to_bytes(rows, "little"), distinct)
+
+
+def _widen(col, axes, values=None):
+    """``col``'s values (or ``values`` over its axes, such as its codes)
+    over ``axes``, a superset of its own axes."""
+    if values is None:
+        values = col.values
     if col.axes == axes:
         return values
     # Adjacent missing axes are inserted as one, of their product's size.
@@ -276,10 +461,36 @@ def _widen(col, axes) -> list:
     return values if n == 1 else _repeat(values, inner, n)
 
 
-def _repeat(values: list, inner: int, n: int) -> list:
-    """``values`` with each run of ``inner`` entries repeated ``n`` times."""
+def _repeat(values, inner: int, n: int):
+    """``values``, a list or bytes, with each run of ``inner`` entries
+    repeated ``n`` times."""
+    if isinstance(values, bytes):
+        if inner == len(values):
+            return values * n
+        bounds = range(0, len(values) + inner, inner)
+        runs = map(values.__getitem__, map(slice, bounds, bounds[1:]))
+        return b"".join(map(mul, runs, repeat(n)))
     runs = zip(*[iter(values)] * inner)
     return list(chain.from_iterable(map(mul, runs, repeat(n))))
+
+
+def _coded_holds(lhs, rhs, axes) -> bool:
+    """Whether ``lhs``, one of two legs at least one coded, equals ``rhs``,
+    with no ``None``, in every row of ``axes``, shown without decoding: each
+    code is translated to its value's index among both legs' distinct
+    values, and the two byte strings compared.  False when they differ or
+    cannot be so compared."""
+    coded = _coded_args((lhs, rhs))
+    index = coded and _distinct(chain(coded[1].values, coded[0].values))
+    if not index or len(index[0]) == 256:
+        return False
+    (left, right), (_, code) = coded, index
+    # ``None`` on the left takes 255, an index no value on the right has.
+    to_left = bytes(255 if v is None else code[v] for v in left.values)
+    to_right = bytes(map(code.__getitem__, right.values))
+    return (_widen(left, axes, left.codes).translate(to_left.ljust(256, b"\0"))
+            == _widen(right, axes, right.codes).translate(
+                to_right.ljust(256, b"\0")))
 
 
 def _failures(eqs, axes, row):
@@ -289,6 +500,10 @@ def _failures(eqs, axes, row):
     failing = []
     for lhs, rhs in eqs:
         both = lhs.axes if lhs.axes == rhs.axes else _union((lhs, rhs))
+        if type(lhs) is _Coded or type(rhs) is _Coded:
+            if _coded_holds(lhs, rhs, both):
+                continue
+            lhs, rhs = _decoded(lhs), _decoded(rhs)
         left = _widen(lhs, both)
         if None in left or left != _widen(rhs, both):
             failing.append((lhs, rhs))

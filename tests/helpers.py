@@ -5,6 +5,7 @@ by scanning raw dom/cod tables, and the shipped tensor semantics (meet on
 the two-point poset, addition mod 2) are restated from scratch.
 """
 from enrichkit.fincat import FinCategory
+from enrichkit.instances import SymmetricMonoidal
 
 
 def thin_morphism(cat: FinCategory, a: str, b: str):
@@ -40,3 +41,22 @@ def idempotent_monoid_category() -> FinCategory:
     cod = dict(dom)
     comp = {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "a"}
     return FinCategory(objects, morphisms, dom, cod, comp, {"*": "e"})
+
+
+def zmod_symmetric(n: int) -> SymmetricMonoidal:
+    """Z/n under addition as a discrete symmetric monoidal category: objects
+    z0..z{n-1}, identities only, so every coherence component is the
+    identity of its source."""
+    objs = [f"z{v}" for v in range(n)]
+    ident = {a: f"id_{a}" for a in objs}
+    dom = {m: a for a, m in ident.items()}
+    cat = FinCategory(set(objs), set(dom), dom, dict(dom),
+                      {(m, m): m for m in dom}, ident)
+    add = {(a, b): objs[(objs.index(a) + objs.index(b)) % n]
+           for a in objs for b in objs}
+    return SymmetricMonoidal(
+        cat, "z0", add,
+        {(ident[a], ident[b]): ident[c] for (a, b), c in add.items()},
+        {(a, b, c): ident[add[add[a, b], c]]
+         for a in objs for b in objs for c in objs},
+        {key: ident[c] for key, c in add.items()})

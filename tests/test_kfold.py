@@ -1,10 +1,15 @@
+from itertools import combinations
+from unittest import mock
+
 import pytest
 
+from enrichkit import report
 from enrichkit.errors import IndexOutOfRange, MalformedTable, UnknownObject
 from enrichkit.kfold import KFoldMonoidal, check_kfold
-from enrichkit.instances import bool_poset, zmod2
+from enrichkit.instances import bool_poset, from_symmetric, zmod2
 
-from helpers import add2, idempotent_monoid_category, meet, rewire, thin_morphism
+from helpers import (add2, idempotent_monoid_category, meet, rewire,
+                     thin_morphism, zmod_symmetric)
 
 
 def test_tensor_obj_meet_table(bool2):
@@ -178,3 +183,46 @@ def test_check_covers_expected_families(zmod3):
                       "eta-external-assoc", "hexagon"}
     seen = {fam.split("[")[0] for fam in rep.families}
     assert seen == expected_kinds
+
+
+# Instances of each family over a discrete base: a tuple of objects, or of
+# morphisms, one per position, and the base has one morphism per object.
+TENSOR_ARITY = {"tensor-identity": 2, "tensor-boundary": 2,
+                "tensor-composition": 2, "unit-strict-object": 1,
+                "unit-strict-morphism": 1, "associator-boundary": 3,
+                "associator-naturality": 3, "pentagon": 4}
+ETA_ARITY = {"eta-boundary": 4, "eta-internal-unit": 2,
+             "eta-external-unit": 2, "eta-naturality": 4,
+             "eta-internal-assoc": 6, "eta-external-assoc": 6}
+
+
+def test_zmod4_tower_counts_every_family_at_n_to_the_arity():
+    n, k = 4, 3
+    rep = check_kfold(from_symmetric(zmod_symmetric(n), k))
+    want = {}
+    for i in range(1, k + 1):
+        want.update({f"{fam}[{i}]": n ** arity
+                     for fam, arity in TENSOR_ARITY.items()})
+    for i, j in combinations(range(1, k + 1), 2):
+        want.update({f"{fam}[{i},{j}]": n ** arity
+                     for fam, arity in ETA_ARITY.items()})
+    want["hexagon[1,2,3]"] = n ** 8
+    assert rep.ok
+    assert rep.families == want
+
+
+def test_coded_and_list_kernels_report_alike_on_a_mutated_zmod4_tower():
+    v = from_symmetric(zmod_symmetric(4), 3)
+    v.interchange_table[(1, 2)] = rewire(
+        v.interchange_table[(1, 2)], ("z1", "z2", "z3", "z0"), "id_z1")
+    for all_witnesses in (False, True):
+        reports = []
+        for coded in (False, True, None):
+            # None keeps the shape rule: only the large blocks are coded.
+            select = report._coded if coded is None else (
+                lambda rows, sizes, coded=coded: coded)
+            with mock.patch.object(report, "_coded", select):
+                reports.append(check_kfold(v, all_witnesses=all_witnesses))
+        assert reports[0] == reports[1] == reports[2]
+        assert "hexagon[1,2,3]" in reports[0].failing_families()
+    assert len(reports[0].witnesses) > len(reports[0].failing_families())

@@ -2,6 +2,7 @@ import random
 from itertools import product
 from unittest import mock
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -242,6 +243,12 @@ def _engine(domain, rows, eqs, all_witnesses):
     return rep.families["f"], _witnesses(rep)
 
 
+def _kernel(coded):
+    """Evaluate every block of ``equations`` on the coded kernel, or on the
+    list kernel."""
+    return mock.patch.object(report, "_coded", lambda rows, sizes: coded)
+
+
 @given(_family(), st.sampled_from([1, 2, 3, 5, 8, 64, CHUNK]),
        st.booleans(), st.data())
 def test_broadcast_matches_row_by_row_evaluation(family, chunk, all_witnesses,
@@ -251,11 +258,13 @@ def test_broadcast_matches_row_by_row_evaluation(family, chunk, all_witnesses,
     kept = data.draw(st.lists(st.booleans(), min_size=len(rows),
                               max_size=len(rows)))
     filtered = [row for row, keep in zip(rows, kept) if keep]
-    with mock.patch.object(report, "CHUNK", chunk):
-        assert _engine(equations, axes, eqs, all_witnesses) == \
-            _reference(rows, eqs, all_witnesses)
-        assert _engine(row_equations, iter(filtered), eqs, all_witnesses) == \
-            _reference(filtered, eqs, all_witnesses)
+    for coded in (False, True):
+        with mock.patch.object(report, "CHUNK", chunk), _kernel(coded):
+            assert _engine(equations, axes, eqs, all_witnesses) == \
+                _reference(rows, eqs, all_witnesses)
+            assert _engine(row_equations, iter(filtered), eqs,
+                           all_witnesses) == \
+                _reference(filtered, eqs, all_witnesses)
 
 
 def test_broadcast_first_failure_in_the_last_of_several_blocks():
@@ -265,8 +274,8 @@ def test_broadcast_first_failure_in_the_last_of_several_blocks():
     # Fails only at the last row, (2, 1, 0), in the last of 24, 6 or 3 blocks.
     eqs = [(("lookup", table, [("pos", 0), ("pos", 1), ("pos", 2)]),
             ("const", 0))]
-    for chunk in (1, 4, 8):
-        with mock.patch.object(report, "CHUNK", chunk):
+    for chunk, coded in product((1, 4, 8), (False, True)):
+        with mock.patch.object(report, "CHUNK", chunk), _kernel(coded):
             for all_witnesses in (False, True):
                 got = _engine(equations, axes, eqs, all_witnesses)
                 assert got == _reference(list(product(*axes)), eqs,
@@ -289,8 +298,80 @@ def test_broadcast_over_skipped_axes_and_interleaved_failing_equations():
            (("lookup", table(2), [pos[1], pos[3]]),
             ("lookup", table(1), [pos[2]]))]
     rows = list(product(*axes))
-    for chunk in (16, 64, CHUNK):
-        with mock.patch.object(report, "CHUNK", chunk):
+    for chunk, coded in product((16, 64, CHUNK), (False, True)):
+        with mock.patch.object(report, "CHUNK", chunk), _kernel(coded):
             for all_witnesses in (False, True):
                 assert _engine(equations, axes, eqs, all_witnesses) == \
                     _reference(rows, eqs, all_witnesses)
+
+
+@pytest.mark.parametrize("coded", [False, True])
+@pytest.mark.parametrize("disjoint", [False, True])
+def test_broadcast_over_a_key_space_wider_than_a_byte(coded, disjoint):
+    rng = random.Random(11)
+    if disjoint:
+        # Five columns of four values, each on its own axis of eight ids:
+        # 1,024 keys, two bytes wide, all present, over 32,768 rows.
+        axes = [range(8)] * 5
+        args = [("lookup", {v: v % 4 for v in range(8)}, [("pos", p)])
+                for p in range(5)]
+    else:
+        # Five columns of four values over six axes, each sharing an axis
+        # with the next: 1,024 keys over 4,096 rows.
+        axes = [IDS] * 6
+        add = {(a, b): (a + b) % 4 for a in IDS for b in IDS}
+        args = [("lookup", add, [("pos", p), ("pos", p + 1)])
+                for p in range(5)]
+    table = {key: rng.choice(IDS) for key in product(IDS, repeat=5)
+             if rng.random() > 0.02}
+    other = {key: (value + (rng.random() < 0.01)) % 4
+             for key, value in table.items()}
+    eqs = [(("lookup", table, args), ("lookup", other, args))]
+    rows = list(product(*axes))
+    with _kernel(coded):
+        for all_witnesses in (False, True):
+            got = _engine(equations, axes, eqs, all_witnesses)
+            assert got == _reference(rows, eqs, all_witnesses)
+    assert got[1]
+
+
+def test_coded_lookup_reads_each_present_key_once():
+    calls = []
+
+    def record(key):
+        calls.append(key)
+        return key[0]
+    total = {key: sum(key) % 4 for key in product(IDS, repeat=3)}
+    inc = lift(total)
+    shifted = lift({key: (value + 1) % 4 for key, value in total.items()})
+    half = lift({v: v % 2 for v in IDS})
+    for name, legs, want in (
+            # Both arguments span all three axes: 4 of the 16 keys occur, in
+            # 64 rows.
+            ("shared", lambda a, b, c: [(lift(record)(inc(a, b, c),
+                                                      shifted(a, b, c)),
+                                         inc(a, b, c))],
+             [(0, 1), (1, 2), (2, 3), (3, 0)]),
+            # Arguments on disjoint axes meet in every combination.
+            ("disjoint", lambda a, b, c: [(lift(record)(half(a), half(c)),
+                                           half(a))],
+             list(product(range(2), repeat=2)))):
+        calls.clear()
+        b = ReportBuilder()
+        with _kernel(True):
+            b.family(name, *equations([IDS] * 3, legs))
+        assert b.report().ok
+        assert calls == want
+
+
+def test_coded_legs_over_a_byte_of_distinct_values():
+    # Each leg holds 256 distinct values, None last, so no index is left
+    # free to mark a None on the left: the rows x = 255 fail.
+    first = lift({x: x for x in range(255)})
+    b = ReportBuilder(all_witnesses=True)
+    b.family("wide", *equations([range(256), range(16)],
+                                lambda x, y: [(first(x), first(x))]))
+    rep = b.report()
+    assert rep.families["wide"] == 4096
+    assert _witnesses(rep) == [((255, y), "<undefined>", "<undefined>")
+                               for y in range(16)]

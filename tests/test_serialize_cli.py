@@ -668,6 +668,31 @@ def test_construct_refuses_to_replace_a_named_input(corpus_dir, tmp_path,
     assert not out.exists()
 
 
+def test_construct_refuses_to_replace_a_product_factor(corpus_dir, tmp_path,
+                                                     capsys):
+    # result.source and result.target are saved as references to products
+    # of P3, so P3 cannot be replaced: the frames would be saved as tables.
+    cubed = tmp_path / "p3cubed.json"
+    assert main(["construct", str(corpus_dir / "bool2.json"), "assoc-vcat",
+                 "--inputs", "P3", "P3", "P3", "--out", str(cubed)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "x.json"
+    assert main(["construct", str(cubed), "product-vcat", "--index", "1",
+                 "--inputs", "P3", "P3", "--name", "P3",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: filing under 'P3' would replace a factor of the product "
+        "that vcategories.result.source references\n")
+    assert not out.exists()
+    # Under a new name, the product is filed and saved as a reference too.
+    assert main(["construct", str(cubed), "product-vcat", "--index", "1",
+                 "--inputs", "P3", "P3", "--name", "P9", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["vcategories"]["P9"] == {
+        "product": {"index": 1, "factors": ["P3", "P3"]}}
+    assert "objects" not in doc["vcategories"]["result.source"]
+
+
 def test_construct_on_an_incomplete_input_exits_two(corpus_dir, tmp_path,
                                                    capsys):
     # The product reads its factors' composition tables only when its own is
