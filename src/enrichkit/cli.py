@@ -9,11 +9,11 @@ prints one line per diagram family; ``--machine`` emits the same stream as
 line-delimited JSON records, documented in the README.  Every diagram
 family is one sequential scan.
 
-The levels of the tower are one table, ``TOWER``: each row names a level,
-its ``Tower`` section, its structure type, its checker, and its frame, the
-(attribute, level) slots that name the lower structures it is built on.
-The ``--level`` choices, the order of ``check``, the ``fuzz`` checkers and
-the filing of results all read it.  ``CONSTRUCTIONS`` is the second table,
+The levels of the tower are one table, ``TOWER``: each row names a level
+and its checker; the rest of the row, the level's ``Tower`` section, its
+structure type and its frame slots, is serialize's ``LEVELS`` row.  The
+``--level`` choices, the order of ``check``, the ``fuzz`` checkers and the
+filing of results all read it.  ``CONSTRUCTIONS`` is the second table,
 one row per construction: the function, its leading arguments and the
 levels of its inputs.  Functions and checkers are named rather than held,
 so a wrapper bound in their place on this module is what runs.
@@ -42,22 +42,10 @@ from .errors import (
     ParseError,
     SourceTargetInvalid,
 )
-from .kfold import KFoldMonoidal, check_kfold
+from .kfold import check_kfold
 from .report import CheckReport, cached_report
-from .serialize import (
-    _PASTING_FUNCTORS,
-    _PASTING_MODS,
-    _PASTING_NATS,
-    Tower,
-    _find_name,
-    _reference,
-    load,
-    save,
-)
+from .serialize import LEVELS, Tower, _find_name, _reference, load, save
 from .vcat import (
-    VCategory,
-    VFunctor,
-    VNatTransform,
     _scan_vcategory,
     assoc_vcat,
     check_vcategory,
@@ -75,11 +63,6 @@ from .vcat import (
     whisker_vnat,
 )
 from .v2cat import (
-    PastingInstance,
-    V2Category,
-    V2Functor,
-    V2NatTransform,
-    VModification,
     check_modification,
     check_v2category,
     check_v2functor,
@@ -108,41 +91,30 @@ from .v2cat import (
 
 
 class Level(NamedTuple):
-    """One level of the tower: where its structures are filed, how they are
-    checked, and the (attribute, level) slots that name lower structures."""
+    """One level of the tower and its checker, a function of this module;
+    every other attribute (``section``, ``kind``, ``slots``) is read from
+    the level's row in serialize's ``LEVELS``."""
     name: str
-    section: str        # the Tower attribute
-    kind: type
-    checker: str        # a function of this module
-    frame: tuple = ()
+    checker: str
 
     def check(self, structure, **options) -> CheckReport:
         return globals()[self.checker](structure, **options)
 
+    def __getattr__(self, attr):
+        return getattr(LEVELS[self.name], attr)
 
-def _ends(level: str) -> tuple:
-    return ("source", level), ("target", level)
 
-
-TOWER = {row.name: row for row in (
-    Level("base", "base", KFoldMonoidal, "check_kfold"),
-    Level("vcategory", "vcategories", VCategory, "check_vcategory"),
-    Level("vfunctor", "vfunctors", VFunctor, "check_vfunctor",
-          _ends("vcategory")),
-    Level("vnat", "vnats", VNatTransform, "check_vnat", _ends("vfunctor")),
-    Level("v2category", "v2categories", V2Category, "check_v2category"),
-    Level("v2functor", "v2functors", V2Functor, "check_v2functor",
-          _ends("v2category")),
-    Level("v2nat", "v2nats", V2NatTransform, "check_v2nat",
-          _ends("v2functor")),
-    Level("modification", "modifications", VModification,
-          "check_modification", _ends("v2nat")),
-    Level("pasting", "pastings", PastingInstance, "exchange_suite",
-          tuple((slot, "v2functor") for slot in _PASTING_FUNCTORS)
-          + tuple((slot, "v2nat") for slot in _PASTING_NATS)
-          + tuple((slot, "modification") for slot in _PASTING_MODS)),
+TOWER = {name: Level(name, checker) for name, checker in (
+    ("base", "check_kfold"),
+    ("vcategory", "check_vcategory"),
+    ("vfunctor", "check_vfunctor"),
+    ("vnat", "check_vnat"),
+    ("v2category", "check_v2category"),
+    ("v2functor", "check_v2functor"),
+    ("v2nat", "check_v2nat"),
+    ("modification", "check_modification"),
+    ("pasting", "exchange_suite"),
 )}
-LEVELS = tuple(TOWER)
 
 
 class _Reporter:
@@ -222,16 +194,23 @@ def _checks_for(tower: Tower):
             yield row.name, f"{row.name}:{name}", row.check, structure
 
 
-def _run_check(args) -> int:
+def _load(path):
+    """The document's tower, or None once the reason it cannot be read is
+    printed."""
     try:
-        tower = load(args.path)
+        return load(path)
     except FileNotFoundError:
-        print(f"error: no such file: {args.path}", file=sys.stderr)
-        return 2
+        print(f"error: no such file: {path}", file=sys.stderr)
     except KernelError as err:
         # Unparsable, dangling, or so malformed that derived structures
         # cannot even be rebuilt: an input error either way.
         print(f"error: {err}", file=sys.stderr)
+    return None
+
+
+def _run_check(args) -> int:
+    tower = _load(args.path)
+    if tower is None:
         return 2
 
     rep = _Reporter(args.machine)
@@ -384,7 +363,7 @@ def _file(tower: Tower, level: str, structure, hint: str) -> str:
     section = getattr(tower, row.section)
     name = _find_name(section, structure)
     if name is None:
-        for slot, lower in row.frame:
+        for slot, lower in row.slots:
             _file(tower, lower, getattr(structure, slot), f"{hint}.{slot}")
         _put(tower, level, name := hint, structure)
     return name
@@ -399,7 +378,7 @@ def _put(tower: Tower, level: str, name: str, structure) -> None:
     if name in section:
         kept = {**section, name: structure}
         for user in TOWER.values():
-            for slot, lower in user.frame:
+            for slot, lower in user.slots:
                 if lower != level:
                     continue
                 for label, other in getattr(tower, user.section).items():
@@ -435,13 +414,8 @@ def _store(tower: Tower, result, name: str) -> CheckReport:
 
 
 def _run_construct(args) -> int:
-    try:
-        tower = load(args.path)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.path}", file=sys.stderr)
-        return 2
-    except KernelError as err:
-        print(f"error: {err}", file=sys.stderr)
+    tower = _load(args.path)
+    if tower is None:
         return 2
     if args.construction not in CONSTRUCTIONS:
         print(f"error: unknown construction {args.construction!r}; "
@@ -470,27 +444,15 @@ def _run_construct(args) -> int:
 
 
 def _corpus_towers(seed: int) -> dict:
-    """The shipped corpus, partitioned into one self-contained tower per base."""
-    corpus = instances.corpus(seed)
-    sym = {"bool2": instances.bool_symmetric().symmetry,
-           "bool3": instances.bool_symmetric().symmetry,
-           "zmod3": instances.zmod2_symmetric().symmetry}
-    towers = {name: Tower(base, symmetry=sym[name])
-              for name, base in corpus.bases.items()}
-    over = {id(base): towers[name] for name, base in corpus.bases.items()}
-    for row in list(TOWER.values())[1:]:
-        for name, structure in getattr(corpus, row.section).items():
-            _file(over[id(_base_of(row.name, structure))], row.name,
-                  structure, name)
+    """The shipped corpus, one self-contained tower per base: each structure
+    filed in level order, with the frames it names."""
+    towers = {}
+    for name, shipped in instances.corpus(seed).items():
+        towers[name] = tower = Tower(shipped.base, shipped.symmetry)
+        for row in list(TOWER.values())[1:]:
+            for label, structure in getattr(shipped, row.section).items():
+                _file(tower, row.name, structure, label)
     return towers
-
-
-def _base_of(level: str, structure):
-    """A structure's base, found by walking its first frame slot down."""
-    while TOWER[level].frame:
-        slot, level = TOWER[level].frame[0]
-        structure = getattr(structure, slot)
-    return structure.base
 
 
 def _run_corpus(args) -> int:
@@ -545,7 +507,7 @@ def main(argv=None) -> int:
 
     p_check = sub.add_parser("check", help="validate every structure in a file")
     p_check.add_argument("path")
-    p_check.add_argument("--level", default="all", choices=("all",) + LEVELS)
+    p_check.add_argument("--level", default="all", choices=("all", *TOWER))
     p_check.add_argument("--all-witnesses", action="store_true")
     p_check.add_argument("--machine", action="store_true")
     p_check.add_argument("--seed", type=int, default=0)
@@ -568,7 +530,7 @@ def main(argv=None) -> int:
 
     p_fuzz = sub.add_parser("fuzz", help="generate and check random instances")
     p_fuzz.add_argument("--level", required=True,
-                        choices=LEVELS[1:])
+                        choices=tuple(TOWER)[1:])
     p_fuzz.add_argument("--count", type=_count, default=1)
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("--base", default="bool2")

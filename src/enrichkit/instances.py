@@ -33,7 +33,7 @@ V-category with its own inner budget.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 
@@ -47,6 +47,7 @@ from .errors import (
 from .fincat import FinCategory, inverse
 from .kfold import KFoldMonoidal, LiftedTables, check_kfold
 from .report import CheckReport, ReportBuilder, const, equations, lift
+from .serialize import Tower
 from .vcat import (
     VCategory,
     VFunctor,
@@ -437,49 +438,41 @@ class Bounds:
     attempts: int = RANDOM_ATTEMPT_CAP
 
 
-@dataclass
-class Corpus:
-    """Named, fully validated structures at every level, seed-deterministic."""
-    seed: int
-    bases: dict = field(default_factory=dict)
-    vcategories: dict = field(default_factory=dict)
-    vfunctors: dict = field(default_factory=dict)
-    vnats: dict = field(default_factory=dict)
-    v2categories: dict = field(default_factory=dict)
-    v2functors: dict = field(default_factory=dict)
-    v2nats: dict = field(default_factory=dict)
-    modifications: dict = field(default_factory=dict)
-    pastings: dict = field(default_factory=dict)
-
-
-def corpus(seed: int = 0) -> Corpus:
-    """The shipped instance corpus plus a few seeded random structures.
+def corpus(seed: int = 0) -> dict:
+    """The shipped instance corpus plus a few seeded random structures: one
+    ``Tower`` per base, by the base's name, with its symmetry table.
 
     Everything here passes its level checker; the random tail is
-    reproducible bit-exactly from the seed.
+    reproducible bit-exactly from the seed.  Only the named structures are
+    filed, so a frame that is not itself named (the random pasting's) is
+    not.
     """
-    out = Corpus(seed)
     bool2 = bool_poset(2)
     bool3 = bool_poset(3)
     zmod3 = zmod2(3)
-    out.bases = {"bool2": bool2, "bool3": bool3, "zmod3": zmod3}
+    out = {"bool2": Tower(bool2, bool_symmetric().symmetry),
+           "bool3": Tower(bool3, bool_symmetric().symmetry),
+           "zmod3": Tower(zmod3, zmod2_symmetric().symmetry)}
+    b2, b3, z3 = out.values()
 
     p = preorder_vcat(bool2, ["a", "b"], {("a", "a"), ("a", "b"), ("b", "b")})
     p3 = preorder_vcat(bool2, ["a", "b", "c"],
                        {("a", "a"), ("b", "b"), ("c", "c"),
                         ("a", "b"), ("b", "c"), ("a", "c")})
-    d = cocycle_vcat(zmod3, {"x": "0", "y": "1"})
-    out.vcategories = {
-        "P": p, "P3": p3, "D": d,
-        "I_bool2": unit_vcategory(bool2), "I_zmod3": unit_vcategory(zmod3),
+    b2.vcategories = {
+        "P": p, "P3": p3, "I_bool2": unit_vcategory(bool2),
         "R1": _random_vcategory(bool2, random.Random(seed), Bounds()),
+    }
+    z3.vcategories = {
+        "D": cocycle_vcat(zmod3, {"x": "0", "y": "1"}),
+        "I_zmod3": unit_vcategory(zmod3),
         "R2": _random_vcategory(zmod3, random.Random(seed + 1), Bounds()),
     }
 
     ident = identity_vfunctor(p)
     collapse = _draw_vfunctor(p, p, {"a": "a", "b": "a"}, _thin)
-    out.vfunctors = {"id_P": ident, "collapse_P": collapse}
-    out.vnats = {
+    b2.vfunctors = {"id_P": ident, "collapse_P": collapse}
+    b2.vnats = {
         "unit_P": identity_vnat(ident),
         "collapse_to_id": VNatTransform(
             collapse, ident,
@@ -488,15 +481,17 @@ def corpus(seed: int = 0) -> Corpus:
     }
 
     w = join_monoid_v2cat(bool2)
-    w3 = join_monoid_v2cat(bool3)
     x2 = xor_group_v2cat(zmod3)
-    out.v2categories = {"W": w, "W3": w3, "X2": x2}
+    b2.v2categories = {"W": w}
+    b3.v2categories = {"W3": join_monoid_v2cat(bool3)}
+    z3.v2categories = {"X2": x2}
 
     endos_w = _endo_v2functors(w)
     idw = next(e for e in endos_w
                if e.hom_map[("*", "*")].obj_map == {"one": "one", "t": "t"})
     idx = _endo_v2functors(x2)[0]
-    out.v2functors = {"id_W": idw, "id_X2": idx}
+    b2.v2functors = {"id_W": idw}
+    z3.v2functors = {"id_X2": idx}
 
     nats_w = _nats_between(idw, idw)
     n_one = next(n for n in nats_w if n.components["*"].obj_map["0"] == "one")
@@ -504,27 +499,26 @@ def corpus(seed: int = 0) -> Corpus:
     nats_x = _nats_between(idx, idx)
     n_x = next(n for n in nats_x if n.components["*"].obj_map["0"] == "x")
     n_y = next(n for n in nats_x if n.components["*"].obj_map["0"] == "y")
-    out.v2nats = {"q_one": n_one, "q_t": n_t, "q_x": n_x, "q_y": n_y}
+    b2.v2nats = {"q_one": n_one, "q_t": n_t}
+    z3.v2nats = {"q_x": n_x, "q_y": n_y}
 
-    out.modifications = {
-        "rise": _mods_between(n_one, n_t)[0],
-        "stay": _mods_between(n_t, n_t)[0],
-        "stay_x": _mods_between(n_x, n_x)[0],
-        "stay_y": _mods_between(n_y, n_y)[0],
-    }
+    rise, stay = _mods_between(n_one, n_t)[0], _mods_between(n_t, n_t)[0]
+    stay_x, stay_y = _mods_between(n_x, n_x)[0], _mods_between(n_y, n_y)[0]
+    b2.modifications = {"rise": rise, "stay": stay}
+    z3.modifications = {"stay_x": stay_x, "stay_y": stay_y}
 
-    rise, stay = out.modifications["rise"], out.modifications["stay"]
-    stay_x, stay_y = out.modifications["stay_x"], out.modifications["stay_y"]
-    out.pastings = {
+    b2.pastings = {
         "pasting1": PastingInstance(
             w, w, w, idw, idw, idw, idw, idw, idw,
             n_one, n_t, n_t, rise, stay, n_one, n_t, n_t, rise, stay,
             n_one, n_t, n_t, rise, stay, n_one, n_t, n_t, rise, stay),
+        "pasting_random": _random_pasting(w, random.Random(seed + 2), Bounds()),
+    }
+    z3.pastings = {
         "pasting_xor": PastingInstance(
             x2, x2, x2, idx, idx, idx, idx, idx, idx,
             n_y, n_y, n_y, stay_y, stay_y, n_x, n_x, n_x, stay_x, stay_x,
             n_y, n_y, n_y, stay_y, stay_y, n_x, n_x, n_x, stay_x, stay_x),
-        "pasting_random": _random_pasting(w, random.Random(seed + 2), Bounds()),
     }
     return out
 

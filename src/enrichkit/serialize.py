@@ -6,10 +6,16 @@ self-contained.  Tables keyed by id tuples are stored as sorted rows
 ``[k1, ..., kn, value]``; keys are emitted sorted; the serializer is the
 single formatting authority, so save(load(save(x))) is byte-identical.
 
+The levels of the tower are one table, ``LEVELS``: each row gives a level's
+``Tower`` section, its structure type, its frame (the slots that name
+structures one level down, grouped as the document stores them) and the
+codec of the entry's own tables.  Save and load walk it in level order, so
+the frame names of every section are written and resolved in one place.
+
 Functors that occur inside a larger structure (composition functors, hom
 functors of a level-2 functor, transformation components) are stored as
-bare ``{obj_map, hom_map}`` tables; their source and target are determined
-by position and rebuilt on load.
+rows of bare ``{obj_map, hom_map}`` tables; their source and target are
+determined by position and rebuilt on load.
 
 A ``vcategories`` entry built by ``product_vcat`` is saved as a reference,
 ``{"product": {"index": i, "factors": [F1, F2]}}``, each F the name of
@@ -19,15 +25,17 @@ first, so its tables cannot disagree with the construction and
 ``check_vcategory`` certifies it as it does any product.  Each name stays
 its own structure, two names for one product included.  Format
 ``tower/2`` added references; ``tower/1`` documents, all tables, are read
-by the same parser.  A table that repeats a row key, and a JSON object
-that repeats a key, are parse errors that name the table or object by its
-path.
+by the same parser.  The base's per-index tables are keyed exactly ``"1"``
+to ``"n"``, and its interchange tables ``"i,j"`` with 1 <= i < j <= n.  A
+table that repeats a row key, a JSON object that repeats a key, and any
+other base key are parse errors that name the table or object by its path.
 """
 from __future__ import annotations
 
 import json
 import sys
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 from .errors import DanglingReference, KernelError, MalformedTable, ParseError
 from .fincat import FinCategory
@@ -45,12 +53,6 @@ from .v2cat import (
 
 FORMAT = "tower/2"
 READ_FORMATS = ("tower/1", FORMAT)
-
-_PASTING_FUNCTORS = ("f", "h", "p", "g", "k", "q")
-_PASTING_NATS = tuple(f"{kind}{col}" for col in (1, 2, 3, 4)
-                      for kind in ("alpha", "beta", "gamma"))
-_PASTING_MODS = tuple(f"{kind}{col}" for col in (1, 2, 3, 4)
-                      for kind in ("mu", "nu"))
 
 
 @dataclass
@@ -149,14 +151,32 @@ def _vfunctor_tables(vf: VFunctor) -> dict:
             "hom_map": _rows(vf.hom_map)}
 
 
-def _vfunctor_from(tables, source: VCategory, target: VCategory,
-                   what: str) -> VFunctor:
+def _vfunctor_maps(tables, what: str, *_) -> dict:
     if not isinstance(tables, dict) or "obj_map" not in tables \
             or "hom_map" not in tables:
         raise ParseError(f"{what}: expected obj_map and hom_map")
-    return VFunctor(source, target,
-                    _name_map(tables["obj_map"], f"{what}.obj_map"),
-                    _table(tables["hom_map"], 2, f"{what}.hom_map"))
+    return {"obj_map": _name_map(tables["obj_map"], f"{what}.obj_map"),
+            "hom_map": _table(tables["hom_map"], 2, f"{what}.hom_map")}
+
+
+def _functor_rows(table: dict) -> list:
+    """Inline functors as sorted rows [k1, ..., kn, tables]."""
+    return _rows({key: _vfunctor_tables(f) for key, f in table.items()})
+
+
+def _functors_from(rows, arity: int, what: str, shape: str, frame) -> dict:
+    """Inline functors from rows [k1, ..., k_arity, tables], keyed as
+    ``_table`` keys its values; ``frame(k1, ..., k_arity)`` gives each
+    one's source and target, and a KeyError there is an unknown object."""
+    out = {}
+    for key, tables in _keyed(rows, arity, what, shape):
+        try:
+            source, target = frame(*key)
+        except KeyError as err:
+            raise DanglingReference(f"{what}: unknown object {err}")
+        out[tuple(key) if arity > 1 else key[0]] = VFunctor(
+            source, target, **_vfunctor_maps(tables, what))
+    return out
 
 
 def _vcategory_tables(vc: VCategory) -> dict:
@@ -261,11 +281,140 @@ def _vcategories_from(entries, base: KFoldMonoidal) -> dict:
     return {name: done[name] for name in docs}
 
 
+# -- the levels ------------------------------------------------------------------
+
+def _components(entry: dict, what: str):
+    if "components" not in entry:
+        raise ParseError(f"{what}: missing components")
+    return entry["components"]
+
+
+def _named_components(x) -> dict:
+    return {"components": dict(x.components)}
+
+
+def _named_components_from(entry, what: str, *_) -> dict:
+    return {"components": _name_map(_components(entry, what),
+                                    f"{what}.components")}
+
+
+def _v2category_tables(u: V2Category) -> dict:
+    return {"objects": sorted(u.objects),
+            "hom": _rows({key: _vcategory_tables(vc)
+                          for key, vc in u.hom.items()}),
+            "comp": _functor_rows(u.comp),
+            "identity": _functor_rows(u.identity)}
+
+
+def _v2category_fields(entry, what, base, frame) -> dict:
+    for k in ("objects", "hom", "comp", "identity"):
+        if k not in entry:
+            raise ParseError(f"{what}: missing {k!r}")
+    objects = set(_names(entry["objects"], f"{what}.objects"))
+    hom = {(a, b): _vcategory_from(tables, base, f"{what}.hom({a},{b})")
+           for (a, b), tables in _keyed(entry["hom"], 2, what,
+                                        "hom rows must be [a, b, tables]")}
+    unit = unit_vcategory(base)
+    return {"base": base, "objects": objects, "hom": hom,
+            "comp": _functors_from(
+                entry["comp"], 3, what, "comp rows must be [a, b, c, tables]",
+                lambda a, b, c: (product_vcat(1, hom[(b, c)], hom[(a, b)]),
+                                 hom[(a, c)])),
+            "identity": _functors_from(
+                entry["identity"], 1, what, "identity rows must be [a, tables]",
+                lambda a: (unit, hom[(a, a)]))}
+
+
+def _v2functor_fields(entry, what, base, frame) -> dict:
+    if "obj_map" not in entry or "hom_map" not in entry:
+        raise ParseError(f"{what}: missing obj_map/hom_map")
+    obj_map = _name_map(entry["obj_map"], f"{what}.obj_map")
+    source, target = frame["source"], frame["target"]
+    return {"obj_map": obj_map, "hom_map": _functors_from(
+        entry["hom_map"], 2, what, "hom_map rows must be [u, u', tables]",
+        lambda a, b: (source.hom[(a, b)],
+                      target.hom[(obj_map[a], obj_map[b])]))}
+
+
+def _v2nat_fields(entry, what, base, frame) -> dict:
+    t, s, unit = frame["source"], frame["target"], unit_vcategory(base)
+    return {"components": _functors_from(
+        _components(entry, what), 1, what, "component rows must be [u, tables]",
+        lambda u: (unit, t.target.hom[(t.obj_map[u], s.obj_map[u])]))}
+
+
+class _Group(NamedTuple):
+    """Frame slots saved under one entry key: the slot's name when ``slots``
+    is None (the key is the slot), else the names of ``slots``, an object
+    keyed by slot, or a list in slot order when ``listed``."""
+    key: str
+    lower: str              # the level whose structures the slots name
+    slots: tuple = None
+    listed: bool = False
+
+
+class _Level(NamedTuple):
+    """One level of the tower: its ``Tower`` section, its structure type,
+    its frame groups, and the codec of an entry's own tables.
+    ``write(structure)`` gives the entry's fields beside its frame names;
+    ``read(entry, what, base, frame)`` gives the structure type's arguments
+    beside its frame, which maps each slot to the structure it names."""
+    section: str
+    kind: type
+    frame: tuple = ()
+    write: Callable = None
+    read: Callable = None
+
+    @property
+    def slots(self) -> tuple:
+        """The frame's (attribute, lower level) pairs, in frame order."""
+        return tuple((slot, group.lower) for group in self.frame
+                     for slot in group.slots or (group.key,))
+
+
+def _ends(lower: str) -> tuple:
+    return _Group("source", lower), _Group("target", lower)
+
+
+def _cells(kinds) -> tuple:
+    """The pasting's slots of ``kinds`` in its four cells, cell by cell."""
+    return tuple(f"{kind}{col}" for col in (1, 2, 3, 4) for kind in kinds)
+
+
+# Base and V-categories have no frame; their sections have codecs of their
+# own (``tower_to_document``'s base, ``_reference``, ``_vcategories_from``).
+LEVELS = {
+    "base": _Level("base", KFoldMonoidal),
+    "vcategory": _Level("vcategories", VCategory),
+    "vfunctor": _Level("vfunctors", VFunctor, _ends("vcategory"),
+                       _vfunctor_tables, _vfunctor_maps),
+    "vnat": _Level("vnats", VNatTransform, _ends("vfunctor"),
+                   _named_components, _named_components_from),
+    "v2category": _Level("v2categories", V2Category, (), _v2category_tables,
+                         _v2category_fields),
+    "v2functor": _Level("v2functors", V2Functor, _ends("v2category"),
+                        lambda vf: {"obj_map": dict(vf.obj_map),
+                                    "hom_map": _functor_rows(vf.hom_map)},
+                        _v2functor_fields),
+    "v2nat": _Level("v2nats", V2NatTransform, _ends("v2functor"),
+                    lambda nat: {"components": _functor_rows(nat.components)},
+                    _v2nat_fields),
+    "modification": _Level("modifications", VModification, _ends("v2nat"),
+                           _named_components, _named_components_from),
+    "pasting": _Level("pastings", PastingInstance, (
+        _Group("categories", "v2category", ("cat_u", "cat_v", "cat_w"),
+               listed=True),
+        _Group("functors", "v2functor", ("f", "h", "p", "g", "k", "q")),
+        _Group("nats", "v2nat", _cells(("alpha", "beta", "gamma"))),
+        _Group("modifications", "modification", _cells(("mu", "nu")))),
+        lambda p: {}, lambda *_: {}),
+}
+
+
 # -- document <-> tower ---------------------------------------------------------
 
 def tower_to_document(t: Tower) -> dict:
-    base = t.base
-    cat = base.base
+    base, cat = t.base, t.base.base
     doc_base = {
         "objects": sorted(cat.objects),
         "morphisms": sorted(cat.morphisms),
@@ -275,86 +424,41 @@ def tower_to_document(t: Tower) -> dict:
         "comp": _rows(cat.comp),
         "tensors": base.n,
         "unit": base.unit,
-        "tensor_obj": {str(i): _rows(base.tensor_obj_table[i])
-                       for i in range(1, base.n + 1)},
-        "tensor_mor": {str(i): _rows(base.tensor_mor_table[i])
-                       for i in range(1, base.n + 1)},
-        "assoc": {str(i): _rows(base.assoc_table[i])
-                  for i in range(1, base.n + 1)},
+        **{section: {str(i): _rows(tables[i]) for i in range(1, base.n + 1)}
+           for section, tables in (("tensor_obj", base.tensor_obj_table),
+                                   ("tensor_mor", base.tensor_mor_table),
+                                   ("assoc", base.assoc_table))},
         "interchange": {f"{i},{j}": _rows(tab)
                         for (i, j), tab in sorted(base.interchange_table.items())},
     }
     if t.symmetry is not None:
         doc_base["symmetry"] = _rows(t.symmetry)
     doc = {"format": FORMAT, "base": doc_base}
-
     if t.vcategories:
         doc["vcategories"] = {
             name: _reference(t.vcategories, vc) or _vcategory_tables(vc)
             for name, vc in sorted(t.vcategories.items())}
-    if t.vfunctors:
-        doc["vfunctors"] = {
-            name: {"source": _name_of(t.vcategories, vf.source, name, "source"),
-                   "target": _name_of(t.vcategories, vf.target, name, "target"),
-                   **_vfunctor_tables(vf)}
-            for name, vf in sorted(t.vfunctors.items())}
-    if t.vnats:
-        doc["vnats"] = {
-            name: {"source": _name_of(t.vfunctors, nat.source, name, "source"),
-                   "target": _name_of(t.vfunctors, nat.target, name, "target"),
-                   "components": dict(sorted(nat.components.items()))}
-            for name, nat in sorted(t.vnats.items())}
-    if t.v2categories:
-        doc["v2categories"] = {}
-        for name, u in sorted(t.v2categories.items()):
-            doc["v2categories"][name] = {
-                "objects": sorted(u.objects),
-                "hom": sorted([a, b, _vcategory_tables(vc)]
-                              for (a, b), vc in u.hom.items()),
-                "comp": sorted([a, b, c, _vfunctor_tables(m2)]
-                               for (a, b, c), m2 in u.comp.items()),
-                "identity": sorted([a, _vfunctor_tables(j2)]
-                                   for a, j2 in u.identity.items()),
-            }
-    if t.v2functors:
-        doc["v2functors"] = {
-            name: {"source": _name_of(t.v2categories, vf.source, name, "source"),
-                   "target": _name_of(t.v2categories, vf.target, name, "target"),
-                   "obj_map": dict(sorted(vf.obj_map.items())),
-                   "hom_map": sorted([a, b, _vfunctor_tables(h)]
-                                     for (a, b), h in vf.hom_map.items())}
-            for name, vf in sorted(t.v2functors.items())}
-    if t.v2nats:
-        doc["v2nats"] = {
-            name: {"source": _name_of(t.v2functors, nat.source, name, "source"),
-                   "target": _name_of(t.v2functors, nat.target, name, "target"),
-                   "components": sorted([u, _vfunctor_tables(c)]
-                                        for u, c in nat.components.items())}
-            for name, nat in sorted(t.v2nats.items())}
-    if t.modifications:
-        doc["modifications"] = {
-            name: {"source": _name_of(t.v2nats, m.source, name, "source"),
-                   "target": _name_of(t.v2nats, m.target, name, "target"),
-                   "components": dict(sorted(m.components.items()))}
-            for name, m in sorted(t.modifications.items())}
-    if t.pastings:
-        doc["pastings"] = {}
-        for name, p in sorted(t.pastings.items()):
-            entry = {"categories": [
-                _name_of(t.v2categories, p.cat_u, name, "categories"),
-                _name_of(t.v2categories, p.cat_v, name, "categories"),
-                _name_of(t.v2categories, p.cat_w, name, "categories")]}
-            entry["functors"] = {
-                k: _name_of(t.v2functors, getattr(p, k), name, k)
-                for k in _PASTING_FUNCTORS}
-            entry["nats"] = {
-                k: _name_of(t.v2nats, getattr(p, k), name, k)
-                for k in _PASTING_NATS}
-            entry["modifications"] = {
-                k: _name_of(t.modifications, getattr(p, k), name, k)
-                for k in _PASTING_MODS}
-            doc["pastings"][name] = entry
+    for row in LEVELS.values():
+        section = getattr(t, row.section)
+        if row.write is not None and section:
+            doc[row.section] = {
+                name: {**_frame_names(t, row, structure, name),
+                       **row.write(structure)}
+                for name, structure in sorted(section.items())}
     return doc
+
+
+def _frame_names(t: Tower, row: _Level, structure, owner: str) -> dict:
+    """An entry's frame: the name in ``t`` of the structure in each slot."""
+    out = {}
+    for group in row.frame:
+        registry = getattr(t, LEVELS[group.lower].section)
+        names = {slot: _name_of(registry, getattr(structure, slot), owner,
+                                group.key if group.listed else slot)
+                 for slot in group.slots or (group.key,)}
+        out[group.key] = (names[group.key] if group.slots is None
+                          else list(names.values()) if group.listed else names)
+    return out
 
 
 def _filed_as(registry: dict, value):
@@ -383,6 +487,24 @@ def _name_of(registry: dict, value, owner: str, slot: str) -> str:
     return name
 
 
+def _indexed(value, what: str, n: int, width: int, arity: int) -> dict:
+    """A base section of per-index tables, each keyed by the one spelling
+    of ``width`` increasing indices from 1 to n: "1" to "n", or "i,j"."""
+    out = {}
+    for key, rows in _object(value, what).items():
+        index = [int(part) if part.isdecimal() and len(part) < 9 else 0
+                 for part in key.split(",")]
+        if (len(index) != width or ",".join(map(str, index)) != key
+                or index != sorted(set(index))
+                or not 0 < index[0] <= index[-1] <= n):
+            raise ParseError(f"{what}.{key}: expected " + (
+                "an index" if width == 1 else '"i,j" with i < j, each')
+                + f" from 1 to {n}")
+        out[tuple(index) if width > 1 else index[0]] = _table(
+            rows, arity, f"{what}.{key}")
+    return out
+
+
 def document_to_tower(doc) -> Tower:
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
@@ -407,109 +529,51 @@ def document_to_tower(doc) -> Tower:
             raise ParseError("base.unit: expected a name")
         base = KFoldMonoidal(
             cat, n, sys.intern(unit),
-            {int(i): _table(rows, 2, "tensor_obj")
-             for i, rows in _object(d["tensor_obj"], "base.tensor_obj").items()},
-            {int(i): _table(rows, 2, "tensor_mor")
-             for i, rows in _object(d["tensor_mor"], "base.tensor_mor").items()},
-            {int(i): _table(rows, 3, "assoc")
-             for i, rows in _object(d["assoc"], "base.assoc").items()},
-            {tuple(int(x) for x in ij.split(",")): _table(rows, 4, "interchange")
-             for ij, rows in _object(d.get("interchange", {}),
-                                     "base.interchange").items()})
+            _indexed(d["tensor_obj"], "base.tensor_obj", n, 1, 2),
+            _indexed(d["tensor_mor"], "base.tensor_mor", n, 1, 2),
+            _indexed(d["assoc"], "base.assoc", n, 1, 3),
+            _indexed(d.get("interchange", {}), "base.interchange", n, 2, 4))
     except (KeyError, TypeError, ValueError) as err:
         raise ParseError(f"malformed base section: {err}")
     _check_base_ids(base)
     tower = Tower(base)
     if "symmetry" in d:
-        tower.symmetry = _table(d["symmetry"], 2, "symmetry")
-
+        tower.symmetry = _table(d["symmetry"], 2, "base.symmetry")
     tower.vcategories = _vcategories_from(_entries(doc, "vcategories"), base)
-
-    for name, fdoc in _entries(doc, "vfunctors"):
-        src = _resolve(tower.vcategories, fdoc, "source", f"vfunctors.{name}")
-        tgt = _resolve(tower.vcategories, fdoc, "target", f"vfunctors.{name}")
-        tower.vfunctors[name] = _vfunctor_from(fdoc, src, tgt,
-                                               f"vfunctors.{name}")
-
-    for name, ndoc in _entries(doc, "vnats"):
-        src = _resolve(tower.vfunctors, ndoc, "source", f"vnats.{name}")
-        tgt = _resolve(tower.vfunctors, ndoc, "target", f"vnats.{name}")
-        if "components" not in ndoc:
-            raise ParseError(f"vnats.{name}: missing components")
-        tower.vnats[name] = VNatTransform(
-            src, tgt, _name_map(ndoc["components"], f"vnats.{name}.components"))
-
-    for name, udoc in _entries(doc, "v2categories"):
-        tower.v2categories[name] = _v2category_from(udoc, base,
-                                                    f"v2categories.{name}")
-
-    for name, fdoc in _entries(doc, "v2functors"):
-        src = _resolve(tower.v2categories, fdoc, "source", f"v2functors.{name}")
-        tgt = _resolve(tower.v2categories, fdoc, "target", f"v2functors.{name}")
-        what = f"v2functors.{name}"
-        if "obj_map" not in fdoc or "hom_map" not in fdoc:
-            raise ParseError(f"{what}: missing obj_map/hom_map")
-        obj_map = _name_map(fdoc["obj_map"], f"{what}.obj_map")
-        hom_map = {}
-        for (a, b), tables in _keyed(fdoc["hom_map"], 2, what,
-                                     "hom_map rows must be [u, u', tables]"):
-            try:
-                source = src.hom[(a, b)]
-                target = tgt.hom[(obj_map[a], obj_map[b])]
-            except KeyError as err:
-                raise DanglingReference(f"{what}: unknown object {err}")
-            hom_map[(a, b)] = _vfunctor_from(tables, source, target, what)
-        tower.v2functors[name] = V2Functor(src, tgt, obj_map, hom_map)
-
-    for name, ndoc in _entries(doc, "v2nats"):
-        what = f"v2nats.{name}"
-        src = _resolve(tower.v2functors, ndoc, "source", what)
-        tgt = _resolve(tower.v2functors, ndoc, "target", what)
-        if "components" not in ndoc:
-            raise ParseError(f"{what}: missing components")
-        components = {}
-        for (u,), tables in _keyed(ndoc["components"], 1, what,
-                                   "component rows must be [u, tables]"):
-            try:
-                target = src.target.hom[(src.obj_map[u], tgt.obj_map[u])]
-            except KeyError as err:
-                raise DanglingReference(f"{what}: unknown object {err}")
-            components[u] = _vfunctor_from(
-                tables, unit_vcategory(base), target, what)
-        tower.v2nats[name] = V2NatTransform(src, tgt, components)
-
-    for name, mdoc in _entries(doc, "modifications"):
-        what = f"modifications.{name}"
-        src = _resolve(tower.v2nats, mdoc, "source", what)
-        tgt = _resolve(tower.v2nats, mdoc, "target", what)
-        if "components" not in mdoc:
-            raise ParseError(f"{what}: missing components")
-        tower.modifications[name] = VModification(
-            src, tgt, _name_map(mdoc["components"], f"{what}.components"))
-
-    for name, pdoc in _entries(doc, "pastings"):
-        what = f"pastings.{name}"
-        cats = pdoc.get("categories")
-        if not isinstance(cats, list) or len(cats) != 3:
-            raise ParseError(f"{what}: categories must list three names")
-        args = [_lookup(tower.v2categories, c, what) for c in cats]
-        functors, nats, mods = (
-            _object(pdoc.get(group, {}), f"{what}.{group}")
-            for group in ("functors", "nats", "modifications"))
-        for k in _PASTING_FUNCTORS:
-            args.append(_lookup(tower.v2functors, functors.get(k), what))
-        by_col = {}
-        for k in _PASTING_NATS:
-            by_col[k] = _lookup(tower.v2nats, nats.get(k), what)
-        for k in _PASTING_MODS:
-            by_col[k] = _lookup(tower.modifications, mods.get(k), what)
-        for col in (1, 2, 3, 4):
-            args.extend([by_col[f"alpha{col}"], by_col[f"beta{col}"],
-                         by_col[f"gamma{col}"], by_col[f"mu{col}"],
-                         by_col[f"nu{col}"]])
-        tower.pastings[name] = PastingInstance(*args)
-
+    for row in LEVELS.values():
+        if row.read is None:
+            continue
+        section = getattr(tower, row.section)
+        for name, entry in _entries(doc, row.section):
+            what = f"{row.section}.{name}"
+            frame = _frame_from(tower, row, entry, what)
+            section[name] = row.kind(**frame,
+                                     **row.read(entry, what, base, frame))
     return tower
+
+
+def _frame_from(tower: Tower, row: _Level, entry: dict, what: str) -> dict:
+    """The structure each frame slot of ``entry`` names, by slot."""
+    out = {}
+    for group in row.frame:
+        registry = getattr(tower, LEVELS[group.lower].section)
+        names, where = entry.get(group.key), what
+        if group.slots is None:
+            names, where = {group.key: names}, f"{what}.{group.key}"
+        elif group.listed:
+            if not isinstance(names, list) or len(names) != len(group.slots):
+                raise ParseError(f"{what}: {group.key} must list three names")
+            names = dict(zip(group.slots, names))
+        else:
+            names = _object(entry.get(group.key, {}), f"{what}.{group.key}")
+        for slot in group.slots or (group.key,):
+            name = names.get(slot)
+            if not isinstance(name, str):
+                raise ParseError(f"{where}: expected a structure name")
+            if name not in registry:
+                raise DanglingReference(f"{where}: no structure named {name!r}")
+            out[slot] = registry[name]
+    return out
 
 
 def _entries(doc: dict, section: str):
@@ -523,48 +587,6 @@ def _entries(doc: dict, section: str):
     return entries.items()
 
 
-def _v2category_from(udoc, base, what) -> V2Category:
-    for k in ("objects", "hom", "comp", "identity"):
-        if k not in udoc:
-            raise ParseError(f"{what}: missing {k!r}")
-    objects = set(_names(udoc["objects"], f"{what}.objects"))
-    hom = {}
-    for (a, b), tables in _keyed(udoc["hom"], 2, what,
-                                 "hom rows must be [a, b, tables]"):
-        hom[(a, b)] = _vcategory_from(tables, base, f"{what}.hom({a},{b})")
-    comp = {}
-    for (a, b, c), tables in _keyed(udoc["comp"], 3, what,
-                                    "comp rows must be [a, b, c, tables]"):
-        try:
-            source = product_vcat(1, hom[(b, c)], hom[(a, b)])
-            target = hom[(a, c)]
-        except KeyError as err:
-            raise DanglingReference(f"{what}: unknown object {err}")
-        comp[(a, b, c)] = _vfunctor_from(tables, source, target, what)
-    identity = {}
-    for (a,), tables in _keyed(udoc["identity"], 1, what,
-                               "identity rows must be [a, tables]"):
-        try:
-            target = hom[(a, a)]
-        except KeyError as err:
-            raise DanglingReference(f"{what}: unknown object {err}")
-        identity[a] = _vfunctor_from(
-            tables, unit_vcategory(base), target, what)
-    return V2Category(base, objects, hom, comp, identity)
-
-
-def _resolve(registry, doc, slot, what):
-    return _lookup(registry, doc.get(slot), f"{what}.{slot}")
-
-
-def _lookup(registry, name, what):
-    if not isinstance(name, str):
-        raise ParseError(f"{what}: expected a structure name")
-    if name not in registry:
-        raise DanglingReference(f"{what}: no structure named {name!r}")
-    return registry[name]
-
-
 def _check_base_ids(base: KFoldMonoidal) -> None:
     cat = base.base
     known_m = cat.morphisms
@@ -572,25 +594,15 @@ def _check_base_ids(base: KFoldMonoidal) -> None:
     bad = [m for m in list(cat.dom) + list(cat.cod) if m not in known_m]
     if bad:
         raise DanglingReference(f"base: unknown morphisms {sorted(set(bad))}")
-    for table in base.tensor_obj_table.values():
-        for key, val in table.items():
-            if any(o not in known_o for o in (*key, val)):
-                raise DanglingReference(f"base: unknown object in tensor row {key}")
-    for table in base.tensor_mor_table.values():
-        for key, val in table.items():
-            if any(m not in known_m for m in (*key, val)):
-                raise DanglingReference(
-                    f"base: unknown morphism in tensor row {key}")
-    for table in base.assoc_table.values():
-        for key, val in table.items():
-            if any(o not in known_o for o in key) or val not in known_m:
-                raise DanglingReference(
-                    f"base: unknown id in associator row {key}")
-    for table in base.interchange_table.values():
-        for key, val in table.items():
-            if any(o not in known_o for o in key) or val not in known_m:
-                raise DanglingReference(
-                    f"base: unknown id in interchange row {key}")
+    for tables, keys, values, what in (
+            (base.tensor_obj_table, known_o, known_o, "object in tensor"),
+            (base.tensor_mor_table, known_m, known_m, "morphism in tensor"),
+            (base.assoc_table, known_o, known_m, "id in associator"),
+            (base.interchange_table, known_o, known_m, "id in interchange")):
+        for table in tables.values():
+            for key, val in table.items():
+                if any(x not in keys for x in key) or val not in values:
+                    raise DanglingReference(f"base: unknown {what} row {key}")
 
 
 def _check_vcat_ids(base, vc, what) -> None:

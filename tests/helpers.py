@@ -6,6 +6,8 @@ the two-point poset, addition mod 2) are restated from scratch.
 """
 from enrichkit.fincat import FinCategory
 from enrichkit.instances import SymmetricMonoidal
+from enrichkit.kfold import KFoldMonoidal
+from enrichkit.vcat import VCategory
 
 
 def thin_morphism(cat: FinCategory, a: str, b: str):
@@ -60,3 +62,51 @@ def zmod_symmetric(n: int) -> SymmetricMonoidal:
         {(a, b, c): ident[add[add[a, b], c]]
          for a in objs for b in objs for c in objs},
         {key: ident[c] for key, c in add.items()})
+
+
+def capped_chain(top: int, k: int) -> KFoldMonoidal:
+    """The capped max-plus chain: objects "0".."top", an arrow x -> y iff
+    x >= y; tensor 1 is addition truncated at top and tensors 2..k are max.
+    The unit is "0", the associators are identities and each interchange
+    is the unique arrow.  Its tensors differ, so a construction that reads
+    the wrong tensor index lands on another object."""
+    objs = [str(v) for v in range(top + 1)]
+    arrow = {(x, y): f"{x}>{y}" for x in objs for y in objs if int(x) >= int(y)}
+    dom = {m: x for (x, _), m in arrow.items()}
+    cod = {m: y for (_, y), m in arrow.items()}
+    ident = {x: arrow[(x, x)] for x in objs}
+    cat = FinCategory(set(objs), set(arrow.values()), dom, cod,
+                      {(arrow[(y, z)], arrow[(x, y)]): arrow[(x, z)]
+                       for (x, y) in arrow for (y2, z) in arrow if y == y2},
+                      ident)
+
+    def op(i, x, y):
+        x, y = int(x), int(y)
+        return str(min(x + y, top) if i == 1 else max(x, y))
+
+    tensors = range(1, k + 1)
+    return KFoldMonoidal(
+        cat, k, "0",
+        {i: {(x, y): op(i, x, y) for x in objs for y in objs} for i in tensors},
+        {i: {(f, g): arrow[(op(i, dom[f], dom[g]), op(i, cod[f], cod[g]))]
+             for f in dom for g in dom} for i in tensors},
+        {i: {(a, b, c): ident[op(i, op(i, a, b), c)] for a in objs
+             for b in objs for c in objs} for i in tensors},
+        {(i, j): {(a, b, c, d): arrow[(op(i, op(j, a, b), op(j, c, d)),
+                                       op(j, op(i, a, c), op(i, b, d)))]
+                  for a in objs for b in objs for c in objs for d in objs}
+         for i in tensors for j in tensors if i < j})
+
+
+def metric_space(base: KFoldMonoidal, distance: dict) -> VCategory:
+    """A Lawvere metric space over ``capped_chain``: hom(a, b) is the
+    distance, "0" from a point to itself; composition and identities are
+    the unique arrows, which exist when the triangle inequality holds."""
+    objects = sorted({a for pair in distance for a in pair})
+    hom = {(a, b): "0" if a == b else distance[(a, b)]
+           for a in objects for b in objects}
+    comp = {(a, b, c): thin_morphism(
+        base.base, base.tensor_obj_table[1][(hom[(b, c)], hom[(a, b)])],
+        hom[(a, c)]) for a in objects for b in objects for c in objects}
+    return VCategory(base, set(objects), hom, comp,
+                     {a: thin_morphism(base.base, "0", "0") for a in objects})

@@ -105,24 +105,25 @@ def test_corpus_validated_and_deterministic():
                                  check_v2nat, exchange_suite)
     c = corpus(3)
     assert c == corpus(3)
-    for base in c.bases.values():
-        assert check_kfold(base).ok
-    for vc in c.vcategories.values():
-        assert check_vcategory(vc).ok
-    for vf in c.vfunctors.values():
-        assert check_vfunctor(vf).ok
-    for nat in c.vnats.values():
-        assert check_vnat(nat).ok
-    for u in c.v2categories.values():
-        assert check_v2category(u).ok
-    for vf in c.v2functors.values():
-        assert check_v2functor(vf).ok
-    for nat in c.v2nats.values():
-        assert check_v2nat(nat).ok
-    for m in c.modifications.values():
-        assert check_modification(m).ok
-    for p in c.pastings.values():
-        assert exchange_suite(p).ok
+    assert sorted(c) == ["bool2", "bool3", "zmod3"]
+    for tower in c.values():
+        assert check_kfold(tower.base).ok
+        for vc in tower.vcategories.values():
+            assert check_vcategory(vc).ok
+        for vf in tower.vfunctors.values():
+            assert check_vfunctor(vf).ok
+        for nat in tower.vnats.values():
+            assert check_vnat(nat).ok
+        for u in tower.v2categories.values():
+            assert check_v2category(u).ok
+        for vf in tower.v2functors.values():
+            assert check_v2functor(vf).ok
+        for nat in tower.v2nats.values():
+            assert check_v2nat(nat).ok
+        for m in tower.modifications.values():
+            assert check_modification(m).ok
+        for p in tower.pastings.values():
+            assert exchange_suite(p).ok
 
 
 @pytest.mark.parametrize("level", ["vcategory", "vfunctor", "v2category"])
@@ -145,11 +146,8 @@ def test_random_modification_determinism():
 def test_shipped_corpus_product_closure():
     from enrichkit.instances import corpus
     from enrichkit.vcat import _scan_vcategory, product_vcat
-    c = corpus(0)
-    by_base = {}
-    for name, vc in c.vcategories.items():
-        by_base.setdefault(id(vc.base), []).append(vc)
-    for group in by_base.values():
+    for tower in corpus(0).values():
+        group = list(tower.vcategories.values())
         for a in group:
             for b in group:
                 for i in range(1, a.base.n):

@@ -8,12 +8,14 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enrichkit import cli
 from enrichkit.cli import CONSTRUCTIONS, TOWER, main
 from enrichkit.errors import DanglingReference, ParseError
-from enrichkit.serialize import dumps, load, loads, tower_to_document
+from enrichkit.instances import Bounds, bool_poset, random_instance, zmod2
+from enrichkit.serialize import Tower, dumps, load, loads, tower_to_document
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -26,11 +28,40 @@ def corpus_dir(tmp_path_factory):
     return out
 
 
-def test_round_trip_byte_stability(corpus_dir):
-    for name in ("bool2", "bool3", "zmod3"):
-        path = corpus_dir / f"{name}.json"
-        original = path.read_text()
-        assert dumps(load(path)) == original
+def test_round_trip_byte_stability(corpus_dir, p3cubed, tmp_path):
+    # The corpus, and constructed documents beside it: a level-2 product,
+    # an associator on reference frames and a modification on its frames.
+    paths = [corpus_dir / f"{name}.json"
+             for name in ("bool2", "bool3", "zmod3")]
+    for document, construction, inputs in (
+            ("bool3", "product-v2cat", ["W3", "W3"]),
+            ("bool2", "hcomp-mods-category", ["stay", "rise"])):
+        out = tmp_path / f"{construction}.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["construct", str(corpus_dir / f"{document}.json"),
+                         construction, "--inputs", *inputs,
+                         "--out", str(out)]) == 0
+        paths.append(out)
+    for path in paths + [p3cubed]:
+        assert dumps(load(path)) == path.read_text()
+
+
+BASES = {"bool2": bool_poset(2), "zmod3": zmod2(3)}
+
+
+@settings(max_examples=20)
+@given(base=st.sampled_from(sorted(BASES)), seed=st.integers(0, 1000))
+def test_filed_random_instances_round_trip(base, seed):
+    # One random structure at every level, each from its own seed, filed
+    # with its frame into one tower: every section's codec, the pasting's
+    # three slot groups included, writes what it reads.
+    tower = Tower(BASES[base])
+    for k, level in enumerate(list(TOWER)[1:]):
+        structure = random_instance(level, seed + k, Bounds(2, 2),
+                                    base=tower.base)
+        cli._file(tower, level, structure, level)
+    text = dumps(tower)
+    assert dumps(loads(text)) == text
 
 
 def test_load_shares_one_string_per_id(corpus_dir):
@@ -479,30 +510,57 @@ def test_non_list_table_or_non_object_entry_exits_two(corpus_dir, tmp_path,
     assert capsys.readouterr().err.startswith(f"error: {path[0]}")
 
 
-@pytest.mark.parametrize("tensors", [2.7, True])
+def _respelled(section, key, spelling):
+    """An edit of a base that adds ``spelling`` beside index ``key``, with
+    a table that differs from the one ``key`` gives."""
+    def edit(base):
+        rows = [[*row[:-1], "spelled"] for row in base[section][key]]
+        base[section][spelling] = rows
+    return edit
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda base: base.update(tensors=2.7),
+     "base.tensors: expected an integer"),
+    (lambda base: base.update(tensors=True),
+     "base.tensors: expected an integer"),
+    (_respelled("tensor_obj", "1", "01"),
+     "base.tensor_obj.01: expected an index from 1 to 2"),
+    (_respelled("interchange", "1,2", "1, 2"),
+     'base.interchange.1, 2: expected "i,j" with i < j, each from 1 to 2'),
+    (_respelled("assoc", "1", "7"),
+     "base.assoc.7: expected an index from 1 to 2"),
+], ids=["2.7", "True", "leading-zero", "space", "out-of-range"])
 def test_non_integer_tensor_count_exits_two(corpus_dir, tmp_path, capsys,
-                                            tensors):
+                                            edit, error):
+    # The tensor count is a JSON integer, and each per-index table is keyed
+    # by exactly one spelling of an index in range: "1" to "n", or "i,j".
     doc = json.loads((corpus_dir / "bool2.json").read_text())
-    doc["base"]["tensors"] = tensors
+    edit(doc["base"])
     mutated = tmp_path / "tensors.json"
     mutated.write_text(json.dumps(doc))
     assert main(["check", str(mutated)]) == 2
-    assert capsys.readouterr().err == \
-        "error: base.tensors: expected an integer\n"
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
-@pytest.mark.parametrize("after", [False, True])
-def test_repeated_row_key_exits_two(corpus_dir, tmp_path, capsys, after):
+@pytest.mark.parametrize("path, row, after", [
+    (("vcategories", "P", "hom"), ["a", "a", "bot"], False),
+    (("vcategories", "P", "hom"), ["a", "a", "bot"], True),
+    (("base", "tensor_obj", "2"), ["bot", "bot", "top"], True),
+], ids=["False", "True", "tensor"])
+def test_repeated_row_key_exits_two(corpus_dir, tmp_path, capsys, path, row,
+                                    after):
     # Before or after the row it repeats, the row is an input error, not a
-    # silent choice of the last one.
+    # silent choice of the last one; the message names the table's path.
     doc = json.loads((corpus_dir / "bool2.json").read_text())
-    rows = doc["vcategories"]["P"]["hom"]
-    rows.insert(rows.index(["a", "a", "top"]) + after, ["a", "a", "bot"])
+    rows = _at(doc, path)
+    rows.insert(next(k for k, old in enumerate(rows) if old[:-1] == row[:-1])
+                + after, row)
     mutated = tmp_path / "repeated.json"
     mutated.write_text(json.dumps(doc))
     assert main(["check", str(mutated)]) == 2
     assert capsys.readouterr().err == \
-        "error: vcategories.P.hom: repeated row key ['a', 'a']\n"
+        f"error: {'.'.join(path)}: repeated row key {row[:-1]}\n"
 
 
 @pytest.mark.parametrize("path, where", [

@@ -15,6 +15,7 @@ from enrichkit.errors import (
     NotParallel,
 )
 from enrichkit.fincat import compose
+from enrichkit.kfold import check_kfold
 from enrichkit.instances import (
     bool_poset,
     cocycle_vcat,
@@ -47,7 +48,7 @@ from enrichkit.vcat import (
     whisker_vnat,
 )
 
-from helpers import rewire, thin_morphism
+from helpers import capped_chain, metric_space, rewire, thin_morphism
 
 
 def collapse_functor(p):
@@ -687,3 +688,18 @@ def test_closure_on_seeded_randoms(bool2, zmod3):
             assert check_vfunctor(assoc_vcat(i, a2, b2, a2)).ok
         if base.n >= 3:
             assert check_vfunctor(interchange_vcat(1, 2, a2, b2, a2, b2)).ok
+
+
+def test_vcat_associator_and_interchange_on_a_non_replicated_base():
+    # Every shipped base repeats one tensor, so reading the associator or
+    # interchange at the wrong tensor index goes unseen there.  On the
+    # capped max-plus chain, tensor 1 (truncated +) differs from the rest
+    # (max): V-Cat's associator and interchange functors hold only at the
+    # shifted indices.
+    chain = capped_chain(2, 4)
+    assert check_kfold(chain).ok
+    a = metric_space(chain, {("p", "q"): "1", ("q", "p"): "2"})
+    b = metric_space(chain, {("r", "s"): "2", ("s", "r"): "0"})
+    assert check_vcategory(a).ok and check_vcategory(b).ok
+    assert check_vfunctor(assoc_vcat(1, a, b, a)).ok
+    assert check_vfunctor(interchange_vcat(1, 2, a, b, a, b)).ok
