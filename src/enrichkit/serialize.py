@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from typing import Callable, NamedTuple
 
 from .errors import DanglingReference, KernelError, MalformedTable, ParseError
@@ -489,7 +490,8 @@ def _name_of(registry: dict, value, owner: str, slot: str) -> str:
 
 def _indexed(value, what: str, n: int, width: int, arity: int) -> dict:
     """A base section of per-index tables, each keyed by the one spelling
-    of ``width`` increasing indices from 1 to n: "1" to "n", or "i,j"."""
+    of ``width`` increasing indices from 1 to n: "1" to "n", or "i,j".
+    Every such index, or pair, has a table."""
     out = {}
     for key, rows in _object(value, what).items():
         index = [int(part) if part.isdecimal() and len(part) < 9 else 0
@@ -502,6 +504,9 @@ def _indexed(value, what: str, n: int, width: int, arity: int) -> dict:
                 + f" from 1 to {n}")
         out[tuple(index) if width > 1 else index[0]] = _table(
             rows, arity, f"{what}.{key}")
+    for index in combinations(range(1, n + 1), width):
+        if (index if width > 1 else index[0]) not in out:
+            raise ParseError(f"{what}.{','.join(map(str, index))}: missing")
     return out
 
 
@@ -524,6 +529,8 @@ def document_to_tower(doc) -> Tower:
         n = d["tensors"]
         if not isinstance(n, int) or isinstance(n, bool):
             raise ParseError("base.tensors: expected an integer")
+        if n < 1:
+            raise ParseError("base.tensors: expected an integer of at least 1")
         unit = d["unit"]
         if not isinstance(unit, str):
             raise ParseError("base.unit: expected a name")
@@ -557,17 +564,19 @@ def _frame_from(tower: Tower, row: _Level, entry: dict, what: str) -> dict:
     out = {}
     for group in row.frame:
         registry = getattr(tower, LEVELS[group.lower].section)
-        names, where = entry.get(group.key), what
+        names, at = entry.get(group.key), f"{what}.{group.key}"
         if group.slots is None:
-            names, where = {group.key: names}, f"{what}.{group.key}"
+            names = {group.key: names}
         elif group.listed:
             if not isinstance(names, list) or len(names) != len(group.slots):
                 raise ParseError(f"{what}: {group.key} must list three names")
             names = dict(zip(group.slots, names))
         else:
-            names = _object(entry.get(group.key, {}), f"{what}.{group.key}")
-        for slot in group.slots or (group.key,):
-            name = names.get(slot)
+            names = _object(entry.get(group.key, {}), at)
+        for k, slot in enumerate(group.slots or (group.key,)):
+            name, where = names.get(slot), (
+                at if group.slots is None
+                else f"{at}[{k}]" if group.listed else f"{at}.{slot}")
             if not isinstance(name, str):
                 raise ParseError(f"{where}: expected a structure name")
             if name not in registry:

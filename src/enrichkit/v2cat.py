@@ -4,12 +4,16 @@ Structures one level up from vcat: hom-data are now enriched categories and
 the compositions are enriched functors.  A V-2-category is a category
 enriched over V-Cat, whose cells are listed once (``_VCAT_CELLS``).  The
 product, unit, composites, identities and whiskers of 2-functors and
-2-transformations are vcat's constructions over them, and the pentagon and
-unit laws, the composition square and unit triangle of a 2-functor, and the
-naturality of a 2-transformation are vcat's axiom tables over them, lifted
-(``_VCAT``).  They compare whole functors (object maps and hom tables entry
-by entry), which subsumes the object-level equations like (fg)h = f(gh); a
-failing row's witness is the first entry in which the two functors differ.
+2-transformations are vcat's constructions over them, and their shape
+families, the pentagon and unit laws, the composition square and unit
+triangle of a 2-functor, and the naturality of a 2-transformation are
+vcat's axiom tables over them, lifted (``_VCAT``).  A shape row compares
+the source and target of a functor with the V-categories its frame needs,
+and its witness is the first entry in which they differ
+(``_diff_vcategory``).  The laws compare whole functors (object maps and
+hom tables entry by entry), which subsumes the object-level equations like
+(fg)h = f(gh); a failing row's witness is the first entry in which the two
+functors differ.
 A modification's component at u is a level-1 transformation between the
 components at u of its source and target (``_at``), so its vertical
 composite, identity and 2-functor whisker are vcat's transformation
@@ -54,15 +58,17 @@ from .errors import (
     NotParallel,
 )
 from .fincat import compose
-from .kfold import KFoldMonoidal, check_kfold
-from .report import (CheckReport, ReportBuilder, cached_report, each_row,
-                     equations, lift)
+from .kfold import KFoldMonoidal, LiftedTables, check_kfold
+from .report import (CheckReport, ReportBuilder, cached_report, const,
+                     each_row, equations, lift)
 from .vcat import (
+    VCategory,
     VFunctor,
     VNatTransform,
     _base_cells,
     _category_laws,
     _Cells,
+    _component_boundary,
     _compose_functors,
     _compose_nats,
     _functor_laws,
@@ -71,6 +77,7 @@ from .vcat import (
     _naturality,
     _Ops,
     _product,
+    _require,
     _require_bijection,
     _unit,
     _whisker,
@@ -163,8 +170,9 @@ def _star(f):
 
 
 def _lifted(cells: _Cells) -> _Ops:
-    """The axiom tables' operations (first tensor, first associator) over
-    ``cells``, each cell lifted as a function of the key."""
+    """The axiom tables' operations (first tensors, first associator) over
+    ``cells``, each cell lifted as a function of the key; a functor's domain
+    and codomain are its source and target."""
     comp = _star(cells.comp)
     lam_inv, rho_inv = lift(cells.lam_inv), lift(cells.rho_inv)
     return _Ops(
@@ -172,7 +180,9 @@ def _lifted(cells: _Cells) -> _Ops:
         idm=lift(cells.idm), al=_star(partial(cells.assoc, 1)),
         lam=lift(cells.lam), rho=lift(cells.rho),
         lam_inv=lambda f, hom, x, y: comp(f, lam_inv(hom(x, y))),
-        rho_inv=lambda f, hom, x, y: comp(f, rho_inv(hom(x, y))))
+        rho_inv=lambda f, hom, x, y: comp(f, rho_inv(hom(x, y))),
+        dom=lift(attrgetter("source")), cod=lift(attrgetter("target")),
+        to=_star(partial(cells.tensor_obj, 1)), unit=cells.unit)
 
 
 _VCAT = _lifted(_VCAT_CELLS)
@@ -190,8 +200,8 @@ def _two_cells() -> _Ops:
         intro = lift(partial(intro, 1))
         return lambda a, hom, x, y: right(intro(hom(x, y)), a)
     return _Ops(comp=_star(partial(whisker_vnat, "left")),
-                tm=_star(partial(product_vnat, 1)), idm=None, al=None,
-                lam=None, rho=None, lam_inv=after(unit_intro_left),
+                tm=_star(partial(product_vnat, 1)),
+                lam_inv=after(unit_intro_left),
                 rho_inv=after(unit_intro_right))
 
 
@@ -230,6 +240,18 @@ def _diff_components(x: dict, y: dict, at="component[{}]"):
     return None
 
 
+def _diff_vcategory(x: VCategory, y: VCategory):
+    """The first entry in which two unequal V-categories differ: the object
+    sets, else the hom, composition and identity entries by key, else the
+    bases."""
+    if x.objects != y.objects:
+        return "objects", sorted(x.objects), sorted(y.objects)
+    return (_diff_components(x.hom, y.hom, "hom[{}]")
+            or _diff_components(x.comp, y.comp, "comp[{}]")
+            or _diff_components(x.identity, y.identity, "identity[{}]")
+            or ("base", "differs", "differs"))
+
+
 def _diff_mod(x: VModification, y: VModification, at="component[{}]"):
     return _diff_components(x.components, y.components, at)
 
@@ -262,6 +284,14 @@ def _diffed(family, diff=_diff_vfunctor):
     return blocks, diffed
 
 
+def _families(b: ReportBuilder, objs, families, diff=_diff_vfunctor) -> bool:
+    """Each ``(name, arity, legs)`` family over ``objs`` into ``b``, a
+    failing row witnessed by ``diff``; True if ``b``'s report passes."""
+    for name, arity, legs in families:
+        b.family(name, *_diffed(equations([objs] * arity, legs), diff))
+    return b.report().ok
+
+
 # -- gates ----------------------------------------------------------------------
 
 def _gate(b: ReportBuilder, check, structures) -> bool:
@@ -276,12 +306,6 @@ def _gate(b: ReportBuilder, check, structures) -> bool:
     return ok
 
 
-def _require(structure, check, message: str) -> None:
-    rep = cached_report(structure, check)
-    if not rep.ok:
-        raise LowerLevelInvalid(message, rep)
-
-
 # -- checkers --------------------------------------------------------------------
 
 def check_v2category(u: V2Category, *,
@@ -289,7 +313,8 @@ def check_v2category(u: V2Category, *,
     base = u.base
     if base.n < 2:
         raise MalformedTable("level-2 structure needs at least two tensors")
-    _require(base, check_kfold, "tensor structure failed its checker")
+    _require(base, check_kfold, LowerLevelInvalid,
+             "tensor structure failed its checker")
     if not u.objects:
         raise MalformedTable("level-2 category has no objects")
     objs = sorted(u.objects)
@@ -307,52 +332,25 @@ def check_v2category(u: V2Category, *,
     if not _gate(b, check_vcategory, ((f"hom{key}:", u.hom[key])
                                       for key in iproduct(objs, repeat=2))):
         return b.report()
-
-    def comp_shape(tri):
-        x, y, z = tri
-        m2 = u.comp[tri]
-        want_src = product_vcat(1, u.hom[(y, z)], u.hom[(x, y)])
-        if m2.source != want_src:
-            return "source", "expected product of homs"
-        if m2.target != u.hom[(x, z)]:
-            return "target", f"expected hom({x},{z})"
-        return None
-    b.family("composition-functor-shape",
-             *each_row(iproduct(objs, repeat=3), comp_shape))
-
-    def ident_shape(row):
-        a, = row
-        j2 = u.identity[a]
-        if j2.source != unit_vcategory(base):
-            return "source", "expected the unit enriched category"
-        if j2.target != u.hom[(a, a)]:
-            return "target", f"expected hom({a},{a})"
-        return None
-    b.family("identity-functor-shape",
-             *each_row(iproduct(objs), ident_shape))
-
-    if not b.report().ok:
-        return b.report()
-
+    comp_shape, ident_shape, *laws = _category_laws(_VCAT, u)
     functors = chain(((f"composition-functor{key}:", u.comp[key])
                       for key in iproduct(objs, repeat=3)),
                      ((f"identity-functor({a}):", u.identity[a])
                       for a in objs))
-    if not _gate(b, check_vfunctor, functors):
-        return b.report()
-
-    pentagon, unit_left, unit_right = _category_laws(_VCAT, u)
-    for name, arity, legs in (("pentagon", 4, pentagon),
-                              ("unit-left", 2, unit_left),
-                              ("unit-right", 2, unit_right)):
-        b.family(name, *_diffed(equations([objs] * arity, legs)))
+    if (_families(b, objs, (("composition-functor-shape", 3, comp_shape),
+                            ("identity-functor-shape", 1, ident_shape)),
+                  _diff_vcategory)
+            and _gate(b, check_vfunctor, functors)):
+        _families(b, objs, zip(("pentagon", "unit-left", "unit-right"),
+                               (4, 2, 2), laws))
     return b.report()
 
 
 def check_v2functor(t: V2Functor, *,
                     all_witnesses: bool = False) -> CheckReport:
     for cat in (t.source, t.target):
-        _require(cat, check_v2category, "level-2 category failed its checker")
+        _require(cat, check_v2category, LowerLevelInvalid,
+                 "level-2 category failed its checker")
     src, tgt = t.source, t.target
     objs = sorted(src.objects)
     for a in objs:
@@ -363,28 +361,13 @@ def check_v2functor(t: V2Functor, *,
             raise MalformedTable(f"hom functor {key} missing")
 
     b = ReportBuilder(all_witnesses)
-
-    def shape(key):
-        x, y = key
-        vf = t.hom_map[key]
-        if vf.source != src.hom[key]:
-            return "source", f"expected hom({x},{y})"
-        if vf.target != tgt.hom[(t.obj_map[x], t.obj_map[y])]:
-            return "target", "expected image hom"
-        return None
-    b.family("hom-functor-shape",
-             *each_row(iproduct(objs, repeat=2), shape))
-    if not b.report().ok:
-        return b.report()
-
-    if not _gate(b, check_vfunctor, ((f"hom-functor{key}:", t.hom_map[key])
-                                     for key in iproduct(objs, repeat=2))):
-        return b.report()
-
-    square, unit = _functor_laws(_VCAT, t)
-    for name, arity, legs in (("composition-square", 3, square),
-                              ("unit-triangle", 1, unit)):
-        b.family(name, *_diffed(equations([objs] * arity, legs)))
+    shape, square, unit = _functor_laws(_VCAT, t)
+    if (_families(b, objs, (("hom-functor-shape", 2, shape),), _diff_vcategory)
+            and _gate(b, check_vfunctor, (
+                (f"hom-functor{key}:", t.hom_map[key])
+                for key in iproduct(objs, repeat=2)))):
+        _families(b, objs, (("composition-square", 3, square),
+                            ("unit-triangle", 1, unit)))
     return b.report()
 
 
@@ -394,32 +377,18 @@ def check_v2nat(a: V2NatTransform, *,
     if t.source != s.source or t.target != s.target:
         raise NotParallel("level-2 functors are not parallel")
     for fun in (t, s):
-        _require(fun, check_v2functor, "level-2 functor failed its checker")
-    u, w = t.source, t.target
-    objs = sorted(u.objects)
+        _require(fun, check_v2functor, LowerLevelInvalid,
+                 "level-2 functor failed its checker")
+    objs = sorted(t.source.objects)
     for x in objs:
         if x not in a.components:
             raise MalformedTable(f"component at {x!r} missing")
     b = ReportBuilder(all_witnesses)
-
-    def shape(row):
-        x, = row
-        comp = a.components[x]
-        if comp.source != unit_vcategory(u.base):
-            return "source", "expected the unit enriched category"
-        if comp.target != w.hom[(t.obj_map[x], s.obj_map[x])]:
-            return "target", "expected hom(Tx, Sx)"
-        return None
-    b.family("component-shape", *each_row(iproduct(objs), shape))
-    if not b.report().ok:
-        return b.report()
-
-    if not _gate(b, check_vfunctor, ((f"component({x}):", a.components[x])
-                                     for x in objs)):
-        return b.report()
-
-    b.family("naturality", *_diffed(
-        equations([objs] * 2, _naturality(_VCAT, a))))
+    if (_families(b, objs, (("component-shape", 1,
+                             _component_boundary(_VCAT, a)),), _diff_vcategory)
+            and _gate(b, check_vfunctor, ((f"component({x}):", a.components[x])
+                                          for x in objs))):
+        _families(b, objs, (("naturality", 2, _naturality(_VCAT, a)),))
     return b.report()
 
 
@@ -429,7 +398,8 @@ def check_modification(m: VModification, *,
     if th.source != ph.source or th.target != ph.target:
         raise NotParallel("level-2 transformations are not parallel")
     for nat in (th, ph):
-        _require(nat, check_v2nat, "level-2 transformation failed its checker")
+        _require(nat, check_v2nat, LowerLevelInvalid,
+                 "level-2 transformation failed its checker")
     t, s = th.source, th.target
     u, w = t.source, t.target
     base = u.base
@@ -439,18 +409,15 @@ def check_modification(m: VModification, *,
         if x not in m.components or m.components[x] not in cat.morphisms:
             raise MalformedTable(f"component at {x!r} missing or unknown")
 
-    b = ReportBuilder(all_witnesses)
+    cols, component = LiftedTables(base), lift(m.components)
+    want = lift(lambda x: w.hom[(t.obj_map[x], s.obj_map[x])].hom[
+        (_q(th, x), _q(ph, x))])
 
-    def boundary(row):
-        x, = row
-        mor = m.components[x]
-        if cat.dom[mor] != base.unit:
-            return cat.dom[mor], base.unit
-        want = w.hom[(t.obj_map[x], s.obj_map[x])].hom[(_q(th, x), _q(ph, x))]
-        if cat.cod[mor] != want:
-            return cat.cod[mor], want
-        return None
-    b.family("component-boundary", *each_row(iproduct(objs), boundary))
+    def boundary(x):
+        mor = component(x)
+        return [(cols.dom(mor), const(base.unit)), (cols.cod(mor), want(x))]
+    b = ReportBuilder(all_witnesses)
+    b.family("component-boundary", *equations([objs], boundary))
     if not b.report().ok:
         return b.report()
 

@@ -6,14 +6,14 @@ at this level folds down to morphism-id equality in the base category, and
 the checkers state it as column equations over the base's lifted tables
 (``kfold.LiftedTables``) and the structure's own tables, which
 ``report.equations`` evaluates a block of object tuples at a time.
-The axioms (pentagon, unit laws, functor square and unit triangle,
-naturality) are written once, as tables over the operations of the monoidal
-category enriched in (``_Ops``); the checkers here read them over the base,
-and v2cat reads the same tables over V-Cat, and the naturality table once
-more over V-Cat's 2-cells for the modification axiom.  The constructions
-both levels share (product, unit, composites, identities, whiskers) are
-written once too, over a record of its cells (``_Cells``) that v2cat reads
-over V-Cat.
+The axioms (boundaries, pentagon, unit laws, functor square and unit
+triangle, naturality) are written once, as tables over the operations of
+the monoidal category enriched in (``_Ops``); the checkers here read them
+over the base, and v2cat reads the same tables over V-Cat, and the
+naturality table once more over V-Cat's 2-cells for the modification axiom.
+The constructions both levels share (product, unit, composites, identities,
+whiskers) are written once too, over a record of its cells (``_Cells``)
+that v2cat reads over V-Cat.
 Product object sets are literal encoded pairs with no quotienting: the
 strict unit law holds only after the canonical relabeling (a, 0) -> a,
 which relabel_vcategory makes available bit-exactly.
@@ -134,31 +134,25 @@ class VNatTransform:
 
 # -- gates --------------------------------------------------------------------
 
-def _require_base(base: KFoldMonoidal) -> None:
-    rep = cached_report(base, check_kfold)
+def _require(structure, check, error, message: str) -> None:
+    """``error(message, report)`` unless ``structure``'s cached report from
+    ``check`` passes."""
+    rep = cached_report(structure, check)
     if not rep.ok:
-        raise BaseInvalid("tensor structure failed its checker", rep)
-
-
-def _require_vcategory(vc: VCategory) -> None:
-    rep = cached_report(vc, check_vcategory)
-    if not rep.ok:
-        raise SourceTargetInvalid("enriched category failed its checker", rep)
-
-
-def _require_vfunctor(vf: VFunctor) -> None:
-    rep = cached_report(vf, check_vfunctor)
-    if not rep.ok:
-        raise SourceTargetInvalid("enriched functor failed its checker", rep)
+        raise error(message, rep)
 
 
 # -- axiom tables -------------------------------------------------------------
 
 # The operations of a monoidal category in column form, as the axiom tables
 # read them: composition, the first tensor of morphisms, identities, the
-# associator, the unitors at an object, and ``lam_inv(f, hom, x, y)`` /
-# ``rho_inv(...)``, f precomposed with the inverse unitor at hom(x, y).
-_Ops = namedtuple("_Ops", "comp tm idm al lam rho lam_inv rho_inv")
+# associator, the unitors at an object, ``lam_inv(f, hom, x, y)`` /
+# ``rho_inv(...)``, f precomposed with the inverse unitor at hom(x, y), the
+# domain and codomain of a morphism, the first tensor of objects, and
+# ``unit(base)``, the unit object.  A field a table does not read may stay
+# None.
+_Ops = namedtuple("_Ops", "comp tm idm al lam rho lam_inv rho_inv "
+                  "dom cod to unit", defaults=(None,) * 12)
 
 
 def _strict(f, *_):
@@ -169,13 +163,25 @@ def _base_ops(cols: LiftedTables) -> _Ops:
     """The base's operations.  Its unitors are strict, so λ and ρ are
     identities and precomposing with their inverses changes nothing."""
     return _Ops(comp=cols.comp, tm=cols.tm[1], idm=cols.idm, al=cols.al[1],
-                lam=cols.idm, rho=cols.idm, lam_inv=_strict, rho_inv=_strict)
+                lam=cols.idm, rho=cols.idm, lam_inv=_strict, rho_inv=_strict,
+                dom=cols.dom, cod=cols.cod, to=cols.to[1],
+                unit=attrgetter("unit"))
 
 
 def _category_laws(ops: _Ops, c):
-    """Pentagon, left and right unit legs of ``c``, enriched in ``ops``."""
-    comp, tm, idm = ops.comp, ops.tm, ops.idm
+    """Composition-boundary, identity-boundary, pentagon, left and right
+    unit legs of ``c``, enriched in ``ops``."""
+    comp, tm, idm, dom, cod = ops.comp, ops.tm, ops.idm, ops.dom, ops.cod
     hom, vcomp, ident = lift(c.hom), lift(c.comp), lift(c.identity)
+    unit = const(ops.unit(c.base))
+
+    def comp_boundary(x, y, z):
+        m = vcomp(x, y, z)
+        return [(dom(m), ops.to(hom(y, z), hom(x, y))), (cod(m), hom(x, z))]
+
+    def ident_boundary(a):
+        m = ident(a)
+        return [(dom(m), unit), (cod(m), hom(a, a))]
 
     def pentagon(x, y, z, w):
         hom_zw = hom(z, w)
@@ -194,15 +200,22 @@ def _category_laws(ops: _Ops, c):
         hom_xy = hom(x, y)
         return [(comp(vcomp(x, x, y), tm(idm(hom_xy), ident(x))),
                  ops.rho(hom_xy))]
-    return pentagon, unit_left, unit_right
+    return comp_boundary, ident_boundary, pentagon, unit_left, unit_right
 
 
 def _functor_laws(ops: _Ops, f):
-    """Composition square and unit triangle legs of ``f`` over ``ops``."""
+    """Boundary, composition square and unit triangle legs of ``f`` over
+    ``ops``."""
     comp = ops.comp
     obj, hom_map = lift(f.obj_map), lift(f.hom_map)
+    src_hom, tgt_hom = lift(f.source.hom), lift(f.target.hom)
     src_comp, src_ident = lift(f.source.comp), lift(f.source.identity)
     tgt_comp, tgt_ident = lift(f.target.comp), lift(f.target.identity)
+
+    def boundary(x, y):
+        m = hom_map(x, y)
+        return [(ops.dom(m), src_hom(x, y)),
+                (ops.cod(m), tgt_hom(obj(x), obj(y)))]
 
     def square(x, y, z):
         return [(comp(hom_map(x, z), src_comp(x, y, z)),
@@ -211,7 +224,21 @@ def _functor_laws(ops: _Ops, f):
 
     def unit(a):
         return [(comp(hom_map(a, a), src_ident(a)), tgt_ident(obj(a)))]
-    return square, unit
+    return boundary, square, unit
+
+
+def _component_boundary(ops: _Ops, nat):
+    """Boundary legs of ``nat``'s components over ``ops``: each runs from
+    the unit to hom(Ta, Sa)."""
+    t, s = nat.source, nat.target
+    w_hom, component = lift(t.target.hom), lift(nat.components)
+    t_obj, s_obj = lift(t.obj_map), lift(s.obj_map)
+    unit = const(ops.unit(t.source.base))
+
+    def boundary(a):
+        m = component(a)
+        return [(ops.dom(m), unit), (ops.cod(m), w_hom(t_obj(a), s_obj(a)))]
+    return boundary
 
 
 def _naturality(ops: _Ops, nat):
@@ -284,8 +311,9 @@ def _certified(vc: VCategory) -> bool:
 def _scan_vcategory(vc: VCategory,
                     all_witnesses: bool = False) -> CheckReport:
     """The exhaustive check: every family over every object tuple."""
-    _require_base(vc.base)
-    base, cat = vc.base, vc.base.base
+    _require(vc.base, check_kfold, BaseInvalid,
+             "tensor structure failed its checker")
+    cat = vc.base.base
     if not vc.objects:
         raise MalformedTable("enriched category has no objects")
     objs = sorted(vc.objects)
@@ -300,23 +328,10 @@ def _scan_vcategory(vc: VCategory,
         if a not in vc.identity or vc.identity[a] not in cat.morphisms:
             raise MalformedTable(f"identity element for {a!r} missing or unknown")
 
-    cols = LiftedTables(base)
-    dom, cod, to = cols.dom, cols.cod, cols.to[1]
-    hom, vcomp, ident = lift(vc.hom), lift(vc.comp), lift(vc.identity)
-    unit = const(base.unit)
-
-    def comp_boundary(x, y, z):
-        m = vcomp(x, y, z)
-        return [(dom(m), to(hom(y, z), hom(x, y))), (cod(m), hom(x, z))]
-
-    def ident_boundary(a):
-        m = ident(a)
-        return [(dom(m), unit), (cod(m), hom(a, a))]
-
-    pentagon, unit_left, unit_right = _category_laws(_base_ops(cols), vc)
     b = ReportBuilder(all_witnesses)
-    for (name, arity), legs in zip(_VCATEGORY_FAMILIES, (
-            comp_boundary, ident_boundary, pentagon, unit_left, unit_right)):
+    for (name, arity), legs in zip(
+            _VCATEGORY_FAMILIES,
+            _category_laws(_base_ops(LiftedTables(vc.base)), vc)):
         b.family(name, *equations([objs] * arity, legs))
     return b.report()
 
@@ -326,8 +341,9 @@ def check_vfunctor(vf: VFunctor, *,
     """Composition square and unit triangle, per object pair/object."""
     if vf.source.base is not vf.target.base and vf.source.base != vf.target.base:
         raise MalformedTable("source and target live over different bases")
-    _require_vcategory(vf.source)
-    _require_vcategory(vf.target)
+    for end in (vf.source, vf.target):
+        _require(end, check_vcategory, SourceTargetInvalid,
+                 "enriched category failed its checker")
     base, cat = vf.source.base, vf.source.base.base
     src, tgt = vf.source, vf.target
     objs = sorted(src.objects)
@@ -338,21 +354,10 @@ def check_vfunctor(vf: VFunctor, *,
         if key not in vf.hom_map or vf.hom_map[key] not in cat.morphisms:
             raise MalformedTable(f"hom map entry {key} missing or unknown")
 
-    cols = LiftedTables(base)
-    hom_map, obj = lift(vf.hom_map), lift(vf.obj_map)
-    src_hom, tgt_hom = lift(src.hom), lift(tgt.hom)
-
-    def boundary(x, y):
-        m = hom_map(x, y)
-        return [(cols.dom(m), src_hom(x, y)),
-                (cols.cod(m), tgt_hom(obj(x), obj(y)))]
-
-    square, unit = _functor_laws(_base_ops(cols), vf)
     b = ReportBuilder(all_witnesses)
-    for name, arity, legs in (
-            ("functor-boundary", 2, boundary),
-            ("functor-composition", 3, square),
-            ("functor-identity", 1, unit)):
+    for name, arity, legs in zip(
+            ("functor-boundary", "functor-composition", "functor-identity"),
+            (2, 3, 1), _functor_laws(_base_ops(LiftedTables(base)), vf)):
         b.family(name, *equations([objs] * arity, legs))
     return b.report()
 
@@ -363,28 +368,20 @@ def check_vnat(nat: VNatTransform, *,
     t, s = nat.source, nat.target
     if t.source != s.source or t.target != s.target:
         raise NotParallel("functors are not parallel")
-    _require_vfunctor(t)
-    _require_vfunctor(s)
+    for fun in (t, s):
+        _require(fun, check_vfunctor, SourceTargetInvalid,
+                 "enriched functor failed its checker")
     base, cat = t.source.base, t.source.base.base
     objs = sorted(t.source.objects)
     for a in objs:
         if a not in nat.components or nat.components[a] not in cat.morphisms:
             raise MalformedTable(f"component at {a!r} missing or unknown")
 
-    cols = LiftedTables(base)
-    w_hom, component = lift(t.target.hom), lift(nat.components)
-    t_obj, s_obj = lift(t.obj_map), lift(s.obj_map)
-    unit = const(base.unit)
-
-    def boundary(a):
-        m = component(a)
-        return [(cols.dom(m), unit),
-                (cols.cod(m), w_hom(t_obj(a), s_obj(a)))]
-
+    ops = _base_ops(LiftedTables(base))
     b = ReportBuilder(all_witnesses)
     for name, arity, legs in (
-            ("component-boundary", 1, boundary),
-            ("naturality", 2, _naturality(_base_ops(cols), nat))):
+            ("component-boundary", 1, _component_boundary(ops, nat)),
+            ("naturality", 2, _naturality(ops, nat))):
         b.family(name, *equations([objs] * arity, legs))
     return b.report()
 

@@ -510,6 +510,30 @@ def test_non_list_table_or_non_object_entry_exits_two(corpus_dir, tmp_path,
     assert capsys.readouterr().err.startswith(f"error: {path[0]}")
 
 
+@pytest.mark.parametrize("path, name, error", [
+    (("pastings", "pasting1", "nats", "beta3"), "NOWHERE",
+     "pastings.pasting1.nats.beta3: no structure named 'NOWHERE'"),
+    (("pastings", "pasting1", "functors", "f"), "NOWHERE",
+     "pastings.pasting1.functors.f: no structure named 'NOWHERE'"),
+    (("pastings", "pasting1", "nats", "beta3"), 7,
+     "pastings.pasting1.nats.beta3: expected a structure name"),
+    (("pastings", "pasting1", "categories", 0), "NOWHERE",
+     "pastings.pasting1.categories[0]: no structure named 'NOWHERE'"),
+    (("vfunctors", "collapse_P", "source"), "NOWHERE",
+     "vfunctors.collapse_P.source: no structure named 'NOWHERE'")],
+    ids=["nat", "functor", "non-string", "listed", "single"])
+def test_bad_frame_name_names_its_slot(corpus_dir, tmp_path, capsys, path,
+                                       name, error):
+    # A frame slot naming no structure, or holding no name, is an input
+    # error whose message gives the slot's path.
+    doc = json.loads((corpus_dir / "bool2.json").read_text())
+    _at(doc, path[:-1])[path[-1]] = name
+    mutated = tmp_path / "frame.json"
+    mutated.write_text(json.dumps(doc))
+    assert main(["check", str(mutated)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def _respelled(section, key, spelling):
     """An edit of a base that adds ``spelling`` beside index ``key``, with
     a table that differs from the one ``key`` gives."""
@@ -530,7 +554,13 @@ def _respelled(section, key, spelling):
      'base.interchange.1, 2: expected "i,j" with i < j, each from 1 to 2'),
     (_respelled("assoc", "1", "7"),
      "base.assoc.7: expected an index from 1 to 2"),
-], ids=["2.7", "True", "leading-zero", "space", "out-of-range"])
+    (lambda base: base["tensor_obj"].pop("2"), "base.tensor_obj.2: missing"),
+    (lambda base: base["interchange"].pop("1,2"),
+     "base.interchange.1,2: missing"),
+    (lambda base: base.update(tensors=0),
+     "base.tensors: expected an integer of at least 1"),
+], ids=["2.7", "True", "leading-zero", "space", "out-of-range",
+        "missing-index", "missing-pair", "zero"])
 def test_non_integer_tensor_count_exits_two(corpus_dir, tmp_path, capsys,
                                             edit, error):
     # The tensor count is a JSON integer, and each per-index table is keyed

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import product as iproduct
 
 import pytest
@@ -27,6 +28,7 @@ from enrichkit.vcat import (
     LazyTable,
     VFunctor,
     compose_vfunctor,
+    identity_vfunctor,
     interchange_vcat,
     pair,
     product_vcat,
@@ -167,6 +169,50 @@ def test_unit_component_between_identity_and_lowering_fails_naturality(
     assert rep.failing_families() == {"naturality"}
     assert _witness_rows(rep) == [
         ("naturality", ("*", "*"), "obj[t]=t", "obj[t]=one")]
+
+
+def _wrong_composition_target(w):
+    # W's composition functor lands in the unit enriched category.
+    key = ("*", "*", "*")
+    comp = replace(w.comp[key], target=unit_vcategory(w.base))
+    return check_v2category, replace(w, comp={**w.comp, key: comp})
+
+
+def _wrong_hom_functor_target(w):
+    # The hom functor lands in hom(*, *) with one hom-object moved.
+    hom = w.hom[("*", "*")]
+    moved = replace(hom, hom={**hom.hom, ("one", "t"): "bot"})
+    return check_v2functor, V2Functor(w, w, {"*": "*"}, {
+        ("*", "*"): replace(identity_vfunctor(hom), target=moved)})
+
+
+def _wrong_component_target(w):
+    # The component lands in hom(*, *) with one composite moved.
+    hom, idw = w.hom[("*", "*")], identity_v2functor(w)
+    moved = replace(hom, comp={**hom.comp, ("one", "t", "one"): "id_bot"})
+    component = replace(id_nat(idw).components["*"], target=moved)
+    return check_v2nat, V2NatTransform(idw, idw, {"*": component})
+
+
+@pytest.mark.parametrize("spoil, witness", [
+    (_wrong_composition_target,
+     ("composition-functor-shape", ("*", "*", "*"),
+      "objects=['0']", "objects=['one', 't']")),
+    (_wrong_hom_functor_target,
+     ("hom-functor-shape", ("*", "*"),
+      "hom[('one', 't')]=bot", "hom[('one', 't')]=top")),
+    (_wrong_component_target,
+     ("component-shape", ("*",),
+      "comp[('one', 't', 'one')]=id_bot", "comp[('one', 't', 'one')]=u"))],
+    ids=["composition-functor", "hom-functor", "component"])
+def test_wrong_frame_fails_only_its_shape_family(w, spoil, witness):
+    # A level-2 cell whose target is not the V-category its frame needs
+    # fails exactly its shape family, witnessed by the first entry in which
+    # the two V-categories differ.
+    check, structure = spoil(w)
+    rep = check(structure, all_witnesses=True)
+    assert _witness_rows(rep) == [witness]
+    assert rep.families[witness[0]] == 1
 
 
 def test_compose_nat_identity_absorption(cells):
