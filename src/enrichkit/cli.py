@@ -15,8 +15,9 @@ structure type and its frame slots, is serialize's ``LEVELS`` row.  The
 ``--level`` choices, the order of ``check``, the ``fuzz`` checkers and the
 filing of results all read it.  ``CONSTRUCTIONS`` is the second table,
 one row per construction: the function, its leading arguments and the
-levels of its inputs.  Functions and checkers are named rather than held,
-so a wrapper bound in their place on this module is what runs.
+levels of its inputs.  Functions and checkers are named with their modules
+rather than held, so a module is imported only when a command reaches it,
+and a wrapper bound in their place on their defining module is what runs.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ import signal
 import sys
 from typing import NamedTuple
 
-from . import instances
 from .errors import (
     AgreementFailure,
     BaseInvalid,
@@ -42,78 +42,35 @@ from .errors import (
     ParseError,
     SourceTargetInvalid,
 )
-from .kfold import check_kfold
 from .report import CheckReport, cached_report
-from .serialize import LEVELS, Tower, _find_name, _reference, load, save
-from .vcat import (
-    _scan_vcategory,
-    assoc_vcat,
-    check_vcategory,
-    check_vfunctor,
-    check_vnat,
-    compose_vfunctor,
-    compose_vnat_vert,
-    identity_vfunctor,
-    identity_vnat,
-    interchange_vcat,
-    product_vcat,
-    product_vfunctor,
-    product_vnat,
-    unit_vcategory,
-    whisker_vnat,
-)
-from .v2cat import (
-    check_modification,
-    check_v2category,
-    check_v2functor,
-    check_v2nat,
-    compose_nat_along_functor,
-    compose_v2functors,
-    exchange_suite,
-    hcomp_modifications_along_nat,
-    hcomp_mods_along_category,
-    hcomp_nats_along_category,
-    id_modification,
-    id_nat,
-    identity_v2functor,
-    product_v2cat,
-    unit_v2category,
-    vcomp_modifications,
-    whisker_functor_mod,
-    whisker_functor_nat,
-    whisker_mod_functor,
-    whisker_mod_nat_along_category,
-    whisker_nat_functor,
-    whisker_nat_mod_along_category,
-    whisker_nat_mod_left,
-    whisker_nat_mod_right,
-)
+from .serialize import (LEVELS, Tower, _find_name, _reference, _resolve,
+                        load, save)
 
 
 class Level(NamedTuple):
-    """One level of the tower and its checker, a function of this module;
-    every other attribute (``section``, ``kind``, ``slots``) is read from
-    the level's row in serialize's ``LEVELS``."""
+    """One level of the tower and its checker, named as ``_resolve`` reads
+    it; every other attribute (``section``, ``kind``, ``slots``) is read
+    from the level's row in serialize's ``LEVELS``."""
     name: str
     checker: str
 
     def check(self, structure, **options) -> CheckReport:
-        return globals()[self.checker](structure, **options)
+        return _resolve(self.checker)(structure, **options)
 
     def __getattr__(self, attr):
         return getattr(LEVELS[self.name], attr)
 
 
 TOWER = {name: Level(name, checker) for name, checker in (
-    ("base", "check_kfold"),
-    ("vcategory", "check_vcategory"),
-    ("vfunctor", "check_vfunctor"),
-    ("vnat", "check_vnat"),
-    ("v2category", "check_v2category"),
-    ("v2functor", "check_v2functor"),
-    ("v2nat", "check_v2nat"),
-    ("modification", "check_modification"),
-    ("pasting", "exchange_suite"),
+    ("base", "kfold.check_kfold"),
+    ("vcategory", "vcat.check_vcategory"),
+    ("vfunctor", "vcat.check_vfunctor"),
+    ("vnat", "vcat.check_vnat"),
+    ("v2category", "v2cat.check_v2category"),
+    ("v2functor", "v2cat.check_v2functor"),
+    ("v2nat", "v2cat.check_v2nat"),
+    ("modification", "v2cat.check_modification"),
+    ("pasting", "v2cat.exchange_suite"),
 )}
 
 
@@ -201,6 +158,11 @@ def _load(path):
         return load(path)
     except FileNotFoundError:
         print(f"error: no such file: {path}", file=sys.stderr)
+    except OSError as err:
+        print(f"error: cannot read {path}: {err.strerror}", file=sys.stderr)
+    except UnicodeDecodeError as err:
+        print(f"error: cannot read {path}: not UTF-8 at byte {err.start}",
+              file=sys.stderr)
     except KernelError as err:
         # Unparsable, dangling, or so malformed that derived structures
         # cannot even be rebuilt: an input error either way.
@@ -240,6 +202,7 @@ def _run_check(args) -> int:
 
 
 def _run_fuzz_checks(tower: Tower, args, rep: _Reporter) -> int:
+    from . import instances, vcat
     base = tower.base
     # Two-object inputs keep the iterated products (quartic pentagon scans)
     # at a size the check budget tolerates.
@@ -263,72 +226,69 @@ def _run_fuzz_checks(tower: Tower, args, rep: _Reporter) -> int:
         for i in range(1, base.n):
             # Scanned, not certified: this is the construction's self-test.
             rep.emit(f"fuzz[{k}]:product[{i}]",
-                     _scan_vcategory(product_vcat(i, a, b)))
+                     vcat._scan_vcategory(vcat.product_vcat(i, a, b)))
             rep.emit(f"fuzz[{k}]:assoc[{i}]",
-                     check_vfunctor(assoc_vcat(i, a, b, a)))
+                     vcat.check_vfunctor(vcat.assoc_vcat(i, a, b, a)))
         for i in range(1, base.n):
             for j in range(i + 1, base.n):
                 rep.emit(f"fuzz[{k}]:interchange[{i},{j}]",
-                         check_vfunctor(interchange_vcat(i, j, a, b, a, b)))
+                         vcat.check_vfunctor(
+                             vcat.interchange_vcat(i, j, a, b, a, b)))
     rep.note("fuzz", f"generated {made} instance pairs (seed {args.seed})",
              failure=False)
     return 0
 
 
 CONSTRUCTIONS = {
-    # name: (function in this module, leading arguments, input levels).
-    # Leading arguments are options of `construct` or "tower"/"base".
-    "unit-vcategory": ("unit_vcategory", ("base",), ()),
-    "product-vcat": ("product_vcat", ("index",), ("vcategory",) * 2),
-    "product-vfunctor": ("product_vfunctor", ("index",), ("vfunctor",) * 2),
-    "product-vnat": ("product_vnat", ("index",), ("vnat",) * 2),
-    "assoc-vcat": ("assoc_vcat", ("index",), ("vcategory",) * 3),
-    "interchange-vcat": ("interchange_vcat", ("index", "index2"),
+    # name: (function as ``_resolve`` reads it, leading arguments, input
+    # levels).  Leading arguments are options of `construct` or "tower"/"base".
+    "unit-vcategory": ("vcat.unit_vcategory", ("base",), ()),
+    "product-vcat": ("vcat.product_vcat", ("index",), ("vcategory",) * 2),
+    "product-vfunctor": ("vcat.product_vfunctor", ("index",),
+                         ("vfunctor",) * 2),
+    "product-vnat": ("vcat.product_vnat", ("index",), ("vnat",) * 2),
+    "assoc-vcat": ("vcat.assoc_vcat", ("index",), ("vcategory",) * 3),
+    "interchange-vcat": ("vcat.interchange_vcat", ("index", "index2"),
                          ("vcategory",) * 4),
-    "compose-vfunctor": ("compose_vfunctor", (), ("vfunctor",) * 2),
-    "identity-vfunctor": ("identity_vfunctor", (), ("vcategory",)),
-    "identity-vnat": ("identity_vnat", (), ("vfunctor",)),
-    "compose-vnat-vert": ("compose_vnat_vert", (), ("vnat",) * 2),
-    "whisker-vnat": ("whisker_vnat", ("side",), ("vfunctor", "vnat")),
-    "from-symmetric": ("_from_symmetric", ("tower", "index"), ()),
-    "unit-v2category": ("unit_v2category", ("base",), ()),
-    "product-v2cat": ("product_v2cat", ("index",), ("v2category",) * 2),
-    "compose-v2functors": ("compose_v2functors", (), ("v2functor",) * 2),
-    "identity-v2functor": ("identity_v2functor", (), ("v2category",)),
-    "id-nat": ("id_nat", (), ("v2functor",)),
-    "compose-nat-along-functor": ("compose_nat_along_functor", (),
+    "compose-vfunctor": ("vcat.compose_vfunctor", (), ("vfunctor",) * 2),
+    "identity-vfunctor": ("vcat.identity_vfunctor", (), ("vcategory",)),
+    "identity-vnat": ("vcat.identity_vnat", (), ("vfunctor",)),
+    "compose-vnat-vert": ("vcat.compose_vnat_vert", (), ("vnat",) * 2),
+    "whisker-vnat": ("vcat.whisker_vnat", ("side",), ("vfunctor", "vnat")),
+    "from-symmetric": ("instances.from_document", ("tower", "index"), ()),
+    "unit-v2category": ("v2cat.unit_v2category", ("base",), ()),
+    "product-v2cat": ("v2cat.product_v2cat", ("index",), ("v2category",) * 2),
+    "compose-v2functors": ("v2cat.compose_v2functors", (),
+                           ("v2functor",) * 2),
+    "identity-v2functor": ("v2cat.identity_v2functor", (), ("v2category",)),
+    "id-nat": ("v2cat.id_nat", (), ("v2functor",)),
+    "compose-nat-along-functor": ("v2cat.compose_nat_along_functor", (),
                                   ("v2nat",) * 2),
-    "id-modification": ("id_modification", (), ("v2nat",)),
-    "vcomp-modifications": ("vcomp_modifications", (), ("modification",) * 2),
-    "whisker-nat-mod-left": ("whisker_nat_mod_left", (),
+    "id-modification": ("v2cat.id_modification", (), ("v2nat",)),
+    "vcomp-modifications": ("v2cat.vcomp_modifications", (),
+                            ("modification",) * 2),
+    "whisker-nat-mod-left": ("v2cat.whisker_nat_mod_left", (),
                              ("v2nat", "modification")),
-    "whisker-nat-mod-right": ("whisker_nat_mod_right", (),
+    "whisker-nat-mod-right": ("v2cat.whisker_nat_mod_right", (),
                               ("modification", "v2nat")),
-    "hcomp-mods": ("hcomp_modifications_along_nat", (), ("modification",) * 2),
-    "whisker-functor-nat": ("whisker_functor_nat", (), ("v2functor", "v2nat")),
-    "whisker-nat-functor": ("whisker_nat_functor", (), ("v2nat", "v2functor")),
-    "hcomp-nats": ("hcomp_nats_along_category", (), ("v2nat",) * 2),
-    "whisker-functor-mod": ("whisker_functor_mod", (),
+    "hcomp-mods": ("v2cat.hcomp_modifications_along_nat", (),
+                   ("modification",) * 2),
+    "whisker-functor-nat": ("v2cat.whisker_functor_nat", (),
+                            ("v2functor", "v2nat")),
+    "whisker-nat-functor": ("v2cat.whisker_nat_functor", (),
+                            ("v2nat", "v2functor")),
+    "hcomp-nats": ("v2cat.hcomp_nats_along_category", (), ("v2nat",) * 2),
+    "whisker-functor-mod": ("v2cat.whisker_functor_mod", (),
                             ("v2functor", "modification")),
-    "whisker-mod-functor": ("whisker_mod_functor", (),
+    "whisker-mod-functor": ("v2cat.whisker_mod_functor", (),
                             ("modification", "v2functor")),
-    "whisker-nat-mod-category": ("whisker_nat_mod_along_category", (),
+    "whisker-nat-mod-category": ("v2cat.whisker_nat_mod_along_category", (),
                                  ("v2nat", "modification")),
-    "whisker-mod-nat-category": ("whisker_mod_nat_along_category", (),
+    "whisker-mod-nat-category": ("v2cat.whisker_mod_nat_along_category", (),
                                  ("modification", "v2nat")),
-    "hcomp-mods-category": ("hcomp_mods_along_category", (),
+    "hcomp-mods-category": ("v2cat.hcomp_mods_along_category", (),
                             ("modification",) * 2),
 }
-
-
-def _from_symmetric(tower: Tower, k: int):
-    if tower.symmetry is None:
-        raise ConstructionFailed("document base carries no symmetry table")
-    base = tower.base
-    sym = instances.SymmetricMonoidal(
-        base.base, base.unit, base.tensor_obj_table[1],
-        base.tensor_mor_table[1], base.assoc_table[1], tower.symmetry)
-    return instances.from_symmetric(sym, k)
 
 
 def _construct(tower: Tower, args):
@@ -351,7 +311,7 @@ def _construct(tower: Tower, args):
         inputs.append(section[name])
         cached_report(section[name], TOWER[level].check)
     options = dict(vars(args), tower=tower, base=tower.base)
-    return globals()[function](*(options[a] for a in leading), *inputs)
+    return _resolve(function)(*(options[a] for a in leading), *inputs)
 
 
 def _file(tower: Tower, level: str, structure, hint: str) -> str:
@@ -421,6 +381,11 @@ def _run_construct(args) -> int:
         print(f"error: unknown construction {args.construction!r}; "
               f"available: {', '.join(sorted(CONSTRUCTIONS))}", file=sys.stderr)
         return 2
+    if os.path.isdir(args.out) or not os.path.isdir(
+            os.path.dirname(args.out) or os.curdir):
+        print(f"error: cannot write {args.out}: not a file in an existing "
+              "directory", file=sys.stderr)
+        return 2
     try:
         report = _store(tower, _construct(tower, args), args.name)
     except (MalformedTable, ParseError, DanglingReference) as err:
@@ -438,14 +403,26 @@ def _run_construct(args) -> int:
             print(f"  {w.diagram} at {w.instance}: {w.lhs} != {w.rhs}",
                   file=sys.stderr)
         return 1
-    save(tower, args.out)
+    if not _save(tower, args.out):
+        return 2
     print(f"wrote {args.out} ({args.construction} -> {args.name})")
     return 0
+
+
+def _save(tower: Tower, path) -> bool:
+    """Save the tower, or print why it cannot be written and give False."""
+    try:
+        save(tower, path)
+    except OSError as err:
+        print(f"error: cannot write {path}: {err.strerror}", file=sys.stderr)
+        return False
+    return True
 
 
 def _corpus_towers(seed: int) -> dict:
     """The shipped corpus, one self-contained tower per base: each structure
     filed in level order, with the frames it names."""
+    from . import instances
     towers = {}
     for name, shipped in instances.corpus(seed).items():
         towers[name] = tower = Tower(shipped.base, shipped.symmetry)
@@ -456,15 +433,22 @@ def _corpus_towers(seed: int) -> dict:
 
 
 def _run_corpus(args) -> int:
-    os.makedirs(args.outdir, exist_ok=True)
+    try:
+        os.makedirs(args.outdir, exist_ok=True)
+    except OSError as err:
+        print(f"error: cannot create directory {args.outdir}: {err.strerror}",
+              file=sys.stderr)
+        return 2
     for name, tower in _corpus_towers(args.seed).items():
         path = os.path.join(args.outdir, f"{name}.json")
-        save(tower, path)
+        if not _save(tower, path):
+            return 2
         print(f"wrote {path}")
     return 0
 
 
 def _run_fuzz(args) -> int:
+    from . import instances
     base = {"bool2": lambda: instances.bool_poset(2),
             "bool3": lambda: instances.bool_poset(3),
             "zmod3": lambda: instances.zmod2(3)}.get(args.base)

@@ -39,6 +39,7 @@ from operator import itemgetter
 
 from .errors import (
     BudgetExhausted,
+    ConstructionFailed,
     MalformedTable,
     NotPreorder,
     NotSymmetric,
@@ -246,6 +247,17 @@ def from_symmetric(sym: SymmetricMonoidal, k: int) -> KFoldMonoidal:
         interchange_table={(i, j): dict(eta)
                            for i in range(1, k + 1)
                            for j in range(i + 1, k + 1)})
+
+
+def from_document(tower: Tower, k: int) -> KFoldMonoidal:
+    """``from_symmetric`` on a document's base, read as its first tensor and
+    associator with the document's symmetry table."""
+    if tower.symmetry is None:
+        raise ConstructionFailed("document base carries no symmetry table")
+    base = tower.base
+    return from_symmetric(SymmetricMonoidal(
+        base.base, base.unit, base.tensor_obj_table[1],
+        base.tensor_mor_table[1], base.assoc_table[1], tower.symmetry), k)
 
 
 # -- shipped bases ------------------------------------------------------------

@@ -11,6 +11,8 @@ The levels of the tower are one table, ``LEVELS``: each row gives a level's
 structures one level down, grouped as the document stores them) and the
 codec of the entry's own tables.  Save and load walk it in level order, so
 the frame names of every section are written and resolved in one place.
+Types and constructions above the base are read from ``vcat`` and ``v2cat``
+when an entry needs them, so a base-only document never imports either.
 
 Functors that occur inside a larger structure (composition functors, hom
 functors of a level-2 functor, transformation components) are stored as
@@ -35,25 +37,29 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field, replace
+from importlib import import_module
 from itertools import combinations
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import DanglingReference, KernelError, MalformedTable, ParseError
 from .fincat import FinCategory
 from .kfold import KFoldMonoidal
 from .report import _memo
-from .vcat import (VCategory, VFunctor, VNatTransform, product_of,
-                   product_vcat, unit_vcategory)
-from .v2cat import (
-    PastingInstance,
-    V2Category,
-    V2Functor,
-    V2NatTransform,
-    VModification,
-)
+
+if TYPE_CHECKING:
+    from .vcat import VCategory, VFunctor
+    from .v2cat import V2Category
 
 FORMAT = "tower/2"
 READ_FORMATS = ("tower/1", FORMAT)
+
+
+def _resolve(path: str):
+    """What ``path``, ``"module.name"``, names in that enrichkit module, read
+    at call time: the module is imported when a caller first reaches it, and
+    a wrapper bound there since is what is returned."""
+    module, name = path.split(".")
+    return getattr(import_module(f".{module}", __package__), name)
 
 
 @dataclass
@@ -169,13 +175,14 @@ def _functors_from(rows, arity: int, what: str, shape: str, frame) -> dict:
     """Inline functors from rows [k1, ..., k_arity, tables], keyed as
     ``_table`` keys its values; ``frame(k1, ..., k_arity)`` gives each
     one's source and target, and a KeyError there is an unknown object."""
+    from . import vcat
     out = {}
     for key, tables in _keyed(rows, arity, what, shape):
         try:
             source, target = frame(*key)
         except KeyError as err:
             raise DanglingReference(f"{what}: unknown object {err}")
-        out[tuple(key) if arity > 1 else key[0]] = VFunctor(
+        out[tuple(key) if arity > 1 else key[0]] = vcat.VFunctor(
             source, target, **_vfunctor_maps(tables, what))
     return out
 
@@ -188,15 +195,17 @@ def _vcategory_tables(vc: VCategory) -> dict:
 
 
 def _vcategory_from(doc, base: KFoldMonoidal, what: str) -> VCategory:
+    from . import vcat
     if not isinstance(doc, dict):
         raise ParseError(f"{what}: expected an object")
     for k in ("objects", "hom", "comp", "identity"):
         if k not in doc:
             raise ParseError(f"{what}: missing {k!r}")
-    return VCategory(base, set(_names(doc["objects"], f"{what}.objects")),
-                     _table(doc["hom"], 2, f"{what}.hom"),
-                     _table(doc["comp"], 3, f"{what}.comp"),
-                     _name_map(doc["identity"], f"{what}.identity"))
+    return vcat.VCategory(
+        base, set(_names(doc["objects"], f"{what}.objects")),
+        _table(doc["hom"], 2, f"{what}.hom"),
+        _table(doc["comp"], 3, f"{what}.comp"),
+        _name_map(doc["identity"], f"{what}.identity"))
 
 
 def _reference(registry: dict, vc):
@@ -204,7 +213,7 @@ def _reference(registry: dict, vc):
     ``registry`` or nested references; None when it is no product, or a
     factor is neither filed in ``registry`` nor a product.  Factors are
     found by identity, as comparing tables would build lazy ones."""
-    made = product_of(vc)
+    made = _resolve("vcat.product_of")(vc)
     if made is None:
         return None
     i, *factors = made
@@ -247,7 +256,8 @@ def _vcategories_from(entries, base: KFoldMonoidal) -> dict:
             vc = product(vdoc["product"], f"{what}.product")
             if any(vc is other for other in done.values()):
                 made, vc = vc, replace(vc)
-                _memo(vc, "product", lambda _: product_of(made))
+                _memo(vc, "product",
+                      lambda _: _resolve("vcat.product_of")(made))
         resolving.discard(name)
         done[name] = vc
         return vc
@@ -272,8 +282,9 @@ def _vcategories_from(entries, base: KFoldMonoidal) -> dict:
             raise ParseError(f"{where}.factors: expected two factors")
         a, b = (factor(f, f"{where}.factors[{k}]")
                 for k, f in enumerate(factors))
+        from . import vcat
         try:
-            return product_vcat(i, a, b)
+            return vcat.product_vcat(i, a, b)
         except (KernelError, KeyError) as err:
             raise MalformedTable(f"{where}: cannot build the product ({err})")
 
@@ -308,6 +319,7 @@ def _v2category_tables(u: V2Category) -> dict:
 
 
 def _v2category_fields(entry, what, base, frame) -> dict:
+    from . import vcat
     for k in ("objects", "hom", "comp", "identity"):
         if k not in entry:
             raise ParseError(f"{what}: missing {k!r}")
@@ -315,12 +327,13 @@ def _v2category_fields(entry, what, base, frame) -> dict:
     hom = {(a, b): _vcategory_from(tables, base, f"{what}.hom({a},{b})")
            for (a, b), tables in _keyed(entry["hom"], 2, what,
                                         "hom rows must be [a, b, tables]")}
-    unit = unit_vcategory(base)
+    unit = vcat.unit_vcategory(base)
     return {"base": base, "objects": objects, "hom": hom,
             "comp": _functors_from(
                 entry["comp"], 3, what, "comp rows must be [a, b, c, tables]",
-                lambda a, b, c: (product_vcat(1, hom[(b, c)], hom[(a, b)]),
-                                 hom[(a, c)])),
+                lambda a, b, c: (
+                    vcat.product_vcat(1, hom[(b, c)], hom[(a, b)]),
+                    hom[(a, c)])),
             "identity": _functors_from(
                 entry["identity"], 1, what, "identity rows must be [a, tables]",
                 lambda a: (unit, hom[(a, a)]))}
@@ -338,7 +351,8 @@ def _v2functor_fields(entry, what, base, frame) -> dict:
 
 
 def _v2nat_fields(entry, what, base, frame) -> dict:
-    t, s, unit = frame["source"], frame["target"], unit_vcategory(base)
+    from . import vcat
+    t, s, unit = frame["source"], frame["target"], vcat.unit_vcategory(base)
     return {"components": _functors_from(
         _components(entry, what), 1, what, "component rows must be [u, tables]",
         lambda u: (unit, t.target.hom[(t.obj_map[u], s.obj_map[u])]))}
@@ -355,16 +369,21 @@ class _Group(NamedTuple):
 
 
 class _Level(NamedTuple):
-    """One level of the tower: its ``Tower`` section, its structure type,
-    its frame groups, and the codec of an entry's own tables.
-    ``write(structure)`` gives the entry's fields beside its frame names;
-    ``read(entry, what, base, frame)`` gives the structure type's arguments
-    beside its frame, which maps each slot to the structure it names."""
+    """One level of the tower: its ``Tower`` section, its structure type
+    (named, as ``_resolve`` reads it), its frame groups, and the codec of an
+    entry's own tables.  ``write(structure)`` gives the entry's fields beside
+    its frame names; ``read(entry, what, base, frame)`` gives the structure
+    type's arguments beside its frame, which maps each slot to the structure
+    it names."""
     section: str
-    kind: type
+    typename: str
     frame: tuple = ()
     write: Callable = None
     read: Callable = None
+
+    @property
+    def kind(self) -> type:
+        return _resolve(self.typename)
 
     @property
     def slots(self) -> tuple:
@@ -385,24 +404,25 @@ def _cells(kinds) -> tuple:
 # Base and V-categories have no frame; their sections have codecs of their
 # own (``tower_to_document``'s base, ``_reference``, ``_vcategories_from``).
 LEVELS = {
-    "base": _Level("base", KFoldMonoidal),
-    "vcategory": _Level("vcategories", VCategory),
-    "vfunctor": _Level("vfunctors", VFunctor, _ends("vcategory"),
+    "base": _Level("base", "kfold.KFoldMonoidal"),
+    "vcategory": _Level("vcategories", "vcat.VCategory"),
+    "vfunctor": _Level("vfunctors", "vcat.VFunctor", _ends("vcategory"),
                        _vfunctor_tables, _vfunctor_maps),
-    "vnat": _Level("vnats", VNatTransform, _ends("vfunctor"),
+    "vnat": _Level("vnats", "vcat.VNatTransform", _ends("vfunctor"),
                    _named_components, _named_components_from),
-    "v2category": _Level("v2categories", V2Category, (), _v2category_tables,
-                         _v2category_fields),
-    "v2functor": _Level("v2functors", V2Functor, _ends("v2category"),
+    "v2category": _Level("v2categories", "v2cat.V2Category", (),
+                         _v2category_tables, _v2category_fields),
+    "v2functor": _Level("v2functors", "v2cat.V2Functor", _ends("v2category"),
                         lambda vf: {"obj_map": dict(vf.obj_map),
                                     "hom_map": _functor_rows(vf.hom_map)},
                         _v2functor_fields),
-    "v2nat": _Level("v2nats", V2NatTransform, _ends("v2functor"),
+    "v2nat": _Level("v2nats", "v2cat.V2NatTransform", _ends("v2functor"),
                     lambda nat: {"components": _functor_rows(nat.components)},
                     _v2nat_fields),
-    "modification": _Level("modifications", VModification, _ends("v2nat"),
-                           _named_components, _named_components_from),
-    "pasting": _Level("pastings", PastingInstance, (
+    "modification": _Level("modifications", "v2cat.VModification",
+                           _ends("v2nat"), _named_components,
+                           _named_components_from),
+    "pasting": _Level("pastings", "v2cat.PastingInstance", (
         _Group("categories", "v2category", ("cat_u", "cat_v", "cat_w"),
                listed=True),
         _Group("functors", "v2functor", ("f", "h", "p", "g", "k", "q")),

@@ -905,3 +905,55 @@ def test_check_with_fuzz_flag_on_an_invalid_base(corpus_dir, tmp_path, capsys):
     assert {"kind": "note", "structure": "fuzz", "status": "fail",
             "message": "skipped, constituent invalid: tensor structure "
                        "failed its checker"} in notes
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["check", "{tmp}"], "{tmp}"),
+    (["check", "{doc}/x.json"], "{doc}/x.json"),
+    (["check", "{tmp}/latin1.json"], "{tmp}/latin1.json"),
+    (["check", "{tmp}/missing.json"], "{tmp}/missing.json"),
+    (["construct", "{doc}", "product-vcat", "--inputs", "P3", "P3",
+      "--out", "{tmp}"], "{tmp}"),
+    (["construct", "{doc}", "product-vcat", "--inputs", "P3", "P3",
+      "--out", "{tmp}/missing/out.json"], "{tmp}/missing/out.json"),
+    (["corpus", "{doc}"], "{doc}"),
+])
+def test_file_system_errors_exit_2_naming_the_path(
+        corpus_dir, tmp_path, monkeypatch, capsys, argv, path):
+    # Nothing is constructed before the output path is known to be usable.
+    def construct(*_):
+        raise AssertionError("constructed before the output path was checked")
+    monkeypatch.setattr(cli, "_construct", construct)
+    (tmp_path / "latin1.json").write_bytes('{"format": "tôwer/2"}'.encode(
+        "latin-1"))
+    names = {"tmp": tmp_path, "doc": corpus_dir / "bool2.json"}
+    path = path.format(**names)
+    assert main([arg.format(**names) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path in err
+    if path.endswith("missing.json"):
+        assert err == f"error: no such file: {path}\n"
+
+
+def test_constructions_resolve_on_their_defining_module(
+        corpus_dir, tmp_path, monkeypatch, capsys):
+    # A wrapper bound on vcat, as the benchmark's tracer binds one, is what
+    # `construct` runs.
+    from enrichkit import vcat
+    argv = ["construct", str(corpus_dir / "bool2.json"), "product-vcat",
+            "--inputs", "P3", "P3", "--out"]
+    assert main([*argv, str(tmp_path / "plain.json")]) == 0
+    plain = capsys.readouterr().out
+    calls, product_vcat = [], vcat.product_vcat
+
+    def spy(i, a, b):
+        calls.append((i, len(a.objects), len(b.objects)))
+        return product_vcat(i, a, b)
+    monkeypatch.setattr(vcat, "product_vcat", spy)
+    assert main([*argv, str(tmp_path / "spied.json")]) == 0
+    assert (1, 3, 3) in calls
+    assert capsys.readouterr().out == plain.replace("plain.json", "spied.json")
+    assert ((tmp_path / "spied.json").read_bytes()
+            == (tmp_path / "plain.json").read_bytes())
