@@ -26,7 +26,7 @@ import json
 import os
 import signal
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import (
     AgreementFailure,
@@ -47,12 +47,11 @@ from .serialize import (LEVELS, Tower, _find_name, _reference, _resolve,
                         load, save)
 
 
-class Level(NamedTuple):
+class Level(namedtuple("Level", "name checker")):
     """One level of the tower and its checker, named as ``_resolve`` reads
     it; every other attribute (``section``, ``kind``, ``slots``) is read
     from the level's row in serialize's ``LEVELS``."""
-    name: str
-    checker: str
+    __slots__ = ()
 
     def check(self, structure, **options) -> CheckReport:
         return _resolve(self.checker)(structure, **options)

@@ -15,7 +15,6 @@ as ``None`` and fails its equation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import (
@@ -25,21 +24,25 @@ from .errors import (
     NotParallel,
     UnknownMorphism,
 )
-from .report import (CheckReport, ReportBuilder, each_row, equations, lift,
-                     row_equations)
+from .report import (CheckReport, Record, ReportBuilder, each_row, equations,
+                     lift, row_equations)
 
 ObjId = str
 MorId = str
 
 
-@dataclass
-class FinCategory:
-    objects: set
-    morphisms: set
-    dom: dict
-    cod: dict
-    comp: dict        # (g, f) -> g∘f, keyed exactly by composable pairs
-    identity: dict    # object -> its identity morphism
+class FinCategory(Record):
+    __slots__ = ("objects", "morphisms", "dom", "cod", "comp", "identity")
+
+    def __init__(self, objects: set, morphisms: set, dom: dict, cod: dict,
+                 comp: dict, identity: dict):
+        self.objects = objects
+        self.morphisms = morphisms
+        self.dom = dom
+        self.cod = cod
+        # (g, f) -> g∘f, keyed exactly by composable pairs
+        self.comp = comp
+        self.identity = identity    # object -> its identity morphism
 
     def hom(self, a: ObjId, b: ObjId) -> list:
         """All morphisms a -> b, sorted."""
@@ -52,19 +55,26 @@ class FinCategory:
                       if self.cod[f] == self.dom[g])
 
 
-@dataclass
-class FinFunctor:
-    source: FinCategory
-    target: FinCategory
-    obj_map: dict
-    mor_map: dict
+class FinFunctor(Record):
+    __slots__ = ("source", "target", "obj_map", "mor_map")
+
+    def __init__(self, source: FinCategory, target: FinCategory,
+                 obj_map: dict, mor_map: dict):
+        self.source = source
+        self.target = target
+        self.obj_map = obj_map
+        self.mor_map = mor_map
 
 
-@dataclass
-class FinNatTransform:
-    source: FinFunctor
-    target: FinFunctor
-    components: dict   # object of source.source -> morphism of source.target
+class FinNatTransform(Record):
+    __slots__ = ("source", "target", "components")
+
+    def __init__(self, source: FinFunctor, target: FinFunctor,
+                 components: dict):
+        self.source = source
+        self.target = target
+        # object of source.source -> morphism of source.target
+        self.components = components
 
 
 def compose(cat: FinCategory, g: MorId, f: MorId) -> MorId:

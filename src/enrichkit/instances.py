@@ -33,7 +33,6 @@ V-category with its own inner budget.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 
@@ -47,7 +46,8 @@ from .errors import (
 )
 from .fincat import FinCategory, inverse
 from .kfold import KFoldMonoidal, LiftedTables, check_kfold
-from .report import CheckReport, ReportBuilder, const, equations, lift
+from .report import (CheckReport, Record, ReportBuilder, const, equations,
+                     lift)
 from .serialize import Tower
 from .vcat import (
     VCategory,
@@ -129,15 +129,19 @@ def _draw_vfunctor(source: VCategory, target: VCategory, obj_map: dict,
 
 # -- symmetric monoidal input and the k-fold construction --------------------
 
-@dataclass
-class SymmetricMonoidal:
+class SymmetricMonoidal(Record):
     """One tensor with associator and symmetry component tables."""
-    base: FinCategory
-    unit: str
-    tensor_obj: dict      # (a, b) -> a⊗b
-    tensor_mor: dict      # (f, g) -> f⊗g
-    assoc: dict           # (a, b, c) -> (a⊗b)⊗c -> a⊗(b⊗c)
-    symmetry: dict        # (a, b) -> c_{ab}: a⊗b -> b⊗a
+    __slots__ = ("base", "unit", "tensor_obj", "tensor_mor", "assoc",
+                 "symmetry")
+
+    def __init__(self, base: FinCategory, unit: str, tensor_obj: dict,
+                 tensor_mor: dict, assoc: dict, symmetry: dict):
+        self.base = base
+        self.unit = unit
+        self.tensor_obj = tensor_obj    # (a, b) -> a⊗b
+        self.tensor_mor = tensor_mor    # (f, g) -> f⊗g
+        self.assoc = assoc              # (a, b, c) -> (a⊗b)⊗c -> a⊗(b⊗c)
+        self.symmetry = symmetry        # (a, b) -> c_{ab}: a⊗b -> b⊗a
 
 
 def _symmetric_problems(
@@ -443,11 +447,14 @@ def xor_group_v2cat(base: KFoldMonoidal) -> V2Category:
 
 # -- seeded random corpus -----------------------------------------------------
 
-@dataclass
-class Bounds:
-    max_objects: int = 3
-    max_hom: int = 3
-    attempts: int = RANDOM_ATTEMPT_CAP
+class Bounds(Record):
+    __slots__ = ("max_objects", "max_hom", "attempts")
+
+    def __init__(self, max_objects: int = 3, max_hom: int = 3,
+                 attempts: int = RANDOM_ATTEMPT_CAP):
+        self.max_objects = max_objects
+        self.max_hom = max_hom
+        self.attempts = attempts
 
 
 def corpus(seed: int = 0) -> dict:

@@ -24,23 +24,30 @@ the defining axioms do not demand it (the symmetric construction does).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import IndexOutOfRange, MalformedTable, UnknownMorphism, UnknownObject
 from .fincat import FinCategory, check_category, inverse
-from .report import CheckReport, ReportBuilder, const, equations, lift
+from .report import (CheckReport, Record, ReportBuilder, const, equations,
+                     lift)
 
 
-@dataclass
-class KFoldMonoidal:
-    base: FinCategory
-    n: int
-    unit: str
-    tensor_obj_table: dict    # i -> {(a, b): a⊗b}
-    tensor_mor_table: dict    # i -> {(f, g): f⊗g}
-    assoc_table: dict         # i -> {(a, b, c): component (a⊗b)⊗c -> a⊗(b⊗c)}
-    interchange_table: dict   # (i, j), i<j -> {(a, b, c, d): component}
+class KFoldMonoidal(Record):
+    __slots__ = ("base", "n", "unit", "tensor_obj_table", "tensor_mor_table",
+                 "assoc_table", "interchange_table")
+
+    def __init__(self, base: FinCategory, n: int, unit: str,
+                 tensor_obj_table: dict, tensor_mor_table: dict,
+                 assoc_table: dict, interchange_table: dict):
+        self.base = base
+        self.n = n
+        self.unit = unit
+        self.tensor_obj_table = tensor_obj_table    # i -> {(a, b): a⊗b}
+        self.tensor_mor_table = tensor_mor_table    # i -> {(f, g): f⊗g}
+        # i -> {(a, b, c): component (a⊗b)⊗c -> a⊗(b⊗c)}
+        self.assoc_table = assoc_table
+        # (i, j), i<j -> {(a, b, c, d): component}
+        self.interchange_table = interchange_table
 
     def _index(self, i: int) -> int:
         if not 1 <= i <= self.n:

@@ -38,19 +38,19 @@ distinct values; only a failing block is decoded and walked row by row, so
 witnesses, counts and early exit do not depend on the kernel.
 
 ``_memo(obj, key, build)`` is the one memo: it keeps ``build(obj)`` in a dict
-on ``obj`` and returns it on every later call with that key, a hit being one
-lookup in that dict.  Checker reports, products and their factors, units
-and the base's cell record go through it.  That is sound only while a
-structure is not mutated after its first check or construction: its tables
-are plain dicts, and the memo never looks at them again.
+in the record's ``_memo`` slot and returns it on every later call with that
+key, a hit being one lookup in that dict.  Checker reports, products and
+their factors, units, composite functors, whisker components and the
+base's cell record go through it.  That is sound only while a structure is
+not mutated after its first check or construction: its tables are plain
+dicts, and the memo never looks at them again.
 """
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from itertools import chain, compress, islice, product, repeat
 from math import prod
-from operator import mul
+from operator import attrgetter, mul
 
 # Rows a block holds at most: no more than 1 << 16, so that a coded key
 # space smaller than a block's rows fits two bytes.
@@ -63,21 +63,62 @@ def _fmt(value) -> str:
     return "<undefined>" if value is None else str(value)
 
 
-@dataclass(frozen=True)
-class Witness:
-    diagram: str
-    instance: tuple
-    lhs: str
-    rhs: str
+class Record:
+    """A structure or report whose fields are its class's ``__slots__``, each
+    set by the class's own ``__init__``.  Records of one class are equal when
+    their fields are; records other than ``Witness`` are unhashable.
+    ``_memo`` holds ``_memo``'s entries, and ``_generation_attempts`` is set
+    on a random structure by ``instances``."""
+    __slots__ = ("_memo", "_generation_attempts")
+    __hash__ = None
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        # What comparing the fields gives: tuples take identical items as equal.
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass
-class CheckReport:
-    witnesses: list = field(default_factory=list)
-    # diagram family -> number of instances evaluated (0 marks a vacuous family)
-    families: dict = field(default_factory=dict)
-    # non-fatal findings (e.g. a non-invertible associator component)
-    warnings: list = field(default_factory=list)
+class Witness(Record):
+    """Hashable, and immutable once built."""
+    __slots__ = ("diagram", "instance", "lhs", "rhs")
+
+    def __init__(self, diagram: str, instance: tuple, lhs: str, rhs: str):
+        object.__setattr__(self, "diagram", diagram)
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CheckReport(Record):
+    __slots__ = ("witnesses", "families", "warnings")
+
+    def __init__(self, witnesses=None, families=None, warnings=None):
+        self.witnesses = [] if witnesses is None else witnesses
+        # diagram family -> number of instances evaluated (0 marks a vacuous
+        # family)
+        self.families = {} if families is None else families
+        # non-fatal findings (e.g. a non-invertible associator component)
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def ok(self) -> bool:
@@ -521,9 +562,11 @@ def _memo(obj, key, build):
     """``build(obj)``, computed once per ``(obj, key)`` and stored on ``obj``."""
     try:
         return obj._memo[key]
-    except (AttributeError, KeyError):
-        pass
-    value = vars(obj).setdefault("_memo", {})[key] = build(obj)
+    except KeyError:
+        memo = obj._memo
+    except AttributeError:
+        memo = obj._memo = {}
+    value = memo[key] = build(obj)
     return value
 
 

@@ -36,19 +36,14 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from importlib import import_module
 from itertools import combinations
-from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import DanglingReference, KernelError, MalformedTable, ParseError
 from .fincat import FinCategory
 from .kfold import KFoldMonoidal
-from .report import _memo
-
-if TYPE_CHECKING:
-    from .vcat import VCategory, VFunctor
-    from .v2cat import V2Category
+from .report import Record, _memo
 
 FORMAT = "tower/2"
 READ_FORMATS = ("tower/1", FORMAT)
@@ -62,18 +57,28 @@ def _resolve(path: str):
     return getattr(import_module(f".{module}", __package__), name)
 
 
-@dataclass
-class Tower:
-    base: KFoldMonoidal
-    symmetry: dict = None            # optional (a, b) -> morphism table
-    vcategories: dict = field(default_factory=dict)
-    vfunctors: dict = field(default_factory=dict)
-    vnats: dict = field(default_factory=dict)
-    v2categories: dict = field(default_factory=dict)
-    v2functors: dict = field(default_factory=dict)
-    v2nats: dict = field(default_factory=dict)
-    modifications: dict = field(default_factory=dict)
-    pastings: dict = field(default_factory=dict)
+class Tower(Record):
+    """A base, its optional symmetry, and named structures by section; each
+    section left out starts as a fresh empty dict."""
+    __slots__ = ("base", "symmetry", "vcategories", "vfunctors", "vnats",
+                 "v2categories", "v2functors", "v2nats", "modifications",
+                 "pastings")
+
+    def __init__(self, base: KFoldMonoidal, symmetry: dict = None,
+                 vcategories: dict = None, vfunctors: dict = None,
+                 vnats: dict = None, v2categories: dict = None,
+                 v2functors: dict = None, v2nats: dict = None,
+                 modifications: dict = None, pastings: dict = None):
+        self.base = base
+        self.symmetry = symmetry    # optional (a, b) -> morphism table
+        self.vcategories = {} if vcategories is None else vcategories
+        self.vfunctors = {} if vfunctors is None else vfunctors
+        self.vnats = {} if vnats is None else vnats
+        self.v2categories = {} if v2categories is None else v2categories
+        self.v2functors = {} if v2functors is None else v2functors
+        self.v2nats = {} if v2nats is None else v2nats
+        self.modifications = {} if modifications is None else modifications
+        self.pastings = {} if pastings is None else pastings
 
 
 # -- encoding helpers ----------------------------------------------------------
@@ -153,7 +158,7 @@ def _table(rows, arity: int, what: str) -> dict:
     return out
 
 
-def _vfunctor_tables(vf: VFunctor) -> dict:
+def _vfunctor_tables(vf) -> dict:
     return {"obj_map": dict(sorted(vf.obj_map.items())),
             "hom_map": _rows(vf.hom_map)}
 
@@ -187,14 +192,14 @@ def _functors_from(rows, arity: int, what: str, shape: str, frame) -> dict:
     return out
 
 
-def _vcategory_tables(vc: VCategory) -> dict:
+def _vcategory_tables(vc) -> dict:
     return {"objects": sorted(vc.objects),
             "hom": _rows(vc.hom),
             "comp": _rows(vc.comp),
             "identity": dict(sorted(vc.identity.items()))}
 
 
-def _vcategory_from(doc, base: KFoldMonoidal, what: str) -> VCategory:
+def _vcategory_from(doc, base: KFoldMonoidal, what: str):
     from . import vcat
     if not isinstance(doc, dict):
         raise ParseError(f"{what}: expected an object")
@@ -255,7 +260,9 @@ def _vcategories_from(entries, base: KFoldMonoidal) -> dict:
         else:
             vc = product(vdoc["product"], f"{what}.product")
             if any(vc is other for other in done.values()):
-                made, vc = vc, replace(vc)
+                from .vcat import VCategory
+                made, vc = vc, VCategory(vc.base, vc.objects, vc.hom, vc.comp,
+                                         vc.identity)
                 _memo(vc, "product",
                       lambda _: _resolve("vcat.product_of")(made))
         resolving.discard(name)
@@ -310,7 +317,7 @@ def _named_components_from(entry, what: str, *_) -> dict:
                                     f"{what}.components")}
 
 
-def _v2category_tables(u: V2Category) -> dict:
+def _v2category_tables(u) -> dict:
     return {"objects": sorted(u.objects),
             "hom": _rows({key: _vcategory_tables(vc)
                           for key, vc in u.hom.items()}),
@@ -358,28 +365,22 @@ def _v2nat_fields(entry, what, base, frame) -> dict:
         lambda u: (unit, t.target.hom[(t.obj_map[u], s.obj_map[u])]))}
 
 
-class _Group(NamedTuple):
-    """Frame slots saved under one entry key: the slot's name when ``slots``
-    is None (the key is the slot), else the names of ``slots``, an object
-    keyed by slot, or a list in slot order when ``listed``."""
-    key: str
-    lower: str              # the level whose structures the slots name
-    slots: tuple = None
-    listed: bool = False
+# Frame slots saved under one entry key: the slot's name when ``slots`` is
+# None (the key is the slot), else the names of ``slots``, an object keyed by
+# slot, or a list in slot order when ``listed``.  ``lower`` is the level whose
+# structures the slots name.
+_Group = namedtuple("_Group", "key lower slots listed", defaults=(None, False))
 
 
-class _Level(NamedTuple):
+class _Level(namedtuple("_Level", "section typename frame write read",
+                        defaults=((), None, None))):
     """One level of the tower: its ``Tower`` section, its structure type
     (named, as ``_resolve`` reads it), its frame groups, and the codec of an
     entry's own tables.  ``write(structure)`` gives the entry's fields beside
     its frame names; ``read(entry, what, base, frame)`` gives the structure
     type's arguments beside its frame, which maps each slot to the structure
     it names."""
-    section: str
-    typename: str
-    frame: tuple = ()
-    write: Callable = None
-    read: Callable = None
+    __slots__ = ()
 
     @property
     def kind(self) -> type:

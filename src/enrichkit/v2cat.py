@@ -42,7 +42,6 @@ engine bug, on invalid input a diagnostic.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from itertools import product as iproduct
@@ -59,7 +58,7 @@ from .errors import (
 )
 from .fincat import compose
 from .kfold import KFoldMonoidal, LiftedTables, check_kfold
-from .report import (CheckReport, ReportBuilder, cached_report, const,
+from .report import (CheckReport, Record, ReportBuilder, cached_report, const,
                      each_row, equations, lift)
 from .vcat import (
     VCategory,
@@ -105,13 +104,17 @@ from .vcat import (
 )
 
 
-@dataclass
-class V2Category:
-    base: KFoldMonoidal
-    objects: set
-    hom: dict        # (a, b) -> VCategory
-    comp: Mapping    # (a, b, c) -> VFunctor hom(b,c) x_1 hom(a,b) -> hom(a,c)
-    identity: dict   # a -> VFunctor I -> hom(a, a)
+class V2Category(Record):
+    __slots__ = ("base", "objects", "hom", "comp", "identity")
+
+    def __init__(self, base: KFoldMonoidal, objects: set, hom: dict,
+                 comp: Mapping, identity: dict):
+        self.base = base
+        self.objects = objects
+        self.hom = hom            # (a, b) -> VCategory
+        # (a, b, c) -> VFunctor hom(b,c) x_1 hom(a,b) -> hom(a,c)
+        self.comp = comp
+        self.identity = identity  # a -> VFunctor I -> hom(a, a)
 
     def one_cells(self, a, b):
         return sorted(self.hom[(a, b)].objects)
@@ -124,26 +127,36 @@ class V2Category:
         return self.identity[a].obj_map["0"]
 
 
-@dataclass
-class V2Functor:
-    source: V2Category
-    target: V2Category
-    obj_map: dict
-    hom_map: dict    # (u, u') -> VFunctor
+class V2Functor(Record):
+    __slots__ = ("source", "target", "obj_map", "hom_map")
+
+    def __init__(self, source: V2Category, target: V2Category, obj_map: dict,
+                 hom_map: dict):
+        self.source = source
+        self.target = target
+        self.obj_map = obj_map
+        self.hom_map = hom_map    # (u, u') -> VFunctor
 
 
-@dataclass
-class V2NatTransform:
-    source: V2Functor
-    target: V2Functor
-    components: dict  # u -> VFunctor I -> hom_W(Tu, Su)
+class V2NatTransform(Record):
+    __slots__ = ("source", "target", "components")
+
+    def __init__(self, source: V2Functor, target: V2Functor,
+                 components: dict):
+        self.source = source
+        self.target = target
+        self.components = components    # u -> VFunctor I -> hom_W(Tu, Su)
 
 
-@dataclass
-class VModification:
-    source: V2NatTransform
-    target: V2NatTransform
-    components: dict  # u -> base morphism I -> hom_W(Tu,Su)(q, q^)
+class VModification(Record):
+    __slots__ = ("source", "target", "components")
+
+    def __init__(self, source: V2NatTransform, target: V2NatTransform,
+                 components: dict):
+        self.source = source
+        self.target = target
+        # u -> base morphism I -> hom_W(Tu,Su)(q, q^)
+        self.components = components
 
 
 def _after_unit_pair(f: VFunctor, i: int) -> VFunctor:
@@ -666,39 +679,32 @@ def hcomp_mods_along_category(n: VModification,
 
 # -- the exchange suite -------------------------------------------------------------
 
-@dataclass
-class PastingInstance:
+class PastingInstance(Record):
     """The closing two-column pasting: three parallel 2-functors per column
-    with two stacked modifications in each of the four cells."""
-    cat_u: V2Category
-    cat_v: V2Category
-    cat_w: V2Category
-    f: V2Functor
-    h: V2Functor
-    p: V2Functor
-    g: V2Functor
-    k: V2Functor
-    q: V2Functor
-    alpha1: V2NatTransform
-    beta1: V2NatTransform
-    gamma1: V2NatTransform
-    mu1: VModification
-    nu1: VModification
-    alpha2: V2NatTransform
-    beta2: V2NatTransform
-    gamma2: V2NatTransform
-    mu2: VModification
-    nu2: VModification
-    alpha3: V2NatTransform
-    beta3: V2NatTransform
-    gamma3: V2NatTransform
-    mu3: VModification
-    nu3: VModification
-    alpha4: V2NatTransform
-    beta4: V2NatTransform
-    gamma4: V2NatTransform
-    mu4: VModification
-    nu4: VModification
+    with two stacked modifications in each of the four cells.  The
+    categories and 2-functors are followed by each cell's three
+    V2NatTransforms (alpha, beta, gamma) and two VModifications (mu, nu)."""
+    __slots__ = ("cat_u", "cat_v", "cat_w", "f", "h", "p", "g", "k", "q",
+                 "alpha1", "beta1", "gamma1", "mu1", "nu1",
+                 "alpha2", "beta2", "gamma2", "mu2", "nu2",
+                 "alpha3", "beta3", "gamma3", "mu3", "nu3",
+                 "alpha4", "beta4", "gamma4", "mu4", "nu4")
+
+    def __init__(self, cat_u, cat_v, cat_w, f, h, p, g, k, q,
+                 alpha1, beta1, gamma1, mu1, nu1,
+                 alpha2, beta2, gamma2, mu2, nu2,
+                 alpha3, beta3, gamma3, mu3, nu3,
+                 alpha4, beta4, gamma4, mu4, nu4):
+        self.cat_u, self.cat_v, self.cat_w = cat_u, cat_v, cat_w
+        self.f, self.h, self.p, self.g, self.k, self.q = f, h, p, g, k, q
+        self.alpha1, self.beta1, self.gamma1 = alpha1, beta1, gamma1
+        self.mu1, self.nu1 = mu1, nu1
+        self.alpha2, self.beta2, self.gamma2 = alpha2, beta2, gamma2
+        self.mu2, self.nu2 = mu2, nu2
+        self.alpha3, self.beta3, self.gamma3 = alpha3, beta3, gamma3
+        self.mu3, self.nu3 = mu3, nu3
+        self.alpha4, self.beta4, self.gamma4 = alpha4, beta4, gamma4
+        self.mu4, self.nu4 = mu4, nu4
 
 
 def _check_frames(p: PastingInstance) -> None:

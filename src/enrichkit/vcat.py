@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import partial
 from itertools import product as iproduct
 from operator import attrgetter
@@ -51,8 +50,8 @@ from .errors import (
 )
 from .fincat import compose
 from .kfold import KFoldMonoidal, LiftedTables, check_kfold
-from .report import (CheckReport, ReportBuilder, _memo, cached_report, const,
-                     equations, lift)
+from .report import (CheckReport, Record, ReportBuilder, _memo, cached_report,
+                     const, equations, lift)
 
 
 def pair(a: str, b: str) -> str:
@@ -108,28 +107,37 @@ def _plain(table):
     return table._dict() if isinstance(table, LazyTable) else table
 
 
-@dataclass
-class VCategory:
-    base: KFoldMonoidal
-    objects: set
-    hom: dict        # (a, b) -> hom-object in the base
-    comp: Mapping    # (a, b, c) -> composition morphism in the base
-    identity: dict   # a -> identity element I -> hom(a, a)
+class VCategory(Record):
+    __slots__ = ("base", "objects", "hom", "comp", "identity")
+
+    def __init__(self, base: KFoldMonoidal, objects: set, hom: dict,
+                 comp: Mapping, identity: dict):
+        self.base = base
+        self.objects = objects
+        self.hom = hom            # (a, b) -> hom-object in the base
+        self.comp = comp          # (a, b, c) -> composition morphism in the base
+        self.identity = identity  # a -> identity element I -> hom(a, a)
 
 
-@dataclass
-class VFunctor:
-    source: VCategory
-    target: VCategory
-    obj_map: dict
-    hom_map: dict    # (a, b) -> base morphism hom_S(a,b) -> hom_T(Ta,Tb)
+class VFunctor(Record):
+    __slots__ = ("source", "target", "obj_map", "hom_map")
+
+    def __init__(self, source: VCategory, target: VCategory, obj_map: dict,
+                 hom_map: dict):
+        self.source = source
+        self.target = target
+        self.obj_map = obj_map
+        # (a, b) -> base morphism hom_S(a,b) -> hom_T(Ta,Tb)
+        self.hom_map = hom_map
 
 
-@dataclass
-class VNatTransform:
-    source: VFunctor
-    target: VFunctor
-    components: dict  # a -> base morphism I -> hom(Ta, Sa)
+class VNatTransform(Record):
+    __slots__ = ("source", "target", "components")
+
+    def __init__(self, source: VFunctor, target: VFunctor, components: dict):
+        self.source = source
+        self.target = target
+        self.components = components    # a -> base morphism I -> hom(Ta, Sa)
 
 
 # -- gates --------------------------------------------------------------------
@@ -533,17 +541,22 @@ def _comp_reads(f, objs):
 
 
 def _compose_functors(cells: _Cells, s, t):
-    """s after t: composed object maps, hom maps composed entry by entry."""
-    if t.target != s.source:
-        raise NotComposable("functor frames do not match")
-    compose = cells.comp
-    obj_map = {x: s.obj_map[t.obj_map[x]] for x in t.source.objects}
-    hom_map = {}
-    for x in t.source.objects:
-        for y in t.source.objects:
-            hom_map[(x, y)] = compose(
-                s.hom_map[(t.obj_map[x], t.obj_map[y])], t.hom_map[(x, y)])
-    return cells.Functor(t.source, s.target, obj_map, hom_map)
+    """s after t: composed object maps, hom maps composed entry by entry.
+    Built once per (s, t) and kept on ``s``; the entry holds ``t``, so
+    id(t) is never reused while it stands."""
+    def build(s):
+        if t.target != s.source:
+            raise NotComposable("functor frames do not match")
+        compose = cells.comp
+        obj_map = {x: s.obj_map[t.obj_map[x]] for x in t.source.objects}
+        hom_map = {}
+        for x in t.source.objects:
+            for y in t.source.objects:
+                hom_map[(x, y)] = compose(
+                    s.hom_map[(t.obj_map[x], t.obj_map[y])],
+                    t.hom_map[(x, y)])
+        return t, cells.Functor(t.source, s.target, obj_map, hom_map)
+    return _memo(s, ("compose", id(t)), build)[1]
 
 
 def _identity_functor(cells: _Cells, a):
@@ -576,19 +589,23 @@ def _compose_nats(cells: _Cells, b, a):
 
 
 def _whisker_components(cells: _Cells, side: str, f, a) -> dict:
-    """The components of a whiskered by f, without building its frame."""
-    if side == "left":
-        if a.source.target != f.source:
-            raise NotComposable("whisker frames do not match")
-        return {x: cells.comp(
-                    f.hom_map[(a.source.obj_map[x], a.target.obj_map[x])],
-                    a.components[x])
-                for x in a.source.source.objects}
-    if side == "right":
-        if f.target != a.source.source:
-            raise NotComposable("whisker frames do not match")
-        return {x: a.components[f.obj_map[x]] for x in f.source.objects}
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    """The components of a whiskered by f, without building its frame.
+    Built once per (side, f, a) and kept on ``f``; the entry holds ``a``,
+    as ``_compose_functors``'s holds its t."""
+    def build(f):
+        if side == "left":
+            if a.source.target != f.source:
+                raise NotComposable("whisker frames do not match")
+            return a, {x: cells.comp(
+                f.hom_map[(a.source.obj_map[x], a.target.obj_map[x])],
+                a.components[x]) for x in a.source.source.objects}
+        if side == "right":
+            if f.target != a.source.source:
+                raise NotComposable("whisker frames do not match")
+            return a, {x: a.components[f.obj_map[x]]
+                       for x in f.source.objects}
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return _memo(f, ("whisker", side, id(a)), build)[1]
 
 
 def _whisker(cells: _Cells, side: str, f, a):

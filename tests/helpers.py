@@ -26,6 +26,13 @@ def add2(a: str, b: str) -> str:
     return str((int(a) + int(b)) % 2)
 
 
+def replaced(record, **changes):
+    """A new record of ``record``'s class, its fields copied but for
+    ``changes``; the new record's memo starts empty."""
+    fields = {name: getattr(record, name) for name in record.__slots__}
+    return type(record)(**{**fields, **changes})
+
+
 def rewire(table: dict, key, value) -> dict:
     """Copy of a table with one entry redirected."""
     out = dict(table)

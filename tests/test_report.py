@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 from unittest import mock
@@ -375,3 +376,99 @@ def test_coded_legs_over_a_byte_of_distinct_values():
     assert rep.families["wide"] == 4096
     assert _witnesses(rep) == [((255, y), "<undefined>", "<undefined>")
                                for y in range(16)]
+
+
+# -- records ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def records():
+    """One record of every type but Witness, by type name."""
+    from enrichkit.fincat import FinFunctor, FinNatTransform
+    from enrichkit.instances import Bounds, bool_symmetric, corpus
+    tower = corpus(0)["bool2"]
+    cat = tower.base.base
+    ident = {m: m for m in cat.morphisms}
+    functor = FinFunctor(cat, cat, {a: a for a in cat.objects}, ident)
+    out = {"Tower": tower, "KFoldMonoidal": tower.base, "FinCategory": cat,
+           "FinFunctor": functor,
+           "FinNatTransform": FinNatTransform(functor, functor,
+                                              dict(cat.identity)),
+           "SymmetricMonoidal": bool_symmetric(), "Bounds": Bounds(),
+           "CheckReport": report.CheckReport()}
+    for section in ("vcategories", "vfunctors", "vnats", "v2categories",
+                    "v2functors", "v2nats", "modifications", "pastings"):
+        for structure in getattr(tower, section).values():
+            out[type(structure).__name__] = structure
+    assert len(out) == 16
+    return out
+
+
+def test_equal_records_of_one_type_compare_equal(bool2):
+    from enrichkit.vcat import VCategory
+    e = bool2.base.identity[bool2.unit]
+
+    def point():
+        return VCategory(bool2, {"o"}, {("o", "o"): bool2.unit},
+                         {("o", "o", "o"): e}, {"o": e})
+    a, b = point(), point()
+    assert a is not b and a == b and not a != b
+    assert a != VCategory(bool2, {"o"}, {("o", "o"): bool2.unit},
+                          {("o", "o", "o"): e}, {"o": "other"})
+
+
+def test_records_of_different_types_with_equal_fields_differ(records):
+    from enrichkit.v2cat import V2NatTransform, VModification
+    from enrichkit.vcat import VNatTransform
+    nat = records["VNatTransform"]
+    fields = (nat.source, nat.target, nat.components)
+    same = [kind(*fields)
+            for kind in (VNatTransform, V2NatTransform, VModification)]
+    assert same[0] == nat
+    assert same[0] != same[1] and same[1] != same[2] and same[0] != same[2]
+
+
+def test_structures_are_unhashable_and_keep_a_memo(records):
+    for name, record in records.items():
+        with pytest.raises(TypeError):
+            hash(record)
+        made = []
+        value = report._memo(record, ("probe", name), made.append)
+        assert report._memo(record, ("probe", name), made.append) is value
+        assert made == [record], name
+        rep = report.cached_report(record, lambda _: report.CheckReport())
+        assert isinstance(rep, report.CheckReport)
+        assert report.cached_report(record, None) is rep
+
+
+def test_witness_is_hashable_and_immutable():
+    w = report.Witness("pentagon", ("a", "b"), "f", "g")
+    assert w == report.Witness("pentagon", ("a", "b"), "f", "g")
+    assert len({w, report.Witness("pentagon", ("a", "b"), "f", "g")}) == 1
+    assert w != report.Witness("pentagon", ("a", "b"), "f", "h")
+    with pytest.raises(AttributeError):
+        w.lhs = "h"
+    with pytest.raises(AttributeError):
+        del w.lhs
+    assert w.lhs == "f"
+    assert repr(w) == ("Witness(diagram='pentagon', instance=('a', 'b'), "
+                       "lhs='f', rhs='g')")
+
+
+def test_loaded_product_twin_has_its_own_memo(preorder_p):
+    from enrichkit.serialize import Tower, dumps, loads
+    from enrichkit.vcat import check_vcategory, product_of, product_vcat
+    doc = json.loads(dumps(Tower(preorder_p.base, vcategories={
+        "P": preorder_p, "X": product_vcat(1, preorder_p, preorder_p)})))
+    doc["vcategories"]["Y"] = doc["vcategories"]["X"]
+    loaded = loads(json.dumps(doc)).vcategories
+    made, twin = loaded["X"], loaded["Y"]
+    assert twin is not made and twin == made and twin.comp is made.comp
+    assert report.cached_report(made, check_vcategory).ok
+    assert twin._memo is not made._memo and set(twin._memo) == {"product"}
+    assert product_of(twin) is product_of(made)
+
+
+def test_random_structures_record_their_attempts():
+    from enrichkit.instances import random_instance
+    for level in ("vcategory", "vfunctor", "v2category"):
+        assert random_instance(level, 3)._generation_attempts >= 1

@@ -69,7 +69,8 @@ def documents(tmp_path_factory):
 
 
 # Runs the CLI on its arguments, then prints the enrichkit modules loaded
-# and whether numpy was, as the last line of stderr.
+# and which of numpy and the start-up-heavy standard modules were, as the
+# last line of stderr.
 PROBE = """
 import json, sys
 from enrichkit import cli
@@ -78,11 +79,22 @@ try:
 except SystemExit:
     pass
 print(json.dumps([sorted(m for m in sys.modules if m.startswith("enrichkit")),
-                  "numpy" in sys.modules]), file=sys.stderr)
+                  [m for m in ("numpy", "dataclasses", "inspect", "typing")
+                   if m in sys.modules]]), file=sys.stderr)
 """
 BASE = ["enrichkit", "enrichkit.cli", "enrichkit.errors", "enrichkit.fincat",
         "enrichkit.kfold", "enrichkit.report", "enrichkit.serialize"]
 LEVELS = ["enrichkit.v2cat", "enrichkit.vcat"]
+
+
+def _probe(documents, argv, *flags):
+    """(enrichkit modules, other watched modules) loaded by one command."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, *flags, "-c", PROBE, *argv],
+                          cwd=documents, env=env, capture_output=True,
+                          text=True, timeout=60)
+    return json.loads(proc.stderr.splitlines()[-1])
 
 
 @pytest.mark.parametrize("argv, extra", [
@@ -92,11 +104,15 @@ LEVELS = ["enrichkit.v2cat", "enrichkit.vcat"]
     (["fuzz", "--level", "vcategory"], ["enrichkit.instances", *LEVELS]),
 ])
 def test_command_loads_only_the_layers_it_reaches(documents, argv, extra):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv],
-                          cwd=documents, env=env, capture_output=True,
-                          text=True, timeout=60)
-    modules, numpy = json.loads(proc.stderr.splitlines()[-1])
+    modules, loaded = _probe(documents, argv)
     assert modules == sorted(BASE + extra)
-    assert not numpy
+    assert "numpy" not in loaded
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "base.json"]])
+def test_base_commands_load_no_dataclasses_inspect_or_typing(documents, argv):
+    # Records are plain slotted classes and the level tables namedtuples.
+    # -S leaves site out: a .pth file there may import typing itself.
+    modules, loaded = _probe(documents, argv, "-S")
+    assert modules == sorted(BASE)
+    assert loaded == []

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import product as iproduct
 
 import pytest
@@ -68,6 +67,7 @@ from enrichkit.v2cat import (
     whisker_nat_mod_left,
     whisker_nat_mod_right,
 )
+from helpers import replaced
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +99,11 @@ def test_w_passes(w):
     assert set(rep.families) == {
         "composition-functor-shape", "identity-functor-shape", "pentagon",
         "unit-left", "unit-right"}
+
+
+def test_2_functor_composites_are_built_once(w):
+    f, g = identity_v2functor(w), identity_v2functor(w)
+    assert compose_v2functors(g, f) is compose_v2functors(g, f)
 
 
 def test_identity_v2functor_passes(w):
@@ -174,23 +179,23 @@ def test_unit_component_between_identity_and_lowering_fails_naturality(
 def _wrong_composition_target(w):
     # W's composition functor lands in the unit enriched category.
     key = ("*", "*", "*")
-    comp = replace(w.comp[key], target=unit_vcategory(w.base))
-    return check_v2category, replace(w, comp={**w.comp, key: comp})
+    comp = replaced(w.comp[key], target=unit_vcategory(w.base))
+    return check_v2category, replaced(w, comp={**w.comp, key: comp})
 
 
 def _wrong_hom_functor_target(w):
     # The hom functor lands in hom(*, *) with one hom-object moved.
     hom = w.hom[("*", "*")]
-    moved = replace(hom, hom={**hom.hom, ("one", "t"): "bot"})
+    moved = replaced(hom, hom={**hom.hom, ("one", "t"): "bot"})
     return check_v2functor, V2Functor(w, w, {"*": "*"}, {
-        ("*", "*"): replace(identity_vfunctor(hom), target=moved)})
+        ("*", "*"): replaced(identity_vfunctor(hom), target=moved)})
 
 
 def _wrong_component_target(w):
     # The component lands in hom(*, *) with one composite moved.
     hom, idw = w.hom[("*", "*")], identity_v2functor(w)
-    moved = replace(hom, comp={**hom.comp, ("one", "t", "one"): "id_bot"})
-    component = replace(id_nat(idw).components["*"], target=moved)
+    moved = replaced(hom, comp={**hom.comp, ("one", "t", "one"): "id_bot"})
+    component = replaced(id_nat(idw).components["*"], target=moved)
     return check_v2nat, V2NatTransform(idw, idw, {"*": component})
 
 

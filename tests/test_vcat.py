@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from functools import partial
 from itertools import product as iproduct
@@ -15,7 +14,7 @@ from enrichkit.errors import (
     NotParallel,
 )
 from enrichkit.fincat import compose
-from enrichkit.kfold import check_kfold
+from enrichkit.kfold import KFoldMonoidal, check_kfold
 from enrichkit.instances import (
     bool_poset,
     cocycle_vcat,
@@ -48,7 +47,8 @@ from enrichkit.vcat import (
     whisker_vnat,
 )
 
-from helpers import capped_chain, metric_space, rewire, thin_morphism
+from helpers import (capped_chain, metric_space, replaced, rewire,
+                     thin_morphism)
 
 
 def collapse_functor(p):
@@ -203,6 +203,32 @@ def test_products_and_unit_are_built_once(preorder_p):
     assert unit_vcategory(preorder_p.base) is unit_vcategory(preorder_p.base)
 
 
+def test_composites_and_whisker_components_are_built_once(preorder_p):
+    f = identity_vfunctor(preorder_p)
+    g = identity_vfunctor(preorder_p)
+    assert compose_vfunctor(g, f) is compose_vfunctor(g, f)
+    a = identity_vnat(f)
+    for side in ("left", "right"):
+        one, two = whisker_vnat(side, g, a), whisker_vnat(side, g, a)
+        assert one.components is two.components
+        assert one.source is two.source and one.target is two.target
+
+
+def test_composite_memo_never_serves_a_dead_functor(bool2):
+    # Each t is freed once composed, so the next t may reuse its id; the
+    # composite kept on s must still be the one of the live t.
+    a = preorder_vcat(bool2, ["a", "b"], {("a", "a"), ("a", "b"), ("b", "b")})
+    s = identity_vfunctor(a)
+    e = bool2.base.identity[bool2.unit]
+    for k in range(200):
+        o = f"o{k}"
+        b = VCategory(bool2, {o}, {(o, o): bool2.unit}, {(o, o, o): e}, {o: e})
+        x = "ab"[k % 2]
+        t = VFunctor(b, a, {o: x}, {(o, o): e})
+        assert compose_vfunctor(s, t).obj_map == {o: x}
+        del b, t
+
+
 def test_product_memo_never_serves_a_dead_factor(bool2):
     # Each b is freed once its product is taken, so the next b may reuse its
     # id; the product kept on a must still be the one of the live b.
@@ -291,7 +317,7 @@ def test_product_comp_raises_the_formulas_first_base_error(bool2):
     # identities tensor id_top with itself.
     table = {**bool2.tensor_mor_table[2]}
     del table[("u", "id_top")]
-    base = dataclasses.replace(
+    base = replaced(
         bool2, tensor_mor_table={**bool2.tensor_mor_table, 2: table})
     p = preorder_vcat(base, ["a", "b"], {("a", "a"), ("a", "b"), ("b", "b")})
     pp = product_vcat(1, p, p)
@@ -301,14 +327,15 @@ def test_product_comp_raises_the_formulas_first_base_error(bool2):
     assert _built_comp(pp) == expected
 
 
-def test_product_comp_asks_the_base_once_per_distinct_entries():
+def test_product_comp_asks_the_base_once_per_distinct_entries(monkeypatch):
     base = bool_poset(2)
     calls = []
 
-    def counted(*args, tensor_mor=base.tensor_mor):
+    def counted(self, *args, tensor_mor=KFoldMonoidal.tensor_mor):
         calls.append(args)
-        return tensor_mor(*args)
-    base.tensor_mor = counted    # before the base's cells are built
+        return tensor_mor(self, *args)
+    # before the base's cells are built; records have no instance dict
+    monkeypatch.setattr(KFoldMonoidal, "tensor_mor", counted)
     p3 = preorder_vcat(base, ["a", "b", "c"],
                        {("a", "a"), ("b", "b"), ("c", "c"),
                         ("a", "b"), ("b", "c"), ("a", "c")})
