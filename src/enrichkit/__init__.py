@@ -11,9 +11,7 @@ from importlib import import_module
 # itself.  Names are read from the module on every access, never copied here.
 _EXPORTS = {
     "errors": (),
-    "fincat": ("FinCategory", "FinFunctor", "FinNatTransform",
-               "check_category", "check_functor", "check_natural",
-               "compose", "compose_chain"),
+    "fincat": ("FinCategory", "check_category", "compose"),
     "kfold": ("KFoldMonoidal", "check_kfold"),
     "report": ("CheckReport", "Witness"),
     "vcat": ("VCategory", "VFunctor", "VNatTransform", "assoc_vcat",

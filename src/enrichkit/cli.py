@@ -33,6 +33,7 @@ from .errors import (
     BaseInvalid,
     ConstructionFailed,
     DanglingReference,
+    IndexOutOfRange,
     InvalidPasting,
     KernelError,
     LowerLevelInvalid,
@@ -390,12 +391,12 @@ def _run_construct(args) -> int:
     except (MalformedTable, ParseError, DanglingReference) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except (IndexOutOfRange, TypeError, ValueError) as err:
+        print(f"error: bad arguments: {err}", file=sys.stderr)
+        return 2
     except (ConstructionFailed, KernelError) as err:
         print(f"construction failed: {err}", file=sys.stderr)
         return 1
-    except (TypeError, ValueError) as err:
-        print(f"error: bad arguments: {err}", file=sys.stderr)
-        return 2
     if not report.ok:
         print("construction failed validation:", file=sys.stderr)
         for w in report.witnesses[:5]:

@@ -14,10 +14,6 @@ class CompositionUndefined(KernelError):
     """Requested composite has mismatched endpoints or no table entry."""
 
 
-class EmptyChain(KernelError):
-    """compose_chain was called with an empty list."""
-
-
 class MalformedTable(KernelError):
     """A table is missing required entries or references unknown ids."""
 

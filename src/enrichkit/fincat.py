@@ -1,4 +1,6 @@
-"""Finite categories as explicit lookup tables.
+"""Finite categories as explicit lookup tables: the category record,
+composition, inverses and the category checker.  The tower above only
+enriches over such a category, so there are no ordinary functors here.
 
 Objects and morphisms are opaque string ids.  Composition is a partial table
 keyed by (second, first); an entry exists exactly for the composable pairs,
@@ -17,13 +19,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .errors import (
-    CompositionUndefined,
-    EmptyChain,
-    MalformedTable,
-    NotParallel,
-    UnknownMorphism,
-)
+from .errors import CompositionUndefined, MalformedTable, UnknownMorphism
 from .report import (CheckReport, Record, ReportBuilder, each_row, equations,
                      lift, row_equations)
 
@@ -55,28 +51,6 @@ class FinCategory(Record):
                       if self.cod[f] == self.dom[g])
 
 
-class FinFunctor(Record):
-    __slots__ = ("source", "target", "obj_map", "mor_map")
-
-    def __init__(self, source: FinCategory, target: FinCategory,
-                 obj_map: dict, mor_map: dict):
-        self.source = source
-        self.target = target
-        self.obj_map = obj_map
-        self.mor_map = mor_map
-
-
-class FinNatTransform(Record):
-    __slots__ = ("source", "target", "components")
-
-    def __init__(self, source: FinFunctor, target: FinFunctor,
-                 components: dict):
-        self.source = source
-        self.target = target
-        # object of source.source -> morphism of source.target
-        self.components = components
-
-
 def compose(cat: FinCategory, g: MorId, f: MorId) -> MorId:
     """Composite g∘f, i.e. f first."""
     for m in (g, f):
@@ -99,25 +73,6 @@ def inverse(cat: FinCategory, m: MorId):
                 and cat.comp.get((m, g)) == cat.identity[cat.cod[m]]):
             return g
     return None
-
-
-def compose_chain(cat: FinCategory, morphisms) -> MorId:
-    """Left fold of compose: [h, g, f] evaluates to h∘g∘f."""
-    morphisms = list(morphisms)
-    if not morphisms:
-        raise EmptyChain("cannot compose an empty chain")
-    acc = morphisms[0]
-    if acc not in cat.morphisms:
-        raise UnknownMorphism(f"unknown morphism {acc!r}")
-    for f in morphisms[1:]:
-        acc = compose(cat, acc, f)
-    return acc
-
-
-def identity_functor(cat: FinCategory) -> FinFunctor:
-    return FinFunctor(cat, cat,
-                      {a: a for a in cat.objects},
-                      {m: m for m in cat.morphisms})
 
 
 # -- checkers ---------------------------------------------------------------
@@ -200,104 +155,3 @@ def check_category(cat: FinCategory, *,
             ("associativity", triples, associativity)):
         b.family(name, *row_equations(rows, legs))
     return b.report()
-
-
-def check_functor(fun: FinFunctor, *,
-                  all_witnesses: bool = False) -> CheckReport:
-    """Verify a functor preserves boundaries, identities, and composites.
-
-    Precondition: source and target already pass check_category.
-    """
-    src, tgt = fun.source, fun.target
-    for a in src.objects:
-        if a not in fun.obj_map:
-            raise MalformedTable(f"object map missing entry for {a!r}")
-        if fun.obj_map[a] not in tgt.objects:
-            raise MalformedTable(f"object map sends {a!r} to an unknown object")
-    for m in src.morphisms:
-        if m not in fun.mor_map:
-            raise MalformedTable(f"morphism map missing entry for {m!r}")
-        if fun.mor_map[m] not in tgt.morphisms:
-            raise MalformedTable(f"morphism map sends {m!r} to an unknown morphism")
-
-    src_dom, src_cod, src_comp, src_idm = map(
-        lift, (src.dom, src.cod, src.comp, src.identity))
-    tgt_dom, tgt_cod, tgt_comp, tgt_idm = map(
-        lift, (tgt.dom, tgt.cod, tgt.comp, tgt.identity))
-    obj, mor = lift(fun.obj_map), lift(fun.mor_map)
-
-    def boundary(f):
-        img = mor(f)
-        return [(tgt_dom(img), obj(src_dom(f))),
-                (tgt_cod(img), obj(src_cod(f)))]
-
-    def identities(a):
-        return [(mor(src_idm(a)), tgt_idm(obj(a)))]
-
-    def composites(g, f):
-        return [(mor(src_comp(g, f)), tgt_comp(mor(g), mor(f)))]
-
-    b = ReportBuilder(all_witnesses)
-    for name, (blocks, check) in (
-            ("functor-boundary", equations([sorted(src.morphisms)], boundary)),
-            ("functor-identity", equations([sorted(src.objects)], identities)),
-            ("functor-composition",
-             row_equations(src.composable_pairs(), composites))):
-        b.family(name, blocks, check)
-    return b.report()
-
-
-def check_natural(nat: FinNatTransform, *,
-                  all_witnesses: bool = False) -> CheckReport:
-    """Verify naturality squares for a transformation between parallel functors."""
-    F, G = nat.source, nat.target
-    if F.source is not G.source and F.source != G.source:
-        raise NotParallel("functors do not share a source")
-    if F.target is not G.target and F.target != G.target:
-        raise NotParallel("functors do not share a target")
-    src, tgt = F.source, F.target
-    for a in src.objects:
-        if a not in nat.components:
-            raise MalformedTable(f"missing component at {a!r}")
-        if nat.components[a] not in tgt.morphisms:
-            raise MalformedTable(f"component at {a!r} is an unknown morphism")
-
-    comp, dom, cod = lift(tgt.comp), lift(tgt.dom), lift(tgt.cod)
-    src_dom, src_cod = lift(src.dom), lift(src.cod)
-    component = lift(nat.components)
-    F_obj, F_mor, G_obj, G_mor = map(
-        lift, (F.obj_map, F.mor_map, G.obj_map, G.mor_map))
-
-    def boundary(a):
-        t = component(a)
-        return [(dom(t), F_obj(a)), (cod(t), G_obj(a))]
-
-    def square(f):
-        return [(comp(G_mor(f), component(src_dom(f))),
-                 comp(component(src_cod(f)), F_mor(f)))]
-
-    b = ReportBuilder(all_witnesses)
-    for name, axis, legs in (
-            ("component-boundary", sorted(src.objects), boundary),
-            ("naturality", sorted(src.morphisms), square)):
-        b.family(name, *equations([axis], legs))
-    return b.report()
-
-
-def product_category(c1: FinCategory, c2: FinCategory) -> FinCategory:
-    """Componentwise product category; ids are encoded pairs."""
-    def encode(x, y):
-        return f"({x},{y})"
-    objects = {encode(a, b) for a, b in product(c1.objects, c2.objects)}
-    morphisms = {encode(f, g) for f, g in product(c1.morphisms, c2.morphisms)}
-    dom = {encode(f, g): encode(c1.dom[f], c2.dom[g])
-           for f, g in product(c1.morphisms, c2.morphisms)}
-    cod = {encode(f, g): encode(c1.cod[f], c2.cod[g])
-           for f, g in product(c1.morphisms, c2.morphisms)}
-    comp = {}
-    for (g1, f1), h1 in c1.comp.items():
-        for (g2, f2), h2 in c2.comp.items():
-            comp[(encode(g1, g2), encode(f1, f2))] = encode(h1, h2)
-    identity = {encode(a, b): encode(c1.identity[a], c2.identity[b])
-                for a, b in product(c1.objects, c2.objects)}
-    return FinCategory(objects, morphisms, dom, cod, comp, identity)

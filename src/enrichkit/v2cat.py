@@ -80,7 +80,7 @@ from .vcat import (
     _require_bijection,
     _unit,
     _whisker,
-    _whisker_components,
+    _whiskered,
     assoc_vcat,
     check_vcategory,
     check_vfunctor,
@@ -596,9 +596,11 @@ def whisker_functor_mod(k: V2Functor, m: VModification) -> VModification:
     if al.source.target != k.source:
         raise NotComposable("whisker frames do not match")
     cells = _base_cells(k.target.base)
+    # _at(m, u) is new on every call, so a memo entry keyed by it would
+    # never be read again.
     return VModification(
         whisker_functor_nat(k, al), whisker_functor_nat(k, m.target),
-        _each(al, lambda u: _whisker_components(cells, "left", k.hom_map[
+        _each(al, lambda u: _whiskered(cells, "left", k.hom_map[
             (al.source.obj_map[u], al.target.obj_map[u])], _at(m, u))))
 
 

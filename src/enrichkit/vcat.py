@@ -588,24 +588,26 @@ def _compose_nats(cells: _Cells, b, a):
     return cells.Nat(a.source, b.target, components)
 
 
+def _whiskered(cells: _Cells, side: str, f, a) -> dict:
+    """The components of a whiskered by f, without building its frame."""
+    if side == "left":
+        if a.source.target != f.source:
+            raise NotComposable("whisker frames do not match")
+        return {x: cells.comp(
+            f.hom_map[(a.source.obj_map[x], a.target.obj_map[x])],
+            a.components[x]) for x in a.source.source.objects}
+    if side == "right":
+        if f.target != a.source.source:
+            raise NotComposable("whisker frames do not match")
+        return {x: a.components[f.obj_map[x]] for x in f.source.objects}
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
 def _whisker_components(cells: _Cells, side: str, f, a) -> dict:
-    """The components of a whiskered by f, without building its frame.
-    Built once per (side, f, a) and kept on ``f``; the entry holds ``a``,
-    as ``_compose_functors``'s holds its t."""
-    def build(f):
-        if side == "left":
-            if a.source.target != f.source:
-                raise NotComposable("whisker frames do not match")
-            return a, {x: cells.comp(
-                f.hom_map[(a.source.obj_map[x], a.target.obj_map[x])],
-                a.components[x]) for x in a.source.source.objects}
-        if side == "right":
-            if f.target != a.source.source:
-                raise NotComposable("whisker frames do not match")
-            return a, {x: a.components[f.obj_map[x]]
-                       for x in f.source.objects}
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return _memo(f, ("whisker", side, id(a)), build)[1]
+    """``_whiskered``, built once per (side, f, a) and kept on ``f``; the
+    entry holds ``a``, as ``_compose_functors``'s holds its t."""
+    return _memo(f, ("whisker", side, id(a)),
+                 lambda f: (a, _whiskered(cells, side, f, a)))[1]
 
 
 def _whisker(cells: _Cells, side: str, f, a):

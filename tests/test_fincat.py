@@ -1,27 +1,11 @@
 import pytest
-from hypothesis import given, strategies as st
 
-from enrichkit.errors import (
-    CompositionUndefined,
-    EmptyChain,
-    MalformedTable,
-    UnknownMorphism,
-)
-from enrichkit.fincat import (
-    FinCategory,
-    FinFunctor,
-    FinNatTransform,
-    check_category,
-    check_functor,
-    check_natural,
-    compose,
-    compose_chain,
-    identity_functor,
-    product_category,
-)
+from enrichkit.errors import (CompositionUndefined, MalformedTable,
+                              UnknownMorphism)
+from enrichkit.fincat import FinCategory, check_category, compose
 from enrichkit.instances import bool_symmetric, zmod2_symmetric
 
-from helpers import idempotent_monoid_category, rewire, thin_morphism
+from helpers import idempotent_monoid_category, rewire
 
 
 @pytest.fixture
@@ -45,42 +29,6 @@ def test_compose_mismatch(two):
         compose(two, "u", "u")
     with pytest.raises(UnknownMorphism):
         compose(two, "u", "zz")
-
-
-def test_chain_singleton_and_unit_absorption(two):
-    assert compose_chain(two, ["u"]) == "u"
-    assert compose_chain(two, ["id_top", "u", "id_bot"]) == "u"
-    with pytest.raises(EmptyChain):
-        compose_chain(two, [])
-
-
-def test_chain_in_thin_hom(two):
-    # Two hom-poset morphisms of the join-monoid structure compose to the
-    # unique morphism with the matching endpoints.
-    expected = thin_morphism(two, "bot", "top")
-    assert expected == "u"
-    assert compose_chain(two, ["id_top", "u"]) == expected
-
-
-@given(st.integers(0, 6), st.integers(1, 3))
-def test_chain_regrouping(start, cut):
-    # Regrouping a valid chain never changes the folded morphism.
-    two = bool_symmetric().base
-    chains = [
-        ["id_bot"], ["u"], ["id_top"],
-        ["u", "id_bot"], ["id_top", "u"],
-        ["id_top", "u", "id_bot"],
-        ["id_top", "id_top", "u", "id_bot", "id_bot"],
-    ]
-    chain = chains[start % len(chains)]
-    whole = compose_chain(two, chain)
-    cut = min(cut, len(chain) - 1)
-    if cut == 0:
-        assert whole == compose_chain(two, chain)
-    else:
-        left = compose_chain(two, chain[:cut])
-        right = compose_chain(two, chain[cut:])
-        assert compose_chain(two, [left, right]) == whole
 
 
 def test_check_category_passes(two, z2_discrete):
@@ -168,62 +116,3 @@ def test_malformed_table(two):
                          two.identity)
     with pytest.raises(MalformedTable):
         check_category(broken)
-
-
-def test_identity_functor_passes(two):
-    assert check_functor(identity_functor(two)).ok
-
-
-def test_constant_functor_passes(two):
-    # All composites collapse onto id_top.
-    const = FinFunctor(two, two, {o: "top" for o in two.objects},
-                       {m: "id_top" for m in two.morphisms})
-    assert check_functor(const).ok
-
-
-def test_object_swap_breaks_boundaries(two):
-    swapped = FinFunctor(two, two, {"bot": "top", "top": "bot"},
-                         {m: m for m in two.morphisms})
-    rep = check_functor(swapped)
-    assert rep.first_for("functor-boundary") is not None
-
-
-def test_identity_transform_passes(two):
-    ident = identity_functor(two)
-    nat = FinNatTransform(ident, ident,
-                          {o: two.identity[o] for o in two.objects})
-    assert check_natural(nat).ok
-
-
-def test_symmetry_components_natural(two):
-    # The symmetry of the meet tensor, viewed as a transformation between
-    # the tensor functor and its swap on the product category: every
-    # component is an identity because meet is commutative on the nose.
-    sym = bool_symmetric()
-    prod = product_category(two, two)
-    tensor = FinFunctor(
-        prod, two,
-        {f"({a},{b})": sym.tensor_obj[(a, b)]
-         for a in two.objects for b in two.objects},
-        {f"({f},{g})": sym.tensor_mor[(f, g)]
-         for f in two.morphisms for g in two.morphisms})
-    swapped = FinFunctor(
-        prod, two,
-        {f"({a},{b})": sym.tensor_obj[(b, a)]
-         for a in two.objects for b in two.objects},
-        {f"({f},{g})": sym.tensor_mor[(g, f)]
-         for f in two.morphisms for g in two.morphisms})
-    components = {f"({a},{b})": sym.symmetry[(a, b)]
-                  for a in two.objects for b in two.objects}
-    assert check_category(prod).ok
-    assert check_functor(tensor).ok
-    nat = FinNatTransform(tensor, swapped, components)
-    assert check_natural(nat).ok
-
-
-def test_component_rewire_breaks_boundary(two):
-    ident = identity_functor(two)
-    nat = FinNatTransform(ident, ident,
-                          {"bot": "u", "top": "id_top"})
-    rep = check_natural(nat)
-    assert rep.first_for("component-boundary") is not None

@@ -4,6 +4,7 @@ from enrichkit.errors import (BudgetExhausted, NotPreorder, NotSymmetric,
                               UnknownObject)
 from enrichkit.instances import (
     Bounds,
+    _symmetric_problems,
     bool_poset,
     bool_symmetric,
     cocycle_vcat,
@@ -36,6 +37,15 @@ def test_from_symmetric_zmod_hexagon():
     rep = check_kfold(v)
     assert rep.ok
     assert rep.families["hexagon[1,2,3]"] > 0
+
+
+def test_symmetry_components_natural():
+    # c_{cod f, cod g} . (f (x) g) = (g (x) f) . c_{dom f, dom g} at every
+    # pair of morphisms, of the meet poset's three and Z/2's two.
+    for sym, instances in ((bool_symmetric(), 9), (zmod2_symmetric(), 4)):
+        report, _ = _symmetric_problems(sym)
+        assert report.families["symmetry-naturality"] == instances
+        assert "symmetry-naturality" not in report.failing_families()
 
 
 def test_from_symmetric_rejects_broken_symmetry():

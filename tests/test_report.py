@@ -383,23 +383,17 @@ def test_coded_legs_over_a_byte_of_distinct_values():
 @pytest.fixture(scope="module")
 def records():
     """One record of every type but Witness, by type name."""
-    from enrichkit.fincat import FinFunctor, FinNatTransform
     from enrichkit.instances import Bounds, bool_symmetric, corpus
     tower = corpus(0)["bool2"]
-    cat = tower.base.base
-    ident = {m: m for m in cat.morphisms}
-    functor = FinFunctor(cat, cat, {a: a for a in cat.objects}, ident)
-    out = {"Tower": tower, "KFoldMonoidal": tower.base, "FinCategory": cat,
-           "FinFunctor": functor,
-           "FinNatTransform": FinNatTransform(functor, functor,
-                                              dict(cat.identity)),
+    out = {"Tower": tower, "KFoldMonoidal": tower.base,
+           "FinCategory": tower.base.base,
            "SymmetricMonoidal": bool_symmetric(), "Bounds": Bounds(),
            "CheckReport": report.CheckReport()}
     for section in ("vcategories", "vfunctors", "vnats", "v2categories",
                     "v2functors", "v2nats", "modifications", "pastings"):
         for structure in getattr(tower, section).values():
             out[type(structure).__name__] = structure
-    assert len(out) == 16
+    assert len(out) == 14
     return out
 
 

@@ -728,6 +728,24 @@ def test_wrong_input_count_exits_two(corpus_dir, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("construction, options, inputs, message", [
+    ("product-vcat", ["--index", "0"], ["P", "P"],
+     "product index 0 needs tensor 1 <= n"),
+    ("product-vcat", ["--index", "5"], ["P", "P"],
+     "product index 5 needs tensor 6 <= n"),
+    ("interchange-vcat", ["--index", "1", "--index2", "1"], ["P"] * 4,
+     "interchange indices (1, 1) need j >= i+1 and j+1 <= n"),
+    ("product-v2cat", ["--index", "1"], ["W", "W"],
+     "product index 1 needs tensor 3 <= n")])
+def test_out_of_range_index_exits_two(corpus_dir, tmp_path, capsys,
+                                      construction, options, inputs, message):
+    out = tmp_path / "x.json"
+    assert main(["construct", str(corpus_dir / "bool2.json"), construction,
+                 *options, "--inputs", *inputs, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: bad arguments: {message}\n"
+    assert not out.exists()
+
+
 def test_construct_refuses_to_replace_a_named_input(corpus_dir, tmp_path,
                                                     capsys):
     # collapse_P names P as its source, so P cannot be replaced.

@@ -16,16 +16,14 @@ from enrichkit.cli import main
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
 
-# Every name `from enrichkit import *` bound when the package imported all
-# of its modules eagerly.
+# Every name `from enrichkit import *` binds.
 PUBLIC = [
-    "CheckReport", "FinCategory", "FinFunctor", "FinNatTransform",
-    "KFoldMonoidal", "PastingInstance", "V2Category", "V2Functor",
-    "V2NatTransform", "VCategory", "VFunctor", "VModification",
-    "VNatTransform", "Witness", "assoc_vcat", "check_category",
-    "check_functor", "check_kfold", "check_modification", "check_natural",
-    "check_v2category", "check_v2functor", "check_v2nat", "check_vcategory",
-    "check_vfunctor", "check_vnat", "compose", "compose_chain",
+    "CheckReport", "FinCategory", "KFoldMonoidal", "PastingInstance",
+    "V2Category", "V2Functor", "V2NatTransform", "VCategory", "VFunctor",
+    "VModification", "VNatTransform", "Witness", "assoc_vcat",
+    "check_category", "check_kfold", "check_modification",
+    "check_v2category", "check_v2functor", "check_v2nat",
+    "check_vcategory", "check_vfunctor", "check_vnat", "compose",
     "compose_nat_along_functor", "compose_v2functors", "compose_vfunctor",
     "compose_vnat_vert", "errors", "exchange_suite", "fincat",
     "hcomp_modifications_along_nat", "hcomp_mods_along_category",

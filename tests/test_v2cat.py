@@ -388,6 +388,17 @@ def test_whisker_functor_mod(w, cells):
     assert lhs == rhs
 
 
+def test_whisker_functor_mod_keeps_no_whisker_memo(w, cells):
+    # Each component it whiskers is a fresh transformation, so a memo entry
+    # keyed by one could never be read again.
+    k, rise = identity_v2functor(w), cells["rise"]
+    first = whisker_functor_mod(k, rise)
+    for _ in range(4):
+        assert whisker_functor_mod(k, rise) == first
+    memo = getattr(k.hom_map[("*", "*")], "_memo", {})
+    assert [key for key in memo if key[0] == "whisker"] == []
+
+
 def test_whisker_mod_functor(w, cells):
     low, rise = cells["low"], cells["rise"]
     assert whisker_mod_functor(rise, identity_v2functor(w)) == rise

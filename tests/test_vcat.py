@@ -64,6 +64,34 @@ def test_preorder_passes(preorder_p):
     assert check_vcategory(preorder_p).ok
 
 
+@pytest.mark.parametrize("n, candidates, accepted",
+                         [(1, 2, 1), (2, 16, 4), (3, 512, 29)])
+def test_accepted_hom_assignments_are_the_labelled_preorders(
+        bool2, n, candidates, accepted):
+    # Every hom assignment on n objects over the two-point meet poset, each
+    # composite and identity the unique arrow of its boundary when there is
+    # one and a wrong-boundary arrow when not.  The checker must accept
+    # exactly the labelled preorders on n points (OEIS A000798).
+    cat = bool2.base
+
+    def arrow(a, b):
+        return thin_morphism(cat, a, b) or cat.identity[b]
+
+    objects = [str(x) for x in range(n)]
+    keys = list(iproduct(objects, repeat=2))
+    tried = passed = 0
+    for values in iproduct(sorted(cat.objects), repeat=len(keys)):
+        hom = dict(zip(keys, values))
+        comp = {(a, b, c): arrow(bool2.tensor_obj(1, hom[(b, c)], hom[(a, b)]),
+                                 hom[(a, c)])
+                for a, b, c in iproduct(objects, repeat=3)}
+        identity = {a: arrow(bool2.unit, hom[(a, a)]) for a in objects}
+        tried += 1
+        passed += check_vcategory(
+            VCategory(bool2, set(objects), hom, comp, identity)).ok
+    assert (tried, passed) == (candidates, accepted)
+
+
 def test_cocycle_passes(cocycle_d):
     assert check_vcategory(cocycle_d).ok
 
