@@ -39,11 +39,16 @@ witnesses, counts and early exit do not depend on the kernel.
 
 ``_memo(obj, key, build)`` is the one memo: it keeps ``build(obj)`` in a dict
 in the record's ``_memo`` slot and returns it on every later call with that
-key, a hit being one lookup in that dict.  Checker reports, products and
-their factors, units, composite functors, whisker components and the
-base's cell record go through it.  That is sound only while a structure is
-not mutated after its first check or construction: its tables are plain
-dicts, and the memo never looks at them again.
+key, a hit being one lookup in that dict.  ``_memo_pair(tag, x, y, build)``
+is its form for an operation of two operands, kept on ``x`` under
+``(tag, id(y))``.  Checker reports, products and their factors, units, the
+base's cell record, and composites of cells at both levels (composite and
+whiskered functors and transformations, identity modifications, the
+level-2 whiskers and vertical and horizontal composites) go through it.
+That is sound only while a structure is not mutated after its first check or
+construction: its tables are plain dicts, and the memo never looks at them
+again.  A build that raises stores nothing, so a failed check runs again on
+every call.
 """
 from __future__ import annotations
 
@@ -568,6 +573,13 @@ def _memo(obj, key, build):
         memo = obj._memo = {}
     value = memo[key] = build(obj)
     return value
+
+
+def _memo_pair(tag, x, y, build):
+    """``build(x, y)``, computed once per ``(tag, x, y)`` and kept on ``x``
+    under ``(tag, id(y))``; the entry holds ``y``, so while it stands id(y)
+    names no other object."""
+    return _memo(x, (tag, id(y)), lambda x: (y, build(x, y)))[1]
 
 
 def cached_report(obj, check) -> CheckReport:

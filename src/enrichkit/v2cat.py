@@ -37,12 +37,14 @@ Three composition regimes exist, written here as in the source structure:
 
 Every operation with more than one defining route computes all routes and
 raises AgreementFailure when their tables differ: on valid input that is an
-engine bug, on invalid input a diagnostic.
+engine bug, on invalid input a diagnostic.  The composites and whiskers that
+the routes share are built once per operand pair (``_built_once``); a
+failure stores nothing, so it is raised again on every call.
 """
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import partial
+from functools import partial, wraps
 from itertools import chain
 from itertools import product as iproduct
 from operator import attrgetter
@@ -58,8 +60,8 @@ from .errors import (
 )
 from .fincat import compose
 from .kfold import KFoldMonoidal, LiftedTables, check_kfold
-from .report import (CheckReport, Record, ReportBuilder, cached_report, const,
-                     each_row, equations, lift)
+from .report import (CheckReport, Record, ReportBuilder, _memo, _memo_pair,
+                     cached_report, const, each_row, equations, lift)
 from .vcat import (
     VCategory,
     VFunctor,
@@ -80,7 +82,6 @@ from .vcat import (
     _require_bijection,
     _unit,
     _whisker,
-    _whiskered,
     assoc_vcat,
     check_vcategory,
     check_vfunctor,
@@ -449,6 +450,13 @@ def check_modification(m: VModification, *,
 
 # -- composition along a 2-functor ------------------------------------------------
 
+def _built_once(op):
+    """``op(x, y)``, built once per operand pair and kept on ``x``
+    (``_memo_pair``); a failed route check raises and stores nothing."""
+    tag = op.__name__
+    return wraps(op)(lambda x, y: _memo_pair(tag, x, y, op))
+
+
 def compose_nat_along_functor(b: V2NatTransform,
                               g: V2NatTransform) -> V2NatTransform:
     """g then b, sharing the middle 2-functor."""
@@ -486,6 +494,7 @@ def _each(nat: V2NatTransform, op) -> dict:
     return {u: op(u)["0"] for u in sorted(nat.source.source.objects)}
 
 
+@_built_once
 def vcomp_modifications(n: VModification, m: VModification) -> VModification:
     """m then n: vertical composition of their components at each u."""
     if m.target != n.source:
@@ -495,9 +504,10 @@ def vcomp_modifications(n: VModification, m: VModification) -> VModification:
 
 
 def id_modification(a: V2NatTransform) -> VModification:
-    """Identity modification: the identity transformation of each component."""
-    return VModification(a, a, _each(
-        a, lambda u: identity_vnat(a.components[u]).components))
+    """Identity modification: the identity transformation of each component;
+    built once per a."""
+    return _memo(a, "id_modification", lambda a: VModification(a, a, _each(
+        a, lambda u: identity_vnat(a.components[u]).components)))
 
 
 def _hcomp_central(n: VModification, m: VModification) -> VModification:
@@ -521,6 +531,7 @@ def _hcomp_central(n: VModification, m: VModification) -> VModification:
         compose_nat_along_functor(n.target, m.target), central)
 
 
+@_built_once
 def whisker_nat_mod_left(g: V2NatTransform, m: VModification) -> VModification:
     """Whisker a transformation g on the left of modification m (g * m)."""
     if m.source.target != g.source:
@@ -528,6 +539,7 @@ def whisker_nat_mod_left(g: V2NatTransform, m: VModification) -> VModification:
     return _hcomp_central(id_modification(g), m)
 
 
+@_built_once
 def whisker_nat_mod_right(m: VModification, r: V2NatTransform) -> VModification:
     """Whisker a transformation r on the right of modification m (m * r)."""
     if r.target != m.source.source:
@@ -535,6 +547,7 @@ def whisker_nat_mod_right(m: VModification, r: V2NatTransform) -> VModification:
     return _hcomp_central(m, id_modification(r))
 
 
+@_built_once
 def hcomp_modifications_along_nat(n: VModification,
                                   m: VModification) -> VModification:
     """Horizontal composite n * m across a shared middle 2-functor: the
@@ -573,6 +586,7 @@ def whisker_nat_functor(g: V2NatTransform, h: V2Functor) -> V2NatTransform:
     return _whisker(_VCAT_CELLS, "right", h, g)
 
 
+@_built_once
 def hcomp_nats_along_category(g: V2NatTransform,
                               a: V2NatTransform) -> V2NatTransform:
     """Horizontal composite g a across the shared middle 2-category.
@@ -589,21 +603,21 @@ def hcomp_nats_along_category(g: V2NatTransform,
                   "differ at {1}: {2} != {3}", way1, (None, way2))
 
 
+@_built_once
 def whisker_functor_mod(k: V2Functor, m: VModification) -> VModification:
     """Post-compose a modification with a 2-functor (k m): at u, k's hom
     functor at (fu, hu) whiskered onto the component."""
     al = m.source
     if al.source.target != k.source:
         raise NotComposable("whisker frames do not match")
-    cells = _base_cells(k.target.base)
-    # _at(m, u) is new on every call, so a memo entry keyed by it would
-    # never be read again.
     return VModification(
         whisker_functor_nat(k, al), whisker_functor_nat(k, m.target),
-        _each(al, lambda u: _whiskered(cells, "left", k.hom_map[
-            (al.source.obj_map[u], al.target.obj_map[u])], _at(m, u))))
+        _each(al, lambda u: whisker_vnat("left", k.hom_map[
+            (al.source.obj_map[u], al.target.obj_map[u])],
+            _at(m, u)).components))
 
 
+@_built_once
 def whisker_mod_functor(n: VModification, f: V2Functor) -> VModification:
     """Pre-compose a modification with a 2-functor (n f): reindexing."""
     ga = n.source
@@ -614,6 +628,7 @@ def whisker_mod_functor(n: VModification, f: V2Functor) -> VModification:
                          whisker_nat_functor(n.target, f), components)
 
 
+@_built_once
 def whisker_nat_mod_along_category(r: V2NatTransform,
                                    m: VModification) -> VModification:
     """r m: a transformation whiskered onto a modification across the middle
@@ -632,6 +647,7 @@ def whisker_nat_mod_along_category(r: V2NatTransform,
                          way1.components)
 
 
+@_built_once
 def whisker_mod_nat_along_category(n: VModification,
                                    a: V2NatTransform) -> VModification:
     """n a: a modification whiskered onto a transformation across the middle
@@ -650,6 +666,7 @@ def whisker_mod_nat_along_category(n: VModification,
                          way1.components)
 
 
+@_built_once
 def hcomp_mods_along_category(n: VModification,
                               m: VModification) -> VModification:
     """Horizontal composite n m across the shared middle 2-category.

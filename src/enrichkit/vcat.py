@@ -50,8 +50,8 @@ from .errors import (
 )
 from .fincat import compose
 from .kfold import KFoldMonoidal, LiftedTables, check_kfold
-from .report import (CheckReport, Record, ReportBuilder, _memo, cached_report,
-                     const, equations, lift)
+from .report import (CheckReport, Record, ReportBuilder, _memo, _memo_pair,
+                     cached_report, const, equations, lift)
 
 
 def pair(a: str, b: str) -> str:
@@ -452,13 +452,13 @@ def _product(cells: _Cells, i: int, a, b):
     """The i-th product: pairs of objects, homs tensored one level up,
     composition routed through the (1, i+1) interchange.  Built once per
     (i, a, b) and kept on ``a``; its memo records (i, a, b) (``product_of``),
-    which keeps ``b`` alive, so id(b) is never reused, certifies it at level
-    1 and lets a document save it as a reference."""
-    def build(a):
+    which certifies it at level 1 and lets a document save it as a
+    reference."""
+    def build(a, b):
         prod = _build_product(cells, i, a, b)
         _memo(prod, "product", lambda _: (i, a, b))
         return prod
-    return _memo(a, ("product", i, id(b)), build)
+    return _memo_pair(("product", i), a, b, build)
 
 
 def _build_product(cells: _Cells, i: int, a, b):
@@ -542,9 +542,8 @@ def _comp_reads(f, objs):
 
 def _compose_functors(cells: _Cells, s, t):
     """s after t: composed object maps, hom maps composed entry by entry.
-    Built once per (s, t) and kept on ``s``; the entry holds ``t``, so
-    id(t) is never reused while it stands."""
-    def build(s):
+    Built once per (s, t) and kept on ``s``."""
+    def build(s, t):
         if t.target != s.source:
             raise NotComposable("functor frames do not match")
         compose = cells.comp
@@ -555,8 +554,8 @@ def _compose_functors(cells: _Cells, s, t):
                 hom_map[(x, y)] = compose(
                     s.hom_map[(t.obj_map[x], t.obj_map[y])],
                     t.hom_map[(x, y)])
-        return t, cells.Functor(t.source, s.target, obj_map, hom_map)
-    return _memo(s, ("compose", id(t)), build)[1]
+        return cells.Functor(t.source, s.target, obj_map, hom_map)
+    return _memo_pair("compose", s, t, build)
 
 
 def _identity_functor(cells: _Cells, a):
@@ -573,50 +572,48 @@ def _identity_nat(cells: _Cells, t):
 
 def _compose_nats(cells: _Cells, b, a):
     """a then b: each component pair tensored, from I ⊗_1 I, and multiplied
-    through the target's composition."""
-    if a.target != b.source:
-        raise NotComposable("transformation frames do not match")
-    compose, tensor_mor = cells.comp, cells.tensor_mor
-    w = a.source.target
-    components = {}
-    for x in a.source.source.objects:
-        tx = a.source.obj_map[x]
-        sx = a.target.obj_map[x]
-        rx = b.target.obj_map[x]
-        components[x] = compose(w.comp[(tx, sx, rx)], cells.unit_pair(
-            tensor_mor(1, b.components[x], a.components[x]), 1))
-    return cells.Nat(a.source, b.target, components)
-
-
-def _whiskered(cells: _Cells, side: str, f, a) -> dict:
-    """The components of a whiskered by f, without building its frame."""
-    if side == "left":
-        if a.source.target != f.source:
-            raise NotComposable("whisker frames do not match")
-        return {x: cells.comp(
-            f.hom_map[(a.source.obj_map[x], a.target.obj_map[x])],
-            a.components[x]) for x in a.source.source.objects}
-    if side == "right":
-        if f.target != a.source.source:
-            raise NotComposable("whisker frames do not match")
-        return {x: a.components[f.obj_map[x]] for x in f.source.objects}
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def _whisker_components(cells: _Cells, side: str, f, a) -> dict:
-    """``_whiskered``, built once per (side, f, a) and kept on ``f``; the
-    entry holds ``a``, as ``_compose_functors``'s holds its t."""
-    return _memo(f, ("whisker", side, id(a)),
-                 lambda f: (a, _whiskered(cells, side, f, a)))[1]
+    through the target's composition.  Built once per (b, a) and kept on
+    ``b``."""
+    def build(b, a):
+        if a.target != b.source:
+            raise NotComposable("transformation frames do not match")
+        compose, tensor_mor = cells.comp, cells.tensor_mor
+        w = a.source.target
+        components = {}
+        for x in a.source.source.objects:
+            tx = a.source.obj_map[x]
+            sx = a.target.obj_map[x]
+            rx = b.target.obj_map[x]
+            components[x] = compose(w.comp[(tx, sx, rx)], cells.unit_pair(
+                tensor_mor(1, b.components[x], a.components[x]), 1))
+        return cells.Nat(a.source, b.target, components)
+    return _memo_pair("compose-nats", b, a, build)
 
 
 def _whisker(cells: _Cells, side: str, f, a):
-    components = _whisker_components(cells, side, f, a)
-    if side == "left":
-        return cells.Nat(_compose_functors(cells, f, a.source),
-                         _compose_functors(cells, f, a.target), components)
-    return cells.Nat(_compose_functors(cells, a.source, f),
-                     _compose_functors(cells, a.target, f), components)
+    """a whiskered by f, built once per (side, f, a) and kept on ``a``: a
+    transformation made for one check, such as a modification's component,
+    takes its entries with it instead of leaving them on a lasting f."""
+    def build(a, f):
+        if side == "left":
+            if a.source.target != f.source:
+                raise NotComposable("whisker frames do not match")
+            return cells.Nat(
+                _compose_functors(cells, f, a.source),
+                _compose_functors(cells, f, a.target),
+                {x: cells.comp(f.hom_map[(a.source.obj_map[x],
+                                          a.target.obj_map[x])],
+                               a.components[x])
+                 for x in a.source.source.objects})
+        if side == "right":
+            if f.target != a.source.source:
+                raise NotComposable("whisker frames do not match")
+            return cells.Nat(_compose_functors(cells, a.source, f),
+                             _compose_functors(cells, a.target, f),
+                             {x: a.components[f.obj_map[x]]
+                              for x in f.source.objects})
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return _memo_pair(("whisker", side), a, f, build)
 
 
 # -- constructions ------------------------------------------------------------

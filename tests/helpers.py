@@ -5,7 +5,7 @@ by scanning raw dom/cod tables, and the shipped tensor semantics (meet on
 the two-point poset, addition mod 2) are restated from scratch.
 """
 from enrichkit.fincat import FinCategory
-from enrichkit.instances import SymmetricMonoidal
+from enrichkit.instances import SymmetricMonoidal, from_symmetric
 from enrichkit.kfold import KFoldMonoidal
 from enrichkit.vcat import VCategory
 
@@ -31,6 +31,18 @@ def replaced(record, **changes):
     ``changes``; the new record's memo starts empty."""
     fields = {name: getattr(record, name) for name in record.__slots__}
     return type(record)(**{**fields, **changes})
+
+
+def deloop(p: int) -> KFoldMonoidal:
+    """B(Z/p): one object, morphisms g0..g{p-1} under addition mod p,
+    replicated into two tensors."""
+    g = [f"g{i}" for i in range(p)]
+    add = {(g[i], g[j]): g[(i + j) % p] for i in range(p) for j in range(p)}
+    cat = FinCategory({"*"}, set(g), dict.fromkeys(g, "*"),
+                      dict.fromkeys(g, "*"), add, {"*": "g0"})
+    return from_symmetric(SymmetricMonoidal(
+        cat, "*", {("*", "*"): "*"}, add, {("*", "*", "*"): "g0"},
+        {("*", "*"): "g0"}), 2)
 
 
 def rewire(table: dict, key, value) -> dict:

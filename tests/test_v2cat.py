@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import product as iproduct
 
@@ -5,27 +6,25 @@ import pytest
 
 from enrichkit.errors import (AgreementFailure, IndexOutOfRange,
                               InvalidPasting, MalformedTable, NotComposable)
-from enrichkit.fincat import FinCategory
 from enrichkit.instances import (
     Bounds,
-    SymmetricMonoidal,
     _endo_v2functors,
     _mods_between,
     _nats_between,
     _random_pasting,
     _random_v2category,
     bool_poset,
-    from_symmetric,
     join_monoid_v2cat,
     random_instance,
     unique_morphism,
     xor_group_v2cat,
     zmod2,
 )
-from enrichkit.serialize import Tower, dumps
+from enrichkit.serialize import Tower, dumps, loads
 from enrichkit.vcat import (
     LazyTable,
     VFunctor,
+    VNatTransform,
     compose_vfunctor,
     identity_vfunctor,
     interchange_vcat,
@@ -67,7 +66,7 @@ from enrichkit.v2cat import (
     whisker_nat_mod_left,
     whisker_nat_mod_right,
 )
-from helpers import replaced
+from helpers import deloop, replaced
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +103,29 @@ def test_w_passes(w):
 def test_2_functor_composites_are_built_once(w):
     f, g = identity_v2functor(w), identity_v2functor(w)
     assert compose_v2functors(g, f) is compose_v2functors(g, f)
+
+
+def test_level_2_composites_are_built_once(cells):
+    n_one, n_t, rise = cells["n_one"], cells["n_t"], cells["rise"]
+    assert hcomp_nats_along_category(n_t, n_one) \
+        is hcomp_nats_along_category(n_t, n_one)
+    assert whisker_nat_mod_along_category(n_t, rise) \
+        is whisker_nat_mod_along_category(n_t, rise)
+    assert id_modification(n_one) is id_modification(n_one)
+
+
+def test_level_2_memo_never_serves_a_dead_transformation(cells):
+    # Each a is freed once composed, so the next a may reuse its id; the
+    # composite kept on g must still be the one of the live a.
+    idw = cells["idw"]
+    g = id_nat(idw)
+    picks = [cells[name].components["*"] for name in ("n_one", "n_t")]
+    for k in range(200):
+        component = picks[k % 2]
+        a = V2NatTransform(idw, idw, {"*": component})
+        got = hcomp_nats_along_category(g, a).components["*"]
+        assert got.obj_map == component.obj_map
+        del a, got
 
 
 def test_identity_v2functor_passes(w):
@@ -396,7 +418,27 @@ def test_whisker_functor_mod_keeps_no_whisker_memo(w, cells):
     for _ in range(4):
         assert whisker_functor_mod(k, rise) == first
     memo = getattr(k.hom_map[("*", "*")], "_memo", {})
-    assert [key for key in memo if key[0] == "whisker"] == []
+    assert [key for key in memo
+            if isinstance(key[0], tuple) and key[0][0] == "whisker"] == []
+
+
+def test_check_modification_keeps_none_of_its_components(cells):
+    # The square whiskers level-1 transformations made for one check; the
+    # whisker memo must not keep them alive on the lasting frame functors.
+    rise = cells["rise"]
+
+    def alive():
+        gc.collect()
+        return sum(type(o) is VNatTransform for o in gc.get_objects())
+
+    def check_a_fresh_copy():
+        fresh = VModification(rise.source, rise.target, dict(rise.components))
+        assert check_modification(fresh).ok
+    check_a_fresh_copy()
+    before = alive()
+    for _ in range(10):
+        check_a_fresh_copy()
+    assert alive() == before
 
 
 def test_whisker_mod_functor(w, cells):
@@ -507,6 +549,27 @@ def test_exchange_seeded(w, xor_x2):
         assert exchange_suite(p).ok
 
 
+def test_a_second_exchange_suite_run_keeps_nothing_new(w):
+    # Every cell the suite composes is itself built once from the pasting's
+    # cells, so a second run is all hits and leaves no entry behind.
+    import random
+    p = _random_pasting(w, random.Random(11), Bounds())
+
+    def memo_sizes():
+        return [len(getattr(getattr(p, name), "_memo", {}))
+                for name in PastingInstance.__slots__]
+
+    def alive():
+        gc.collect()
+        return sum(type(o) in (VModification, V2NatTransform, VNatTransform)
+                   for o in gc.get_objects())
+    assert exchange_suite(p).ok
+    sizes, before = memo_sizes(), alive()
+    assert exchange_suite(p).ok
+    assert memo_sizes() == sizes
+    assert alive() == before
+
+
 def test_exchange_frame_validation(w, xor_x2):
     p = identity_pasting(w)
     q = identity_pasting(xor_x2)
@@ -555,6 +618,32 @@ def test_exchange_detects_corrupted_composition():
     assert [(w.diagram, w.instance, w.lhs, w.rhs) for w in rep.witnesses] == [
         ("exchange-3", ("pasting",), lhs, "<undefined>"),
         ("exchange-4", ("pasting",), lhs, "<undefined>")]
+
+
+def test_a_failed_route_check_is_never_memoized():
+    p, rise, _ = corrupted_join_pasting()
+    for _ in range(3):
+        with pytest.raises(AgreementFailure, match="^two routes for the "
+                           "horizontal composite differ"):
+            hcomp_mods_along_category(rise, rise)
+    # A third run on a warm memo, and a run on the same cells read back from
+    # a document, give the witnesses that
+    # test_exchange_detects_corrupted_composition pins.
+    exchange_suite(p)
+    exchange_suite(p, all_witnesses=True)
+    tower = Tower(p.cat_u.base, v2categories={"U": p.cat_u},
+                  v2functors={"idb": p.f},
+                  v2nats={"one": p.alpha1, "t": p.beta1},
+                  modifications={"rise": p.mu1, "stay": p.nu1},
+                  pastings={"p": p})
+    lhs = ("<error: two routes for the horizontal composite differ at "
+           "component[*].obj[0]: one != t>")
+    for q in (p, loads(dumps(tower)).pastings["p"]):
+        rep = exchange_suite(q, all_witnesses=True)
+        assert [(w.diagram, w.instance, w.lhs, w.rhs)
+                for w in rep.witnesses] == [
+            ("exchange-3", ("pasting",), lhs, "<undefined>"),
+            ("exchange-4", ("pasting",), lhs, "<undefined>")]
 
 
 def test_product_v2cat(bool3, zmod3, xor_x2):
@@ -750,17 +839,6 @@ def _candidate_mods(u):
                 yield VModification(a, b, {star: mor})
 
 
-def _deloop_z3():
-    """B(Z/3): one object, morphisms g0, g1, g2 under addition mod 3."""
-    g = [f"g{i}" for i in range(3)]
-    add = {(g[i], g[j]): g[(i + j) % 3] for i in range(3) for j in range(3)}
-    cat = FinCategory({"*"}, set(g), dict.fromkeys(g, "*"),
-                      dict.fromkeys(g, "*"), add, {"*": "g0"})
-    return from_symmetric(SymmetricMonoidal(
-        cat, "*", {("*", "*"): "*"}, add, {("*", "*", "*"): "g0"},
-        {("*", "*"): "g0"}), 2)
-
-
 def test_modification_square_matches_the_closure(bool2, bool3, zmod3):
     # Naturality over V-Cat's 2-cells, one row per (x, y), passes exactly
     # when every per-(f, g) square does, on every enumerated candidate.
@@ -768,7 +846,7 @@ def test_modification_square_matches_the_closure(bool2, bool3, zmod3):
                   xor_group_v2cat(zmod3)]
     # Over B(Z/3), rejection sampling takes seconds to minutes at other seeds.
     for base, seeds in ((bool2, (0, 2, 4, 5, 6)), (zmod3, (0, 2, 4, 5, 6)),
-                        (_deloop_z3(), (2, 4))):
+                        (deloop(3), (2, 4))):
         structures += [_random_v2category(base, random.Random(seed), Bounds())
                        for seed in seeds]
     seen = 0
@@ -785,7 +863,7 @@ def test_modification_square_fails_where_the_closure_does():
     # B(Z/3) spread over two objects: the (x, y) square sets m's component at
     # y against its component at x, so components that differ are not
     # natural, in either form.
-    u = _codiscrete(_random_v2category(_deloop_z3(), random.Random(2),
+    u = _codiscrete(_random_v2category(deloop(3), random.Random(2),
                                        Bounds()), "xy")
     assert check_v2category(u).ok
     a = id_nat(identity_v2functor(u))

@@ -47,7 +47,7 @@ from enrichkit.vcat import (
     whisker_vnat,
 )
 
-from helpers import (capped_chain, metric_space, replaced, rewire,
+from helpers import (capped_chain, deloop, metric_space, replaced, rewire,
                      thin_morphism)
 
 
@@ -90,6 +90,25 @@ def test_accepted_hom_assignments_are_the_labelled_preorders(
         passed += check_vcategory(
             VCategory(bool2, set(objects), hom, comp, identity)).ok
     assert (tried, passed) == (candidates, accepted)
+
+
+def test_accepted_assignments_over_a_delooped_group_are_the_cocycles():
+    # Every composition and identity assignment on two objects over B(Z/2),
+    # every hom the one object.  The checker must accept exactly the
+    # normalized 2-cocycles, |A|^(n^2 - n + 1) with |A| = 2 and n = 2.
+    base = deloop(2)
+    elements = sorted(base.base.morphisms)
+    objects = ["x", "y"]
+    hom = dict.fromkeys(iproduct(objects, repeat=2), "*")
+    keys = list(iproduct(objects, repeat=3))
+    tried = passed = 0
+    for values in iproduct(elements, repeat=len(keys) + len(objects)):
+        comp = dict(zip(keys, values))
+        identity = dict(zip(objects, values[len(keys):]))
+        tried += 1
+        passed += check_vcategory(
+            VCategory(base, set(objects), hom, comp, identity)).ok
+    assert (tried, passed) == (1024, 8)
 
 
 def test_cocycle_passes(cocycle_d):
@@ -238,6 +257,7 @@ def test_composites_and_whisker_components_are_built_once(preorder_p):
     a = identity_vnat(f)
     for side in ("left", "right"):
         one, two = whisker_vnat(side, g, a), whisker_vnat(side, g, a)
+        assert one is two
         assert one.components is two.components
         assert one.source is two.source and one.target is two.target
 
