@@ -9,15 +9,15 @@ prints one line per diagram family; ``--machine`` emits the same stream as
 line-delimited JSON records, documented in the README.  Every diagram
 family is one sequential scan.
 
-The levels of the tower are one table, ``TOWER``: each row names a level
-and its checker; the rest of the row, the level's ``Tower`` section, its
-structure type and its frame slots, is serialize's ``LEVELS`` row.  The
-``--level`` choices, the order of ``check``, the ``fuzz`` checkers and the
-filing of results all read it.  ``CONSTRUCTIONS`` is the second table,
-one row per construction: the function, its leading arguments and the
-levels of its inputs.  Functions and checkers are named with their modules
-rather than held, so a module is imported only when a command reaches it,
-and a wrapper bound in their place on their defining module is what runs.
+The levels of the tower are one table, serialize's ``LEVELS``: each row
+gives a level's ``Tower`` section, its structure type, its checker, its
+frame slots and its codec.  The ``--level`` choices, the order of
+``check``, the ``fuzz`` checkers and the filing of results all read it.
+``CONSTRUCTIONS`` is the second table, one row per construction: the
+function, its leading arguments and the levels of its inputs.  Functions
+and checkers are named with their modules rather than held, so a module is
+imported only when a command reaches it, and a wrapper bound in their place
+on their defining module is what runs.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ import json
 import os
 import signal
 import sys
-from collections import namedtuple
 
 from .errors import (
     AgreementFailure,
@@ -46,32 +45,6 @@ from .errors import (
 from .report import CheckReport, cached_report
 from .serialize import (LEVELS, Tower, _find_name, _reference, _resolve,
                         load, save)
-
-
-class Level(namedtuple("Level", "name checker")):
-    """One level of the tower and its checker, named as ``_resolve`` reads
-    it; every other attribute (``section``, ``kind``, ``slots``) is read
-    from the level's row in serialize's ``LEVELS``."""
-    __slots__ = ()
-
-    def check(self, structure, **options) -> CheckReport:
-        return _resolve(self.checker)(structure, **options)
-
-    def __getattr__(self, attr):
-        return getattr(LEVELS[self.name], attr)
-
-
-TOWER = {name: Level(name, checker) for name, checker in (
-    ("base", "kfold.check_kfold"),
-    ("vcategory", "vcat.check_vcategory"),
-    ("vfunctor", "vcat.check_vfunctor"),
-    ("vnat", "vcat.check_vnat"),
-    ("v2category", "v2cat.check_v2category"),
-    ("v2functor", "v2cat.check_v2functor"),
-    ("v2nat", "v2cat.check_v2nat"),
-    ("modification", "v2cat.check_modification"),
-    ("pasting", "v2cat.exchange_suite"),
-)}
 
 
 class _Reporter:
@@ -143,12 +116,12 @@ class _Reporter:
 
 def _checks_for(tower: Tower):
     """(level, label, checker, structure) for everything in the tower."""
-    for row in TOWER.values():
-        if row.name == "base":
+    for level, row in LEVELS.items():
+        if level == "base":
             yield "base", "base", row.check, tower.base
             continue
         for name, structure in sorted(getattr(tower, row.section).items()):
-            yield row.name, f"{row.name}:{name}", row.check, structure
+            yield level, f"{level}:{name}", row.check, structure
 
 
 def _load(path):
@@ -305,11 +278,11 @@ def _construct(tower: Tower, args):
                          f"got {len(args.inputs)}")
     inputs = []
     for name, level in zip(args.inputs, levels):
-        section = getattr(tower, TOWER[level].section)
+        section = getattr(tower, LEVELS[level].section)
         if name not in section:
             raise ConstructionFailed(f"no {level} named {name!r}")
         inputs.append(section[name])
-        cached_report(section[name], TOWER[level].check)
+        cached_report(section[name], LEVELS[level].check)
     options = dict(vars(args), tower=tower, base=tower.base)
     return _resolve(function)(*(options[a] for a in leading), *inputs)
 
@@ -319,7 +292,7 @@ def _file(tower: Tower, level: str, structure, hint: str) -> str:
 
     Frame slots are filed the same way, under ``<hint>.<slot>``.
     """
-    row = TOWER[level]
+    row = LEVELS[level]
     section = getattr(tower, row.section)
     name = _find_name(section, structure)
     if name is None:
@@ -334,10 +307,10 @@ def _put(tower: Tower, level: str, name: str, structure) -> None:
     replace a structure that another filed structure names, unless an equal
     one stays filed, or a V-category that a filed product reference names as
     a factor, unless the reference can still be saved."""
-    section = getattr(tower, TOWER[level].section)
+    section = getattr(tower, LEVELS[level].section)
     if name in section:
         kept = {**section, name: structure}
-        for user in TOWER.values():
+        for user in LEVELS.values():
             for slot, lower in user.slots:
                 if lower != level:
                     continue
@@ -358,18 +331,19 @@ def _put(tower: Tower, level: str, name: str, structure) -> None:
 
 def _store(tower: Tower, result, name: str) -> CheckReport:
     """Validate a construction result and file it under ``name``."""
-    row = next(r for r in TOWER.values() if isinstance(result, r.kind))
+    level, row = next((level, row) for level, row in LEVELS.items()
+                      if isinstance(result, row.kind))
     report = row.check(result)
     if not report.ok:
         return report
-    if row.name == "base":
+    if level == "base":
         # Every filed structure lives over the old base.
-        for lower in list(TOWER.values())[1:]:
-            getattr(tower, lower.section).clear()
+        for section in Tower.__slots__[2:]:
+            getattr(tower, section).clear()
         tower.base = result
     else:
-        _file(tower, row.name, result, name)
-        _put(tower, row.name, name, result)
+        _file(tower, level, result, name)
+        _put(tower, level, name, result)
     return report
 
 
@@ -426,9 +400,9 @@ def _corpus_towers(seed: int) -> dict:
     towers = {}
     for name, shipped in instances.corpus(seed).items():
         towers[name] = tower = Tower(shipped.base, shipped.symmetry)
-        for row in list(TOWER.values())[1:]:
+        for level, row in list(LEVELS.items())[1:]:
             for label, structure in getattr(shipped, row.section).items():
-                _file(tower, row.name, structure, label)
+                _file(tower, level, structure, label)
     return towers
 
 
@@ -464,7 +438,7 @@ def _run_fuzz(args) -> int:
         except instances.BudgetExhausted as err:
             print(f"fuzz[{k}]: budget exhausted: {err}", file=sys.stderr)
             return 2
-        report = TOWER[args.level].check(inst)
+        report = LEVELS[args.level].check(inst)
         status = report.status
         print(f"fuzz[{k}] {args.level} seed={args.seed + k}: {status}")
         failed = failed or not report.ok
@@ -491,7 +465,7 @@ def main(argv=None) -> int:
 
     p_check = sub.add_parser("check", help="validate every structure in a file")
     p_check.add_argument("path")
-    p_check.add_argument("--level", default="all", choices=("all", *TOWER))
+    p_check.add_argument("--level", default="all", choices=("all", *LEVELS))
     p_check.add_argument("--all-witnesses", action="store_true")
     p_check.add_argument("--machine", action="store_true")
     p_check.add_argument("--seed", type=int, default=0)
@@ -514,7 +488,7 @@ def main(argv=None) -> int:
 
     p_fuzz = sub.add_parser("fuzz", help="generate and check random instances")
     p_fuzz.add_argument("--level", required=True,
-                        choices=tuple(TOWER)[1:])
+                        choices=tuple(LEVELS)[1:])
     p_fuzz.add_argument("--count", type=_count, default=1)
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("--base", default="bool2")

@@ -565,12 +565,11 @@ def _failures(eqs, axes, row):
 
 def _memo(obj, key, build):
     """``build(obj)``, computed once per ``(obj, key)`` and stored on ``obj``."""
-    try:
-        return obj._memo[key]
-    except KeyError:
-        memo = obj._memo
-    except AttributeError:
+    memo = getattr(obj, "_memo", None)
+    if memo is None:
         memo = obj._memo = {}
+    elif key in memo:
+        return memo[key]
     value = memo[key] = build(obj)
     return value
 

@@ -7,12 +7,15 @@ self-contained.  Tables keyed by id tuples are stored as sorted rows
 single formatting authority, so save(load(save(x))) is byte-identical.
 
 The levels of the tower are one table, ``LEVELS``: each row gives a level's
-``Tower`` section, its structure type, its frame (the slots that name
-structures one level down, grouped as the document stores them) and the
-codec of the entry's own tables.  Save and load walk it in level order, so
-the frame names of every section are written and resolved in one place.
-Types and constructions above the base are read from ``vcat`` and ``v2cat``
-when an entry needs them, so a base-only document never imports either.
+``Tower`` section, its structure type, its checker, its frame (the slots
+that name structures one level down, grouped as the document stores them)
+and the codec of the entry's own tables.  It is the only list of levels:
+``Tower``'s sections are its rows above the base, and the CLI reads its
+levels and checkers from it.  Save and load walk it in level order, so the
+frame names of every section are written and resolved in one place.
+Types, checkers and constructions above the base are read from ``vcat``
+and ``v2cat`` when an entry needs them, so a base-only document never
+imports either.
 
 Functors that occur inside a larger structure (composition functors, hom
 functors of a level-2 functor, transformation components) are stored as
@@ -55,30 +58,6 @@ def _resolve(path: str):
     a wrapper bound there since is what is returned."""
     module, name = path.split(".")
     return getattr(import_module(f".{module}", __package__), name)
-
-
-class Tower(Record):
-    """A base, its optional symmetry, and named structures by section; each
-    section left out starts as a fresh empty dict."""
-    __slots__ = ("base", "symmetry", "vcategories", "vfunctors", "vnats",
-                 "v2categories", "v2functors", "v2nats", "modifications",
-                 "pastings")
-
-    def __init__(self, base: KFoldMonoidal, symmetry: dict = None,
-                 vcategories: dict = None, vfunctors: dict = None,
-                 vnats: dict = None, v2categories: dict = None,
-                 v2functors: dict = None, v2nats: dict = None,
-                 modifications: dict = None, pastings: dict = None):
-        self.base = base
-        self.symmetry = symmetry    # optional (a, b) -> morphism table
-        self.vcategories = {} if vcategories is None else vcategories
-        self.vfunctors = {} if vfunctors is None else vfunctors
-        self.vnats = {} if vnats is None else vnats
-        self.v2categories = {} if v2categories is None else v2categories
-        self.v2functors = {} if v2functors is None else v2functors
-        self.v2nats = {} if v2nats is None else v2nats
-        self.modifications = {} if modifications is None else modifications
-        self.pastings = {} if pastings is None else pastings
 
 
 # -- encoding helpers ----------------------------------------------------------
@@ -372,19 +351,22 @@ def _v2nat_fields(entry, what, base, frame) -> dict:
 _Group = namedtuple("_Group", "key lower slots listed", defaults=(None, False))
 
 
-class _Level(namedtuple("_Level", "section typename frame write read",
+class _Level(namedtuple("_Level", "section typename checker frame write read",
                         defaults=((), None, None))):
-    """One level of the tower: its ``Tower`` section, its structure type
-    (named, as ``_resolve`` reads it), its frame groups, and the codec of an
-    entry's own tables.  ``write(structure)`` gives the entry's fields beside
-    its frame names; ``read(entry, what, base, frame)`` gives the structure
-    type's arguments beside its frame, which maps each slot to the structure
-    it names."""
+    """One level of the tower: its ``Tower`` section, its structure type and
+    its checker (each named, as ``_resolve`` reads it), its frame groups, and
+    the codec of an entry's own tables.  ``write(structure)`` gives the
+    entry's fields beside its frame names; ``read(entry, what, base, frame)``
+    gives the structure type's arguments beside its frame, which maps each
+    slot to the structure it names."""
     __slots__ = ()
 
     @property
     def kind(self) -> type:
         return _resolve(self.typename)
+
+    def check(self, structure, **options):
+        return _resolve(self.checker)(structure, **options)
 
     @property
     def slots(self) -> tuple:
@@ -405,25 +387,31 @@ def _cells(kinds) -> tuple:
 # Base and V-categories have no frame; their sections have codecs of their
 # own (``tower_to_document``'s base, ``_reference``, ``_vcategories_from``).
 LEVELS = {
-    "base": _Level("base", "kfold.KFoldMonoidal"),
-    "vcategory": _Level("vcategories", "vcat.VCategory"),
-    "vfunctor": _Level("vfunctors", "vcat.VFunctor", _ends("vcategory"),
-                       _vfunctor_tables, _vfunctor_maps),
-    "vnat": _Level("vnats", "vcat.VNatTransform", _ends("vfunctor"),
-                   _named_components, _named_components_from),
-    "v2category": _Level("v2categories", "v2cat.V2Category", (),
-                         _v2category_tables, _v2category_fields),
-    "v2functor": _Level("v2functors", "v2cat.V2Functor", _ends("v2category"),
+    "base": _Level("base", "kfold.KFoldMonoidal", "kfold.check_kfold"),
+    "vcategory": _Level("vcategories", "vcat.VCategory",
+                        "vcat.check_vcategory"),
+    "vfunctor": _Level("vfunctors", "vcat.VFunctor", "vcat.check_vfunctor",
+                       _ends("vcategory"), _vfunctor_tables, _vfunctor_maps),
+    "vnat": _Level("vnats", "vcat.VNatTransform", "vcat.check_vnat",
+                   _ends("vfunctor"), _named_components,
+                   _named_components_from),
+    "v2category": _Level("v2categories", "v2cat.V2Category",
+                         "v2cat.check_v2category", (), _v2category_tables,
+                         _v2category_fields),
+    "v2functor": _Level("v2functors", "v2cat.V2Functor",
+                        "v2cat.check_v2functor", _ends("v2category"),
                         lambda vf: {"obj_map": dict(vf.obj_map),
                                     "hom_map": _functor_rows(vf.hom_map)},
                         _v2functor_fields),
-    "v2nat": _Level("v2nats", "v2cat.V2NatTransform", _ends("v2functor"),
+    "v2nat": _Level("v2nats", "v2cat.V2NatTransform", "v2cat.check_v2nat",
+                    _ends("v2functor"),
                     lambda nat: {"components": _functor_rows(nat.components)},
                     _v2nat_fields),
     "modification": _Level("modifications", "v2cat.VModification",
-                           _ends("v2nat"), _named_components,
-                           _named_components_from),
-    "pasting": _Level("pastings", "v2cat.PastingInstance", (
+                           "v2cat.check_modification", _ends("v2nat"),
+                           _named_components, _named_components_from),
+    "pasting": _Level("pastings", "v2cat.PastingInstance",
+                      "v2cat.exchange_suite", (
         _Group("categories", "v2category", ("cat_u", "cat_v", "cat_w"),
                listed=True),
         _Group("functors", "v2functor", ("f", "h", "p", "g", "k", "q")),
@@ -431,6 +419,25 @@ LEVELS = {
         _Group("modifications", "modification", _cells(("mu", "nu")))),
         lambda p: {}, lambda *_: {}),
 }
+
+
+class Tower(Record):
+    """A base, its optional symmetry, and named structures in one section per
+    level above the base; each section left out starts as a fresh empty
+    dict."""
+    __slots__ = ("base", "symmetry",
+                 *(row.section for row in list(LEVELS.values())[1:]))
+
+    def __init__(self, base: KFoldMonoidal, symmetry: dict = None,
+                 **sections):
+        self.base = base
+        self.symmetry = symmetry    # optional (a, b) -> morphism table
+        for section in self.__slots__[2:]:
+            entries = sections.pop(section, None)
+            setattr(self, section, {} if entries is None else entries)
+        if sections:
+            raise TypeError(
+                f"Tower() got an unexpected section {next(iter(sections))!r}")
 
 
 # -- document <-> tower ---------------------------------------------------------

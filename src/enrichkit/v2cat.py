@@ -230,13 +230,8 @@ def _q(nat: V2NatTransform, u) -> str:
 # -- diffs for witness production ----------------------------------------------
 
 def _diff_vfunctor(x: VFunctor, y: VFunctor):
-    for k in sorted(set(x.obj_map) | set(y.obj_map)):
-        if x.obj_map.get(k) != y.obj_map.get(k):
-            return f"obj[{k}]", x.obj_map.get(k), y.obj_map.get(k)
-    for k in sorted(set(x.hom_map) | set(y.hom_map)):
-        if x.hom_map.get(k) != y.hom_map.get(k):
-            return f"hom[{k}]", x.hom_map.get(k), y.hom_map.get(k)
-    return None
+    return (_diff_components(x.obj_map, y.obj_map, "obj[{}]")
+            or _diff_components(x.hom_map, y.hom_map, "hom[{}]"))
 
 
 def _diff_nat(x: V2NatTransform, y: V2NatTransform):
@@ -759,52 +754,30 @@ def exchange_suite(p: PastingInstance, *,
     """
     _check_frames(p)
     b = ReportBuilder(all_witnesses)
+    # Each identity is the interchange law outer(inner(w, x), inner(y, z))
+    # == inner(outer(w, y), outer(x, z)) on four of the pasting's cells:
+    # (family, outer, inner, cells w x y z, diff).  Built per call, so the
+    # operations are the ones bound in this module when the suite runs.
+    for name, outer, inner, cells, diff in (
+            ("exchange-1", compose_nat_along_functor,
+             hcomp_nats_along_category, "alpha4 alpha2 alpha3 alpha1",
+             _diff_nat),
+            ("exchange-2", hcomp_modifications_along_nat, vcomp_modifications,
+             "nu2 mu2 nu1 mu1", _diff_mod),
+            ("exchange-3", vcomp_modifications, hcomp_mods_along_category,
+             "nu3 nu1 mu3 mu1", _diff_mod),
+            ("exchange-4", hcomp_modifications_along_nat,
+             hcomp_mods_along_category, "mu4 mu2 mu3 mu1", _diff_mod)):
+        w, x, y, z = (getattr(p, cell) for cell in cells.split())
 
-    def guard(name, fn, diff):
-        def run(_):
+        def law(_):
             try:
-                lhs, rhs = fn()
+                lhs = outer(inner(w, x), inner(y, z))
+                rhs = inner(outer(w, y), outer(x, z))
             except KernelError as err:
                 return f"<error: {err}>", None
             return _witness(diff(lhs, rhs))
-        b.family(name, *each_row([("pasting",)], run))
-
-    guard("exchange-1",
-          lambda: (compose_nat_along_functor(
-                       hcomp_nats_along_category(p.alpha4, p.alpha2),
-                       hcomp_nats_along_category(p.alpha3, p.alpha1)),
-                   hcomp_nats_along_category(
-                       compose_nat_along_functor(p.alpha4, p.alpha3),
-                       compose_nat_along_functor(p.alpha2, p.alpha1))),
-          _diff_nat)
-
-    guard("exchange-2",
-          lambda: (hcomp_modifications_along_nat(
-                       vcomp_modifications(p.nu2, p.mu2),
-                       vcomp_modifications(p.nu1, p.mu1)),
-                   vcomp_modifications(
-                       hcomp_modifications_along_nat(p.nu2, p.nu1),
-                       hcomp_modifications_along_nat(p.mu2, p.mu1))),
-          _diff_mod)
-
-    guard("exchange-3",
-          lambda: (vcomp_modifications(
-                       hcomp_mods_along_category(p.nu3, p.nu1),
-                       hcomp_mods_along_category(p.mu3, p.mu1)),
-                   hcomp_mods_along_category(
-                       vcomp_modifications(p.nu3, p.mu3),
-                       vcomp_modifications(p.nu1, p.mu1))),
-          _diff_mod)
-
-    guard("exchange-4",
-          lambda: (hcomp_modifications_along_nat(
-                       hcomp_mods_along_category(p.mu4, p.mu2),
-                       hcomp_mods_along_category(p.mu3, p.mu1)),
-                   hcomp_mods_along_category(
-                       hcomp_modifications_along_nat(p.mu4, p.mu3),
-                       hcomp_modifications_along_nat(p.mu2, p.mu1))),
-          _diff_mod)
-
+        b.family(name, *each_row([("pasting",)], law))
     return b.report()
 
 

@@ -434,6 +434,22 @@ def test_structures_are_unhashable_and_keep_a_memo(records):
         assert report.cached_report(record, None) is rep
 
 
+def test_memo_build_that_raises_stores_nothing():
+    # Neither on a record's first memo nor on a later miss: the next call
+    # builds again.
+    record = report.CheckReport()
+
+    def failing(_):
+        raise ZeroDivisionError
+    for key in ("first", "later"):
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError):
+                report._memo(record, key, failing)
+            assert key not in getattr(record, "_memo", {})
+        report._memo(record, "kept", lambda _: 1)
+    assert report._memo(record, "first", lambda _: 2) == 2
+
+
 def test_witness_is_hashable_and_immutable():
     w = report.Witness("pentagon", ("a", "b"), "f", "g")
     assert w == report.Witness("pentagon", ("a", "b"), "f", "g")

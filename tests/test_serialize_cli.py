@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enrichkit import cli
-from enrichkit.cli import CONSTRUCTIONS, TOWER, main
+from enrichkit.cli import CONSTRUCTIONS, main
 from enrichkit.errors import DanglingReference, ParseError
 from enrichkit.instances import Bounds, bool_poset, random_instance, zmod2
-from enrichkit.serialize import Tower, dumps, load, loads, tower_to_document
+from enrichkit.serialize import (LEVELS, Tower, _resolve, dumps, load, loads,
+                                 tower_to_document)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -56,7 +57,7 @@ def test_filed_random_instances_round_trip(base, seed):
     # with its frame into one tower: every section's codec, the pasting's
     # three slot groups included, writes what it reads.
     tower = Tower(BASES[base])
-    for k, level in enumerate(list(TOWER)[1:]):
+    for k, level in enumerate(list(LEVELS)[1:]):
         structure = random_instance(level, seed + k, Bounds(2, 2),
                                     base=tower.base)
         cli._file(tower, level, structure, level)
@@ -707,7 +708,7 @@ def test_every_construction_files_its_result_under_name(
     if level == "base":
         assert tower.base.n == 3
     else:
-        assert "R" in getattr(tower, TOWER[level].section)
+        assert "R" in getattr(tower, LEVELS[level].section)
 
 
 @pytest.mark.parametrize("construction, inputs, takes", [
@@ -831,14 +832,34 @@ def test_readme_lists_every_construction():
 
 
 def test_level_choices_are_the_tower_levels(capsys):
-    for command, levels in (("check", ["all", *TOWER]),
-                            ("fuzz", [level for level in TOWER
+    for command, levels in (("check", ["all", *LEVELS]),
+                            ("fuzz", [level for level in LEVELS
                                       if level != "base"])):
         with pytest.raises(SystemExit):
             main([command, "--help"])
         usage = capsys.readouterr().out
         choices = re.search(r"--level \{([^}]*)\}", usage).group(1)
         assert choices.split(",") == levels
+
+
+def test_levels_table_names_real_objects_and_tower_sections():
+    # Every row's type and checker is the object its defining module gives
+    # that name, Tower's sections are the levels above the base in table
+    # order, a section passed in is kept, and an unknown section is refused.
+    for level, row in LEVELS.items():
+        for path, value in ((row.typename, row.kind),
+                            (row.checker, _resolve(row.checker))):
+            module, name = path.split(".")
+            assert value.__module__ == f"enrichkit.{module}", (level, path)
+            assert value.__name__ == name, (level, path)
+    assert LEVELS["vcategory"].checker == "vcat.check_vcategory"
+    assert Tower.__slots__[2:] == tuple(row.section for row in
+                                        list(LEVELS.values())[1:])
+    base, kept = bool_poset(2), {}
+    assert Tower(base, vnats=kept).vnats is kept
+    assert Tower(base).vnats is not Tower(base).vnats
+    with pytest.raises(TypeError, match="bogus"):
+        Tower(base, bogus={})
 
 
 def test_construct_product(corpus_dir, tmp_path, capsys):
