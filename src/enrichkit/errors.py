@@ -7,7 +7,12 @@ preconditions, and engine-level disagreements.
 
 
 class KernelError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.  ``report`` holds
+    the failing CheckReport behind the error, or None."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class CompositionUndefined(KernelError):
@@ -41,10 +46,6 @@ class NotComposable(KernelError):
 class NotSymmetric(KernelError):
     """Symmetric-monoidal input data failed its coherence checks."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class NotPreorder(KernelError):
     """Relation is not reflexive and transitive."""
@@ -68,25 +69,13 @@ class InvalidPasting(KernelError):
 class BaseInvalid(KernelError):
     """The underlying tensor structure failed its checker."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class SourceTargetInvalid(KernelError):
     """Source or target of a functor/transformation failed its checker."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class LowerLevelInvalid(KernelError):
     """A constituent structure one level down failed its checker."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class ParseError(KernelError):
@@ -104,7 +93,3 @@ class DanglingReference(KernelError):
 
 class ConstructionFailed(KernelError):
     """A CLI construction produced a structure that failed validation."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report

@@ -80,12 +80,12 @@ def inverse(cat: FinCategory, m: MorId):
 def _require_tables(cat: FinCategory) -> None:
     if not cat.objects:
         raise MalformedTable("category has no objects")
-    for m in cat.morphisms:
+    for m in sorted(cat.morphisms):
         if m not in cat.dom or m not in cat.cod:
             raise MalformedTable(f"morphism {m!r} missing dom/cod entry")
         if cat.dom[m] not in cat.objects or cat.cod[m] not in cat.objects:
             raise MalformedTable(f"morphism {m!r} has unknown endpoint")
-    for a in cat.objects:
+    for a in sorted(cat.objects):
         if a not in cat.identity:
             raise MalformedTable(f"object {a!r} missing identity entry")
         if cat.identity[a] not in cat.morphisms:

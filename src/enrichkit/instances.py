@@ -15,7 +15,7 @@ symmetric base would take.  Genuinely non-symmetric structures are accepted
 as input everywhere but are not shipped.
 
 Generation.  Random V-categories, V-functors and V-2-categories come from
-one rejection loop, ``_sample(draw, check, attempts, what)``: it keeps the
+one rejection loop, ``_sample(draw, check, what)``: it keeps the
 first candidate ``draw()`` returns that passes its level checker, records
 the attempt that produced it as the winner's ``_generation_attempts``, and
 raises ``BudgetExhausted`` when the budget runs out.  Each table of
@@ -90,14 +90,15 @@ def unique_morphism(cat: FinCategory, a: str, b: str):
     return _thin(hom) if hom else None
 
 
-def _sample(draw, check, attempts: int, what: str):
+def _sample(draw, check, what: str):
     """The first non-None ``draw()`` that passes ``check``, within budget."""
-    for attempt in range(1, attempts + 1):
+    for attempt in range(1, RANDOM_ATTEMPT_CAP + 1):
         cand = draw()
         if cand is not None and check(cand).ok:
             cand._generation_attempts = attempt
             return cand
-    raise BudgetExhausted(f"no valid {what} after {attempts} attempts")
+    raise BudgetExhausted(
+        f"no valid {what} after {RANDOM_ATTEMPT_CAP} attempts")
 
 
 def _draw(cat: FinCategory, slots, pick):
@@ -344,8 +345,9 @@ def preorder_vcat(base: KFoldMonoidal, objects, relation) -> VCategory:
     for a in objects:
         if (a, a) not in rel:
             raise NotPreorder(f"relation is not reflexive at {a!r}")
-    for (a, b) in rel:
-        for (b2, c) in rel:
+    pairs = sorted(rel)
+    for (a, b) in pairs:
+        for (b2, c) in pairs:
             if b == b2 and (a, c) not in rel:
                 raise NotPreorder(f"relation is not transitive at ({a}, {b}, {c})")
 
@@ -448,13 +450,11 @@ def xor_group_v2cat(base: KFoldMonoidal) -> V2Category:
 # -- seeded random corpus -----------------------------------------------------
 
 class Bounds(Record):
-    __slots__ = ("max_objects", "max_hom", "attempts")
+    __slots__ = ("max_objects", "max_hom")
 
-    def __init__(self, max_objects: int = 3, max_hom: int = 3,
-                 attempts: int = RANDOM_ATTEMPT_CAP):
+    def __init__(self, max_objects: int = 3, max_hom: int = 3):
         self.max_objects = max_objects
         self.max_hom = max_hom
-        self.attempts = attempts
 
 
 def corpus(seed: int = 0) -> dict:
@@ -531,7 +531,7 @@ def corpus(seed: int = 0) -> dict:
             w, w, w, idw, idw, idw, idw, idw, idw,
             n_one, n_t, n_t, rise, stay, n_one, n_t, n_t, rise, stay,
             n_one, n_t, n_t, rise, stay, n_one, n_t, n_t, rise, stay),
-        "pasting_random": _random_pasting(w, random.Random(seed + 2), Bounds()),
+        "pasting_random": _random_pasting(w, random.Random(seed + 2)),
     }
     z3.pastings = {
         "pasting_xor": PastingInstance(
@@ -545,12 +545,11 @@ def corpus(seed: int = 0) -> dict:
 def _random_vcategory(base: KFoldMonoidal, rng: random.Random,
                       bounds: Bounds) -> VCategory:
     nobj = rng.randint(1, max(1, bounds.max_objects))
-    return _random_vcategory_on(base, [f"o{i}" for i in range(nobj)], rng,
-                                bounds)
+    return _random_vcategory_on(base, [f"o{i}" for i in range(nobj)], rng)
 
 
 def _random_vcategory_on(base: KFoldMonoidal, objects: list,
-                         rng: random.Random, bounds: Bounds) -> VCategory:
+                         rng: random.Random) -> VCategory:
     cat = base.base
     base_objs = sorted(cat.objects)
 
@@ -567,25 +566,23 @@ def _random_vcategory_on(base: KFoldMonoidal, objects: list,
         return None if identity is None else VCategory(
             base, set(objects), hom, comp, identity)
 
-    return _sample(draw, check_vcategory, bounds.attempts,
-                   "enriched category")
+    return _sample(draw, check_vcategory, "enriched category")
 
 
-def _random_vfunctor(a: VCategory, b: VCategory, rng: random.Random,
-                     bounds: Bounds) -> VFunctor:
+def _random_vfunctor(a: VCategory, b: VCategory,
+                     rng: random.Random) -> VFunctor:
     tgt_objs = sorted(b.objects)
 
     def draw():
         obj_map = {o: rng.choice(tgt_objs) for o in sorted(a.objects)}
         return _draw_vfunctor(a, b, obj_map, rng.choice)
 
-    return _sample(draw, check_vfunctor, bounds.attempts, "enriched functor")
+    return _sample(draw, check_vfunctor, "enriched functor")
 
 
-def _random_vnat(t: VFunctor, s: VFunctor, rng: random.Random,
-                 bounds: Bounds):
+def _random_vnat(t: VFunctor, s: VFunctor, rng: random.Random):
     cat, unit = t.source.base.base, t.source.base.unit
-    for _ in range(bounds.attempts):
+    for _ in range(RANDOM_ATTEMPT_CAP):
         components = _draw(
             cat, ((x, unit, t.target.hom[(t.obj_map[x], s.obj_map[x])])
                   for x in sorted(t.source.objects)), rng.choice)
@@ -628,15 +625,14 @@ def _random_v2category(base: KFoldMonoidal, rng: random.Random,
                   for g in cells for f in cells}
         else:
             try:
-                hom = _random_vcategory_on(base, cells, rng, bounds)
+                hom = _random_vcategory_on(base, cells, rng)
             except BudgetExhausted:
                 return None
             unit_cell = rng.choice(cells)
             op = {(g, f): rng.choice(cells) for g in cells for f in cells}
         return _monoid_v2cat(base, hom, op, rng.choice, unit_cell)
 
-    return _sample(draw, check_v2category, bounds.attempts,
-                   "level-2 category")
+    return _sample(draw, check_v2category, "level-2 category")
 
 
 def _endo_v2functors(u: V2Category):
@@ -681,11 +677,10 @@ def _mods_between(a: V2NatTransform, b: V2NatTransform):
     return out
 
 
-def _random_pasting(u: V2Category, rng: random.Random,
-                    bounds: Bounds) -> PastingInstance:
+def _random_pasting(u: V2Category, rng: random.Random) -> PastingInstance:
     """Assemble a full two-column pasting on one structure by search."""
     functors = _endo_v2functors(u)
-    for _ in range(bounds.attempts):
+    for _ in range(RANDOM_ATTEMPT_CAP):
         # f, h, p and g, k, q: the columns' 2-functors, in field order.
         fs = [rng.choice(functors) for _ in range(6)]
         f_, h_, p_, g_, k_, q_ = fs
@@ -730,7 +725,7 @@ def random_instance(level: str, seed: int, bounds: Bounds = None,
             a = _random_vcategory(base, rng, bounds)
             b = _random_vcategory(base, rng, bounds)
             try:
-                return _random_vfunctor(a, b, rng, bounds)
+                return _random_vfunctor(a, b, rng)
             except BudgetExhausted:
                 continue
         raise BudgetExhausted("no functor-admitting category pair found")
@@ -740,9 +735,9 @@ def random_instance(level: str, seed: int, bounds: Bounds = None,
             b = _random_vcategory(base, rng, bounds)
             try:
                 for _ in range(50):
-                    t = _random_vfunctor(a, b, rng, bounds)
-                    s = _random_vfunctor(a, b, rng, bounds)
-                    got = _random_vnat(t, s, rng, bounds)
+                    t = _random_vfunctor(a, b, rng)
+                    s = _random_vfunctor(a, b, rng)
+                    got = _random_vnat(t, s, rng)
                     if got is not None:
                         return got
             except BudgetExhausted:
@@ -757,7 +752,7 @@ def random_instance(level: str, seed: int, bounds: Bounds = None,
             raise BudgetExhausted("no endofunctors found")
         return rng.choice(endos)
     if level in ("v2nat", "modification"):
-        for _ in range(bounds.attempts):
+        for _ in range(RANDOM_ATTEMPT_CAP):
             endos = _endo_v2functors(_random_v2category(base, rng, bounds))
             t = rng.choice(endos)
             s = rng.choice(endos)
@@ -771,5 +766,5 @@ def random_instance(level: str, seed: int, bounds: Bounds = None,
         raise BudgetExhausted(f"no valid {what} found")
     if level == "pasting":
         u = _random_v2category(base, rng, bounds)
-        return _random_pasting(u, rng, bounds)
+        return _random_pasting(u, rng)
     raise ValueError(f"unknown level {level!r}")

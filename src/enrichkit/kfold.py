@@ -101,6 +101,7 @@ class LiftedTables:
 
 def _require_tables(v: KFoldMonoidal) -> None:
     cat = v.base
+    objs, mors = sorted(cat.objects), sorted(cat.morphisms)
     if v.n < 1:
         raise MalformedTable("need at least one tensor")
     if v.unit not in cat.objects:
@@ -110,17 +111,17 @@ def _require_tables(v: KFoldMonoidal) -> None:
             raise MalformedTable(f"missing tensor tables for index {i}")
         if i not in v.assoc_table:
             raise MalformedTable(f"missing associator table for index {i}")
-        for a, b in product(cat.objects, repeat=2):
+        for a, b in product(objs, repeat=2):
             if (a, b) not in v.tensor_obj_table[i]:
                 raise MalformedTable(f"tensor_{i} missing object entry ({a}, {b})")
             if v.tensor_obj_table[i][(a, b)] not in cat.objects:
                 raise MalformedTable(f"tensor_{i}({a}, {b}) is an unknown object")
-        for f, g in product(cat.morphisms, repeat=2):
+        for f, g in product(mors, repeat=2):
             if (f, g) not in v.tensor_mor_table[i]:
                 raise MalformedTable(f"tensor_{i} missing morphism entry ({f}, {g})")
             if v.tensor_mor_table[i][(f, g)] not in cat.morphisms:
                 raise MalformedTable(f"tensor_{i}({f}, {g}) is an unknown morphism")
-        for key in product(cat.objects, repeat=3):
+        for key in product(objs, repeat=3):
             if key not in v.assoc_table[i]:
                 raise MalformedTable(f"associator_{i} missing component at {key}")
             if v.assoc_table[i][key] not in cat.morphisms:

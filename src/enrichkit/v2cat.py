@@ -66,7 +66,6 @@ from .vcat import (
     VCategory,
     VFunctor,
     VNatTransform,
-    _base_cells,
     _category_laws,
     _Cells,
     _component_boundary,

@@ -307,10 +307,10 @@ def test_criterion_6_exchange():
     x2 = xor_group_v2cat(zmod2(3))
     pastings = []
     for seed, u in ((21, w), (22, w), (23, x2), (24, x2)):
-        pastings.append(_random_pasting(u, random.Random(seed), Bounds()))
+        pastings.append(_random_pasting(u, random.Random(seed)))
     for seed in (25, 26):
         u = random_instance("v2category", seed, Bounds(max_hom=2))
-        pastings.append(_random_pasting(u, random.Random(seed), Bounds()))
+        pastings.append(_random_pasting(u, random.Random(seed)))
     for p in pastings:
         rep = exchange_suite(p)
         assert rep.ok

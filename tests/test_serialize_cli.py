@@ -286,6 +286,51 @@ def test_closed_pipe_ends_without_traceback(corpus_dir):
     assert proc.stderr == b""
 
 
+PREORDER_ERROR = """
+from enrichkit.errors import NotPreorder
+from enrichkit.instances import bool_poset, preorder_vcat
+try:
+    preorder_vcat(bool_poset(2), "abc", {("a", "a"), ("b", "b"), ("c", "c"),
+                                         ("a", "b"), ("b", "c"), ("c", "a")})
+except NotPreorder as err:
+    print(err)
+"""
+
+
+def test_malformed_input_errors_do_not_depend_on_the_hash_seed(corpus_dir,
+                                                               tmp_path):
+    # Each document leaves out two table entries, so the error names
+    # whichever the checker meets first.
+    doc = json.loads((corpus_dir / "bool2.json").read_text())
+    rows = doc["base"]["tensor_obj"]["1"]
+    rows[:] = [row for row in rows if row[0] != row[1]]
+    (tmp_path / "no_diagonal.json").write_text(json.dumps(doc))
+    doc = json.loads((corpus_dir / "bool2.json").read_text())
+    del doc["base"]["dom"]["id_bot"], doc["base"]["dom"]["u"]
+    (tmp_path / "no_dom.json").write_text(json.dumps(doc))
+    runs = {"no_diagonal.json": set(), "no_dom.json": set(), "preorder": set()}
+    for hashseed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(hashseed),
+                   PYTHONPATH=os.pathsep.join(
+                       [SRC] + os.environ.get("PYTHONPATH", "").split(
+                           os.pathsep)))
+        for name in ("no_diagonal.json", "no_dom.json"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "enrichkit.cli", "check",
+                 str(tmp_path / name)],
+                capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 2
+            runs[name].add(proc.stderr)
+        runs["preorder"].add(subprocess.run(
+            [sys.executable, "-c", PREORDER_ERROR], capture_output=True,
+            text=True, env=env, timeout=60, check=True).stdout)
+    assert runs == {
+        "no_diagonal.json": {"error: tensor_1 missing object entry "
+                             "(bot, bot)\n"},
+        "no_dom.json": {"error: morphism 'id_bot' missing dom/cod entry\n"},
+        "preorder": {"relation is not transitive at (a, b, c)\n"}}
+
+
 def _string_tables(doc):
     """Paths to the base, vcategory and vfunctor row tables (string cells)."""
     base = doc["base"]

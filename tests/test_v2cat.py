@@ -545,7 +545,7 @@ def test_exchange_all_identity(w):
 def test_exchange_seeded(w, xor_x2):
     import random
     for seed, u in ((11, w), (12, xor_x2)):
-        p = _random_pasting(u, random.Random(seed), Bounds())
+        p = _random_pasting(u, random.Random(seed))
         assert exchange_suite(p).ok
 
 
@@ -553,7 +553,7 @@ def test_a_second_exchange_suite_run_keeps_nothing_new(w):
     # Every cell the suite composes is itself built once from the pasting's
     # cells, so a second run is all hits and leaves no entry behind.
     import random
-    p = _random_pasting(w, random.Random(11), Bounds())
+    p = _random_pasting(w, random.Random(11))
 
     def memo_sizes():
         return [len(getattr(getattr(p, name), "_memo", {}))
