@@ -42,9 +42,9 @@ in the record's ``_memo`` slot and returns it on every later call with that
 key, a hit being one lookup in that dict.  ``_memo_pair(tag, x, y, build)``
 is its form for an operation of two operands, kept on ``x`` under
 ``(tag, id(y))``.  Checker reports, products and their factors, units, the
-base's cell record, and composites of cells at both levels (composite and
-whiskered functors and transformations, identity modifications, the
-level-2 whiskers and vertical and horizontal composites) go through it.
+base's cell record, identity modifications and the two-operand level-2
+operations go through it; level-1 composites and whiskers keep nothing, so
+no entry outlives its check on a lasting composition functor.
 That is sound only while a structure is not mutated after its first check or
 construction: its tables are plain dicts, and the memo never looks at them
 again.  A build that raises stores nothing, so a failed check runs again on

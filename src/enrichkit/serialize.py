@@ -631,6 +631,8 @@ def _check_base_ids(base: KFoldMonoidal) -> None:
     bad = [m for m in list(cat.dom) + list(cat.cod) if m not in known_m]
     if bad:
         raise DanglingReference(f"base: unknown morphisms {sorted(set(bad))}")
+    if base.unit not in known_o:
+        raise DanglingReference(f"base: unknown unit object {base.unit!r}")
     for tables, keys, values, what in (
             (base.tensor_obj_table, known_o, known_o, "object in tensor"),
             (base.tensor_mor_table, known_m, known_m, "morphism in tensor"),

@@ -37,9 +37,9 @@ Three composition regimes exist, written here as in the source structure:
 
 Every operation with more than one defining route computes all routes and
 raises AgreementFailure when their tables differ: on valid input that is an
-engine bug, on invalid input a diagnostic.  The composites and whiskers that
-the routes share are built once per operand pair (``_built_once``); a
-failure stores nothing, so it is raised again on every call.
+engine bug, on invalid input a diagnostic.  Every two-operand operation is
+built once per operand pair (``_built_once``); a failure stores nothing, so
+it is raised again on every call.
 """
 from __future__ import annotations
 
@@ -451,6 +451,7 @@ def _built_once(op):
     return wraps(op)(lambda x, y: _memo_pair(tag, x, y, op))
 
 
+@_built_once
 def compose_nat_along_functor(b: V2NatTransform,
                               g: V2NatTransform) -> V2NatTransform:
     """g then b, sharing the middle 2-functor."""
@@ -561,6 +562,7 @@ def hcomp_modifications_along_nat(n: VModification,
 
 # -- composition along a 2-category -----------------------------------------------
 
+@_built_once
 def compose_v2functors(s: V2Functor, t: V2Functor) -> V2Functor:
     """s after t: composed object maps, composed hom functors."""
     return _compose_functors(_VCAT_CELLS, s, t)
@@ -570,11 +572,13 @@ def identity_v2functor(u: V2Category) -> V2Functor:
     return _identity_functor(_VCAT_CELLS, u)
 
 
+@_built_once
 def whisker_functor_nat(g: V2Functor, a: V2NatTransform) -> V2NatTransform:
     """Post-compose a transformation with a 2-functor (g a)."""
     return _whisker(_VCAT_CELLS, "left", g, a)
 
 
+@_built_once
 def whisker_nat_functor(g: V2NatTransform, h: V2Functor) -> V2NatTransform:
     """Pre-compose a transformation with a 2-functor (g h): reindexing."""
     return _whisker(_VCAT_CELLS, "right", h, g)

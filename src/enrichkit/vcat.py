@@ -13,7 +13,7 @@ over the base, and v2cat reads the same tables over V-Cat, and the
 naturality table once more over V-Cat's 2-cells for the modification axiom.
 The constructions both levels share (product, unit, composites, identities,
 whiskers) are written once too, over a record of its cells (``_Cells``)
-that v2cat reads over V-Cat.
+that v2cat reads over V-Cat; composites and whiskers are built fresh here.
 Product object sets are literal encoded pairs with no quotienting: the
 strict unit law holds only after the canonical relabeling (a, 0) -> a,
 which relabel_vcategory makes available bit-exactly.
@@ -541,21 +541,18 @@ def _comp_reads(f, objs):
 
 
 def _compose_functors(cells: _Cells, s, t):
-    """s after t: composed object maps, hom maps composed entry by entry.
-    Built once per (s, t) and kept on ``s``."""
-    def build(s, t):
-        if t.target != s.source:
-            raise NotComposable("functor frames do not match")
-        compose = cells.comp
-        obj_map = {x: s.obj_map[t.obj_map[x]] for x in t.source.objects}
-        hom_map = {}
-        for x in t.source.objects:
-            for y in t.source.objects:
-                hom_map[(x, y)] = compose(
-                    s.hom_map[(t.obj_map[x], t.obj_map[y])],
-                    t.hom_map[(x, y)])
-        return cells.Functor(t.source, s.target, obj_map, hom_map)
-    return _memo_pair("compose", s, t, build)
+    """s after t: composed object maps, hom maps composed entry by entry."""
+    if t.target != s.source:
+        raise NotComposable("functor frames do not match")
+    compose = cells.comp
+    obj_map = {x: s.obj_map[t.obj_map[x]] for x in t.source.objects}
+    hom_map = {}
+    for x in t.source.objects:
+        for y in t.source.objects:
+            hom_map[(x, y)] = compose(
+                s.hom_map[(t.obj_map[x], t.obj_map[y])],
+                t.hom_map[(x, y)])
+    return cells.Functor(t.source, s.target, obj_map, hom_map)
 
 
 def _identity_functor(cells: _Cells, a):
@@ -572,48 +569,41 @@ def _identity_nat(cells: _Cells, t):
 
 def _compose_nats(cells: _Cells, b, a):
     """a then b: each component pair tensored, from I ⊗_1 I, and multiplied
-    through the target's composition.  Built once per (b, a) and kept on
-    ``b``."""
-    def build(b, a):
-        if a.target != b.source:
-            raise NotComposable("transformation frames do not match")
-        compose, tensor_mor = cells.comp, cells.tensor_mor
-        w = a.source.target
-        components = {}
-        for x in a.source.source.objects:
-            tx = a.source.obj_map[x]
-            sx = a.target.obj_map[x]
-            rx = b.target.obj_map[x]
-            components[x] = compose(w.comp[(tx, sx, rx)], cells.unit_pair(
-                tensor_mor(1, b.components[x], a.components[x]), 1))
-        return cells.Nat(a.source, b.target, components)
-    return _memo_pair("compose-nats", b, a, build)
+    through the target's composition."""
+    if a.target != b.source:
+        raise NotComposable("transformation frames do not match")
+    compose, tensor_mor = cells.comp, cells.tensor_mor
+    w = a.source.target
+    components = {}
+    for x in a.source.source.objects:
+        tx = a.source.obj_map[x]
+        sx = a.target.obj_map[x]
+        rx = b.target.obj_map[x]
+        components[x] = compose(w.comp[(tx, sx, rx)], cells.unit_pair(
+            tensor_mor(1, b.components[x], a.components[x]), 1))
+    return cells.Nat(a.source, b.target, components)
 
 
 def _whisker(cells: _Cells, side: str, f, a):
-    """a whiskered by f, built once per (side, f, a) and kept on ``a``: a
-    transformation made for one check, such as a modification's component,
-    takes its entries with it instead of leaving them on a lasting f."""
-    def build(a, f):
-        if side == "left":
-            if a.source.target != f.source:
-                raise NotComposable("whisker frames do not match")
-            return cells.Nat(
-                _compose_functors(cells, f, a.source),
-                _compose_functors(cells, f, a.target),
-                {x: cells.comp(f.hom_map[(a.source.obj_map[x],
-                                          a.target.obj_map[x])],
-                               a.components[x])
-                 for x in a.source.source.objects})
-        if side == "right":
-            if f.target != a.source.source:
-                raise NotComposable("whisker frames do not match")
-            return cells.Nat(_compose_functors(cells, a.source, f),
-                             _compose_functors(cells, a.target, f),
-                             {x: a.components[f.obj_map[x]]
-                              for x in f.source.objects})
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return _memo_pair(("whisker", side), a, f, build)
+    """a whiskered by f: f after a ("left"), or a after f ("right")."""
+    if side == "left":
+        if a.source.target != f.source:
+            raise NotComposable("whisker frames do not match")
+        return cells.Nat(
+            _compose_functors(cells, f, a.source),
+            _compose_functors(cells, f, a.target),
+            {x: cells.comp(f.hom_map[(a.source.obj_map[x],
+                                      a.target.obj_map[x])],
+                           a.components[x])
+             for x in a.source.source.objects})
+    if side == "right":
+        if f.target != a.source.source:
+            raise NotComposable("whisker frames do not match")
+        return cells.Nat(_compose_functors(cells, a.source, f),
+                         _compose_functors(cells, a.target, f),
+                         {x: a.components[f.obj_map[x]]
+                          for x in f.source.objects})
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 # -- constructions ------------------------------------------------------------

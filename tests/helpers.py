@@ -83,12 +83,12 @@ def zmod_symmetric(n: int) -> SymmetricMonoidal:
         {key: ident[c] for key, c in add.items()})
 
 
-def capped_chain(top: int, k: int) -> KFoldMonoidal:
-    """The capped max-plus chain: objects "0".."top", an arrow x -> y iff
-    x >= y; tensor 1 is addition truncated at top and tensors 2..k are max.
-    The unit is "0", the associators are identities and each interchange
-    is the unique arrow.  Its tensors differ, so a construction that reads
-    the wrong tensor index lands on another object."""
+def chain(top: int, *ops) -> KFoldMonoidal:
+    """The chain "0".."top" with an arrow x -> y iff x >= y, unit "0", and
+    one tensor per operation: tensor i is ``ops[i - 1]`` on the integers.
+    The associators are identities and each interchange is the unique
+    arrow; an operation that is not monotone, or an interchange with no
+    arrow, raises KeyError here."""
     objs = [str(v) for v in range(top + 1)]
     arrow = {(x, y): f"{x}>{y}" for x in objs for y in objs if int(x) >= int(y)}
     dom = {m: x for (x, _), m in arrow.items()}
@@ -100,12 +100,11 @@ def capped_chain(top: int, k: int) -> KFoldMonoidal:
                       ident)
 
     def op(i, x, y):
-        x, y = int(x), int(y)
-        return str(min(x + y, top) if i == 1 else max(x, y))
+        return str(ops[i - 1](int(x), int(y)))
 
-    tensors = range(1, k + 1)
+    tensors = range(1, len(ops) + 1)
     return KFoldMonoidal(
-        cat, k, "0",
+        cat, len(ops), "0",
         {i: {(x, y): op(i, x, y) for x in objs for y in objs} for i in tensors},
         {i: {(f, g): arrow[(op(i, dom[f], dom[g]), op(i, cod[f], cod[g]))]
              for f in dom for g in dom} for i in tensors},
@@ -115,6 +114,35 @@ def capped_chain(top: int, k: int) -> KFoldMonoidal:
                                        op(j, op(i, a, c), op(i, b, d)))]
                   for a in objs for b in objs for c in objs for d in objs}
          for i in tensors for j in tensors if i < j})
+
+
+def capped_chain(top: int, k: int) -> KFoldMonoidal:
+    """The capped max-plus chain: tensor 1 is addition truncated at top and
+    tensors 2..k are max.  Its tensors differ, so a construction that reads
+    the wrong tensor index lands on another object."""
+    return chain(top, lambda x, y: min(x + y, top), *[max] * (k - 1))
+
+
+# Two non-commutative operations on the chain "0".."3", both with unit 0
+# and absorbing 3.  ``chain_m`` has 1·1 = 1, 1·2 = 3, 2·1 = 2, 2·2 = 3;
+# ``chain_d`` sends every other pair to 3.
+_M = {(1, 1): 1, (1, 2): 3, (2, 1): 2, (2, 2): 3}
+
+
+def chain_m(x: int, y: int) -> int:
+    return x + y if 0 in (x, y) else _M.get((x, y), 3)
+
+
+def chain_d(x: int, y: int) -> int:
+    return x + y if 0 in (x, y) else 3
+
+
+def two_point_spaces(base: KFoldMonoidal) -> list:
+    """Every V-category on the objects p, q with hom(x, x) = "0" over a
+    chain ``base``: one per pair of distances, in order."""
+    points = [str(v) for v in range(len(base.base.objects))]
+    return [metric_space(base, {("p", "q"): pq, ("q", "p"): qp})
+            for pq in points for qp in points]
 
 
 def metric_space(base: KFoldMonoidal, distance: dict) -> VCategory:

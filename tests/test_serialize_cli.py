@@ -619,6 +619,27 @@ def test_non_integer_tensor_count_exits_two(corpus_dir, tmp_path, capsys,
     assert capsys.readouterr().err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["check"], ["check", "--level", "vcategory"],
+    ["construct", "product-vcat", "--inputs", "P", "P"]],
+    ids=["check", "level-1", "construct"])
+def test_unknown_base_unit_exits_two(corpus_dir, tmp_path, capsys, argv):
+    # Loading the level-2 sections builds the unit V-category, so an unknown
+    # unit is reported with the base, before anything reads it.
+    doc = json.loads((corpus_dir / "bool2.json").read_text())
+    doc["base"]["unit"] = "NOWHERE"
+    mutated = tmp_path / "unit.json"
+    mutated.write_text(json.dumps(doc))
+    command, *rest = argv
+    out = tmp_path / "out.json"
+    if command == "construct":
+        rest += ["--out", str(out)]
+    assert main([command, str(mutated), *rest]) == 2
+    assert capsys.readouterr().err == \
+        "error: base: unknown unit object 'NOWHERE'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("path, row, after", [
     (("vcategories", "P", "hom"), ["a", "a", "bot"], False),
     (("vcategories", "P", "hom"), ["a", "a", "bot"], True),

@@ -15,6 +15,7 @@ from enrichkit.instances import (
     _random_v2category,
     bool_poset,
     join_monoid_v2cat,
+    preorder_vcat,
     random_instance,
     unique_morphism,
     xor_group_v2cat,
@@ -66,7 +67,7 @@ from enrichkit.v2cat import (
     whisker_nat_mod_left,
     whisker_nat_mod_right,
 )
-from helpers import deloop, replaced
+from helpers import deloop, replaced, thin_morphism
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +99,58 @@ def test_w_passes(w):
     assert set(rep.families) == {
         "composition-functor-shape", "identity-functor-shape", "pentagon",
         "unit-left", "unit-right"}
+
+
+@pytest.mark.parametrize("n, candidates, accepted",
+                         [(1, 1, 1), (2, 128, 12)])
+def test_accepted_one_object_v2categories_are_the_ordered_monoids(
+        bool2, n, candidates, accepted):
+    # Over the two-point meet poset a V-category is a preorder and V-Cat's
+    # first tensor is the product preorder, so a one-object V-2-category on
+    # hom W is an ordered monoid on W's 1-cells.  Every preorder W on n
+    # labelled 1-cells, every map W x W -> W and every unit; a functor entry
+    # with no hom arrow gets an arrow with the wrong boundary.  The checker
+    # must accept exactly the ordered monoids, counted here in plain Python.
+    cat = bool2.base
+
+    def arrow(a, b):
+        return thin_morphism(cat, a, b) or cat.identity[b]
+
+    cells = [f"c{x}" for x in range(n)]
+    pairs = list(iproduct(cells, repeat=2))
+    off = [(a, b) for a, b in pairs if a != b]
+    preorders = []
+    for keep in iproduct((False, True), repeat=len(off)):
+        rel = {(a, a) for a in cells} | {p for p, k in zip(off, keep) if k}
+        if all((a, c) in rel for a, b in rel for b2, c in rel if b == b2):
+            preorders.append(rel)
+    unit = unit_vcategory(bool2)
+    tried = passed = 0
+    for rel in preorders:
+        w = preorder_vcat(bool2, cells, rel)
+        src = product_vcat(1, w, w)
+        for values in iproduct(cells, repeat=len(pairs)):
+            op = dict(zip(pairs, values))
+            obj_map = {pair(g, f): h for (g, f), h in op.items()}
+            m2 = VFunctor(src, w, obj_map, {
+                (x, y): arrow(src.hom[(x, y)],
+                              w.hom[(obj_map[x], obj_map[y])])
+                for x, y in iproduct(obj_map, repeat=2)})
+            monoid = all(op[(op[(a, b)], c)] == op[(a, op[(b, c)])]
+                         for a, b, c in iproduct(cells, repeat=3)) and all(
+                (op[(g, f)], op[(g2, f2)]) in rel
+                for g, g2 in rel for f, f2 in rel)
+            for e in cells:
+                j2 = VFunctor(unit, w, {"0": e}, {
+                    ("0", "0"): arrow(bool2.unit, w.hom[(e, e)])})
+                u = V2Category(bool2, {"*"}, {("*", "*"): w},
+                               {("*", "*", "*"): m2}, {"*": j2})
+                ordered = monoid and all(op[(e, a)] == a == op[(a, e)]
+                                         for a in cells)
+                assert check_v2category(u).ok == ordered, (rel, op, e)
+                tried += 1
+                passed += ordered
+    assert (tried, passed) == (candidates, accepted)
 
 
 def test_2_functor_composites_are_built_once(w):
@@ -568,6 +621,23 @@ def test_a_second_exchange_suite_run_keeps_nothing_new(w):
     assert exchange_suite(p).ok
     assert memo_sizes() == sizes
     assert alive() == before
+
+
+def test_exchange_suites_over_one_structure_leave_nothing_on_it():
+    # Level-1 composites are built fresh and dropped, and level-2 ones are
+    # kept on the pasting's cells, so checking many pastings of one
+    # V-2-category keeps nothing on its lasting composition functor.
+    w = join_monoid_v2cat(bool_poset(2))
+
+    def alive():
+        gc.collect()
+        return sum(type(o) is VFunctor for o in gc.get_objects())
+    for seed in range(1, 41):
+        assert exchange_suite(_random_pasting(w, random.Random(seed))).ok
+        if seed == 1:
+            first = alive()
+    assert list(w.comp[("*", "*", "*")]._memo) == ["report"]
+    assert alive() == first
 
 
 def test_exchange_frame_validation(w, xor_x2):

@@ -47,8 +47,10 @@ from enrichkit.vcat import (
     whisker_vnat,
 )
 
-from helpers import (capped_chain, deloop, metric_space, replaced, rewire,
-                     thin_morphism)
+from helpers import (capped_chain, chain, chain_d, chain_m, deloop,
+                     metric_space, replaced, rewire, thin_morphism,
+                     two_point_spaces)
+from mutants import MUTANTS, ROOT
 
 
 def collapse_functor(p):
@@ -248,18 +250,6 @@ def test_products_and_unit_are_built_once(preorder_p):
     assert product_vcat(1, preorder_p, preorder_p) \
         is product_vcat(1, preorder_p, preorder_p)
     assert unit_vcategory(preorder_p.base) is unit_vcategory(preorder_p.base)
-
-
-def test_composites_and_whisker_components_are_built_once(preorder_p):
-    f = identity_vfunctor(preorder_p)
-    g = identity_vfunctor(preorder_p)
-    assert compose_vfunctor(g, f) is compose_vfunctor(g, f)
-    a = identity_vnat(f)
-    for side in ("left", "right"):
-        one, two = whisker_vnat(side, g, a), whisker_vnat(side, g, a)
-        assert one is two
-        assert one.components is two.components
-        assert one.source is two.source and one.target is two.target
 
 
 def test_composite_memo_never_serves_a_dead_functor(bool2):
@@ -778,3 +768,35 @@ def test_vcat_associator_and_interchange_on_a_non_replicated_base():
     assert check_vcategory(a).ok and check_vcategory(b).ok
     assert check_vfunctor(assoc_vcat(1, a, b, a)).ok
     assert check_vfunctor(interchange_vcat(1, 2, a, b, a, b)).ok
+
+
+# Bases whose tensors do not commute: on the chain "0".."3", [M, max] has
+# a non-commutative first tensor and [D, M, max] a non-commutative second
+# one (``helpers.chain_m``, ``helpers.chain_d``).  Over a commutative
+# tensor, swapping the two pairs of an interchange's arguments, or the two
+# factors of a product functor, changes nothing.
+
+def test_products_over_a_non_commutative_first_tensor_scan_clean():
+    base = chain(3, chain_m, max)
+    assert check_kfold(base).ok
+    spaces = two_point_spaces(base)
+    assert len(spaces) == 16
+    assert all(check_vcategory(a).ok for a in spaces)
+    for a, b in iproduct(spaces, repeat=2):
+        assert _scan_vcategory(product_vcat(1, a, b)).ok
+
+
+def test_product_functors_over_a_non_commutative_second_tensor():
+    base = chain(3, chain_d, chain_m, max)
+    assert check_kfold(base).ok
+    spaces = two_point_spaces(base)
+    assert all(check_vcategory(a).ok for a in spaces)
+    for i, a, b in iproduct((1, 2), spaces, spaces):
+        assert check_vfunctor(product_vfunctor(
+            i, identity_vfunctor(a), identity_vfunctor(b))).ok
+
+
+def test_every_mutant_edits_one_place():
+    for mutant in MUTANTS:
+        with open(f"{ROOT}/{mutant.path}", encoding="utf-8") as fh:
+            assert fh.read().count(mutant.old) == 1, mutant.name
