@@ -38,8 +38,8 @@ Three composition regimes exist, written here as in the source structure:
 Every operation with more than one defining route computes all routes and
 raises AgreementFailure when their tables differ: on valid input that is an
 engine bug, on invalid input a diagnostic.  Every two-operand operation is
-built once per operand pair (``_built_once``); a failure stores nothing, so
-it is raised again on every call.
+built once per operand pair (``_built_once``, or ``whisker_functor_nat``'s
+own memo); a failure stores nothing, so it is raised again on every call.
 """
 from __future__ import annotations
 
@@ -572,10 +572,12 @@ def identity_v2functor(u: V2Category) -> V2Functor:
     return _identity_functor(_VCAT_CELLS, u)
 
 
-@_built_once
 def whisker_functor_nat(g: V2Functor, a: V2NatTransform) -> V2NatTransform:
-    """Post-compose a transformation with a 2-functor (g a)."""
-    return _whisker(_VCAT_CELLS, "left", g, a)
+    """Post-compose a transformation with a 2-functor (g a).  Built once per
+    (g, a) and kept on ``a``, not on ``g``: a transformation made for one
+    check takes its entry with it instead of leaving it on a lasting g."""
+    return _memo_pair("whisker_functor_nat", a, g,
+                      lambda a, g: _whisker(_VCAT_CELLS, "left", g, a))
 
 
 @_built_once

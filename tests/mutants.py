@@ -9,13 +9,14 @@ the table loudly.
 
 Run it from anywhere:
 
-    python tests/mutants.py [name ...]
+    python tests/mutants.py
 
-For each mutant (all of them, or those named) it copies ``src/``,
-``tests/``, ``pyproject.toml`` and ``README.md`` into a temporary
-directory, applies the mutant there, and runs Tier-1 with ``-x`` in that
-copy.  It prints one line per mutant, killed (with the first failing test)
-or survived, and exits 1 if any mutant survived.
+For each mutant it copies ``src/``, ``tests/``, ``pyproject.toml`` and
+``README.md`` into a temporary directory, applies the mutant there, and
+runs Tier-1 with ``-x`` in that copy, less the table test (``TABLE_TEST``),
+which fails under every mutant because the old text is gone.  It prints one
+line per mutant, killed (with the first failing test) or survived, and
+exits 1 if any mutant survived.
 """
 from __future__ import annotations
 
@@ -69,6 +70,7 @@ MUTANTS = (
 )
 
 COPIED = ("src", "tests", "pyproject.toml", "README.md")
+TABLE_TEST = "tests/test_vcat.py::test_every_mutant_edits_one_place"
 
 
 def apply(root: str, mutant: Mutant) -> None:
@@ -85,12 +87,13 @@ def apply(root: str, mutant: Mutant) -> None:
 
 
 def first_failure(root: str):
-    """Tier-1 with ``-x`` in ``root``: the first failing test, or None."""
+    """Tier-1 with ``-x`` in ``root``, less ``TABLE_TEST``: the first
+    failing test, or None."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
                PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"],
+         "--continue-on-collection-errors", "--deselect", TABLE_TEST],
         cwd=root, env=env, capture_output=True, text=True)
     if proc.returncode == 0:
         return None
@@ -111,14 +114,9 @@ def run(mutant: Mutant) -> str | None:
         return first_failure(root)
 
 
-def main(argv) -> int:
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}")
-        return 2
+def main() -> int:
     survived = 0
-    for mutant in chosen:
+    for mutant in MUTANTS:
         caught = run(mutant)
         if caught is None:
             survived += 1
@@ -128,9 +126,9 @@ def main(argv) -> int:
         else:
             print(f"{mutant.name}: killed by {caught} "
                   f"(expected {mutant.catcher})")
-    print(f"{len(chosen) - survived} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed")
     return 1 if survived else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -470,9 +470,29 @@ def test_whisker_functor_mod_keeps_no_whisker_memo(w, cells):
     first = whisker_functor_mod(k, rise)
     for _ in range(4):
         assert whisker_functor_mod(k, rise) == first
-    memo = getattr(k.hom_map[("*", "*")], "_memo", {})
-    assert [key for key in memo
-            if isinstance(key[0], tuple) and key[0][0] == "whisker"] == []
+    assert set(getattr(k.hom_map[("*", "*")], "_memo", {})) <= {"report"}
+
+
+def test_whisker_functor_nat_keeps_its_entry_on_the_transformation(cells):
+    # A lasting 2-functor whiskered onto fresh transformations keeps none of
+    # them alive: each whisker is kept on its transformation.
+    k, a = cells["low"], cells["n_one"]
+
+    def alive():
+        gc.collect()
+        return sum(type(o) is V2NatTransform for o in gc.get_objects())
+
+    def whisker_a_fresh_copy():
+        fresh = V2NatTransform(a.source, a.target, dict(a.components))
+        assert whisker_functor_nat(k, fresh) == whisker_functor_nat(k, a)
+        assert "whisker_functor_nat" in {key[0] for key in fresh._memo}
+    whisker_a_fresh_copy()
+    before = alive()
+    for _ in range(10):
+        whisker_a_fresh_copy()
+    assert alive() == before
+    assert "whisker_functor_nat" not in {
+        key[0] for key in getattr(k, "_memo", {}) if isinstance(key, tuple)}
 
 
 def test_check_modification_keeps_none_of_its_components(cells):
