@@ -196,16 +196,16 @@ def _run_fuzz_checks(tower: Tower, args, rep: _Reporter) -> int:
             rep.note("fuzz", f"skipped, constituent invalid: {err}")
             return 0
         made += 1
+        # Scanned, not certified: this is the constructions' self-test.
         for i in range(1, base.n):
-            # Scanned, not certified: this is the construction's self-test.
             rep.emit(f"fuzz[{k}]:product[{i}]",
                      vcat._scan_vcategory(vcat.product_vcat(i, a, b)))
             rep.emit(f"fuzz[{k}]:assoc[{i}]",
-                     vcat.check_vfunctor(vcat.assoc_vcat(i, a, b, a)))
+                     vcat._scan_vfunctor(vcat.assoc_vcat(i, a, b, a)))
         for i in range(1, base.n):
             for j in range(i + 1, base.n):
                 rep.emit(f"fuzz[{k}]:interchange[{i},{j}]",
-                         vcat.check_vfunctor(
+                         vcat._scan_vfunctor(
                              vcat.interchange_vcat(i, j, a, b, a, b)))
     rep.note("fuzz", f"generated {made} instance pairs (seed {args.seed})",
              failure=False)

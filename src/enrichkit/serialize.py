@@ -197,10 +197,10 @@ def _reference(registry: dict, vc):
     ``registry`` or nested references; None when it is no product, or a
     factor is neither filed in ``registry`` nor a product.  Factors are
     found by identity, as comparing tables would build lazy ones."""
-    made = _resolve("vcat.product_of")(vc)
+    made = _resolve("vcat.made_of")(vc)
     if made is None:
         return None
-    i, *factors = made
+    (i,), factors = made
     refs = []
     for f in factors:
         ref = _filed_as(registry, f)
@@ -242,8 +242,7 @@ def _vcategories_from(entries, base: KFoldMonoidal) -> dict:
                 from .vcat import VCategory
                 made, vc = vc, VCategory(vc.base, vc.objects, vc.hom, vc.comp,
                                          vc.identity)
-                _memo(vc, "product",
-                      lambda _: _resolve("vcat.product_of")(made))
+                _memo(vc, "made", lambda _: _resolve("vcat.made_of")(made))
         resolving.discard(name)
         done[name] = vc
         return vc

@@ -18,12 +18,12 @@ Product object sets are literal encoded pairs with no quotienting: the
 strict unit law holds only after the canonical relabeling (a, 0) -> a,
 which relabel_vcategory makes available bit-exactly.
 
-V-Cat is (k−1)-fold monoidal, so ``check_vcategory`` certifies a level-1
-product of passing factors over a passing base from their reports (see
-there) and scans everything else; the scan, ``_scan_vcategory``, stays the
-oracle of the construction's own tests.  A document saves such a product
-as a reference that loading rebuilds with ``product_vcat``, so a loaded
-product is certified too; one saved as tables is scanned.
+Products at both levels and the associator and interchange functors are
+certified from their inputs' reports (``_certified``), everything else is
+scanned; the scans, ``_scan_vcategory`` and ``_scan_vfunctor``, stay the
+oracles of the constructions' own tests.  A level-1 product is saved as a
+reference that loading rebuilds with ``product_vcat``, so it is certified
+once loaded too; saved tables and saved functors are scanned.
 
 A product's composition table is a ``LazyTable``: read-only, and built whole
 on its first read, because level-2 checks mostly compare product frames by
@@ -38,11 +38,13 @@ from collections import namedtuple
 from collections.abc import Mapping
 from functools import partial
 from itertools import product as iproduct
+from math import prod
 from operator import attrgetter
 
 from .errors import (
     BaseInvalid,
     IndexOutOfRange,
+    KernelError,
     MalformedTable,
     NotComposable,
     NotParallel,
@@ -269,51 +271,56 @@ def _naturality(ops: _Ops, nat):
 
 # -- checkers -----------------------------------------------------------------
 
-# The families of ``check_vcategory`` in scan order, with their arities.
+# The families of ``check_vcategory`` and ``check_vfunctor`` in scan order.
 _VCATEGORY_FAMILIES = (("composition-boundary", 3), ("identity-boundary", 1),
                        ("pentagon", 4), ("unit-left", 2), ("unit-right", 2))
+_VFUNCTOR_FAMILIES = (("functor-boundary", 2), ("functor-composition", 3),
+                      ("functor-identity", 1))
 
 
 def check_vcategory(vc: VCategory, *,
                     all_witnesses: bool = False) -> CheckReport:
-    """Pentagon and unit triangles over every object tuple.
-
-    V-Cat is (k−1)-fold monoidal (Forcey, with the k-fold axioms of
-    Balteanu–Fiedorowicz–Schwänzl–Vogt): over a base that passes
-    ``check_kfold``, the i-th product of two V-categories, on ⊗_{i+1} and
-    the interchange η^{1,i+1}, is a V-category.  So a level-1 frame built by
-    ``product_vcat`` is certified, not scanned, when the base and both
-    factors' cached reports pass and it has |A|·|B| objects (``pair`` is
-    not injective on ids holding ``,`` or parentheses): its report is the
-    scan's passing one, each family at its closed-form count n^arity; a
-    document's product reference loads as such a frame.  Any other
-    structure is scanned, a product saved as tables included.
-    """
-    if not _certified(vc):
-        return _scan_vcategory(vc, all_witnesses)
-    n = len(vc.objects)
-    return CheckReport(families={name: n ** arity
-                                 for name, arity in _VCATEGORY_FAMILIES})
+    """Pentagon and unit triangles over every object tuple; a certified
+    product (``_certified``) gets the scan's passing report unscanned."""
+    if _certified(vc, check_vcategory):
+        return _passing(_VCATEGORY_FAMILIES, len(vc.objects))
+    return _scan_vcategory(vc, all_witnesses)
 
 
-def product_of(vc):
-    """``(i, a, b)`` when ``vc`` was built as ``product_vcat(i, a, b)`` or
-    ``product_v2cat(i, a, b)``, else None."""
-    return getattr(vc, "_memo", {}).get("product")
+def made_of(x):
+    """``(indices, inputs)`` when ``x`` was built by ``_product``,
+    ``assoc_vcat`` or ``interchange_vcat``, else None."""
+    return getattr(x, "_memo", {}).get("made")
 
 
-def _certified(vc: VCategory) -> bool:
-    """Whether ``vc`` is a product of passing factors over a passing base."""
-    made = product_of(vc)
-    if made is None or not cached_report(vc.base, check_kfold).ok:
-        return False
-    _, a, b = made
-    if len(vc.objects) != len(a.objects) * len(b.objects):
+def _made(x, indices: tuple, inputs: tuple):
+    """``x``, its construction recorded in its memo (``made_of``)."""
+    _memo(x, "made", lambda _: (indices, inputs))
+    return x
+
+
+def _certified(x, check) -> bool:
+    """Whether ``x`` passes by theorem: V-Cat is (k−1)-fold monoidal and
+    V-2-Cat (k−2)-fold (Forcey, with the k-fold axioms of
+    Balteanu–Fiedorowicz–Schwänzl–Vogt), so over a passing base a product,
+    ``assoc_vcat`` or ``interchange_vcat`` (``made_of``) of inputs passing
+    ``check`` passes, once each frame (``x``, or its source and target) has
+    as many objects as the inputs' product (``pair`` is not injective)."""
+    _, inputs = made_of(x) or ((), ())
+    n = prod(len(f.objects) for f in inputs)
+    frames = (x.source, x.target) if isinstance(x, VFunctor) else (x,)
+    if not inputs or any(len(frame.objects) != n for frame in frames) \
+            or not cached_report(inputs[0].base, check_kfold).ok:
         return False
     try:
-        return all(cached_report(f, check_vcategory).ok for f in (a, b))
-    except MalformedTable:    # the scan raises it, in the product's terms
+        return all(cached_report(f, check).ok for f in inputs)
+    except KernelError:     # the scan raises it, in x's terms
         return False
+
+
+def _passing(families, n: int) -> CheckReport:
+    """The report a passing scan over ``n`` objects gives."""
+    return CheckReport(families={name: n ** arity for name, arity in families})
 
 
 def _scan_vcategory(vc: VCategory,
@@ -346,7 +353,16 @@ def _scan_vcategory(vc: VCategory,
 
 def check_vfunctor(vf: VFunctor, *,
                    all_witnesses: bool = False) -> CheckReport:
-    """Composition square and unit triangle, per object pair/object."""
+    """Composition square and unit triangle, per object pair/object; a
+    certified associator or interchange (``_certified``) gets the scan's
+    passing report, and neither frame's composition table is built."""
+    if _certified(vf, check_vcategory):
+        return _passing(_VFUNCTOR_FAMILIES, len(vf.source.objects))
+    return _scan_vfunctor(vf, all_witnesses)
+
+
+def _scan_vfunctor(vf: VFunctor, all_witnesses: bool = False) -> CheckReport:
+    """The exhaustive check: every family over every object tuple."""
     if vf.source.base is not vf.target.base and vf.source.base != vf.target.base:
         raise MalformedTable("source and target live over different bases")
     for end in (vf.source, vf.target):
@@ -363,9 +379,8 @@ def check_vfunctor(vf: VFunctor, *,
             raise MalformedTable(f"hom map entry {key} missing or unknown")
 
     b = ReportBuilder(all_witnesses)
-    for name, arity, legs in zip(
-            ("functor-boundary", "functor-composition", "functor-identity"),
-            (2, 3, 1), _functor_laws(_base_ops(LiftedTables(base)), vf)):
+    for (name, arity), legs in zip(
+            _VFUNCTOR_FAMILIES, _functor_laws(_base_ops(LiftedTables(base)), vf)):
         b.family(name, *equations([objs] * arity, legs))
     return b.report()
 
@@ -451,14 +466,10 @@ def _unit(cells: _Cells, base):
 def _product(cells: _Cells, i: int, a, b):
     """The i-th product: pairs of objects, homs tensored one level up,
     composition routed through the (1, i+1) interchange.  Built once per
-    (i, a, b) and kept on ``a``; its memo records (i, a, b) (``product_of``),
-    which certifies it at level 1 and lets a document save it as a
-    reference."""
-    def build(a, b):
-        prod = _build_product(cells, i, a, b)
-        _memo(prod, "product", lambda _: (i, a, b))
-        return prod
-    return _memo_pair(("product", i), a, b, build)
+    (i, a, b) and kept on ``a``; its record (``made_of``) certifies it and
+    lets a document save a level-1 product as a reference."""
+    return _memo_pair(("product", i), a, b, lambda a, b: _made(
+        _build_product(cells, i, a, b), (i,), (a, b)))
 
 
 def _build_product(cells: _Cells, i: int, a, b):
@@ -477,7 +488,7 @@ def _build_product(cells: _Cells, i: int, a, b):
     base = a.base
     if not 1 <= i <= base.n - 1 - cells.shift:
         raise IndexOutOfRange(
-            f"product index {i} needs tensor {i + 1 + cells.shift} <= n")
+            f"product index {i} outside 1..{base.n - 1 - cells.shift}")
     tensor_obj, tensor_mor = cells.tensor_obj, cells.tensor_mor
     aobj, bobj = sorted(a.objects), sorted(b.objects)
     pairs = {(x, y): pair(x, y) for x, y in iproduct(aobj, bobj)}
@@ -665,7 +676,7 @@ def assoc_vcat(i: int, a: VCategory, b: VCategory, c: VCategory) -> VFunctor:
         for (x2, y2, z2), xyz2 in sources.items():
             hom_map[(xyz, xyz2)] = base.associator(
                 i + 1, a.hom[(x, x2)], b.hom[(y, y2)], c.hom[(z, z2)])
-    return VFunctor(source, target, obj_map, hom_map)
+    return _made(VFunctor(source, target, obj_map, hom_map), (i,), (a, b, c))
 
 
 def interchange_vcat(i: int, j: int, a: VCategory, b: VCategory,
@@ -691,7 +702,8 @@ def interchange_vcat(i: int, j: int, a: VCategory, b: VCategory,
             hom_map[(xyzw, xyzw2)] = base.interchange_mor(
                 i + 1, j + 1, a.hom[(x, x2)], b.hom[(y, y2)],
                 c.hom[(z, z2)], d.hom[(w, w2)])
-    return VFunctor(source, target, obj_map, hom_map)
+    return _made(VFunctor(source, target, obj_map, hom_map), (i, j),
+                 (a, b, c, d))
 
 
 def identity_vfunctor(a: VCategory) -> VFunctor:

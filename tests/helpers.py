@@ -4,6 +4,7 @@ These deliberately avoid the library's evaluation paths: morphisms are found
 by scanning raw dom/cod tables, and the shipped tensor semantics (meet on
 the two-point poset, addition mod 2) are restated from scratch.
 """
+from enrichkit.errors import KernelError
 from enrichkit.fincat import FinCategory
 from enrichkit.instances import SymmetricMonoidal, from_symmetric
 from enrichkit.kfold import KFoldMonoidal
@@ -157,3 +158,13 @@ def metric_space(base: KFoldMonoidal, distance: dict) -> VCategory:
         hom[(a, c)]) for a in objects for b in objects for c in objects}
     return VCategory(base, set(objects), hom, comp,
                      {a: thin_morphism(base.base, "0", "0") for a in objects})
+
+
+def outcome(check, structure):
+    """A report field by field, families in order, or the error it raised:
+    what a certificate must reproduce of the scan."""
+    try:
+        rep = check(structure)
+    except KernelError as err:
+        return f"{type(err).__name__}: {err}"
+    return rep.witnesses, list(rep.families.items()), rep.warnings

@@ -67,6 +67,25 @@ MUTANTS = (
            "i + 1, s.hom_map[(y, y2)], t.hom_map[(x, x2)])",
            "tests/test_vcat.py::"
            "test_product_functors_over_a_non_commutative_second_tensor"),
+    # A level-2 product whose identity skips the unit pairing I -> I x I
+    # (a no-op at level 1); a certified product hides it, a scan does not.
+    Mutant("product-unit-pair", "src/enrichkit/vcat.py",
+           "identity[xy] = cells.unit_pair(tensor_mor(\n"
+           "            i + 1, a.identity[x], b.identity[y]), i + 1)",
+           "identity[xy] = tensor_mor(\n"
+           "            i + 1, a.identity[x], b.identity[y])",
+           "tests/test_acceptance.py::"
+           "test_criterion_5_level2_closure_and_agreement"),
+    Mutant("v2-unit-pair", "src/enrichkit/v2cat.py",
+           "    return compose_vfunctor(f, unit_pair_intro(i, f.source.base))",
+           "    return f",
+           "tests/test_acceptance.py::"
+           "test_criterion_5_level2_closure_and_agreement"),
+    # The certificate without its object count: colliding ids certified.
+    Mutant("certificate-count", "src/enrichkit/vcat.py",
+           "if not inputs or any(len(frame.objects) != n for frame in frames)",
+           "if not inputs",
+           "tests/test_vcat.py::test_colliding_product_ids_are_scanned"),
 )
 
 COPIED = ("src", "tests", "pyproject.toml", "README.md")

@@ -28,6 +28,7 @@ from enrichkit.kfold import KFoldMonoidal, check_kfold
 from enrichkit.serialize import Tower, dumps, load
 from enrichkit.vcat import (
     _scan_vcategory,
+    _scan_vfunctor,
     assoc_vcat,
     check_vcategory,
     check_vfunctor,
@@ -39,6 +40,7 @@ from enrichkit.vcat import (
     unit_vcategory,
 )
 from enrichkit.v2cat import (
+    _scan_v2category,
     check_modification,
     check_v2category,
     check_v2functor,
@@ -149,9 +151,9 @@ def test_criterion_4_level1_closure():
             assert _scan_vcategory(product_vcat(i, a, b)).ok
         a2 = random_instance("vcategory", seed, small, base=base)
         b2 = random_instance("vcategory", seed + 1000, small, base=base)
-        assert check_vfunctor(assoc_vcat(1, a2, b2, a2)).ok
+        assert _scan_vfunctor(assoc_vcat(1, a2, b2, a2)).ok
         if base.n >= 3:
-            assert check_vfunctor(interchange_vcat(1, 2, a2, b2, a2, b2)).ok
+            assert _scan_vfunctor(interchange_vcat(1, 2, a2, b2, a2, b2)).ok
         unitv = unit_vcategory(base)
         right = relabel_vcategory(product_vcat(1, a, unitv),
                                   {pair(x, "0"): x for x in a.objects})
@@ -198,7 +200,7 @@ def test_criterion_5_level2_closure_and_agreement():
                   product_v2cat(1, x2, unit_v2category(zmod2(3))),
                   unit_v2category(bool_poset(2)),
                   unit_v2category(zmod2(3))):
-        assert check_v2category(built).ok
+        assert _scan_v2category(built).ok
         instances += 1
 
     for u in [w, x2] + randoms:

@@ -466,7 +466,7 @@ def test_witness_is_hashable_and_immutable():
 
 def test_loaded_product_twin_has_its_own_memo(preorder_p):
     from enrichkit.serialize import Tower, dumps, loads
-    from enrichkit.vcat import check_vcategory, product_of, product_vcat
+    from enrichkit.vcat import check_vcategory, made_of, product_vcat
     doc = json.loads(dumps(Tower(preorder_p.base, vcategories={
         "P": preorder_p, "X": product_vcat(1, preorder_p, preorder_p)})))
     doc["vcategories"]["Y"] = doc["vcategories"]["X"]
@@ -474,8 +474,8 @@ def test_loaded_product_twin_has_its_own_memo(preorder_p):
     made, twin = loaded["X"], loaded["Y"]
     assert twin is not made and twin == made and twin.comp is made.comp
     assert report.cached_report(made, check_vcategory).ok
-    assert twin._memo is not made._memo and set(twin._memo) == {"product"}
-    assert product_of(twin) is product_of(made)
+    assert twin._memo is not made._memo and set(twin._memo) == {"made"}
+    assert made_of(twin) is made_of(made)
 
 
 def test_random_structures_record_their_attempts():

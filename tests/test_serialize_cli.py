@@ -797,13 +797,15 @@ def test_wrong_input_count_exits_two(corpus_dir, tmp_path, capsys,
 
 @pytest.mark.parametrize("construction, options, inputs, message", [
     ("product-vcat", ["--index", "0"], ["P", "P"],
-     "product index 0 needs tensor 1 <= n"),
+     "product index 0 outside 1..1"),
     ("product-vcat", ["--index", "5"], ["P", "P"],
-     "product index 5 needs tensor 6 <= n"),
+     "product index 5 outside 1..1"),
     ("interchange-vcat", ["--index", "1", "--index2", "1"], ["P"] * 4,
      "interchange indices (1, 1) need j >= i+1 and j+1 <= n"),
     ("product-v2cat", ["--index", "1"], ["W", "W"],
-     "product index 1 needs tensor 3 <= n")])
+     "product index 1 outside 1..0"),
+    ("product-vcat", ["--index", "-1"], ["P", "P"],
+     "product index -1 outside 1..1")])
 def test_out_of_range_index_exits_two(corpus_dir, tmp_path, capsys,
                                       construction, options, inputs, message):
     out = tmp_path / "x.json"

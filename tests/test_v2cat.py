@@ -41,6 +41,7 @@ from enrichkit.v2cat import (
     V2Functor,
     V2NatTransform,
     VModification,
+    _scan_v2category,
     check_modification,
     check_v2category,
     check_v2functor,
@@ -67,7 +68,7 @@ from enrichkit.v2cat import (
     whisker_nat_mod_left,
     whisker_nat_mod_right,
 )
-from helpers import deloop, replaced, thin_morphism
+from helpers import deloop, outcome, replaced, thin_morphism
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +157,24 @@ def test_accepted_one_object_v2categories_are_the_ordered_monoids(
 def test_2_functor_composites_are_built_once(w):
     f, g = identity_v2functor(w), identity_v2functor(w)
     assert compose_v2functors(g, f) is compose_v2functors(g, f)
+
+
+def test_composite_memo_never_serves_a_dead_functor(w):
+    # s after t is kept on s under id(t).  Each t is freed once composed,
+    # so the next t may reuse its id; the composite kept on s must still be
+    # the one of the live t.
+    s = identity_v2functor(w)
+    (x,) = w.objects
+    unit = unit_v2category(w.base)
+    hom, comp, j = (unit.hom[("0", "0")], unit.comp[("0", "0", "0")],
+                    unit.identity["0"])
+    for k in range(200):
+        o = f"o{k}"
+        b = V2Category(w.base, {o}, {(o, o): hom}, {(o, o, o): comp}, {o: j})
+        t = V2Functor(b, w, {o: x}, {(o, o): w.identity[x]})
+        got = compose_v2functors(s, t)
+        assert got.source is b and got.obj_map == {o: x}
+        del b, t, got
 
 
 def test_level_2_composites_are_built_once(cells):
@@ -825,6 +844,42 @@ def test_product_v2cat_index_range_and_memo(bool2, bool3, zmod3, xor_x2):
         product_v2cat(2, w3, w3)  # needs tensor 4
     assert product_v2cat(1, xor_x2, xor_x2) is product_v2cat(1, xor_x2, xor_x2)
     assert unit_v2category(zmod3) is unit_v2category(zmod3)
+
+
+def test_certified_product_report_is_the_scans(bool3, zmod3, xor_x2):
+    # A level-2 product of passing factors is certified, and its
+    # composition functors are not built; with a failing factor, or one
+    # missing a composition functor, it is scanned.  Either way the report
+    # is the scan's.
+    w3 = join_monoid_v2cat(bool3)
+    failing = join_monoid_v2cat(bool3)
+    hom = failing.hom[("*", "*")]
+    failing.identity["*"] = VFunctor(unit_vcategory(bool3), hom, {"0": "t"},
+                                     {("0", "0"): hom.identity["t"]})
+    missing = join_monoid_v2cat(bool3)
+    del missing.comp[("*", "*", "*")]
+    cases = []
+    for base, big in ((bool3, w3), (zmod3, xor_x2)):
+        unit = unit_v2category(base)
+        draws = [random_instance("v2category", seed, Bounds(max_hom=2),
+                                 base=base) for seed in range(4)]
+        cases += [(big, big), (big, unit), (unit, big),
+                  (product_v2cat(1, big, unit), big),
+                  (product_v2cat(1, draws[1], draws[2]), draws[3])]
+        cases += [(d, big) for d in draws]
+    for u, v in cases:
+        p = product_v2cat(1, u, v)
+        certified = outcome(check_v2category, p)
+        assert p.comp._table is None    # derived, not scanned
+        assert certified == outcome(_scan_v2category, p)
+    assert check_v2category(product_v2cat(1, failing, w3)) \
+        .failing_families() == {"unit-left", "unit-right"}
+    for u, v in ((failing, w3), (w3, failing), (missing, w3), (w3, missing)):
+        p = product_v2cat(1, u, v)
+        assert outcome(check_v2category, p) == outcome(_scan_v2category, p)
+    assert outcome(_scan_v2category, product_v2cat(1, w3, missing)) == (
+        "MalformedTable: product factor's composition entry "
+        "('*', '*', '*') missing")
 
 
 def test_lazy_product_v2cat_names_the_factors_missing_functor(bool3):

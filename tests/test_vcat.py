@@ -27,6 +27,7 @@ from enrichkit.vcat import (
     VFunctor,
     VNatTransform,
     _scan_vcategory,
+    _scan_vfunctor,
     assoc_vcat,
     check_vcategory,
     check_vfunctor,
@@ -36,8 +37,8 @@ from enrichkit.vcat import (
     identity_vfunctor,
     identity_vnat,
     interchange_vcat,
+    made_of,
     pair,
-    product_of,
     product_vcat,
     product_vfunctor,
     product_vnat,
@@ -48,7 +49,7 @@ from enrichkit.vcat import (
 )
 
 from helpers import (capped_chain, chain, chain_d, chain_m, deloop,
-                     metric_space, replaced, rewire, thin_morphism,
+                     metric_space, outcome, replaced, rewire, thin_morphism,
                      two_point_spaces)
 from mutants import MUTANTS, ROOT
 
@@ -74,24 +75,31 @@ def test_accepted_hom_assignments_are_the_labelled_preorders(
     # composite and identity the unique arrow of its boundary when there is
     # one and a wrong-boundary arrow when not.  The checker must accept
     # exactly the labelled preorders on n points (OEIS A000798).
-    cat = bool2.base
+    tried = passed = 0
+    for vc in _hom_assignments(bool2, n):
+        tried += 1
+        passed += check_vcategory(vc).ok
+    assert (tried, passed) == (candidates, accepted)
+
+
+def _hom_assignments(base, n: int):
+    """Every hom assignment on the objects "0".."n-1" over a thin base with
+    objects "bot" and "top", each composite and identity the unique arrow of
+    its boundary when there is one and a wrong-boundary arrow when not."""
+    cat = base.base
 
     def arrow(a, b):
         return thin_morphism(cat, a, b) or cat.identity[b]
 
     objects = [str(x) for x in range(n)]
     keys = list(iproduct(objects, repeat=2))
-    tried = passed = 0
     for values in iproduct(sorted(cat.objects), repeat=len(keys)):
         hom = dict(zip(keys, values))
-        comp = {(a, b, c): arrow(bool2.tensor_obj(1, hom[(b, c)], hom[(a, b)]),
+        comp = {(a, b, c): arrow(base.tensor_obj(1, hom[(b, c)], hom[(a, b)]),
                                  hom[(a, c)])
                 for a, b, c in iproduct(objects, repeat=3)}
-        identity = {a: arrow(bool2.unit, hom[(a, a)]) for a in objects}
-        tried += 1
-        passed += check_vcategory(
-            VCategory(bool2, set(objects), hom, comp, identity)).ok
-    assert (tried, passed) == (candidates, accepted)
+        identity = {a: arrow(base.unit, hom[(a, a)]) for a in objects}
+        yield VCategory(base, set(objects), hom, comp, identity)
 
 
 def test_accepted_assignments_over_a_delooped_group_are_the_cocycles():
@@ -242,29 +250,17 @@ def test_product_strict_unit_relabel(preorder_p, cocycle_d):
 
 
 def test_product_index_range(preorder_p):
-    with pytest.raises(IndexOutOfRange):
-        product_vcat(2, preorder_p, preorder_p)  # needs tensor 3
+    # The message names the valid range, as a tensor index's does.
+    for i in (2, 0, -1):    # 2 needs tensor 3
+        with pytest.raises(IndexOutOfRange,
+                           match=rf"^product index {i} outside 1\.\.1$"):
+            product_vcat(i, preorder_p, preorder_p)
 
 
 def test_products_and_unit_are_built_once(preorder_p):
     assert product_vcat(1, preorder_p, preorder_p) \
         is product_vcat(1, preorder_p, preorder_p)
     assert unit_vcategory(preorder_p.base) is unit_vcategory(preorder_p.base)
-
-
-def test_composite_memo_never_serves_a_dead_functor(bool2):
-    # Each t is freed once composed, so the next t may reuse its id; the
-    # composite kept on s must still be the one of the live t.
-    a = preorder_vcat(bool2, ["a", "b"], {("a", "a"), ("a", "b"), ("b", "b")})
-    s = identity_vfunctor(a)
-    e = bool2.base.identity[bool2.unit]
-    for k in range(200):
-        o = f"o{k}"
-        b = VCategory(bool2, {o}, {(o, o): bool2.unit}, {(o, o, o): e}, {o: e})
-        x = "ab"[k % 2]
-        t = VFunctor(b, a, {o: x}, {(o, o): e})
-        assert compose_vfunctor(s, t).obj_map == {o: x}
-        del b, t
 
 
 def test_product_memo_never_serves_a_dead_factor(bool2):
@@ -386,13 +382,22 @@ def test_product_comp_asks_the_base_once_per_distinct_entries(monkeypatch):
         1, product_vcat(1, p3, p3), p3)
 
 
-def _outcome(check, vc):
-    """A report field by field, families in order, or the error it raised."""
-    try:
-        rep = check(vc)
-    except KernelError as err:
-        return f"{type(err).__name__}: {err}"
-    return rep.witnesses, list(rep.families.items()), rep.warnings
+def _failing(a):
+    """``a`` with its first composition entry redirected, so that it fails."""
+    key, cat = min(a.comp), a.base.base
+    bad = VCategory(a.base, set(a.objects), dict(a.hom),
+                    {**a.comp, key: min(m for m in cat.morphisms
+                                        if m != a.comp[key])},
+                    dict(a.identity))
+    assert not check_vcategory(bad).ok
+    return bad
+
+
+def _colliding(a, b):
+    """``a`` and ``b`` relabeled so that pair("a", "b,c") == pair("a,b",
+    "c"): their products have fewer objects than the pairs."""
+    return (relabel_vcategory(a, dict(zip(sorted(a.objects), ("a", "a,b")))),
+            relabel_vcategory(b, dict(zip(sorted(b.objects), ("b,c", "c")))))
 
 
 @pytest.mark.parametrize("base_name", ["bool2", "bool3", "zmod3"])
@@ -403,32 +408,25 @@ def test_certified_product_report_is_the_scans(base_name, request):
     for seed in range(12):
         a = random_instance("vcategory", seed, small, base=base)
         b = random_instance("vcategory", seed + 100, small, base=base)
-        key = min(a.comp)
-        bad = VCategory(base, set(a.objects), dict(a.hom),
-                        {**a.comp, key: min(m for m in base.base.morphisms
-                                            if m != a.comp[key])},
-                        dict(a.identity))
-        assert not check_vcategory(bad).ok
+        bad = _failing(a)
         for i in range(1, base.n):
             for p in (product_vcat(i, a, b),
                       product_vcat(i, product_vcat(i, a, b), a)):
-                certified = _outcome(check_vcategory, p)
+                certified = outcome(check_vcategory, p)
                 assert p.comp._table is None    # derived, not scanned
-                assert certified == _outcome(_scan_vcategory, p)
+                assert certified == outcome(_scan_vcategory, p)
             p = product_vcat(i, bad, b)
-            assert _outcome(check_vcategory, p) == _outcome(_scan_vcategory, p)
+            assert outcome(check_vcategory, p) == outcome(_scan_vcategory, p)
 
 
 def test_colliding_product_ids_are_scanned(preorder_p):
     # pair("a", "b,c") == pair("a,b", "c"): the product has 3 objects, not
     # 4, so it is no certified product.
-    a = relabel_vcategory(preorder_p, {"a": "a", "b": "a,b"})
-    b = relabel_vcategory(preorder_p, {"a": "b,c", "b": "c"})
-    p = product_vcat(1, a, b)
+    p = product_vcat(1, *_colliding(preorder_p, preorder_p))
     assert len(p.objects) == 3
-    reported = _outcome(check_vcategory, p)
+    reported = outcome(check_vcategory, p)
     assert p.comp._table is not None    # the scan read it
-    assert reported == _outcome(_scan_vcategory, p)
+    assert reported == outcome(_scan_vcategory, p)
 
 
 def test_associator_frames_are_certified_not_scanned(bool2, monkeypatch):
@@ -446,6 +444,7 @@ def test_associator_frames_are_certified_not_scanned(bool2, monkeypatch):
     assert check_vcategory(f.source).ok and check_vcategory(f.target).ok
     assert f.source.comp._table is None and f.target.comp._table is None
     assert check_vfunctor(f).ok
+    assert f.source.comp._table is None and f.target.comp._table is None
     assert [id(vc) for vc in scanned] == [id(p3)]
 
 
@@ -497,12 +496,12 @@ def test_loaded_product_report_is_the_scans(bool2, bool3, zmod3, data):
                       "ABC": product_vcat(i, ab, c),
                       "A(BC)": product_vcat(i, a, product_vcat(i, b, c))})
     for name in ("AB", "ABC", "A(BC)"):
-        assert product_of(loaded[name]) is not None
+        assert made_of(loaded[name]) is not None
     for vc in loaded.values():
         for all_witnesses in (False, True):
-            assert _outcome(partial(check_vcategory,
+            assert outcome(partial(check_vcategory,
                                     all_witnesses=all_witnesses), vc) == \
-                _outcome(partial(_scan_vcategory,
+                outcome(partial(_scan_vcategory,
                                  all_witnesses=all_witnesses), vc)
 
 
@@ -514,12 +513,12 @@ def test_loaded_product_references_are_certified(preorder_p):
     assert json.loads(text)["vcategories"]["PPP"] == {
         "product": {"index": 1, "factors": ["PP", "P"]}}
     loaded = loads(text).vcategories
-    i, a, b = product_of(loaded["PPP"])
+    (i,), (a, b) = made_of(loaded["PPP"])
     assert (i, a, b) == (1, loaded["PP"], loaded["P"]) and a is loaded["PP"]
     report = check_vcategory(loaded["PPP"])
     assert loaded["PPP"].comp._table is None    # certified, not scanned
     assert report == _scan_vcategory(loaded["PPP"])
-    assert product_of(loaded["P"]) is None
+    assert made_of(loaded["P"]) is None
 
 
 def test_tower1_full_table_product_is_scanned(preorder_p, monkeypatch):
@@ -531,7 +530,7 @@ def test_tower1_full_table_product_is_scanned(preorder_p, monkeypatch):
         "P": preorder_p, "PP": _plain_copy(prod)})))
     doc["format"] = "tower/1"
     loaded = loads(json.dumps(doc)).vcategories["PP"]
-    assert loaded == prod and product_of(loaded) is None
+    assert loaded == prod and made_of(loaded) is None
     scanned = []
 
     def spy(vc, all_witnesses=False):
@@ -563,7 +562,7 @@ def test_saved_references_round_trip(bool2, preorder_p):
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     tower = loads(text)
     x, y = tower.vcategories["X"], tower.vcategories["Y"]
-    assert x is not y and x == y and product_of(y) is not None
+    assert x is not y and x == y and made_of(y) is not None
     assert tower.vfunctors["id_Y"].source is y
     assert dumps(tower) == text
 
@@ -572,10 +571,10 @@ def test_corrupted_loaded_product_is_scanned(preorder_p):
     prod = product_vcat(1, preorder_p, preorder_p)
     key = (pair("a", "a"), pair("a", "b"), pair("b", "b"))
     loaded = _loaded({"P": preorder_p, "PP": _corrupted(prod, key)})["PP"]
-    assert product_of(loaded) is None
+    assert made_of(loaded) is None
     assert not check_vcategory(loaded).ok
-    assert _outcome(check_vcategory, loaded) == \
-        _outcome(_scan_vcategory, loaded)
+    assert outcome(check_vcategory, loaded) == \
+        outcome(_scan_vcategory, loaded)
 
 
 def test_loaded_product_of_an_incomplete_factor_is_scanned(preorder_p):
@@ -589,7 +588,7 @@ def test_loaded_product_of_an_incomplete_factor_is_scanned(preorder_p):
     rows.remove(next(row for row in rows if row[:3] == ["a", "a", "a"]))
     tower = loads(json.dumps(doc))
     parent = tower.vcategories["PP"]
-    assert product_of(parent) is None
+    assert made_of(parent) is None
     assert check_vcategory(parent).ok and _scan_vcategory(parent).ok
     with pytest.raises(MalformedTable, match=r"^composition entry "
                        r"\('a', 'a', 'a'\) missing or unknown$"):
@@ -610,7 +609,7 @@ def test_equal_loaded_products_keep_their_names(preorder_p):
     tower = loads(text)
     x, y = tower.vcategories["X"], tower.vcategories["Y"]
     assert x is not y and x == y
-    assert product_of(x) is not None and product_of(y) is None
+    assert made_of(x) is not None and made_of(y) is None
     assert json.loads(text)["vfunctors"]["id_Y"]["source"] == "Y"
     assert dumps(tower) == text
 
@@ -645,7 +644,7 @@ def test_assoc_vcat(preorder_p, cocycle_d):
     for a in (preorder_p, cocycle_d):
         cat = a.base.base
         al = assoc_vcat(1, a, a, a)
-        assert check_vfunctor(al).ok
+        assert _scan_vfunctor(al).ok
         for m in al.hom_map.values():
             assert m == cat.identity[cat.dom[m]]
     obj = assoc_vcat(1, preorder_p, preorder_p, preorder_p).obj_map
@@ -671,7 +670,7 @@ def test_assoc_pentagon(cocycle_d):
 
 def test_interchange_vcat(zmod3, bool3, cocycle_d):
     k = interchange_vcat(1, 2, cocycle_d, cocycle_d, cocycle_d, cocycle_d)
-    assert check_vfunctor(k).ok
+    assert _scan_vfunctor(k).ok
     cat = zmod3.base
     for m in k.hom_map.values():
         assert m == cat.identity[cat.dom[m]]
@@ -683,7 +682,7 @@ def test_interchange_vcat(zmod3, bool3, cocycle_d):
     from enrichkit.instances import preorder_vcat
     p3 = preorder_vcat(bool3, ["a", "b"], {("a", "a"), ("a", "b"), ("b", "b")})
     k2 = interchange_vcat(1, 2, p3, p3, p3, p3)
-    assert check_vfunctor(k2).ok
+    assert _scan_vfunctor(k2).ok
 
 
 def test_interchange_unit_slots_collapse(cocycle_d):
@@ -750,9 +749,9 @@ def test_closure_on_seeded_randoms(bool2, zmod3):
         a2 = random_instance("vcategory", seed, small, base=base)
         b2 = random_instance("vcategory", seed + 100, small, base=base)
         for i in range(1, base.n):
-            assert check_vfunctor(assoc_vcat(i, a2, b2, a2)).ok
+            assert _scan_vfunctor(assoc_vcat(i, a2, b2, a2)).ok
         if base.n >= 3:
-            assert check_vfunctor(interchange_vcat(1, 2, a2, b2, a2, b2)).ok
+            assert _scan_vfunctor(interchange_vcat(1, 2, a2, b2, a2, b2)).ok
 
 
 def test_vcat_associator_and_interchange_on_a_non_replicated_base():
@@ -766,8 +765,8 @@ def test_vcat_associator_and_interchange_on_a_non_replicated_base():
     a = metric_space(chain, {("p", "q"): "1", ("q", "p"): "2"})
     b = metric_space(chain, {("r", "s"): "2", ("s", "r"): "0"})
     assert check_vcategory(a).ok and check_vcategory(b).ok
-    assert check_vfunctor(assoc_vcat(1, a, b, a)).ok
-    assert check_vfunctor(interchange_vcat(1, 2, a, b, a, b)).ok
+    assert _scan_vfunctor(assoc_vcat(1, a, b, a)).ok
+    assert _scan_vfunctor(interchange_vcat(1, 2, a, b, a, b)).ok
 
 
 # Bases whose tensors do not commute: on the chain "0".."3", [M, max] has
@@ -794,6 +793,57 @@ def test_product_functors_over_a_non_commutative_second_tensor():
     for i, a, b in iproduct((1, 2), spaces, spaces):
         assert check_vfunctor(product_vfunctor(
             i, identity_vfunctor(a), identity_vfunctor(b))).ok
+
+
+def test_certificate_is_the_scan_on_every_product_of_two_point_preorders(
+        bool3):
+    # Every one of the 16 hom assignments on two objects over the
+    # three-tensor meet poset (4 preorders, 12 failing) times each preorder,
+    # at every index, and each passing product times a preorder once more.
+    candidates = list(_hom_assignments(bool3, 2))
+    preorders = [a for a in candidates if _scan_vcategory(a).ok]
+    assert (len(candidates), len(preorders)) == (16, 4)
+    certified = 0
+    for a, b, i in iproduct(candidates, preorders, (1, 2)):
+        passing = a in preorders
+        p = product_vcat(i, a, b)
+        for q in [p, product_vcat(i, p, b)] if passing else [p]:
+            got = outcome(check_vcategory, q)
+            certified += passing and q.comp._table is None
+            assert got == outcome(_scan_vcategory, q)
+    assert certified == 2 * 4 * 4 * 2
+
+
+@pytest.mark.parametrize("base_name", ["bool3", "zmod3", "capped", "m_max",
+                                       "dm_max"])
+def test_certified_functor_report_is_the_scans(base_name, request):
+    # V-Cat's associator and interchange of passing V-categories are
+    # certified, and neither frame's composition is built; with a failing
+    # factor or colliding ids they are scanned.  Either way the report is
+    # the scan's.
+    from enrichkit.instances import Bounds, random_instance
+    if base_name in ("bool3", "zmod3"):
+        base = request.getfixturevalue(base_name)
+        draws = (random_instance("vcategory", seed, Bounds(max_objects=2),
+                                 base=base) for seed in range(12))
+        spaces = [a for a in draws if len(a.objects) == 2][:3]
+    else:
+        base = {"capped": capped_chain(2, 3), "m_max": chain(3, chain_m, max),
+                "dm_max": chain(3, chain_d, chain_m, max)}[base_name]
+        spaces = two_point_spaces(base)[1::6]
+    indices = range(1, base.n)
+    for a, b in zip(spaces, spaces[1:]):
+        for (x, y), passing in (((a, b), True), ((_failing(a), b), False),
+                                (_colliding(a, b), False)):
+            functors = [assoc_vcat(i, x, y, y) for i in indices] + [
+                interchange_vcat(i, j, x, y, y, x)
+                for i, j in iproduct(indices, repeat=2) if i < j]
+            for f in functors:
+                certified = outcome(check_vfunctor, f)
+                if passing:
+                    assert f.source.comp._table is None
+                    assert f.target.comp._table is None
+                assert certified == outcome(_scan_vfunctor, f)
 
 
 def test_every_mutant_edits_one_place():
