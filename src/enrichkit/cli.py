@@ -423,13 +423,10 @@ def _run_corpus(args) -> int:
 
 def _run_fuzz(args) -> int:
     from . import instances
-    base = {"bool2": lambda: instances.bool_poset(2),
-            "bool3": lambda: instances.bool_poset(3),
-            "zmod3": lambda: instances.zmod2(3)}.get(args.base)
-    if base is None:
+    if args.base not in instances._SHIPPED:
         print(f"error: unknown base {args.base!r}", file=sys.stderr)
         return 2
-    base = base()
+    base = instances._shipped(args.base).base
     failed = False
     for k in range(args.count):
         try:

@@ -8,11 +8,15 @@ Desk-scale bases:
   * zmod2(k): the discrete two-object category under addition mod 2 with 0
     as the unit, likewise replicated.
 
-Both are symmetric, so their interchange tables are produced by the
-composite through the symmetry rather than written down by hand; the shipped
-corpus therefore exercises exactly the construction path a user-supplied
-symmetric base would take.  Genuinely non-symmetric structures are accepted
-as input everywhere but are not shipped.
+Both are thin symmetric tables, given as data (arrows, unit, tensor of
+objects) to one builder, ``_thin_symmetric``, and their interchange tables
+are produced by the composite through the symmetry rather than written down
+by hand; the shipped corpus therefore exercises exactly the construction
+path a user-supplied symmetric base would take.  ``_SHIPPED`` is the one
+list of shipped bases, by name with its tensor count, that ``corpus``,
+``enrichkit fuzz --base`` and ``random_instance``'s default read.
+Genuinely non-symmetric structures are accepted as input everywhere but are
+not shipped.
 
 Generation.  Random V-categories, V-functors and V-2-categories come from
 one rejection loop, ``_sample(draw, check, what)``: it keeps the
@@ -270,56 +274,39 @@ def from_document(tower: Tower, k: int) -> KFoldMonoidal:
 BOT, TOP = "bot", "top"
 
 
+def _thin_symmetric(arrows: dict, unit: str, op) -> SymmetricMonoidal:
+    """The thin symmetric monoidal category on the (dom, cod) table of
+    arrows, identities included: composites and tensors of morphisms are the
+    unique arrows, objects tensor by op, and every associator and symmetry
+    component is the identity of its target."""
+    dom = {m: a for m, (a, _) in arrows.items()}
+    cod = {m: b for m, (_, b) in arrows.items()}
+    objects = set(dom.values())
+    identity = {a: m for m, (a, b) in arrows.items() if a == b}
+    cat = FinCategory(objects, set(arrows), dom, cod, {}, identity)
+    cat.comp.update({(g, f): unique_morphism(cat, dom[f], cod[g])
+                     for g in arrows for f in arrows if cod[f] == dom[g]})
+    tensor_obj = {(a, b): op(a, b) for a, b in product(objects, repeat=2)}
+    tensor_mor = {(f, g): unique_morphism(cat, op(dom[f], dom[g]),
+                                          op(cod[f], cod[g]))
+                  for f, g in product(arrows, repeat=2)}
+    assoc = {(a, b, c): identity[op(a, op(b, c))]
+             for a, b, c in product(objects, repeat=3)}
+    symmetry = {(a, b): identity[op(b, a)] for a, b in tensor_obj}
+    return SymmetricMonoidal(cat, unit, tensor_obj, tensor_mor, assoc, symmetry)
+
+
 def bool_symmetric() -> SymmetricMonoidal:
     """The poset bot <= top under meet, unit top, identity coherence."""
-    objects = {BOT, TOP}
-    morphisms = {"id_bot", "id_top", "u"}
-    dom = {"id_bot": BOT, "id_top": TOP, "u": BOT}
-    cod = {"id_bot": BOT, "id_top": TOP, "u": TOP}
-    identity = {BOT: "id_bot", TOP: "id_top"}
-    cat = FinCategory(objects, morphisms, dom, cod, {}, identity)
-    comp = {}
-    for g in morphisms:
-        for f in morphisms:
-            if cod[f] == dom[g]:
-                comp[(g, f)] = unique_morphism(cat, dom[f], cod[g])
-    cat.comp.update(comp)
-
-    def meet(a, b):
-        return TOP if a == TOP and b == TOP else BOT
-
-    tensor_obj = {(a, b): meet(a, b) for a in objects for b in objects}
-    tensor_mor = {}
-    for f in morphisms:
-        for g in morphisms:
-            tensor_mor[(f, g)] = unique_morphism(
-                cat, meet(dom[f], dom[g]), meet(cod[f], cod[g]))
-    assoc = {(a, b, c): identity[meet(meet(a, b), c)]
-             for a in objects for b in objects for c in objects}
-    symmetry = {(a, b): identity[meet(a, b)] for a in objects for b in objects}
-    return SymmetricMonoidal(cat, TOP, tensor_obj, tensor_mor, assoc, symmetry)
+    return _thin_symmetric(
+        {"id_bot": (BOT, BOT), "id_top": (TOP, TOP), "u": (BOT, TOP)}, TOP,
+        lambda a, b: TOP if a == b == TOP else BOT)
 
 
 def zmod2_symmetric() -> SymmetricMonoidal:
     """The discrete category on {0, 1} under addition mod 2, unit 0."""
-    objects = {"0", "1"}
-    morphisms = {"id0", "id1"}
-    dom = {"id0": "0", "id1": "1"}
-    cod = dict(dom)
-    identity = {"0": "id0", "1": "id1"}
-    comp = {("id0", "id0"): "id0", ("id1", "id1"): "id1"}
-    cat = FinCategory(objects, morphisms, dom, cod, comp, identity)
-
-    def add(a, b):
-        return str((int(a) + int(b)) % 2)
-
-    tensor_obj = {(a, b): add(a, b) for a in objects for b in objects}
-    tensor_mor = {(f, g): identity[add(dom[f], dom[g])]
-                  for f in morphisms for g in morphisms}
-    assoc = {(a, b, c): identity[add(add(a, b), c)]
-             for a in objects for b in objects for c in objects}
-    symmetry = {(a, b): identity[add(a, b)] for a in objects for b in objects}
-    return SymmetricMonoidal(cat, "0", tensor_obj, tensor_mor, assoc, symmetry)
+    return _thin_symmetric({"id0": ("0", "0"), "id1": ("1", "1")}, "0",
+                           lambda a, b: str((int(a) + int(b)) % 2))
 
 
 def bool_poset(k: int) -> KFoldMonoidal:
@@ -328,6 +315,18 @@ def bool_poset(k: int) -> KFoldMonoidal:
 
 def zmod2(k: int) -> KFoldMonoidal:
     return from_symmetric(zmod2_symmetric(), k)
+
+
+# The shipped bases by name: a symmetric base and its tensor count.
+_SHIPPED = {"bool2": (bool_symmetric, 2), "bool3": (bool_symmetric, 3),
+            "zmod3": (zmod2_symmetric, 3)}
+
+
+def _shipped(name: str) -> Tower:
+    """The shipped base ``name`` with its symmetry table."""
+    symmetric, k = _SHIPPED[name]
+    sym = symmetric()
+    return Tower(from_symmetric(sym, k), sym.symmetry)
 
 
 # -- canonical enriched instances ---------------------------------------------
@@ -466,13 +465,9 @@ def corpus(seed: int = 0) -> dict:
     filed, so a frame that is not itself named (the random pasting's) is
     not.
     """
-    bool2 = bool_poset(2)
-    bool3 = bool_poset(3)
-    zmod3 = zmod2(3)
-    out = {"bool2": Tower(bool2, bool_symmetric().symmetry),
-           "bool3": Tower(bool3, bool_symmetric().symmetry),
-           "zmod3": Tower(zmod3, zmod2_symmetric().symmetry)}
+    out = {name: _shipped(name) for name in _SHIPPED}
     b2, b3, z3 = out.values()
+    bool2, bool3, zmod3 = b2.base, b3.base, z3.base
 
     p = preorder_vcat(bool2, ["a", "b"], {("a", "a"), ("a", "b"), ("b", "b")})
     p3 = preorder_vcat(bool2, ["a", "b", "c"],
@@ -715,7 +710,7 @@ def random_instance(level: str, seed: int, bounds: Bounds = None,
         raise BudgetExhausted("bounds admit no objects")
     rng = random.Random(seed)
     if base is None:
-        base = bool_poset(2) if seed % 2 == 0 else zmod2(3)
+        base = _shipped("bool2" if seed % 2 == 0 else "zmod3").base
     if level == "vcategory":
         return _random_vcategory(base, rng, bounds)
     if level == "vfunctor":

@@ -666,6 +666,9 @@ def assoc_vcat(i: int, a: VCategory, b: VCategory, c: VCategory) -> VFunctor:
     _same_base(a, b)
     _same_base(b, c)
     base = a.base
+    if not 1 <= i <= base.n - 1:
+        raise IndexOutOfRange(
+            f"associator index {i} outside 1..{base.n - 1}")
     source = product_vcat(i, product_vcat(i, a, b), c)
     target = product_vcat(i, a, product_vcat(i, b, c))
     sources = {(x, y, z): pair(pair(x, y), z) for x, y, z in iproduct(
@@ -686,9 +689,10 @@ def interchange_vcat(i: int, j: int, a: VCategory, b: VCategory,
     for other in (b, c, d):
         _same_base(a, other)
     base = a.base
-    if not (i + 1 <= j and j + 1 <= base.n):
-        raise IndexOutOfRange(
-            f"interchange indices ({i}, {j}) need j >= i+1 and j+1 <= n")
+    if not 1 <= i < j <= base.n - 1:
+        none = ", which no pair satisfies" if base.n < 3 else ""
+        raise IndexOutOfRange(f"interchange indices ({i}, {j}) outside "
+                              f"1 <= i < j <= {base.n - 1}{none}")
     source = product_vcat(i, product_vcat(j, a, b), product_vcat(j, c, d))
     target = product_vcat(j, product_vcat(i, a, c), product_vcat(i, b, d))
     sources = {(x, y, z, w): pair(pair(x, y), pair(z, w))

@@ -2,7 +2,8 @@
 
 Each row names a mutant, the file it edits (relative to the repository
 root), the exact text it replaces, which must occur once in that file, the
-text put in its place, and the Tier-1 test expected to catch it.  pytest
+text put in its place, and the Tier-1 test expected to catch it (or the
+test module, when the mutant keeps it from being collected).  pytest
 does not collect this module; ``test_vcat.py`` checks that every row's old
 text still occurs exactly once, so a refactor that moves the code breaks
 the table loudly.
@@ -86,6 +87,29 @@ MUTANTS = (
            "if not inputs or any(len(frame.objects) != n for frame in frames)",
            "if not inputs",
            "tests/test_vcat.py::test_colliding_product_ids_are_scanned"),
+    # The interchange's diagrams read the second tensor of morphisms at the
+    # first index: a no-op over a base that repeats one tensor, as every
+    # shipped base does, so only the capped chain kills it.
+    Mutant("kfold-tensor-index", "src/enrichkit/kfold.py",
+           "to_j, tm_j, al_j = t.to[j], t.tm[j], t.al[j]",
+           "to_j, tm_j, al_j = t.to[j], t.tm[i], t.al[j]",
+           "tests/test_vcat.py::"
+           "test_vcat_associator_and_interchange_on_a_non_replicated_base"),
+    # A saved product reference with its factors in reverse order.
+    Mutant("reference-factors", "src/enrichkit/serialize.py",
+           '"factors": refs}}',
+           '"factors": refs[::-1]}}',
+           "tests/test_serialize_cli.py::test_round_trip_byte_stability"),
+    # The thin bases' tensor of morphisms read at the domains only: a no-op
+    # over the discrete zmod2, but bool_poset then raises NotSymmetric, so
+    # the module-level BASES of test_serialize_cli.py fails to collect.
+    # (Reading a symmetry component at its source, or an associator's, is
+    # an equivalent edit: both shipped operations are commutative and
+    # associative.)
+    Mutant("thin-tensor-mor", "src/enrichkit/instances.py",
+           "op(cod[f], cod[g]))",
+           "op(dom[f], dom[g]))",
+           "tests/test_serialize_cli.py"),
 )
 
 COPIED = ("src", "tests", "pyproject.toml", "README.md")

@@ -5,6 +5,7 @@ Expected values tagged by hand-derivation in comments; mutation expectations
 list the exact set of diagram families that read the mutated table entry.
 """
 import json
+import random
 import time
 
 from enrichkit.cli import main
@@ -15,6 +16,7 @@ from enrichkit.instances import (
     _mods_between,
     _nats_between,
     _random_pasting,
+    _random_vcategory_on,
     bool_poset,
     bool_symmetric,
     from_symmetric,
@@ -141,7 +143,6 @@ def test_criterion_3_symmetric_construction():
 def test_criterion_4_level1_closure():
     t0 = time.monotonic()
     bases = {0: bool_poset(2), 1: zmod2(3)}
-    small = Bounds(max_objects=2)
     pairs = 0
     for seed in range(50):
         base = bases[seed % 2]
@@ -149,8 +150,10 @@ def test_criterion_4_level1_closure():
         b = random_instance("vcategory", seed + 1000, Bounds(), base=base)
         for i in range(1, base.n):
             assert _scan_vcategory(product_vcat(i, a, b)).ok
-        a2 = random_instance("vcategory", seed, small, base=base)
-        b2 = random_instance("vcategory", seed + 1000, small, base=base)
+        # Two objects a side: the associator's frames have eight objects
+        # and the interchange's sixteen.
+        a2, b2 = (_random_vcategory_on(base, ["o0", "o1"], random.Random(s))
+                  for s in (seed, seed + 1000))
         assert _scan_vfunctor(assoc_vcat(1, a2, b2, a2)).ok
         if base.n >= 3:
             assert _scan_vfunctor(interchange_vcat(1, 2, a2, b2, a2, b2)).ok

@@ -801,7 +801,8 @@ def test_wrong_input_count_exits_two(corpus_dir, tmp_path, capsys,
     ("product-vcat", ["--index", "5"], ["P", "P"],
      "product index 5 outside 1..1"),
     ("interchange-vcat", ["--index", "1", "--index2", "1"], ["P"] * 4,
-     "interchange indices (1, 1) need j >= i+1 and j+1 <= n"),
+     "interchange indices (1, 1) outside 1 <= i < j <= 1, which no pair "
+     "satisfies"),
     ("product-v2cat", ["--index", "1"], ["W", "W"],
      "product index 1 outside 1..0"),
     ("product-vcat", ["--index", "-1"], ["P", "P"],
@@ -810,6 +811,33 @@ def test_out_of_range_index_exits_two(corpus_dir, tmp_path, capsys,
                                       construction, options, inputs, message):
     out = tmp_path / "x.json"
     assert main(["construct", str(corpus_dir / "bool2.json"), construction,
+                 *options, "--inputs", *inputs, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: bad arguments: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, construction, options, inputs, message", [
+    ("zmod3", "interchange-vcat", ["--index", "0", "--index2", "1"],
+     ["D"] * 4, "interchange indices (0, 1) outside 1 <= i < j <= 2"),
+    ("zmod3", "interchange-vcat", ["--index", "2", "--index2", "2"],
+     ["D"] * 4, "interchange indices (2, 2) outside 1 <= i < j <= 2"),
+    ("zmod3", "interchange-vcat", ["--index", "1", "--index2", "3"],
+     ["D"] * 4, "interchange indices (1, 3) outside 1 <= i < j <= 2"),
+    ("bool2", "interchange-vcat", ["--index", "1", "--index2", "2"],
+     ["P"] * 4, "interchange indices (1, 2) outside 1 <= i < j <= 1, "
+     "which no pair satisfies"),
+    ("zmod3", "assoc-vcat", ["--index", "0"], ["D"] * 3,
+     "associator index 0 outside 1..2"),
+    ("zmod3", "assoc-vcat", ["--index", "3"], ["D"] * 3,
+     "associator index 3 outside 1..2"),
+    ("bool2", "assoc-vcat", ["--index", "2"], ["P"] * 3,
+     "associator index 2 outside 1..1")])
+def test_associator_and_interchange_name_their_index_range(
+        corpus_dir, tmp_path, capsys, doc, construction, options, inputs,
+        message):
+    # The range is the construction's own, not that of a product it builds.
+    out = tmp_path / "x.json"
+    assert main(["construct", str(corpus_dir / f"{doc}.json"), construction,
                  *options, "--inputs", *inputs, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: bad arguments: {message}\n"
     assert not out.exists()

@@ -1,4 +1,5 @@
 import json
+import random
 from functools import partial
 from itertools import product as iproduct
 
@@ -402,12 +403,12 @@ def _colliding(a, b):
 
 @pytest.mark.parametrize("base_name", ["bool2", "bool3", "zmod3"])
 def test_certified_product_report_is_the_scans(base_name, request):
-    from enrichkit.instances import Bounds, random_instance
+    from enrichkit.instances import _random_vcategory_on
     base = request.getfixturevalue(base_name)
-    small = Bounds(max_objects=2)
     for seed in range(12):
-        a = random_instance("vcategory", seed, small, base=base)
-        b = random_instance("vcategory", seed + 100, small, base=base)
+        # Two objects a side, so that the products have four and eight.
+        a, b = (_random_vcategory_on(base, ["o0", "o1"], random.Random(s))
+                for s in (seed, seed + 100))
         bad = _failing(a)
         for i in range(1, base.n):
             for p in (product_vcat(i, a, b),
