@@ -25,17 +25,19 @@ A block of at least ``CODED_ROWS`` rows whose axes hold at most 256 ids
 each is coded (``_coded``); smaller blocks keep lists, where building codes
 costs more than it saves.  A coded column holds ``bytes``, one code per
 row over its axes, and the list of values the codes index.  A lookup on
-coded columns builds each row's mixed-radix key with ``int.from_bytes``, a
-multiply-add per argument and ``int.to_bytes``.  When that key space is
-smaller than the rows, the table is read, or the function called, once per
-distinct key present, in key order, and keys become result codes by
-``bytes.translate``: directly for one-byte keys, and one plane per high
-byte for two-byte keys.  Otherwise the lookup runs once per row and its
-result is coded.  A result whose values are unhashable, or more than 256
-distinct, stays a list, and lookups on it run once per row.  Two coded
-legs are compared whole, each code translated to an index over both legs'
-distinct values; only a failing block is decoded and walked row by row, so
-witnesses, counts and early exit do not depend on the kernel.
+coded columns whose key space is smaller than the rows reads the table,
+or calls the function, once per distinct key present, in key order, over
+one-byte keys built for all rows at once (``int.from_bytes``, a
+multiply-add per argument, ``int.to_bytes``) and translated to result
+codes (``bytes.translate``).  Arguments that share an axis are keyed
+whole; arguments on disjoint axes are keyed in two groups, each on its
+own axes, and the block is written from each group's classes of keys
+(``_grouped``).  Any other lookup runs once per row and its result is
+coded.  A result whose values are unhashable, or more than 256 distinct,
+stays a list, and lookups on it run once per row.  Two coded legs are
+compared whole, each code translated to an index over both legs'
+distinct values; only a failing block is decoded and walked row by row,
+so witnesses, counts and early exit do not depend on the kernel.
 
 ``_memo(obj, key, build)`` is the one memo: it keeps ``build(obj)`` in a dict
 in the record's ``_memo`` slot and returns it on every later call with that
@@ -52,14 +54,14 @@ every call.
 """
 from __future__ import annotations
 
-import sys
 from itertools import chain, compress, islice, product, repeat
 from math import prod
-from operator import attrgetter, mul
+from operator import add, attrgetter, mul
 
-# Rows a block holds at most: no more than 1 << 16, so that a coded key
-# space smaller than a block's rows fits two bytes.
-CHUNK = 1 << 15
+# Rows a block holds at most.  Coded keys fit a byte at any block size;
+# 1 << 17 runs an eight-axis family over 5 ids as 5 blocks, and 1 << 19
+# ran no faster and held more memory.
+CHUNK = 1 << 17
 # Rows a block must hold to be coded (``_coded``).
 CODED_ROWS = 1 << 12
 
@@ -223,8 +225,9 @@ def lift(table):
     stays undefined through every lookup that uses it.
 
     In a coded block, the lookup runs once per distinct key present, in key
-    order, when the key space is smaller than the rows (``_coded_lookup``);
-    otherwise once per row, and the result is coded.
+    order, when the key space is smaller than the rows and fits a byte, or
+    on disjoint axes splits into two that do (``_coded_lookup``); otherwise
+    once per row, and the result is coded.
     """
     get = table if callable(table) else table.get
 
@@ -419,73 +422,120 @@ def _coded_args(key_columns):
     return coded
 
 
-def _keys(columns, axes, width: int) -> bytes:
-    """The mixed-radix key codes of coded ``columns`` over ``axes``, each
-    ``width`` bytes in the native order, the key space fitting that width.
+def _keys(columns, axes) -> bytes:
+    """The mixed-radix key codes of coded ``columns`` over ``axes``, one
+    byte a row, the key space fitting a byte.
 
-    Each column's codes are spread to the key's width and read as one
-    integer, so ``key * radix + codes`` adds a digit to every row's key at
-    once: no row's key leaves the key space, so nothing carries."""
-    rows = _rows(axes)
+    Each column's codes are read as one integer, so ``key * radix + codes``
+    adds a digit to every row's key at once: no row's key leaves the key
+    space, so nothing carries."""
     key = 0
     for col in columns:
-        codes = _widen(col, axes, col.codes)
-        if width == 2:
-            spread = bytearray(2 * rows)
-            spread[sys.byteorder == "big"::2] = codes
-            codes = spread
-        key = key * len(col.values) + int.from_bytes(codes, sys.byteorder)
-    return key.to_bytes(width * rows, sys.byteorder)
+        key = key * len(col.values) + int.from_bytes(
+            _widen(col, axes, col.codes), "little")
+    return key.to_bytes(_rows(axes), "little")
 
 
 def _coded_lookup(get, columns):
     """``get`` over coded key columns, once per distinct key present, in key
-    order, or None when the key space is not smaller than the rows.
+    order, or None when the key space is not smaller than the rows or fits
+    no byte (on disjoint axes, no two).
 
-    Arguments on disjoint axes meet in every combination of their codes;
-    otherwise the keys present are found by scanning.  Keys are read off
-    the product of the arguments' values and become result codes by
-    ``bytes.translate``.  Two-byte keys are split by their high byte ``h``
-    into planes: plane ``h`` translates the low byte of every row, and keeps
-    the rows whose high byte is ``h``."""
+    Arguments on disjoint axes meet in every combination of their codes
+    and go through ``_grouped``.  Others are keyed in one byte, the keys
+    present found by scanning, and keys become result codes by
+    ``bytes.translate``."""
     axes = _union(columns)
-    rows = _rows(axes)
     space = prod(len(col.values) for col in columns)
-    if space >= rows:
+    if space >= _rows(axes):
         return None
-    keys = _keys(columns, axes, 1 if space <= 256 else 2)
-    if sum(len(col.axes) for col in columns) == len(axes):
-        selectors = [True] * space
-    elif space <= 256:
-        selectors = [k in keys for k in range(space)]
-    else:
-        selectors = list(map(set(memoryview(keys).cast("H")).__contains__,
-                             range(space)))
     values = [col.values for col in columns]
     every = product(*values) if len(values) > 1 else values[0]
+    if sum(len(col.axes) for col in columns) == len(axes):
+        return _grouped(get, columns, axes, every)
+    if space > 256:
+        return None
+    keys = _keys(columns, axes)
+    selectors = [k in keys for k in range(space)]
     present = list(compress(range(space), selectors))
     found = list(map(get, compress(every, selectors)))
     index = _distinct(found)
     if index is None:
         by_key = dict(zip(present, found))
-        if space > 256:
-            keys = memoryview(keys).cast("H")
         return _Column(axes, list(map(by_key.__getitem__, keys)))
     distinct, code = index
-    tables = [bytearray(256) for _ in range(0, space, 256)]
+    table = bytearray(256)
     for k, value in zip(present, found):
-        tables[k >> 8][k & 255] = code[value]
-    if space <= 256:
-        return _Coded(axes, keys.translate(tables[0]), distinct)
-    at = int(sys.byteorder == "big")  # where a key's low byte sits
-    low, high = keys[at::2], keys[1 - at::2]
-    out = 0
-    for h, table in enumerate(tables):
-        plane = bytearray(256)
-        plane[h] = 255
-        out |= (int.from_bytes(low.translate(table), "little")
-                & int.from_bytes(high.translate(plane), "little"))
-    return _Coded(axes, out.to_bytes(rows, "little"), distinct)
+        table[k] = code[value]
+    return _Coded(axes, keys.translate(table), distinct)
+
+
+def _grouped(get, columns, axes, every):
+    """``get`` over coded key columns on disjoint ``axes``, read once at
+    each key of ``every``, in key order; None when the arguments split into
+    no two groups whose key spaces each fit a byte.
+
+    The most even split ``columns[:p]``, ``columns[p:]`` that fits is
+    taken, each group keyed in one byte on its own axes.  Key ``k1 * n + k2``
+    reads line ``k1`` of the result codes as rows of ``n``, or line ``k2``
+    as columns; a group's keys whose lines agree share a class
+    (``_quotient``).  If one group's axes all come before the other's, the
+    inner key translated by each outer class's line is joined in outer key
+    order; else a one-byte key over both groups' classes is translated.
+    Uncodable results, and classes that do not fit a byte, are laid out
+    once per row from the values read."""
+    sizes = [len(col.values) for col in columns]
+    splits = [p for p in range(1, max(len(columns), 2))
+              if prod(sizes[:p]) <= 256 and prod(sizes[p:]) <= 256]
+    if not splits:
+        return None
+    p = min(splits, key=lambda p: max(prod(sizes[:p]), prod(sizes[p:])))
+    first, second = (_Coded(_union(part), _keys(part, _union(part)),
+                            range(prod(len(col.values) for col in part)))
+                     for part in (columns[:p], columns[p:]))
+    found, n = list(map(get, every)), len(second.values)
+    index = _distinct(found)
+    if index is not None:
+        distinct, code = index
+        table = bytes(map(code.__getitem__, found))
+        rows = [table[k:k + n] for k in range(0, len(table), n)]
+        cols = [table[k::n] for k in range(n)]
+        left, right = _quotient(first, rows), _quotient(second, cols)
+        if not second.axes or first.axes and second.axes[-1] < first.axes[0]:
+            return _Coded(axes, _joined(right, first, cols), distinct)
+        if not first.axes or first.axes[-1] < second.axes[0]:
+            return _Coded(axes, _joined(left, second, rows), distinct)
+        if len(left.values) * len(right.values) <= 256:
+            by_class = bytes(table[i * n + j]
+                             for i in left.values for j in right.values)
+            return _Coded(axes, _keys((left, right), axes).translate(
+                by_class.ljust(256, b"\0")), distinct)
+    keys = list(map(add, map(mul, _widen(first, axes, first.codes),
+                             repeat(n)), _widen(second, axes, second.codes)))
+    if index is None:
+        return _Column(axes, list(map(found.__getitem__, keys)))
+    return _Coded(axes, bytes(map(table.__getitem__, keys)), distinct)
+
+
+def _quotient(group, lines) -> _Coded:
+    """``group``'s key as class codes, its keys ``k`` whose ``lines[k]``
+    agree sharing a class; the values are each class's first key."""
+    first = {}
+    for k, line in enumerate(lines):
+        first.setdefault(line, k)
+    classes = dict(zip(first, range(len(first))))
+    return _Coded(group.axes, group.codes.translate(
+        bytes(map(classes.__getitem__, lines)).ljust(256, b"\0")),
+        list(first.values()))
+
+
+def _joined(outer, inner, lines) -> bytes:
+    """The codes over ``outer``'s axes and then ``inner``'s of two groups,
+    ``outer`` as classes: ``inner``'s key translated by each class's line,
+    joined in the order of ``outer``'s codes."""
+    pieces = [inner.codes.translate(lines[k].ljust(256, b"\0"))
+              for k in outer.values]
+    return b"".join(map(pieces.__getitem__, outer.codes))
 
 
 def _widen(col, axes, values=None):

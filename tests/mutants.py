@@ -101,15 +101,32 @@ MUTANTS = (
            '"factors": refs[::-1]}}',
            "tests/test_serialize_cli.py::test_round_trip_byte_stability"),
     # The thin bases' tensor of morphisms read at the domains only: a no-op
-    # over the discrete zmod2, but bool_poset then raises NotSymmetric, so
-    # the module-level BASES of test_serialize_cli.py fails to collect.
+    # over the discrete zmod2, but bool_poset then raises NotSymmetric.
     # (Reading a symmetry component at its source, or an associator's, is
     # an equivalent edit: both shipped operations are commutative and
     # associative.)
     Mutant("thin-tensor-mor", "src/enrichkit/instances.py",
            "op(cod[f], cod[g]))",
            "op(dom[f], dom[g]))",
-           "tests/test_serialize_cli.py"),
+           "tests/test_acceptance.py::test_criterion_1_base_validation"),
+    # The grouped lookup of a coded block: the second group's classes read
+    # off the first group's lines of result codes, or the outer group's
+    # pieces off the wrong lines when the second group's axes come first.
+    Mutant("grouped-classes", "src/enrichkit/report.py",
+           "_quotient(second, cols)",
+           "_quotient(second, rows)",
+           "tests/test_acceptance.py::test_criterion_4_level1_closure"),
+    Mutant("grouped-outer-lines", "src/enrichkit/report.py",
+           "_joined(right, first, cols)",
+           "_joined(right, first, rows)",
+           "tests/test_acceptance.py::test_criterion_4_level1_closure"),
+    # Coded legs compared without the marker of a None on the left: a row
+    # undefined on both legs holds.
+    Mutant("coded-none-marker", "src/enrichkit/report.py",
+           "bytes(255 if v is None else code[v] for v in left.values)",
+           "bytes(code[v] for v in left.values)",
+           "tests/test_kfold.py::"
+           "test_coded_and_list_kernels_report_alike_on_a_mutated_zmod4_tower"),
 )
 
 COPIED = ("src", "tests", "pyproject.toml", "README.md")

@@ -212,17 +212,20 @@ def test_zmod4_tower_counts_every_family_at_n_to_the_arity():
 
 
 def test_coded_and_list_kernels_report_alike_on_a_mutated_zmod4_tower():
-    v = from_symmetric(zmod_symmetric(4), 3)
-    v.interchange_table[(1, 2)] = rewire(
-        v.interchange_table[(1, 2)], ("z1", "z2", "z3", "z0"), "id_z1")
-    for all_witnesses in (False, True):
-        reports = []
-        for coded in (False, True, None):
-            # None keeps the shape rule: only the large blocks are coded.
-            select = report._coded if coded is None else (
-                lambda rows, sizes, coded=coded: coded)
-            with mock.patch.object(report, "_coded", select):
-                reports.append(check_kfold(v, all_witnesses=all_witnesses))
-        assert reports[0] == reports[1] == reports[2]
-        assert "hexagon[1,2,3]" in reports[0].failing_families()
-    assert len(reports[0].witnesses) > len(reports[0].failing_families())
+    # Also at Z/5, where the interchange lookups have 625 keys and the
+    # hexagon's blocks hold 78,125 rows.
+    for n, wrong in ((4, "id_z1"), (5, "id_z2")):
+        v = from_symmetric(zmod_symmetric(n), 3)
+        v.interchange_table[(1, 2)] = rewire(
+            v.interchange_table[(1, 2)], ("z1", "z2", "z3", "z0"), wrong)
+        for all_witnesses in (False, True):
+            reports = []
+            for coded in (False, True, None):
+                # None keeps the shape rule: only the large blocks are coded.
+                select = report._coded if coded is None else (
+                    lambda rows, sizes, coded=coded: coded)
+                with mock.patch.object(report, "_coded", select):
+                    reports.append(check_kfold(v, all_witnesses=all_witnesses))
+            assert reports[0] == reports[1] == reports[2]
+            assert "hexagon[1,2,3]" in reports[0].failing_families()
+        assert len(reports[0].witnesses) > len(reports[0].failing_families())

@@ -312,7 +312,7 @@ def test_broadcast_over_a_key_space_wider_than_a_byte(coded, disjoint):
     rng = random.Random(11)
     if disjoint:
         # Five columns of four values, each on its own axis of eight ids:
-        # 1,024 keys, two bytes wide, all present, over 32,768 rows.
+        # 1,024 keys, all present, over 32,768 rows.
         axes = [range(8)] * 5
         args = [("lookup", {v: v % 4 for v in range(8)}, [("pos", p)])
                 for p in range(5)]
@@ -323,17 +323,47 @@ def test_broadcast_over_a_key_space_wider_than_a_byte(coded, disjoint):
         add = {(a, b): (a + b) % 4 for a in IDS for b in IDS}
         args = [("lookup", add, [("pos", p), ("pos", p + 1)])
                 for p in range(5)]
-    table = {key: rng.choice(IDS) for key in product(IDS, repeat=5)
-             if rng.random() > 0.02}
-    other = {key: (value + (rng.random() < 0.01)) % 4
-             for key, value in table.items()}
-    eqs = [(("lookup", table, args), ("lookup", other, args))]
-    rows = list(product(*axes))
-    with _kernel(coded):
-        for all_witnesses in (False, True):
-            got = _engine(equations, axes, eqs, all_witnesses)
-            assert got == _reference(rows, eqs, all_witnesses)
-    assert got[1]
+    keys = list(product(IDS, repeat=5))
+    table = {key: rng.choice(IDS) for key in keys if rng.random() > 0.02}
+    cases = [(axes, args, table, 4)]
+    if disjoint:
+        # The same keys over 3,125 rows of five ids, in two groups of two and
+        # three columns.  Read in the order 0, 2, 4, 1, 3, the groups' axes
+        # interleave: a table of each group's sum has four classes a group,
+        # and a random one too many to key in a byte.  Read in reverse, the
+        # second group's axes come first.  An injective table cannot be
+        # coded.  Three columns of seventeen values split into no two groups
+        # that fit a byte, and are looked up once per row.
+        fifth = {v: v % 4 for v in range(5)}
+        apart, interleaved, reverse = (
+            [("lookup", fifth, [("pos", p)]) for p in order]
+            for order in ((0, 1, 2, 3, 4), (0, 2, 4, 1, 3), (4, 3, 2, 1, 0)))
+        more = random.Random(12)
+        sums = {(s, t): more.choice(IDS) for s in IDS for t in IDS
+                if (s, t) != (1, 2)}
+        by_sums = {key: sums[sum(key[:2]) % 4, sum(key[2:]) % 4]
+                   for key in keys
+                   if (sum(key[:2]) % 4, sum(key[2:]) % 4) in sums}
+        cases += [([range(5)] * 5, interleaved, by_sums, 4),
+                  ([range(5)] * 5, interleaved, table, 4),
+                  ([range(5)] * 5, reverse, table, 4),
+                  ([range(5)] * 5, apart,
+                   {key: n for n, key in enumerate(keys)}, len(keys)),
+                  ([range(18)] * 3,
+                   [("lookup", {v: v % 17 for v in range(18)}, [("pos", p)])
+                    for p in range(3)],
+                   {key: more.choice(IDS)
+                    for key in product(range(17), repeat=3)}, 4)]
+    for axes, args, table, size in cases:
+        other = {key: (value + (rng.random() < 0.01)) % size
+                 for key, value in table.items()}
+        eqs = [(("lookup", table, args), ("lookup", other, args))]
+        rows = list(product(*axes))
+        with _kernel(coded):
+            for all_witnesses in (False, True):
+                got = _engine(equations, axes, eqs, all_witnesses)
+                assert got == _reference(rows, eqs, all_witnesses)
+        assert got[1]
 
 
 def test_coded_lookup_reads_each_present_key_once():
@@ -346,21 +376,34 @@ def test_coded_lookup_reads_each_present_key_once():
     inc = lift(total)
     shifted = lift({key: (value + 1) % 4 for key, value in total.items()})
     half = lift({v: v % 2 for v in IDS})
-    for name, legs, want in (
+    five = lift({v: v % 5 for v in range(6)})
+    listed = lift({v: [v % 5] for v in range(6)})
+    for name, axes, legs, want in (
             # Both arguments span all three axes: 4 of the 16 keys occur, in
             # 64 rows.
-            ("shared", lambda a, b, c: [(lift(record)(inc(a, b, c),
-                                                      shifted(a, b, c)),
-                                         inc(a, b, c))],
+            ("shared", [IDS] * 3,
+             lambda a, b, c: [(lift(record)(inc(a, b, c), shifted(a, b, c)),
+                               inc(a, b, c))],
              [(0, 1), (1, 2), (2, 3), (3, 0)]),
             # Arguments on disjoint axes meet in every combination.
-            ("disjoint", lambda a, b, c: [(lift(record)(half(a), half(c)),
-                                           half(a))],
-             list(product(range(2), repeat=2)))):
+            ("disjoint", [IDS] * 3,
+             lambda a, b, c: [(lift(record)(half(a), half(c)), half(a))],
+             list(product(range(2), repeat=2))),
+            # Four arguments on disjoint axes: 625 keys over 1,296 rows, read
+            # once each in two groups of two.
+            ("wide", [range(6)] * 4,
+             lambda a, b, c, d: [(lift(record)(five(a), five(b), five(c),
+                                               five(d)), five(a))],
+             list(product(range(5), repeat=4))),
+            # The same keys with unhashable values, laid out once per row.
+            ("unhashable", [range(6)] * 4,
+             lambda a, b, c, d: [(lift(lambda key: [record(key)])(
+                 five(a), five(b), five(c), five(d)), listed(a))],
+             list(product(range(5), repeat=4)))):
         calls.clear()
         b = ReportBuilder()
         with _kernel(True):
-            b.family(name, *equations([IDS] * 3, legs))
+            b.family(name, *equations(axes, legs))
         assert b.report().ok
         assert calls == want
 

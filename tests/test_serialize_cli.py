@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from enrichkit import cli
 from enrichkit.cli import CONSTRUCTIONS, main
 from enrichkit.errors import DanglingReference, ParseError
-from enrichkit.instances import Bounds, bool_poset, random_instance, zmod2
+from enrichkit.instances import Bounds, bool_poset, random_instance
 from enrichkit.serialize import (LEVELS, Tower, _resolve, dumps, load, loads,
                                  tower_to_document)
 
@@ -47,16 +47,13 @@ def test_round_trip_byte_stability(corpus_dir, p3cubed, tmp_path):
         assert dumps(load(path)) == path.read_text()
 
 
-BASES = {"bool2": bool_poset(2), "zmod3": zmod2(3)}
-
-
 @settings(max_examples=20)
-@given(base=st.sampled_from(sorted(BASES)), seed=st.integers(0, 1000))
-def test_filed_random_instances_round_trip(base, seed):
+@given(base=st.sampled_from(["bool2", "zmod3"]), seed=st.integers(0, 1000))
+def test_filed_random_instances_round_trip(bool2, zmod3, base, seed):
     # One random structure at every level, each from its own seed, filed
     # with its frame into one tower: every section's codec, the pasting's
     # three slot groups included, writes what it reads.
-    tower = Tower(BASES[base])
+    tower = Tower({"bool2": bool2, "zmod3": zmod3}[base])
     for k, level in enumerate(list(LEVELS)[1:]):
         structure = random_instance(level, seed + k, Bounds(2, 2),
                                     base=tower.base)
