@@ -18,6 +18,15 @@ domain and a legs function over the structure's tables in column form
 (``LiftedTables``), and ``report.equations`` evaluates it a block of rows at
 a time, each lookup only over the row positions it reads.
 
+Tables equal under ``==`` are lifted once and share one column function,
+and each builder returns the lifted tables its legs read.  Within one
+check a family is scanned only when no earlier family of the same kind
+read the same tables; otherwise the scan would repeat that family's
+evaluation row for row, so it is recorded from it
+(``ReportBuilder.repeat``): the same count, and its witnesses renamed.  A
+structure that repeats one symmetric monoidal category at every index, as
+``from_symmetric`` builds, scans each kind of family once.
+
 Associator components are additionally probed for invertibility; a
 non-invertible component is reported as a warning, not a failure, because
 the defining axioms do not demand it (the symmetric construction does).
@@ -87,16 +96,34 @@ class KFoldMonoidal(Record):
 
 
 class LiftedTables:
-    """A structure's lookup tables in column form (see ``report.lift``)."""
+    """A structure's lookup tables in column form (see ``report.lift``).
+
+    Tables of one kind that are equal under ``==`` share one column
+    function, so ``t.tm[2] is t.tm[1]`` when the two tensors agree."""
 
     def __init__(self, v: KFoldMonoidal):
         cat = v.base
         self.comp, self.dom, self.cod, self.idm = (
             lift(table) for table in (cat.comp, cat.dom, cat.cod, cat.identity))
-        self.to = {i: lift(t) for i, t in v.tensor_obj_table.items()}
-        self.tm = {i: lift(t) for i, t in v.tensor_mor_table.items()}
-        self.al = {i: lift(t) for i, t in v.assoc_table.items()}
-        self.eta = {ij: lift(t) for ij, t in v.interchange_table.items()}
+        self.to = _lift_distinct(v.tensor_obj_table)
+        self.tm = _lift_distinct(v.tensor_mor_table)
+        self.al = _lift_distinct(v.assoc_table)
+        self.eta = _lift_distinct(v.interchange_table)
+
+
+def _lift_distinct(tables: dict) -> dict:
+    """``tables`` lifted, each compared only with the earlier distinct
+    ones, and lifted once per distinct table."""
+    lifted, distinct = {}, []
+    for key, table in tables.items():
+        for other, column in distinct:
+            if other == table:
+                break
+        else:
+            column = lift(table)
+            distinct.append((table, column))
+        lifted[key] = column
+    return lifted
 
 
 def _require_tables(v: KFoldMonoidal) -> None:
@@ -142,8 +169,9 @@ def _require_tables(v: KFoldMonoidal) -> None:
 
 
 def _tensor_diagrams(t: LiftedTables, i: int, cat: FinCategory, unit: str,
-                     objs: list, mors: list) -> list:
-    """(name, axes, legs) of every diagram of tensor i and its associator."""
+                     objs: list, mors: list) -> tuple:
+    """The lifted tables read, and (name, axes, legs) of every diagram of
+    tensor i and its associator."""
     comp, dom, cod, idm = t.comp, t.dom, t.cod, t.idm
     to, tm, al = t.to[i], t.tm[i], t.al[i]
     units, ids = const(unit), const(cat.identity[unit])
@@ -182,7 +210,7 @@ def _tensor_diagrams(t: LiftedTables, i: int, cat: FinCategory, unit: str,
         bot = comp(al(a, y, to(z, w)), al(to(a, y), z, w))
         return [(top, bot)]
 
-    return [
+    return (to, tm, al), [
         (f"tensor-identity[{i}]", [objs] * 2, identity),
         (f"tensor-boundary[{i}]", [mors] * 2, boundary),
         (f"tensor-composition[{i}]", [pairs] * 2, composition),
@@ -195,8 +223,9 @@ def _tensor_diagrams(t: LiftedTables, i: int, cat: FinCategory, unit: str,
 
 
 def _interchange_diagrams(t: LiftedTables, i: int, j: int, unit: str,
-                          objs: list, mors: list) -> list:
-    """(name, axes, legs) of every diagram of the interchange eta_ij."""
+                          objs: list, mors: list) -> tuple:
+    """The lifted tables read, and (name, axes, legs) of every diagram of
+    the interchange eta_ij."""
     comp, dom, cod, idm = t.comp, t.dom, t.cod, t.idm
     to_i, tm_i, al_i = t.to[i], t.tm[i], t.al[i]
     to_j, tm_j, al_j = t.to[j], t.tm[j], t.al[j]
@@ -243,7 +272,7 @@ def _interchange_diagrams(t: LiftedTables, i: int, j: int, unit: str,
         return [(lhs, rhs)]
 
     ij = f"[{i},{j}]"
-    return [
+    return (to_i, tm_i, al_i, to_j, tm_j, al_j, eta), [
         (f"eta-boundary{ij}", [objs] * 4, boundary),
         (f"eta-internal-unit{ij}", [objs] * 2, internal_unit),
         (f"eta-external-unit{ij}", [objs] * 2, external_unit),
@@ -254,7 +283,8 @@ def _interchange_diagrams(t: LiftedTables, i: int, j: int, unit: str,
 
 
 def _hexagon(t: LiftedTables, i: int, j: int, k: int, objs: list) -> tuple:
-    """(name, axes, legs) of the hexagon of the index triple i < j < k."""
+    """The lifted tables read, and (name, axes, legs) of the hexagon of the
+    index triple i < j < k."""
     comp = t.comp
     to_i, to_j, to_k = t.to[i], t.to[j], t.to[k]
     tm_i, tm_j, tm_k = t.tm[i], t.tm[j], t.tm[k]
@@ -272,7 +302,14 @@ def _hexagon(t: LiftedTables, i: int, j: int, k: int, objs: list) -> tuple:
                                  to_k(c, c2), to_k(d, d2))))
         return [(left, right)]
 
-    return f"hexagon[{i},{j},{k}]", [objs] * 8, legs
+    reads = (to_i, to_j, to_k, tm_i, tm_j, tm_k, eta_ij, eta_ik, eta_jk)
+    return reads, [(f"hexagon[{i},{j},{k}]", [objs] * 8, legs)]
+
+
+def _family_key(name: str, reads: tuple) -> tuple:
+    """Families of one check with equal keys evaluate the same legs over
+    the same tables: the kind of diagram, and the lifted tables read."""
+    return name.split("[")[0], reads
 
 
 def check_kfold(v: KFoldMonoidal, *,
@@ -291,15 +328,20 @@ def check_kfold(v: KFoldMonoidal, *,
     t = LiftedTables(v)
     indices = range(1, v.n + 1)
 
-    diagrams = []
-    for i in indices:
-        diagrams += _tensor_diagrams(t, i, cat, v.unit, objs, mors)
-    for i, j in sorted(v.interchange_table):
-        diagrams += _interchange_diagrams(t, i, j, v.unit, objs, mors)
-    diagrams += [_hexagon(t, i, j, k, objs)
+    builders = [_tensor_diagrams(t, i, cat, v.unit, objs, mors)
+                for i in indices]
+    builders += [_interchange_diagrams(t, i, j, v.unit, objs, mors)
+                 for i, j in sorted(v.interchange_table)]
+    builders += [_hexagon(t, i, j, k, objs)
                  for i, j, k in combinations(indices, 3)]
-    for name, axes, legs in diagrams:
-        b.family(name, *equations(axes, legs))
+    scanned = {}
+    for reads, diagrams in builders:
+        for name, axes, legs in diagrams:
+            earlier = scanned.setdefault(_family_key(name, reads), name)
+            if earlier == name:
+                b.family(name, *equations(axes, legs))
+            else:
+                b.repeat(name, earlier)
     if v.n < 3:
         b.vacuous("hexagon")
 

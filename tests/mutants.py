@@ -95,6 +95,18 @@ MUTANTS = (
            "to_j, tm_j, al_j = t.to[j], t.tm[i], t.al[j]",
            "tests/test_vcat.py::"
            "test_vcat_associator_and_interchange_on_a_non_replicated_base"),
+    # Families keyed by fewer tables than their legs read: a hexagon, or a
+    # tensor's families, shared with an earlier one whose other tables
+    # agree although an interchange, or the associator, differs.
+    Mutant("kfold-hexagon-reads", "src/enrichkit/kfold.py",
+           "tm_i, tm_j, tm_k, eta_ij, eta_ik, eta_jk)",
+           "tm_i, tm_j, tm_k, eta_ij, eta_ik)",
+           "tests/test_kfold.py::"
+           "test_shared_families_report_as_their_scans[z4k4]"),
+    Mutant("kfold-tensor-reads", "src/enrichkit/kfold.py",
+           "return (to, tm, al), [",
+           "return (to, tm), [",
+           "tests/test_acceptance.py::test_criterion_7_mutation_sensitivity"),
     # A saved product reference with its factors in reverse order.
     Mutant("reference-factors", "src/enrichkit/serialize.py",
            '"factors": refs}}',

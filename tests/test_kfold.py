@@ -3,13 +3,14 @@ from unittest import mock
 
 import pytest
 
-from enrichkit import report
+from enrichkit import kfold, report
 from enrichkit.errors import IndexOutOfRange, MalformedTable, UnknownObject
 from enrichkit.kfold import KFoldMonoidal, check_kfold
 from enrichkit.instances import bool_poset, from_symmetric, zmod2
+from enrichkit.report import ReportBuilder
 
-from helpers import (add2, idempotent_monoid_category, meet, rewire,
-                     thin_morphism, zmod_symmetric)
+from helpers import (add2, capped_chain, idempotent_monoid_category, meet,
+                     rewire, thin_morphism, zmod_symmetric)
 
 
 def test_tensor_obj_meet_table(bool2):
@@ -229,3 +230,81 @@ def test_coded_and_list_kernels_report_alike_on_a_mutated_zmod4_tower():
             assert reports[0] == reports[1] == reports[2]
             assert "hexagon[1,2,3]" in reports[0].failing_families()
         assert len(reports[0].witnesses) > len(reports[0].failing_families())
+
+
+# -- families over equal tables share one scan ----------------------------------
+
+def _unshared():
+    """Every family keyed apart, so each one is scanned."""
+    return mock.patch.object(kfold, "_family_key", lambda name, reads: name)
+
+
+def _scanned(v):
+    """check_kfold's report on ``v`` and its number of family scans."""
+    with mock.patch.object(kfold, "equations", wraps=kfold.equations) as scans:
+        rep = check_kfold(v)
+    return rep, scans.call_count
+
+
+def _edited(v, field, index):
+    """``v`` with the last entry of ``field[index]`` redirected to the first
+    id of its kind that differs from it."""
+    tables = {name: getattr(v, name) for name in (
+        "tensor_obj_table", "tensor_mor_table", "assoc_table",
+        "interchange_table")}
+    table = tables[field][index]
+    key = max(table)
+    ids = v.base.objects if field == "tensor_obj_table" else v.base.morphisms
+    value = min(x for x in ids if x != table[key])
+    tables[field] = {**tables[field], index: rewire(table, key, value)}
+    return KFoldMonoidal(v.base, v.n, v.unit, **tables)
+
+
+EDITS = (("tensor_obj_table", 2), ("tensor_mor_table", 2), ("assoc_table", 3),
+         ("interchange_table", (1, 3)), ("interchange_table", (2, 3)))
+
+
+@pytest.mark.parametrize("base", ["z3k3", "z4k4", "bool3"])
+def test_shared_families_report_as_their_scans(base):
+    v = {"z3k3": lambda: from_symmetric(zmod_symmetric(3), 3),
+         "z4k4": lambda: from_symmetric(zmod_symmetric(4), 4),
+         "bool3": lambda: bool_poset(3)}[base]()
+    for field, index in EDITS:
+        edited = _edited(v, field, index)
+        for all_witnesses in (False, True):
+            rep = check_kfold(edited, all_witnesses=all_witnesses)
+            with _unshared():
+                scanned = check_kfold(edited, all_witnesses=all_witnesses)
+            assert not rep.ok
+            assert rep == scanned, (field, index, all_witnesses)
+            assert list(rep.families) == list(scanned.families)
+
+
+def test_equal_tables_are_scanned_once():
+    v = from_symmetric(zmod_symmetric(4), 4)
+    t = kfold.LiftedTables(v)
+    assert t.tm[2] is t.tm[1] and t.eta[(2, 3)] is t.eta[(1, 2)]
+    rep, scans = _scanned(v)
+    with _unshared():
+        scanned, every = _scanned(v)
+    # 8 tensor families, 6 interchange families and the hexagon, against 8
+    # per tensor, 6 per interchange and one per index triple.
+    assert (scans, every) == (15, 72)
+    assert rep.ok and rep == scanned
+
+
+def test_families_over_differing_tables_are_scanned_apart():
+    # Tensor 1 is truncated addition and tensors 2 and 3 are max, so only
+    # the families of the second and third tensor, and of eta_12 and eta_13,
+    # read equal tables.
+    v = capped_chain(2, 3)
+    with mock.patch.object(ReportBuilder, "repeat", autospec=True,
+                           side_effect=ReportBuilder.repeat) as repeat:
+        rep = check_kfold(v)
+    shared = {name: earlier
+              for _, name, earlier in (c.args for c in repeat.call_args_list)}
+    want = {f"{fam}[3]": f"{fam}[2]" for fam in TENSOR_ARITY}
+    want.update({f"{fam}[1,3]": f"{fam}[1,2]" for fam in ETA_ARITY})
+    assert shared == want
+    with _unshared():
+        assert check_kfold(v) == rep

@@ -84,13 +84,22 @@ def test_lift_propagates_missing_keys():
             (("b",), "<undefined>", "gf")]
 
 
-def test_equations_failure_in_a_later_chunk_counts_its_global_index():
-    k = CHUNK + 5
-    half = CHUNK // 2
+@pytest.fixture
+def small_chunk(monkeypatch):
+    """Blocks of at most 2^10 rows: a test of block boundaries needs two
+    or three blocks, not blocks of the shipped size."""
+    monkeypatch.setattr(report, "CHUNK", 1 << 10)
+
+
+def test_equations_failure_in_a_later_chunk_counts_its_global_index(
+        small_chunk):
+    chunk = report.CHUNK
+    k = chunk + 5
+    half = chunk // 2
     index = {(i, j): i * half + j for i in range(4) for j in range(half)}
     marked = dict(index)
     marked[(2, 5)] = -1
-    ident = {n: n for n in range(2 * CHUNK)}
+    ident = {n: n for n in range(2 * chunk)}
     b = ReportBuilder()
     # Blocks of CHUNK / 2 rows with the first axis fixed; row (2, 5) is
     # global row CHUNK + 5.
@@ -99,7 +108,7 @@ def test_equations_failure_in_a_later_chunk_counts_its_global_index():
         lambda i, j: [(lift(index)(i, j), lift(marked)(i, j))]))
     # CHUNK rows pulled at a time.
     b.family("late-rows", *row_equations(
-        ((n,) for n in range(2 * CHUNK)),
+        ((n,) for n in range(2 * chunk)),
         lambda n: [(lift(ident)(n), lift({**ident, k: -1})(n))]))
     rep = b.report()
     assert rep.families == {"late": k + 1, "late-rows": k + 1}
@@ -124,9 +133,9 @@ def test_equations_undefined_lhs_fails_even_against_undefined_rhs():
     assert _witnesses(rep) == [(("y",), "<undefined>", "<undefined>")]
 
 
-def test_equations_all_witnesses_counts_every_row_in_order():
+def test_equations_all_witnesses_counts_every_row_in_order(small_chunk):
     b = ReportBuilder(all_witnesses=True)
-    n = 2 * CHUNK + 3
+    n = 2 * report.CHUNK + 3
     b.family("odd", *row_equations(((k,) for k in range(n)), _parity_legs(n)))
     rep = b.report()
     assert rep.families["odd"] == n
@@ -145,16 +154,18 @@ def test_equations_over_an_empty_domain_records_zero():
                                    "empty-rows": 0}
 
 
-def test_row_equations_stop_pulling_after_the_failing_block():
+def test_row_equations_stop_pulling_after_the_failing_block(small_chunk):
+    chunk = report.CHUNK
+
     def rows():
-        for n in range(3 * CHUNK):
-            if n >= 2 * CHUNK:
+        for n in range(3 * chunk):
+            if n >= 2 * chunk:
                 raise AssertionError(f"row {n} pulled past the failing block")
             yield (n,)
-    marked = lift({n: -1 if n == CHUNK + 1 else n for n in range(2 * CHUNK)})
+    marked = lift({n: -1 if n == chunk + 1 else n for n in range(2 * chunk)})
     b = ReportBuilder()
     b.family("second", *row_equations(rows(), lambda n: [(n, marked(n))]))
-    assert b.report().families["second"] == CHUNK + 2
+    assert b.report().families["second"] == chunk + 2
 
 
 # -- broadcasting against a row-by-row reference --------------------------------
@@ -419,6 +430,23 @@ def test_coded_legs_over_a_byte_of_distinct_values():
     assert rep.families["wide"] == 4096
     assert _witnesses(rep) == [((255, y), "<undefined>", "<undefined>")
                                for y in range(16)]
+
+
+def test_coded_legs_undefined_in_the_same_row_fail():
+    # Two axes of 64 ids make one block of CODED_ROWS rows, which is coded.
+    # Both legs are undefined at (5, 7) only: the row fails there, although
+    # the two legs' codes agree.
+    side = 64
+    assert side * side >= report.CODED_ROWS
+    total = {key: sum(key) % 7 for key in product(range(side), repeat=2)
+             if key != (5, 7)}
+    lhs, rhs = lift(total), lift(lambda key: total.get(key))
+    b = ReportBuilder()
+    b.family("undef", *equations([range(side)] * 2,
+                                 lambda x, y: [(lhs(x, y), rhs(x, y))]))
+    rep = b.report()
+    assert rep.families["undef"] == 5 * side + 8
+    assert _witnesses(rep) == [((5, 7), "<undefined>", "<undefined>")]
 
 
 # -- records ----------------------------------------------------------------------
