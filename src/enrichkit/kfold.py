@@ -23,13 +23,16 @@ and each builder returns the lifted tables its legs read.  Within one
 check a family is scanned only when no earlier family of the same kind
 read the same tables; otherwise the scan would repeat that family's
 evaluation row for row, so it is recorded from it
-(``ReportBuilder.repeat``): the same count, and its witnesses renamed.  A
+(``ReportBuilder.replay``): the same count, and its witnesses renamed.  A
 structure that repeats one symmetric monoidal category at every index, as
-``from_symmetric`` builds, scans each kind of family once.
+``from_symmetric`` builds, scans each kind of family once.  Likewise a
+table is required complete only when no earlier table of its kind equals
+it.
 
-Associator components are additionally probed for invertibility; a
-non-invertible component is reported as a warning, not a failure, because
-the defining axioms do not demand it (the symmetric construction does).
+Associator components are additionally probed for invertibility, once per
+component morphism; a non-invertible component is reported as a warning,
+not a failure, because the defining axioms do not demand it (the
+symmetric construction does).
 """
 from __future__ import annotations
 
@@ -133,32 +136,52 @@ def _require_tables(v: KFoldMonoidal) -> None:
         raise MalformedTable("need at least one tensor")
     if v.unit not in cat.objects:
         raise MalformedTable(f"unit object {v.unit!r} is unknown")
+    # A table equal to an earlier one of its kind passes as that one did.
+    required = []
+
+    def fresh(kind: str, table: dict) -> bool:
+        if (kind, table) in required:
+            return False
+        required.append((kind, table))
+        return True
+
     for i in range(1, v.n + 1):
         if i not in v.tensor_obj_table or i not in v.tensor_mor_table:
             raise MalformedTable(f"missing tensor tables for index {i}")
         if i not in v.assoc_table:
             raise MalformedTable(f"missing associator table for index {i}")
-        for a, b in product(objs, repeat=2):
-            if (a, b) not in v.tensor_obj_table[i]:
-                raise MalformedTable(f"tensor_{i} missing object entry ({a}, {b})")
-            if v.tensor_obj_table[i][(a, b)] not in cat.objects:
-                raise MalformedTable(f"tensor_{i}({a}, {b}) is an unknown object")
-        for f, g in product(mors, repeat=2):
-            if (f, g) not in v.tensor_mor_table[i]:
-                raise MalformedTable(f"tensor_{i} missing morphism entry ({f}, {g})")
-            if v.tensor_mor_table[i][(f, g)] not in cat.morphisms:
-                raise MalformedTable(f"tensor_{i}({f}, {g}) is an unknown morphism")
-        for key in product(objs, repeat=3):
-            if key not in v.assoc_table[i]:
-                raise MalformedTable(f"associator_{i} missing component at {key}")
-            if v.assoc_table[i][key] not in cat.morphisms:
-                raise MalformedTable(f"associator_{i}{key} is an unknown morphism")
+        if fresh("tensor_obj", v.tensor_obj_table[i]):
+            for a, b in product(objs, repeat=2):
+                if (a, b) not in v.tensor_obj_table[i]:
+                    raise MalformedTable(
+                        f"tensor_{i} missing object entry ({a}, {b})")
+                if v.tensor_obj_table[i][(a, b)] not in cat.objects:
+                    raise MalformedTable(
+                        f"tensor_{i}({a}, {b}) is an unknown object")
+        if fresh("tensor_mor", v.tensor_mor_table[i]):
+            for f, g in product(mors, repeat=2):
+                if (f, g) not in v.tensor_mor_table[i]:
+                    raise MalformedTable(
+                        f"tensor_{i} missing morphism entry ({f}, {g})")
+                if v.tensor_mor_table[i][(f, g)] not in cat.morphisms:
+                    raise MalformedTable(
+                        f"tensor_{i}({f}, {g}) is an unknown morphism")
+        if fresh("assoc", v.assoc_table[i]):
+            for key in product(objs, repeat=3):
+                if key not in v.assoc_table[i]:
+                    raise MalformedTable(
+                        f"associator_{i} missing component at {key}")
+                if v.assoc_table[i][key] not in cat.morphisms:
+                    raise MalformedTable(
+                        f"associator_{i}{key} is an unknown morphism")
     expected = {(i, j) for i in range(1, v.n + 1) for j in range(i + 1, v.n + 1)}
     if set(v.interchange_table) != expected:
         raise MalformedTable(
             f"interchange tables keyed by {sorted(v.interchange_table)}, "
             f"expected {sorted(expected)}")
     for pair_ij, table in v.interchange_table.items():
+        if not fresh("interchange", table):
+            continue
         for key in product(cat.objects, repeat=4):
             if key not in table:
                 raise MalformedTable(
@@ -338,18 +361,19 @@ def check_kfold(v: KFoldMonoidal, *,
     for reads, diagrams in builders:
         for name, axes, legs in diagrams:
             earlier = scanned.setdefault(_family_key(name, reads), name)
-            if earlier == name:
-                b.family(name, *equations(axes, legs))
-            else:
-                b.repeat(name, earlier)
+            b.family(name, *(equations(axes, legs) if earlier == name
+                             else b.replay(earlier)))
     if v.n < 3:
         b.vacuous("hexagon")
 
-    # Invertibility probe: warning-only.
+    # Invertibility probe: warning-only, once per component morphism.
+    invertible = {}
     for i in indices:
         for tri in product(objs, repeat=3):
             m = v.assoc_table[i][tri]
-            if inverse(cat, m) is None:
+            if m not in invertible:
+                invertible[m] = inverse(cat, m) is not None
+            if not invertible[m]:
                 b.warn(f"associator-invertible[{i}]", tri, m, "<no inverse>")
 
     return b.report()

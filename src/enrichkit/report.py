@@ -170,8 +170,6 @@ class ReportBuilder:
     def __init__(self, all_witnesses: bool = False):
         self.all_witnesses = all_witnesses
         self._report = CheckReport()
-        # family -> the slice of the report's witnesses that are its own
-        self._spans = {}
 
     def family(self, name: str, blocks, check) -> None:
         """Evaluate a diagram family a block of instances at a time.
@@ -182,12 +180,6 @@ class ReportBuilder:
         instances evaluated: all of them, or up to and including the first
         failing one when the scan stops early.
         """
-        witnesses = self._report.witnesses
-        start = len(witnesses)
-        self._report.families[name] = self._scan(name, blocks, check)
-        self._spans[name] = slice(start, len(witnesses))
-
-    def _scan(self, name: str, blocks, check) -> int:
         count = 0
         for block in blocks:
             n, failures = check(block)
@@ -195,19 +187,25 @@ class ReportBuilder:
                 self._report.witnesses.append(
                     Witness(name, tuple(inst), _fmt(lhs), _fmt(rhs)))
                 if not self.all_witnesses:
-                    return count + k + 1
+                    self._report.families[name] = count + k + 1
+                    return
             count += n
-        return count
+        self._report.families[name] = count
 
-    def repeat(self, name: str, earlier: str) -> None:
-        """Record family ``name`` as this builder's scan of ``earlier``
-        recorded it: the same count, and the same witnesses, renamed, in
-        order.  That is what scanning ``name`` records when its scan
-        evaluates the same legs over the same rows."""
+    def replay(self, earlier: str) -> tuple:
+        """``(blocks, check)`` with which ``family`` records what the scan
+        of ``earlier`` recorded: the same count, and the same witnesses, in
+        order, under the new name.  That is what a family's own scan
+        records when it evaluates the same legs over the same rows.
+
+        The rows come back as one block of ``earlier``'s count.  ``family``
+        reads a failure's offset only when it stops there, and a scan that
+        stops does so at its last row."""
         rep = self._report
-        rep.witnesses += [Witness(name, w.instance, w.lhs, w.rhs)
-                          for w in rep.witnesses[self._spans[earlier]]]
-        rep.families[name] = rep.families[earlier]
+        count = rep.families[earlier]
+        failures = [(count - 1, w.instance, w.lhs, w.rhs)
+                    for w in rep.witnesses if w.diagram == earlier]
+        return [count], lambda n: (n, failures)
 
     def vacuous(self, name: str) -> None:
         self._report.families[name] = 0

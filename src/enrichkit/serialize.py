@@ -518,8 +518,9 @@ def _name_of(registry: dict, value, owner: str, slot: str) -> str:
 def _indexed(value, what: str, n: int, width: int, arity: int) -> dict:
     """A base section of per-index tables, each keyed by the one spelling
     of ``width`` increasing indices from 1 to n: "1" to "n", or "i,j".
-    Every such index, or pair, has a table."""
-    out = {}
+    Every such index, or pair, has a table.  Rows equal to an earlier
+    index's are not parsed again: that index's table is copied."""
+    out, parsed = {}, []
     for key, rows in _object(value, what).items():
         index = [int(part) if part.isdecimal() and len(part) < 9 else 0
                  for part in key.split(",")]
@@ -529,8 +530,14 @@ def _indexed(value, what: str, n: int, width: int, arity: int) -> dict:
             raise ParseError(f"{what}.{key}: expected " + (
                 "an index" if width == 1 else '"i,j" with i < j, each')
                 + f" from 1 to {n}")
-        out[tuple(index) if width > 1 else index[0]] = _table(
-            rows, arity, f"{what}.{key}")
+        for earlier, table in parsed:
+            if earlier == rows:
+                table = dict(table)
+                break
+        else:
+            table = _table(rows, arity, f"{what}.{key}")
+            parsed.append((rows, table))
+        out[tuple(index) if width > 1 else index[0]] = table
     for index in combinations(range(1, n + 1), width):
         if (index if width > 1 else index[0]) not in out:
             raise ParseError(f"{what}.{','.join(map(str, index))}: missing")
@@ -637,9 +644,13 @@ def _check_base_ids(base: KFoldMonoidal) -> None:
             (base.tensor_mor_table, known_m, known_m, "morphism in tensor"),
             (base.assoc_table, known_o, known_m, "id in associator"),
             (base.interchange_table, known_o, known_m, "id in interchange")):
+        checked = []
         for table in tables.values():
+            if table in checked:
+                continue
+            checked.append(table)
             for key, val in table.items():
-                if any(x not in keys for x in key) or val not in values:
+                if not keys.issuperset(key) or val not in values:
                     raise DanglingReference(f"base: unknown {what} row {key}")
 
 

@@ -112,6 +112,25 @@ MUTANTS = (
            '"factors": refs}}',
            '"factors": refs[::-1]}}',
            "tests/test_serialize_cli.py::test_round_trip_byte_stability"),
+    # Per-index tables taken as equal to an earlier index's when they are
+    # not: rows copied from an earlier index whose rows have as many
+    # entries, and only the first table of a kind required whole, or
+    # checked for unknown ids on load.
+    Mutant("indexed-rows", "src/enrichkit/serialize.py",
+           "if earlier == rows:",
+           "if len(earlier) == len(rows):",
+           "tests/test_acceptance.py::test_criterion_7_mutation_sensitivity"),
+    Mutant("kfold-required", "src/enrichkit/kfold.py",
+           "if (kind, table) in required:",
+           "if required:",
+           "tests/test_kfold.py::"
+           "test_a_table_unlike_the_earlier_ones_is_required_whole"
+           "[tensor_obj]"),
+    Mutant("base-ids-checked", "src/enrichkit/serialize.py",
+           "if table in checked:",
+           "if checked:",
+           "tests/test_serialize_cli.py::"
+           "test_equal_index_tables_are_parsed_once_and_loaded_apart"),
     # The thin bases' tensor of morphisms read at the domains only: a no-op
     # over the discrete zmod2, but bool_poset then raises NotSymmetric.
     # (Reading a symmetry component at its source, or an associator's, is

@@ -1,4 +1,5 @@
 from itertools import combinations
+import re
 from unittest import mock
 
 import pytest
@@ -160,6 +161,12 @@ def test_noninvertible_associator_is_warning_only():
     rep = check_kfold(v)
     assert rep.ok
     assert any(w.diagram == "associator-invertible[1]" for w in rep.warnings)
+    # The same component at a second index is probed once and warned at both.
+    twice = KFoldMonoidal(cat, 2, "*", *({1: t[1], 2: dict(t[1])} for t in (
+        v.tensor_obj_table, v.tensor_mor_table, v.assoc_table)),
+        {(1, 2): {("*",) * 4: "e"}})
+    assert [w.diagram for w in check_kfold(twice).warnings] == [
+        "associator-invertible[1]", "associator-invertible[2]"]
 
 
 def test_missing_table_entry_is_malformed(bool2):
@@ -172,6 +179,27 @@ def test_missing_table_entry_is_malformed(bool2):
                             v.interchange_table)
     with pytest.raises(MalformedTable):
         check_kfold(mutated)
+
+
+@pytest.mark.parametrize("field, index, message", [
+    ("tensor_obj_table", 2, "tensor_2 missing object entry"),
+    ("tensor_mor_table", 3, "tensor_3 missing morphism entry"),
+    ("assoc_table", 2, "associator_2 missing component"),
+    ("interchange_table", (2, 3), "interchange_(2, 3) missing component")],
+    ids=["tensor_obj", "tensor_mor", "assoc", "interchange"])
+def test_a_table_unlike_the_earlier_ones_is_required_whole(field, index,
+                                                           message):
+    # Index 1's tables pass; an equal table passes as they did, and a later
+    # one missing an entry is still found and named.
+    v = from_symmetric(zmod_symmetric(3), 3)
+    tables = {name: dict(getattr(v, name)) for name in (
+        "tensor_obj_table", "tensor_mor_table", "assoc_table",
+        "interchange_table")}
+    broken = dict(tables[field][index])
+    del broken[max(broken)]
+    tables[field][index] = broken
+    with pytest.raises(MalformedTable, match=re.escape(message)):
+        check_kfold(KFoldMonoidal(v.base, v.n, v.unit, **tables))
 
 
 def test_check_covers_expected_families(zmod3):
@@ -298,11 +326,21 @@ def test_families_over_differing_tables_are_scanned_apart():
     # the families of the second and third tensor, and of eta_12 and eta_13,
     # read equal tables.
     v = capped_chain(2, 3)
-    with mock.patch.object(ReportBuilder, "repeat", autospec=True,
-                           side_effect=ReportBuilder.repeat) as repeat:
+    family, replay = ReportBuilder.family, ReportBuilder.replay
+    calls, shared = [], {}
+
+    def replaying(b, earlier):
+        calls.append(earlier)
+        return replay(b, earlier)
+
+    def recording(b, name, blocks, check):
+        if calls:
+            shared[name] = calls.pop()
+        family(b, name, blocks, check)
+
+    with mock.patch.object(ReportBuilder, "replay", replaying), \
+            mock.patch.object(ReportBuilder, "family", recording):
         rep = check_kfold(v)
-    shared = {name: earlier
-              for _, name, earlier in (c.args for c in repeat.call_args_list)}
     want = {f"{fam}[3]": f"{fam}[2]" for fam in TENSOR_ARITY}
     want.update({f"{fam}[1,3]": f"{fam}[1,2]" for fam in ETA_ARITY})
     assert shared == want

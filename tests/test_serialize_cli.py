@@ -73,6 +73,45 @@ def test_load_shares_one_string_per_id(corpus_dir):
     assert all(m is morphisms[m] for m in vc.comp.values())
 
 
+def test_equal_index_tables_are_parsed_once_and_loaded_apart(corpus_dir,
+                                                             monkeypatch):
+    # zmod3 repeats one tensor at every index; with index 2's tensor and
+    # interchange (2,3) edited, each distinct row list is parsed once, and
+    # every index still gets a table of its own with its own rows.
+    from enrichkit import serialize
+    doc = json.loads((corpus_dir / "zmod3.json").read_text())
+    base = doc["base"]
+    for section, key, ids in (("tensor_obj", "2", base["objects"]),
+                              ("interchange", "2,3", base["morphisms"])):
+        row = base[section][key][-1]
+        row[-1] = next(x for x in ids if x != row[-1])
+    parsed, table = [], serialize._table
+
+    def spy(rows, arity, what):
+        parsed.append(what)
+        return table(rows, arity, what)
+    monkeypatch.setattr(serialize, "_table", spy)
+    v = loads(json.dumps(doc)).base
+    assert [what for what in parsed
+            if what.startswith("base.") and what.count(".") == 2] == [
+        "base.tensor_obj.1", "base.tensor_obj.2", "base.tensor_mor.1",
+        "base.assoc.1", "base.interchange.1,2", "base.interchange.2,3"]
+    for section, tables in (("tensor_obj", v.tensor_obj_table),
+                            ("interchange", v.interchange_table)):
+        for key, rows in base[section].items():
+            index = tuple(map(int, key.split(",")))
+            got = tables[index if len(index) > 1 else index[0]]
+            assert got == {tuple(row[:-1]): row[-1] for row in rows}
+    assert v.tensor_obj_table[3] == v.tensor_obj_table[1]
+    assert v.tensor_obj_table[3] is not v.tensor_obj_table[1]
+    assert v.interchange_table[(1, 3)] is not v.interchange_table[(1, 2)]
+    assert v.tensor_obj_table[2] != v.tensor_obj_table[1]
+    # An unknown id in a table unlike the earlier ones is still found.
+    base["interchange"]["2,3"][-1][-1] = "ghost"
+    with pytest.raises(DanglingReference, match="interchange row"):
+        loads(json.dumps(doc))
+
+
 @pytest.fixture(scope="module")
 def p3cubed(corpus_dir):
     """The associator of P3 x P3 x P3, constructed and saved."""
