@@ -46,6 +46,31 @@ def deloop(p: int) -> KFoldMonoidal:
         {("*", "*"): "g0"}), 2)
 
 
+def grid(d: int, p: int, sign: bool) -> SymmetricMonoidal:
+    """Z/d x B(Z/p): objects a0..a{d-1} under addition mod d, each
+    hom(a, a) the group Z/p (morphisms a<i>g0..a<i>g{p-1}), tensored by
+    adding both parts; the associator is the identity, and the symmetry at
+    (ai, aj) is the element ij mod 2 when ``sign`` (p = 2, d even), else 0."""
+    objs = [f"a{i}" for i in range(d)]
+    mors = {(i, x): f"a{i}g{x}" for i in range(d) for x in range(p)}
+    dom = {m: objs[i] for (i, _), m in mors.items()}
+    cat = FinCategory(
+        set(objs), set(dom), dom, dict(dom),
+        {(mors[i, x], mors[i, y]): mors[i, (x + y) % p]
+         for i in range(d) for x in range(p) for y in range(p)},
+        {a: mors[i, 0] for i, a in enumerate(objs)})
+    return SymmetricMonoidal(
+        cat, "a0",
+        {(objs[i], objs[j]): objs[(i + j) % d]
+         for i in range(d) for j in range(d)},
+        {(f, g): mors[(i + j) % d, (x + y) % p]
+         for (i, x), f in mors.items() for (j, y), g in mors.items()},
+        {(objs[i], objs[j], objs[k]): mors[(i + j + k) % d, 0]
+         for i in range(d) for j in range(d) for k in range(d)},
+        {(objs[i], objs[j]): mors[(i + j) % d, i * j % 2 if sign else 0]
+         for i in range(d) for j in range(d)})
+
+
 def rewire(table: dict, key, value) -> dict:
     """Copy of a table with one entry redirected."""
     out = dict(table)

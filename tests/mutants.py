@@ -89,12 +89,14 @@ MUTANTS = (
            "tests/test_vcat.py::test_colliding_product_ids_are_scanned"),
     # The interchange's diagrams read the second tensor of morphisms at the
     # first index: a no-op over a base that repeats one tensor, as every
-    # shipped base does, so only the capped chain kills it.
+    # shipped base does, so only the chains kill it.  Its boundary
+    # families still pass, so check_kfold certifies the rest and only the
+    # scan sees the failing naturality.
     Mutant("kfold-tensor-index", "src/enrichkit/kfold.py",
            "to_j, tm_j, al_j = t.to[j], t.tm[j], t.al[j]",
            "to_j, tm_j, al_j = t.to[j], t.tm[i], t.al[j]",
-           "tests/test_vcat.py::"
-           "test_vcat_associator_and_interchange_on_a_non_replicated_base"),
+           "tests/test_kfold.py::"
+           "test_certificate_reports_as_the_scan_on_thin_bases[capped]"),
     # Families keyed by fewer tables than their legs read: a hexagon, or a
     # tensor's families, shared with an earlier one whose other tables
     # agree although an interchange, or the associator, differs.
@@ -106,6 +108,15 @@ MUTANTS = (
     Mutant("kfold-tensor-reads", "src/enrichkit/kfold.py",
            "return (to, tm, al), [",
            "return (to, tm), [",
+           "tests/test_acceptance.py::test_criterion_7_mutation_sensitivity"),
+    # Every base taken as thin: a non-thin base whose boundary families
+    # pass is certified, and its failing equality family goes unseen (the
+    # Z/2 loop's tensor-composition first; also the grid's pentagon, in
+    # tests/test_kfold.py::test_non_thin_bases_are_scanned).
+    Mutant("thin-any-base", "src/enrichkit/kfold.py",
+           "return len({(cat.dom[m], cat.cod[m])\n"
+           "                for m in cat.morphisms}) == len(cat.morphisms)",
+           "return True",
            "tests/test_acceptance.py::test_criterion_7_mutation_sensitivity"),
     # A saved product reference with its factors in reverse order.
     Mutant("reference-factors", "src/enrichkit/serialize.py",

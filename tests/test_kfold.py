@@ -1,3 +1,4 @@
+from functools import partial
 from itertools import combinations
 import re
 from unittest import mock
@@ -6,12 +7,13 @@ import pytest
 
 from enrichkit import kfold, report
 from enrichkit.errors import IndexOutOfRange, MalformedTable, UnknownObject
-from enrichkit.kfold import KFoldMonoidal, check_kfold
+from enrichkit.kfold import KFoldMonoidal, _scan_kfold, check_kfold
 from enrichkit.instances import bool_poset, from_symmetric, zmod2
 from enrichkit.report import ReportBuilder
 
-from helpers import (add2, capped_chain, idempotent_monoid_category, meet,
-                     rewire, thin_morphism, zmod_symmetric)
+from helpers import (add2, capped_chain, chain, chain_d, chain_m, deloop, grid,
+                     idempotent_monoid_category, meet, outcome, rewire,
+                     thin_morphism, zmod_symmetric)
 
 
 def test_tensor_obj_meet_table(bool2):
@@ -267,10 +269,10 @@ def _unshared():
     return mock.patch.object(kfold, "_family_key", lambda name, reads: name)
 
 
-def _scanned(v):
-    """check_kfold's report on ``v`` and its number of family scans."""
+def _scanned(check, v):
+    """``check``'s report on ``v`` and its number of family scans."""
     with mock.patch.object(kfold, "equations", wraps=kfold.equations) as scans:
-        rep = check_kfold(v)
+        rep = check(v)
     return rep, scans.call_count
 
 
@@ -300,9 +302,9 @@ def test_shared_families_report_as_their_scans(base):
     for field, index in EDITS:
         edited = _edited(v, field, index)
         for all_witnesses in (False, True):
-            rep = check_kfold(edited, all_witnesses=all_witnesses)
+            rep = _scan_kfold(edited, all_witnesses=all_witnesses)
             with _unshared():
-                scanned = check_kfold(edited, all_witnesses=all_witnesses)
+                scanned = _scan_kfold(edited, all_witnesses=all_witnesses)
             assert not rep.ok
             assert rep == scanned, (field, index, all_witnesses)
             assert list(rep.families) == list(scanned.families)
@@ -312,9 +314,9 @@ def test_equal_tables_are_scanned_once():
     v = from_symmetric(zmod_symmetric(4), 4)
     t = kfold.LiftedTables(v)
     assert t.tm[2] is t.tm[1] and t.eta[(2, 3)] is t.eta[(1, 2)]
-    rep, scans = _scanned(v)
+    rep, scans = _scanned(_scan_kfold, v)
     with _unshared():
-        scanned, every = _scanned(v)
+        scanned, every = _scanned(_scan_kfold, v)
     # 8 tensor families, 6 interchange families and the hexagon, against 8
     # per tensor, 6 per interchange and one per index triple.
     assert (scans, every) == (15, 72)
@@ -340,9 +342,67 @@ def test_families_over_differing_tables_are_scanned_apart():
 
     with mock.patch.object(ReportBuilder, "replay", replaying), \
             mock.patch.object(ReportBuilder, "family", recording):
-        rep = check_kfold(v)
+        rep = _scan_kfold(v)
     want = {f"{fam}[3]": f"{fam}[2]" for fam in TENSOR_ARITY}
     want.update({f"{fam}[1,3]": f"{fam}[1,2]" for fam in ETA_ARITY})
     assert shared == want
     with _unshared():
-        assert check_kfold(v) == rep
+        assert _scan_kfold(v) == rep
+
+
+# -- thin bases are decided by their boundary families ---------------------------
+
+THIN = {"bool2": lambda: bool_poset(2), "bool3": lambda: bool_poset(3),
+        "zmod3": lambda: zmod2(3),
+        "z3k3": lambda: from_symmetric(zmod_symmetric(3), 3),
+        "z4k4": lambda: from_symmetric(zmod_symmetric(4), 4),
+        "capped": lambda: capped_chain(2, 3),
+        "m_max": lambda: chain(3, chain_m, max),
+        "dm_max": lambda: chain(3, chain_d, chain_m, max)}
+
+
+def _same_outcome(v):
+    """check_kfold's report on ``v`` is the scan's, in both witness modes."""
+    for all_witnesses in (False, True):
+        assert outcome(partial(check_kfold, all_witnesses=all_witnesses), v) \
+            == outcome(partial(_scan_kfold, all_witnesses=all_witnesses), v)
+
+
+@pytest.mark.parametrize("base", sorted(THIN))
+def test_certificate_reports_as_the_scan_on_thin_bases(base):
+    v = THIN[base]()
+    assert kfold._thin(v.base)
+    _same_outcome(v)
+    if v.n >= 3:
+        for field, index in EDITS:
+            _same_outcome(_edited(v, field, index))
+
+
+def test_a_thin_base_scans_only_its_boundary_families():
+    v = from_symmetric(zmod_symmetric(4), 4)
+    _, scans = _scanned(check_kfold, v)
+    with _unshared():
+        _, every = _scanned(check_kfold, v)
+    # One scan per boundary kind, against 4 tensor-boundary, 4
+    # associator-boundary, 4 unit-strict-object and 6 eta-boundary.
+    assert (scans, every) == (4, 18)
+
+
+def test_non_thin_bases_are_scanned():
+    v = from_symmetric(grid(4, 2, sign=True), 3)
+    assert not kfold._thin(v.base) and not kfold._thin(deloop(2).base)
+    assert check_kfold(v).ok
+    _same_outcome(v)
+    _same_outcome(deloop(2))
+    # The index-1 associator component at (a1, a2, a3) moved to the other
+    # element of hom(a2, a2): every boundary still holds, the pentagon
+    # does not.
+    moved = KFoldMonoidal(v.base, v.n, v.unit, v.tensor_obj_table,
+                          v.tensor_mor_table, {**v.assoc_table, 1: rewire(
+                              v.assoc_table[1], ("a1", "a2", "a3"), "a2g1")},
+                          v.interchange_table)
+    rep = check_kfold(moved)
+    assert rep.failing_families() == {
+        "pentagon[1]", "eta-internal-assoc[1,2]", "eta-internal-assoc[1,3]"}
+    assert {fam.split("[")[0] for fam in rep.families} >= set(kfold._BOUNDARY)
+    _same_outcome(moved)

@@ -344,13 +344,18 @@ def test_malformed_input_errors_do_not_depend_on_the_hash_seed(corpus_dir,
     doc = json.loads((corpus_dir / "bool2.json").read_text())
     del doc["base"]["dom"]["id_bot"], doc["base"]["dom"]["u"]
     (tmp_path / "no_dom.json").write_text(json.dumps(doc))
-    runs = {"no_diagonal.json": set(), "no_dom.json": set(), "preorder": set()}
+    doc = json.loads((corpus_dir / "bool3.json").read_text())
+    rows = doc["base"]["interchange"]["1,2"]
+    rows[:] = rows[1:-1]
+    (tmp_path / "no_eta_ends.json").write_text(json.dumps(doc))
+    documents = ("no_diagonal.json", "no_dom.json", "no_eta_ends.json")
+    runs = {name: set() for name in (*documents, "preorder")}
     for hashseed in range(8):
         env = dict(os.environ, PYTHONHASHSEED=str(hashseed),
                    PYTHONPATH=os.pathsep.join(
                        [SRC] + os.environ.get("PYTHONPATH", "").split(
                            os.pathsep)))
-        for name in ("no_diagonal.json", "no_dom.json"):
+        for name in documents:
             proc = subprocess.run(
                 [sys.executable, "-m", "enrichkit.cli", "check",
                  str(tmp_path / name)],
@@ -364,6 +369,8 @@ def test_malformed_input_errors_do_not_depend_on_the_hash_seed(corpus_dir,
         "no_diagonal.json": {"error: tensor_1 missing object entry "
                              "(bot, bot)\n"},
         "no_dom.json": {"error: morphism 'id_bot' missing dom/cod entry\n"},
+        "no_eta_ends.json": {"error: interchange_(1, 2) missing component "
+                             "at ('bot', 'bot', 'bot', 'bot')\n"},
         "preorder": {"relation is not transitive at (a, b, c)\n"}}
 
 
